@@ -1,12 +1,13 @@
 """Near-uniform sampling and approximate counting of atomic-CSP solutions
 via single-site dynamics on a projected state space."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .csp import (
     AtomicConstraint,
     AtomicCSP,
     CSPError,
+    InternalError,
     ParseError,
     build_coloring_csp,
     degree_stats,
@@ -42,7 +43,7 @@ from .dynamics import (
     rejection_budget,
     sample_step,
 )
-from .batch import BatchSampler, BatchUnsupported
+from .batch import BatchSampler
 from .counting import CountEstimate, CountingError, approx_count, counting_eps, pin_variable
 from .oracle import (
     count_2trees,

@@ -1,14 +1,13 @@
-"""Vectorized many-chain driver for small instances.
+"""Vectorized many-chain driver.
 
 Runs N independent copies of the projected chain in lockstep with numpy,
 one vectorized update per time step, plus batched versions of the fixed-state
-conditional draw and of the lifting pass.  Semantically equivalent to the
-scalar routines in dynamics (same component rule, same thresholds, same
-fallback draws); the random streams are laid out differently, so outputs for
-a given seed differ from the scalar driver while the sampled law is the same.
-
-Small-instance only: constraint components are resolved through bitmask
-closure tables, capped at 14 constraints.
+conditional draw and of the lifting pass.  Every update and lift goes
+through the routines the scalar driver uses (dynamics.explore,
+dynamics.reject, dynamics.update, dynamics.lift), so the component rule,
+thresholds and fallback draws are the same; the random streams are laid out
+differently, so outputs for a given seed differ from the scalar driver while
+the sampled law is the same.
 """
 
 from __future__ import annotations
@@ -18,16 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csp import AtomicCSP
-from .dynamics import SamplerConfig, project_csp
+from .dynamics import (
+    ProjectedState,
+    SamplerConfig,
+    explore_component,
+    lift,
+    project_csp,
+    reject,
+    update,
+)
 from .projection import ProjectionScheme
-
-MAX_CONSTRAINTS = 14
-MAX_VARS = 64
-MAX_ALPHABET = 64
-
-
-class BatchUnsupported(ValueError):
-    pass
 
 
 @dataclass
@@ -53,179 +52,13 @@ class BatchSampler:
         eta: float = 0.25,
         c_t: float = 1.0,
     ):
-        if csp.m > MAX_CONSTRAINTS:
-            raise BatchUnsupported(f"batch driver caps at {MAX_CONSTRAINTS} constraints")
-        if csp.n > MAX_VARS or max(csp.domains, default=2) > MAX_ALPHABET:
-            raise BatchUnsupported("instance too large for the batch driver")
         self.csp = csp
         self.scheme = scheme
         self.pcsp = project_csp(csp, scheme)
         self.cfg = SamplerConfig.derive(csp, scheme, eps, eta=eta, c_t=c_t)
-        n, m = csp.n, csp.m
-        self.n, self.m = n, m
-        kmax = max((c.arity for c in csp.constraints), default=1)
-
-        # padded constraint tables; the pad column of any state is -1, so a
-        # pad forbidden value of -2 can never register as a match
-        self.vc = np.full((m, kmax), n, dtype=np.int64)
-        self.forb_orig = np.full((m, kmax), -2, dtype=np.int64)
-        self.forb_proj = np.full((m, kmax), -2, dtype=np.int64)
-        self.arity = np.zeros(m, dtype=np.int64)
-        for cid, c in enumerate(csp.constraints):
-            self.arity[cid] = c.arity
-            for j, (v, f) in enumerate(zip(c.vars, c.forbidden)):
-                self.vc[cid, j] = v
-                self.forb_orig[cid, j] = f
-                self.forb_proj[cid, j] = scheme.project_value(v, f)
-
-        self.contains = np.zeros((n + 1, m), dtype=np.int64)
-        self.proj_forb_at = np.full((n + 1, m), -2, dtype=np.int64)
-        for cid, c in enumerate(csp.constraints):
-            for v, f in zip(c.vars, c.forbidden):
-                self.contains[v, cid] = 1
-                self.proj_forb_at[v, cid] = scheme.project_value(v, f)
-
-        # constraint adjacency bitmasks (shared variable, self included)
-        self.cadj = [0] * m
-        for cid, c in enumerate(csp.constraints):
-            mask = 0
-            for other, oc in enumerate(csp.constraints):
-                if set(c.vars) & set(oc.vars):
-                    mask |= 1 << other
-            self.cadj[cid] = mask
-        self.var_cons_mask = [0] * n
-        for v in range(n):
-            mask = 0
-            for cid in csp.dep_index[v]:
-                mask |= 1 << cid
-            self.var_cons_mask[v] = mask
-        self.pow2 = (1 << np.arange(m, dtype=np.int64)) if m else np.zeros(0, dtype=np.int64)
-        self.popcnt = np.array([bin(i).count("1") for i in range(1 << m)], dtype=np.int64)
-        self._closure_cache: dict[int, np.ndarray] = {}
-
-        # block tables
-        self.q_sizes = np.array(self.pcsp.domains, dtype=np.int64)
-        self.domains = np.array(csp.domains, dtype=np.int64)
-        qmax = int(self.q_sizes.max())
-        smax = max(scheme.block_size(v, q) for v in range(n) for q in range(self.q_sizes[v]))
-        self.block_size = np.zeros((n, qmax), dtype=np.int64)
-        self.block_members = np.zeros((n, qmax, smax), dtype=np.int64)
-        for v in range(n):
-            for q in range(self.q_sizes[v]):
-                block = scheme.blocks[v][q]
-                self.block_size[v, q] = len(block)
-                self.block_members[v, q, : len(block)] = block
-        self.block_of = np.zeros((n, int(self.domains.max())), dtype=np.int64)
-        for v in range(n):
-            for value in range(csp.domains[v]):
-                self.block_of[v, value] = scheme.project_value(v, value)
-        self._rows_n = np.arange(n, dtype=np.int64)
-
-    # -- component closure ---------------------------------------------------
-
-    def _decompose(self, mask: int) -> list[int]:
-        comps, rem = [], mask
-        while rem:
-            comp = rem & -rem
-            while True:
-                grown = comp
-                probe = comp
-                while probe:
-                    low = probe & -probe
-                    grown |= self.cadj[low.bit_length() - 1] & mask
-                    probe ^= low
-                if grown == comp:
-                    break
-                comp = grown
-            comps.append(comp)
-            rem &= ~comp
-        return comps
-
-    def _closure_row(self, mask: int) -> np.ndarray:
-        """Per-variable component mask: union of the mask's components that
-        touch a constraint incident to the variable."""
-        row = self._closure_cache.get(mask)
-        if row is not None:
-            return row
-        comps = self._decompose(mask)
-        row = np.zeros(self.n, dtype=np.int64)
-        for v in range(self.n):
-            acc = 0
-            vm = self.var_cons_mask[v]
-            for comp in comps:
-                if comp & vm:
-                    acc |= comp
-            row[v] = acc
-        self._closure_cache[mask] = row
-        return row
-
-    def _comp_masks(self, masks: np.ndarray, v: np.ndarray) -> np.ndarray:
-        uniq, inv = np.unique(masks, return_inverse=True)
-        table = np.stack([self._closure_row(int(mask)) for mask in uniq])
-        return table[inv, v]
-
-    # -- vectorized draws ----------------------------------------------------
-
-    def _match_counts(self, Z: np.ndarray, forb: np.ndarray) -> np.ndarray:
-        zpad = np.concatenate([Z, np.full((Z.shape[0], 1), -1, dtype=Z.dtype)], axis=1)
-        return (zpad[:, self.vc] == forb[None, :, :]).sum(axis=2)
-
-    def _violation_bits(self, X: np.ndarray) -> np.ndarray:
-        if self.m == 0:
-            return np.zeros(X.shape[0], dtype=np.int64)
-        return ((self._match_counts(X, self.forb_orig) == self.arity) @ self.pow2).astype(np.int64)
-
-    def _reject_batch(self, Y_rows, comp, v_over, rng, budget):
-        """Adaptive-width rejection rounds.
-
-        Y_rows (P, n): projected states supplying the preimage blocks;
-        comp (P,): bitmask of constraints the draw must satisfy;
-        v_over (P,) or None: variable drawn from its full alphabet instead.
-        Every pending row consumes rounds in lockstep, at most budget total.
-        Returns (accepted draws (P, n), accepted flags (P,)).
-        """
-        P = Y_rows.shape[0]
-        Xacc = np.zeros((P, self.n), dtype=np.int64)
-        ok = np.zeros(P, dtype=bool)
-        trivial = comp == 0
-        pending = np.flatnonzero(~trivial)
-        used, width = 0, 1
-        while pending.size and used < budget:
-            width = min(width, budget - used)
-            p = pending.size
-            Yp = Y_rows[pending]
-            sizes = self.block_size[self._rows_n[None, :], Yp]
-            idx = (rng.random((p, width, self.n)) * sizes[:, None, :]).astype(np.int64)
-            X = self.block_members[self._rows_n[None, None, :], Yp[:, None, :], idx]
-            if v_over is not None:
-                vp = v_over[pending]
-                X[np.arange(p)[:, None], np.arange(width)[None, :], vp[:, None]] = (
-                    rng.random((p, width)) * self.domains[vp][:, None]
-                ).astype(np.int64)
-            bits = self._violation_bits(X.reshape(p * width, self.n)).reshape(p, width)
-            goodmat = (bits & comp[pending][:, None]) == 0
-            has_good = goodmat.any(axis=1)
-            first = np.argmax(goodmat, axis=1)
-            acc = pending[has_good]
-            Xacc[acc] = X[has_good, first[has_good]]
-            ok[acc] = True
-            pending = pending[~has_good]
-            used += width
-            width = min(width * 2, 64)
-        # rows with no unsatisfied constraint accept their first draw
-        triv_idx = np.flatnonzero(trivial)
-        if triv_idx.size:
-            Yp = Y_rows[triv_idx]
-            sizes = self.block_size[self._rows_n[None, :], Yp]
-            idx = (rng.random((triv_idx.size, self.n)) * sizes).astype(np.int64)
-            Xacc[triv_idx] = self.block_members[self._rows_n[None, :], Yp, idx]
-            if v_over is not None:
-                vp = v_over[triv_idx]
-                Xacc[triv_idx, vp] = (rng.random(triv_idx.size) * self.domains[vp]).astype(
-                    np.int64
-                )
-            ok[triv_idx] = True
-        return Xacc, ok
+        self.n, self.m = csp.n, csp.m
+        # the tables every update and lift reads, built here once
+        self.arrays = self.pcsp.arrays, csp.arrays, scheme.arrays
 
     # -- chain ----------------------------------------------------------------
 
@@ -234,7 +67,8 @@ class BatchSampler:
         failure tallies."""
         N = n_chains
         cfg = self.cfg
-        Y = (rng.random((N, self.n)) * self.q_sizes[None, :]).astype(np.int64)
+        pa, ca, sa = self.arrays
+        Y = (rng.random((N, self.n)) * pa.domains[None, :]).astype(np.int64)
         s1_steps = s2_steps = 0
         touched = np.zeros(N, dtype=bool)
         total = cfg.T if steps is None else steps
@@ -242,45 +76,36 @@ class BatchSampler:
         if self.m == 0:
             for _ in range(total):
                 v = rng.integers(self.n, size=N)
-                Y[rows, v] = (rng.random(N) * self.q_sizes[v]).astype(np.int64)
+                Y[rows, v] = (rng.random(N) * pa.domains[v]).astype(np.int64)
             return Y, s1_steps, s2_steps, touched
-        if (self.q_sizes == 1).all():
+        if (pa.domains == 1).all():
             # constant projected state: every branch of an update writes the
             # only available value, so the chain law equals its start; step
             # tallies are vacuous for a chain that cannot move
             return Y, s1_steps, s2_steps, touched
-        cnt = self._match_counts(Y, self.forb_proj)
+        # per-constraint forbidden matches, with a zero column for the pad
+        cnt = np.concatenate([pa.matches(Y), np.zeros((N, 1), dtype=np.int64)], axis=1)
         for _ in range(total):
             v = rng.integers(self.n, size=N).astype(np.int64)
-            yv = Y[rows, v]
-            hit = self.contains[v] * (yv[:, None] == self.proj_forb_at[v])
-            unsat_minus = (cnt - hit) == (self.arity[None, :] - self.contains[v])
-            masks = (unsat_minus @ self.pow2).astype(np.int64)
-            comp = self._comp_masks(masks, v)
-            csize = self.popcnt[comp]
-
-            new_q = np.empty(N, dtype=np.int64)
-            s1 = csize > cfg.theta_comp
-            if s1.any():
+            cids, forb = pa.inc[v], pa.inc_forb[v]
+            hit = Y[rows, v][:, None] == forb
+            seed_at = cnt[rows[:, None], cids] - hit == pa.arity[cids] - 1
+            # empty component: the block of a uniform value of v
+            new_q = sa.block_of[v, (rng.random(N) * ca.domains[v]).astype(np.int64)]
+            busy = np.flatnonzero(seed_at.any(axis=1))
+            if busy.size:
+                seed = np.zeros((busy.size, self.m + 1), dtype=bool)
+                seed[np.arange(busy.size)[:, None], cids[busy]] = seed_at[busy]
+                seed = seed[:, :-1]
+                unsat = (cnt[busy, :-1] == pa.arity[:-1]) | seed
+                q, s1, s2, _ = update(
+                    self.pcsp, self.csp, self.scheme, cfg, Y[busy], unsat, seed, v[busy], rng
+                )
+                new_q[busy] = q
                 s1_steps += int(s1.sum())
-                touched |= s1
-                new_q[s1] = (rng.random(int(s1.sum())) * self.q_sizes[v[s1]]).astype(np.int64)
-            live = np.flatnonzero(~s1)
-            if live.size:
-                Xacc, ok = self._reject_batch(Y[live], comp[live], v[live], rng, cfg.S)
-                acc = live[ok]
-                new_q[acc] = self.block_of[v[acc], Xacc[ok, v[acc]]]
-                failed = live[~ok]
-                if failed.size:
-                    s2_steps += failed.size
-                    touched[failed] = True
-                    new_q[failed] = (
-                        rng.random(failed.size) * self.q_sizes[v[failed]]
-                    ).astype(np.int64)
-            # incremental bookkeeping of per-constraint forbidden matches
-            hit_new = self.contains[v] * (new_q[:, None] == self.proj_forb_at[v])
-            hit_old = self.contains[v] * (yv[:, None] == self.proj_forb_at[v])
-            cnt += hit_new - hit_old
+                s2_steps += int(s2.sum())
+                touched[busy[s1 | s2]] = True
+            cnt[rows[:, None], cids] += (new_q[:, None] == forb).astype(np.int64) - hit
             Y[rows, v] = new_q
         return Y, s1_steps, s2_steps, touched
 
@@ -288,56 +113,7 @@ class BatchSampler:
 
     def lift(self, Y: np.ndarray, rng: np.random.Generator):
         """Batched lifting of final projected states; error rows hold -1."""
-        N = Y.shape[0]
-        cfg = self.cfg
-        X = np.full((N, self.n), -1, dtype=np.int64)
-        errors = np.full(N, "", dtype="<U2")
-        if self.m == 0:
-            sizes = self.block_size[self._rows_n[None, :], Y]
-            idx = (rng.random(Y.shape) * sizes).astype(np.int64)
-            X[:] = self.block_members[self._rows_n[None, :], Y, idx]
-            return X, errors
-        masks = ((self._match_counts(Y, self.forb_proj) == self.arity) @ self.pow2).astype(
-            np.int64
-        )
-        for mask in np.unique(masks):
-            idx = np.flatnonzero(masks == mask)
-            comps = self._decompose(int(mask))
-            if any(int(self.popcnt[c]) > cfg.theta_comp for c in comps):
-                errors[idx] = "I1"
-                continue
-            # draw free variables (and components, overwritten below)
-            Yg = Y[idx]
-            sizes = self.block_size[self._rows_n[None, :], Yg]
-            draw_idx = (rng.random(Yg.shape) * sizes).astype(np.int64)
-            Xg = self.block_members[self._rows_n[None, :], Yg, draw_idx]
-            alive = np.ones(idx.size, dtype=bool)
-            for comp in comps:
-                comp_vars = sorted(
-                    {
-                        u
-                        for cid in range(self.m)
-                        if (comp >> cid) & 1
-                        for u in self.csp.constraints[cid].vars
-                    }
-                )
-                live = np.flatnonzero(alive)
-                if live.size == 0:
-                    break
-                Xacc, ok = self._reject_batch(
-                    Yg[live], np.full(live.size, comp, dtype=np.int64), None, rng, cfg.S
-                )
-                good = live[ok]
-                for u in comp_vars:
-                    Xg[good, u] = Xacc[ok, u]
-                dead = live[~ok]
-                alive[dead] = False
-                errors[idx[dead]] = "I2"
-            okrows = np.flatnonzero(alive)
-            X[idx[okrows]] = Xg[okrows]
-        good_rows = errors == ""
-        if good_rows.any():
-            assert not (self._violation_bits(X[good_rows])).any(), "lift produced a violation"
+        X, errors, _, _ = lift(self.pcsp, self.csp, self.scheme, self.cfg, Y, rng)
         return X, errors
 
     def sample(self, n_samples: int, seed=None) -> BatchResult:
@@ -363,23 +139,19 @@ class BatchSampler:
         rng = np.random.default_rng(seed)
         y = list(z)
         y[v] = 0
-        from .dynamics import ProjectedState, explore_component
-
-        state = ProjectedState(self.pcsp, y)
-        comp = explore_component(state, self.pcsp, v, self.cfg.theta_comp)
-        qv = int(self.q_sizes[v])
-        if comp.size_exceeded or len(comp.constraints) > self.cfg.theta_comp:
+        view = explore_component(ProjectedState(self.pcsp, y), self.pcsp, v, self.cfg.theta_comp)
+        qv = self.pcsp.domains[v]
+        if view.size_exceeded:
             return np.zeros(qv, dtype=np.int64), "S1", 0
-        comp_mask = 0
-        for cid in comp.constraints:
-            comp_mask |= 1 << cid
-        Y = np.repeat(np.array(y, dtype=np.int64)[None, :], n_draws, axis=0)
-        Xacc, ok = self._reject_batch(
-            Y, np.full(n_draws, comp_mask, dtype=np.int64), np.full(n_draws, v), rng, self.cfg.S
-        )
-        counts = np.zeros(qv, dtype=np.int64)
-        if ok.any():
-            np.add.at(counts, self.block_of[v, Xacc[ok, v]], 1)
+        if not view.constraints:
+            values = (rng.random(n_draws) * self.csp.domains[v]).astype(np.int64)
+            return np.bincount(self.scheme.arrays.block_of[v, values], minlength=qv), None, 0
+        y[v] = -1
+        Y = np.repeat(np.array([y], dtype=np.int64), n_draws, axis=0)
+        comp = np.zeros((n_draws, self.m), dtype=bool)
+        comp[:, view.constraints] = True
+        X, ok, _ = reject(self.csp, self.scheme, Y, comp, rng, self.cfg.S)
+        counts = np.bincount(self.scheme.arrays.block_of[v, X[ok, v]], minlength=qv)
         return counts, None, int((~ok).sum())
 
     def lift_draws(self, y, n_draws: int, seed=None):

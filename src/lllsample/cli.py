@@ -130,15 +130,7 @@ def _env_float(name: str, current):
 
 
 def _chain_payload(job) -> dict:
-    csp_n, domains, constraints, scheme_json, eps, eta, c_t, seed = job
-    from .csp import AtomicConstraint
-
-    csp = AtomicCSP(
-        n=csp_n,
-        domains=domains,
-        constraints=tuple(AtomicConstraint(tuple(v), tuple(f)) for v, f in constraints),
-    )
-    scheme = ProjectionScheme.from_json(scheme_json)
+    csp, scheme, eps, eta, c_t, seed = job
     res = main_sample(csp, scheme, eps, seed=seed, eta=eta, c_t=c_t)
     return {
         "assignment": list(res.assignment) if res.assignment is not None else None,
@@ -168,19 +160,7 @@ def cmd_sample(args) -> int:
     csp = _load_csp(args)
     scheme, source = _scheme_for(args, csp, seed)
     c_t = args.c_t if args.c_t is not None else 1.0
-    jobs = [
-        (
-            csp.n,
-            csp.domains,
-            tuple((c.vars, c.forbidden) for c in csp.constraints),
-            scheme.to_json(),
-            args.eps,
-            args.eta,
-            c_t,
-            [seed, 1, i],
-        )
-        for i in range(args.count)
-    ]
+    jobs = [(csp, scheme, args.eps, args.eta, c_t, [seed, 1, i]) for i in range(args.count)]
     if args.workers > 1 and args.count > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_chain_payload, jobs))

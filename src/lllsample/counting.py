@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import BatchSampler, BatchUnsupported
+from .batch import BatchSampler
 from .csp import AtomicCSP, AtomicConstraint, CSPError
-from .dynamics import main_sample
 from .oracle import ENUM_GUARD, count_satisfying
 from .projection import ProjectionScheme, check_admissibility, regime_ok
 
@@ -111,21 +110,8 @@ class CountEstimate:
 
 def _stage_draws(csp, scheme, eps, n_draws, seed, eta, c_t):
     """(assignment rows, error count) for one stage's sample budget."""
-    try:
-        sampler = BatchSampler(csp, scheme, eps, eta=eta, c_t=c_t)
-        result = sampler.sample(n_draws, seed=seed)
-        ok = result.ok
-        return result.assignments[ok], int((~ok).sum())
-    except BatchUnsupported:
-        rows, errors = [], 0
-        rng = np.random.default_rng(seed)
-        for _ in range(n_draws):
-            res = main_sample(csp, scheme, eps, eta=eta, c_t=c_t, rng=rng)
-            if res.ok:
-                rows.append(res.assignment)
-            else:
-                errors += 1
-        return np.array(rows, dtype=np.int64).reshape(len(rows), csp.n), errors
+    result = BatchSampler(csp, scheme, eps, eta=eta, c_t=c_t).sample(n_draws, seed=seed)
+    return result.assignments[result.ok], int((~result.ok).sum())
 
 
 def approx_count(

@@ -10,10 +10,18 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 
 class CSPError(ValueError):
     pass
+
+
+class InternalError(RuntimeError):
+    """A result failed its final verification: a defect of the library, not
+    of the input."""
 
 
 class ParseError(CSPError):
@@ -99,6 +107,66 @@ class AtomicCSP:
         for size in self.domains:
             total *= size
         return total
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per variable, (constraint id, forbidden value of the variable
+        there, arity) for every constraint at it."""
+        out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
+        for cid, c in enumerate(self.constraints):
+            for v, f in zip(c.vars, c.forbidden):
+                out[v].append((cid, f, c.arity))
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def arrays(self) -> "CSPArrays":
+        return CSPArrays.build(self)
+
+
+@dataclass(frozen=True)
+class CSPArrays:
+    """Padded numpy tables of an AtomicCSP, built once per instance.
+
+    Tables pad with n for "no variable", m for "no constraint" and -2 for
+    "no forbidden value", which no value equals; the arity of the pad
+    constraint m is -1, which no count reaches."""
+
+    domains: np.ndarray  # (n,) alphabet sizes
+    vc: np.ndarray  # (m, k) variables of each constraint
+    forb: np.ndarray  # (m, k) their forbidden values
+    arity: np.ndarray  # (m + 1,)
+    inc: np.ndarray  # (n + 1, d) constraints at each variable
+    inc_forb: np.ndarray  # (n + 1, d) the variable's forbidden value in each of them
+    adj: np.ndarray  # (m, e) constraints sharing a variable with each, itself included
+
+    @classmethod
+    def build(cls, csp: AtomicCSP) -> "CSPArrays":
+        n, m = csp.n, csp.m
+        k = max((c.arity for c in csp.constraints), default=0)
+        d = max((len(ids) for ids in csp.dep_index), default=0)
+        vc = np.full((m, k), n, dtype=np.int64)
+        forb = np.full((m, k), -2, dtype=np.int64)
+        arity = np.full(m + 1, -1, dtype=np.int64)
+        for cid, c in enumerate(csp.constraints):
+            vc[cid, : c.arity] = c.vars
+            forb[cid, : c.arity] = c.forbidden
+            arity[cid] = c.arity
+        inc = np.full((n + 1, d), m, dtype=np.int64)
+        inc_forb = np.full((n + 1, d), -2, dtype=np.int64)
+        for v, triples in enumerate(csp.incidence):
+            for j, (cid, f, _) in enumerate(triples):
+                inc[v, j], inc_forb[v, j] = cid, f
+        near = [sorted({o for v in c.vars for o in csp.dep_index[v]}) for c in csp.constraints]
+        adj = np.full((m, max(map(len, near), default=0)), m, dtype=np.int64)
+        for cid, others in enumerate(near):
+            adj[cid, : len(others)] = others
+        return cls(np.array(csp.domains, dtype=np.int64), vc, forb, arity, inc, inc_forb, adj)
+
+    def matches(self, Z: np.ndarray) -> np.ndarray:
+        """(..., m) count of variables at their forbidden value in each
+        constraint, for rows Z (..., n)."""
+        pad = np.full(Z.shape[:-1] + (1,), -1, dtype=Z.dtype)
+        return (np.concatenate([Z, pad], axis=-1)[..., self.vc] == self.forb).sum(axis=-1)
 
 
 def evaluate(csp: AtomicCSP, x) -> list[int]:

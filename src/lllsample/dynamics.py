@@ -7,10 +7,22 @@ component of unsatisfied projected constraints around that variable.  A final
 lifting pass turns the projected state into a full satisfying assignment, one
 component at a time.
 
+A chain update and a lift are the same operation, and both chain drivers
+(glauber_run here, BatchSampler in batch) run it through three routines.
+Each reads the padded tables of AtomicCSP.arrays and ProjectionScheme.arrays
+and is vectorised over rows, one row per chain or per draw:
+- `explore` grows components; a component is a boolean row over the m
+  constraints, closed under "shares a variable" within the unsatisfied set;
+- `reject` draws inside components until every constraint in them holds;
+- `lift` lifts projected states one component at a time and verifies them.
+A step whose component is empty, the common case, needs none of them: the
+new projected value is the block of a uniform value of the variable.
+
 Failure paths are tagged, never raised: "S1"/"S2" for an oversized component
 or exhausted rejection budget during a chain update (the update falls back to
 a uniform draw), "I1"/"I2" for the same situations during lifting (the run
-returns an ERROR result).
+returns an ERROR result).  A lift whose result fails its own verification
+raises InternalError.
 """
 
 from __future__ import annotations
@@ -20,9 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csp import AtomicCSP, evaluate, violated_by_partial
+from .csp import AtomicCSP, InternalError, degree_stats, violated_by_partial
 from .projection import ProjectionScheme, _check_match, kappa_for
-from .csp import degree_stats
 
 
 def chain_length(kappa: float, n: int, delta_deg: int, eps: float, c_t: float = 1.0) -> int:
@@ -35,10 +46,6 @@ def rejection_budget(kappa: float, n: int, eps: float, eta: float) -> int:
 
 def component_threshold(delta_deg: int, n: int, kappa: float, eps: float) -> float:
     return 20.0 * delta_deg * math.log(n * kappa / eps)
-
-
-def time_block(kappa: float, n: int) -> float:
-    return 100.0 * kappa * n
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,6 @@ class SamplerConfig:
     T: int = field(init=False)
     S: int = field(init=False)
     theta_comp: float = field(init=False)
-    H: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.eps < 0.5:
@@ -65,7 +71,6 @@ class SamplerConfig:
         object.__setattr__(
             self, "theta_comp", component_threshold(self.delta_deg, self.n, self.kappa, self.eps)
         )
-        object.__setattr__(self, "H", time_block(self.kappa, self.n))
 
     @classmethod
     def derive(
@@ -89,7 +94,7 @@ class SamplerConfig:
         return {
             "eps": self.eps, "eta": self.eta, "kappa": self.kappa, "c_t": self.c_t,
             "n": self.n, "delta": self.delta_deg, "T": self.T, "S": self.S,
-            "theta_comp": self.theta_comp, "H": self.H, "seed": self.seed,
+            "theta_comp": self.theta_comp, "seed": self.seed,
         }
 
 
@@ -134,13 +139,11 @@ class ProjectedState:
         if new_q == old:
             return
         self.y[v] = new_q
-        for cid in pcsp.dep_index[v]:
-            c = pcsp.constraints[cid]
-            f = c.forbidden_at(v)
+        for cid, f, arity in pcsp.incidence[v]:
             delta = (new_q == f) - (old == f)
             if delta:
                 self.counts[cid] += delta
-                if self.counts[cid] == c.arity:
+                if self.counts[cid] == arity:
                     self.unsat.add(cid)
                 else:
                     self.unsat.discard(cid)
@@ -162,13 +165,123 @@ class ComponentView:
     size_exceeded: bool = False
 
 
-def _unsat_without(state: ProjectedState, pcsp: AtomicCSP, cid: int, v: int | None) -> bool:
-    """Is constraint cid unsatisfied by the state with v treated unassigned?"""
-    c = pcsp.constraints[cid]
-    if v is None or v not in c.vars:
-        return state.counts[cid] == c.arity
-    hit = state.y[v] == c.forbidden_at(v)
-    return state.counts[cid] - hit == c.arity - 1
+def explore(pcsp: AtomicCSP, unsat: np.ndarray, comp: np.ndarray, theta: float = math.inf):
+    """Grow each row of comp (P, m) bool, seed constraints taken from the
+    same row of unsat (P, m) bool, to its closure under "shares a variable"
+    within unsat.  A row stops growing once it holds more than theta
+    constraints."""
+    adj = pcsp.arrays.adj
+    frontier, comp = comp, comp.copy()
+    while frontier.any():
+        rows, cids = np.nonzero(frontier & (comp.sum(axis=1) <= theta)[:, None])
+        touched = np.zeros((comp.shape[0], pcsp.m + 1), dtype=bool)
+        touched[rows[:, None], adj[cids]] = True
+        frontier = touched[:, :-1] & unsat & ~comp
+        comp |= frontier
+    return comp
+
+
+def components(pcsp: AtomicCSP, unsat: np.ndarray, theta: float = math.inf) -> list[np.ndarray]:
+    """The connected components of each row of unsat (P, m) bool, in order of
+    their lowest constraint: array j holds the j-th component of every row,
+    empty where a row has fewer.  A row ends at its first component of more
+    than theta constraints."""
+    rest, comps = unsat.copy(), []
+    while rest.any():
+        rows = np.flatnonzero(rest.any(axis=1))
+        seed = np.zeros_like(rest)
+        seed[rows, rest[rows].argmax(axis=1)] = True
+        comp = explore(pcsp, rest, seed, theta)
+        comps.append(comp)
+        rest &= ~comp
+        rest[comp.sum(axis=1) > theta] = False
+    return comps
+
+
+def reject(csp, scheme, Y, comp, rng, budget):
+    """Rejection sampling inside components, all rows in lockstep.
+
+    Y (P, n) holds projected states, -1 where a variable is unassigned, and
+    comp (P, m) bool the component of each row.  A round draws the
+    component's variables from their blocks under Y, an unassigned one from
+    its whole alphabet, and succeeds when every constraint of the component
+    holds.  Rounds run in batches of doubling width and the first success
+    counts; a row gets at most budget rounds.  Returns (draws (P, n), set on
+    the component's variables; success flags (P,); rounds used (P,)).
+    """
+    a = csp.arrays
+    P, n = Y.shape
+    cons = np.flatnonzero(comp.any(axis=0))
+    drawn = np.zeros(n + 1, dtype=bool)
+    drawn[a.vc[cons]] = True
+    cols = np.flatnonzero(drawn[:n])
+    # pad entries of a constraint read column 0, which never holds their
+    # pad forbidden value -2
+    local = np.zeros(n + 1, dtype=np.int64)
+    local[cols] = np.arange(cols.size)
+    vcl, forb, arity, need = local[a.vc[cons]], a.forb[cons], a.arity[cons], comp[:, cons]
+    Yc = Y[:, cols]
+    X = np.zeros((P, n), dtype=np.int64)
+    ok = np.zeros(P, dtype=bool)
+    rounds = np.zeros(P, dtype=np.int64)
+    pending, used, width = np.arange(P), 0, 1
+    while pending.size and used < budget:
+        width = min(width, budget - used)
+        p = pending.size
+        D = scheme.arrays.pick(cols, Yc[pending, None, :], rng.random((p, width, cols.size)))
+        violated = (D[:, :, vcl] == forb).sum(axis=3) == arity
+        good = ~(violated & need[pending, None, :]).any(axis=2)
+        has = good.any(axis=1)
+        first = good.argmax(axis=1)[has]
+        acc = pending[has]
+        X[acc[:, None], cols] = D[has, first]
+        ok[acc] = True
+        rounds[acc] = used + first + 1
+        pending = pending[~has]
+        used += width
+        width = min(2 * width, 64)
+    rounds[pending] = used
+    return X, ok, rounds
+
+
+def update(pcsp, csp, scheme, cfg, Y, unsat, seed, v, rng):
+    """Conditional redraw at v (P,) for every row of Y (P, n), given the
+    constraints unsatisfied with v unassigned, unsat (P, m) bool, and those
+    of them at v, seed (P, m) bool, not empty.  Returns (new projected
+    values, S1 flags, S2 flags, component sizes), each (P,)."""
+    comp = explore(pcsp, unsat, seed, cfg.theta_comp)
+    size = comp.sum(axis=1)
+    s1 = size > cfg.theta_comp
+    comp[s1] = False  # an oversized component is not sampled
+    rows = np.arange(size.size)
+    Y = Y.copy()
+    Y[rows, v] = -1
+    X, ok, _ = reject(csp, scheme, Y, comp, rng, cfg.S)
+    s2 = ~ok & ~s1
+    fallback = (rng.random(size.size) * pcsp.arrays.domains[v]).astype(np.int64)
+    new_q = np.where(s1 | s2, fallback, scheme.arrays.block_of[v, X[rows, v]])
+    return new_q, s1, s2, size
+
+
+def _seeds(state: ProjectedState, pcsp: AtomicCSP, v: int) -> list[int]:
+    """Constraints at v that are unsatisfied with v unassigned."""
+    y_v, counts = state.y[v], state.counts
+    return [cid for cid, f, arity in pcsp.incidence[v] if counts[cid] - (y_v == f) == arity - 1]
+
+
+def _rows(state: ProjectedState, pcsp: AtomicCSP, seeds: list[int]):
+    """(unsat, seed) rows of one state, seeds counted as unsatisfied."""
+    seed = np.zeros((1, pcsp.m), dtype=bool)
+    seed[0, seeds] = True
+    unsat = seed.copy()
+    unsat[0, list(state.unsat)] = True
+    return unsat, seed
+
+
+def _view(pcsp: AtomicCSP, comp: np.ndarray, theta: float, extra=()) -> ComponentView:
+    cons = np.flatnonzero(comp).tolist()
+    comp_vars = set(extra).union(*(pcsp.constraints[cid].vars for cid in cons))
+    return ComponentView(sorted(comp_vars), cons, len(cons) > theta)
 
 
 def explore_component(
@@ -184,43 +297,10 @@ def explore_component(
     more than theta_comp unsatisfied constraints.
     """
     if v is None:
-        seen_cons: set[int] = set()
-        comps = []
-        for cid in sorted(state.unsat):
-            if cid in seen_cons:
-                continue
-            comp = _grow_component(state, pcsp, [cid], None, theta_comp)
-            seen_cons.update(comp.constraints)
-            comps.append(comp)
-        return comps
-    seeds = [cid for cid in pcsp.dep_index[v] if _unsat_without(state, pcsp, cid, v)]
-    comp = _grow_component(state, pcsp, seeds, v, theta_comp)
-    if v not in comp.vars:
-        comp.vars.append(v)
-    return comp
-
-
-def _grow_component(state, pcsp, seeds, v, theta_comp) -> ComponentView:
-    comp_vars: set[int] = set()
-    comp_cons: list[int] = []
-    seen: set[int] = set(seeds)
-    stack = list(seeds)
-    exceeded = False
-    while stack:
-        cid = stack.pop()
-        comp_cons.append(cid)
-        if len(comp_cons) > theta_comp:
-            exceeded = True
-            break
-        for u in pcsp.constraints[cid].vars:
-            if u in comp_vars:
-                continue
-            comp_vars.add(u)
-            for other in pcsp.dep_index[u]:
-                if other not in seen and _unsat_without(state, pcsp, other, v):
-                    seen.add(other)
-                    stack.append(other)
-    return ComponentView(vars=sorted(comp_vars), constraints=sorted(comp_cons), size_exceeded=exceeded)
+        unsat, _ = _rows(state, pcsp, [])
+        return [_view(pcsp, comp[0], theta_comp) for comp in components(pcsp, unsat, theta_comp)]
+    comp = explore(pcsp, *_rows(state, pcsp, _seeds(state, pcsp, v)), theta_comp)
+    return _view(pcsp, comp[0], theta_comp, (v,))
 
 
 def sample_step(
@@ -231,20 +311,28 @@ def sample_step(
     cfg: SamplerConfig,
     rng: np.random.Generator,
     v: int,
-    _comp: ComponentView | None = None,
 ):
     """One conditional redraw of variable v.  Returns (new projected value,
     failure flag in {None, "S1", "S2"}).
 
-    The non-failing branch draws original-space values for the component
-    (blocks of the current projected state for the others, the full alphabet
-    for v) until they satisfy every unsatisfied constraint inside, then
-    projects the drawn value of v.
+    With no constraint at v unsatisfied with v unassigned, the new value is
+    the block of a uniform value of v.  Otherwise the non-failing branch
+    draws original-space values for the component (blocks of the current
+    projected state for the others, the full alphabet for v) until they
+    satisfy every unsatisfied constraint inside, then projects the drawn
+    value of v.
     """
-    comp = _comp if _comp is not None else explore_component(state, pcsp, v, cfg.theta_comp)
-    if comp.size_exceeded or len(comp.constraints) > cfg.theta_comp:
-        return int(rng.integers(pcsp.domains[v])), "S1"
-    return _reject_inside(state, csp, scheme, cfg, rng, v, comp)
+    return _step(state, pcsp, csp, scheme, cfg, rng, v)[:2]
+
+
+def _step(state, pcsp, csp, scheme, cfg, rng, v):
+    seeds = _seeds(state, pcsp, v)
+    if not seeds:
+        return scheme.block_of[v][int(rng.integers(csp.domains[v]))], None, 0
+    unsat, seed = _rows(state, pcsp, seeds)
+    Y = np.array([state.y], dtype=np.int64)
+    new_q, s1, s2, size = update(pcsp, csp, scheme, cfg, Y, unsat, seed, np.array([v]), rng)
+    return int(new_q[0]), "S1" if s1[0] else "S2" if s2[0] else None, int(size[0])
 
 
 @dataclass
@@ -280,26 +368,52 @@ def glauber_run(
     diag = ChainDiagnostics()
     for t in range(total):
         v = int(rng.integers(cfg.n))
-        comp = explore_component(state, pcsp, v, cfg.theta_comp)
-        new_q, flag = sample_step(state, pcsp, csp, scheme, cfg, rng, v, _comp=comp)
-        diag.record(flag, len(comp.constraints))
+        new_q, flag, size = _step(state, pcsp, csp, scheme, cfg, rng, v)
+        diag.record(flag, size)
         state.apply(pcsp, v, new_q)
         if check_every and (t + 1) % check_every == 0:
             state.check_consistent(pcsp)
     return state, diag
 
 
-def _reject_inside(state, csp, scheme, cfg, rng, v, comp):
-    others = [u for u in comp.vars if u != v]
-    cons = [csp.constraints[cid] for cid in comp.constraints]
-    x: dict[int, int] = {}
-    for _ in range(cfg.S):
-        for u in others:
-            x[u] = scheme.sample_preimage(u, state.y[u], rng)
-        x[v] = int(rng.integers(csp.domains[v]))
-        if all(any(x[u] != f for u, f in zip(c.vars, c.forbidden)) for c in cons):
-            return scheme.project_value(v, x[v]), None
-    return int(rng.integers(len(scheme.blocks[v]))), "S2"
+def lift(pcsp, csp, scheme, cfg, Y, rng):
+    """Lift every row of Y (P, n), a projected state, to a full assignment.
+
+    Each variable is drawn from its block; then the components of the row's
+    unsatisfied projected constraints are rejection-sampled one at a time
+    until all their constraints hold.  A row with a component of more than
+    cfg.theta_comp constraints gets ERROR "I1", one that exhausts the budget
+    cfg.S gets "I2", and its assignment row holds -1.  Every other row is
+    checked: it projects back to Y and satisfies every constraint, or
+    InternalError is raised.  Returns (assignments (P, n), errors (P,) of
+    "", "I1", "I2", components (P,), rejection rounds (P,)).
+    """
+    P, n = Y.shape
+    a, cols = csp.arrays, np.arange(n)
+    comps = components(pcsp, pcsp.arrays.matches(Y) == pcsp.arrays.arity[:-1], cfg.theta_comp)
+    errors = np.full(P, "", dtype="<U2")
+    n_comps = np.zeros(P, dtype=np.int64)
+    for comp in comps:
+        errors[comp.sum(axis=1) > cfg.theta_comp] = "I1"
+        n_comps += comp.any(axis=1)
+    X = scheme.arrays.pick(cols, Y, rng.random(Y.shape))
+    rounds = np.zeros(P, dtype=np.int64)
+    for comp in comps:
+        rows = np.flatnonzero(comp.any(axis=1) & (errors == ""))
+        D, ok, used = reject(csp, scheme, Y[rows], comp[rows], rng, cfg.S)
+        rounds[rows] += used
+        inside = np.zeros((rows.size, n + 1), dtype=bool)
+        r, c = np.nonzero(comp[rows])
+        inside[r[:, None], a.vc[c]] = True
+        X[rows] = np.where(inside[:, :n] & ok[:, None], D, X[rows])
+        errors[rows[~ok]] = "I2"
+    good = errors == ""
+    X[~good] = -1
+    if (scheme.arrays.block_of[cols, X[good]] != Y[good]).any():
+        raise InternalError("lift returned an assignment that does not project to its state")
+    if (a.matches(X[good]) == a.arity[:-1]).any():
+        raise InternalError("lift returned an assignment that violates a constraint")
+    return X, errors, n_comps, rounds
 
 
 @dataclass
@@ -318,41 +432,17 @@ def inv_sample(
     cfg: SamplerConfig,
     rng: np.random.Generator,
 ) -> LiftResult:
-    """Lift the projected state to a full assignment.
+    """Lift the projected state to a full assignment (`lift` on one row).
 
-    Variables outside every unsatisfied component are drawn uniformly from
-    their blocks; each component is rejection-sampled as a whole until its
-    unsatisfied constraints are all satisfied.  Any oversized component yields
-    ERROR "I1"; an exhausted budget yields ERROR "I2".  A returned assignment
-    always projects back to the state and satisfies the full instance.
+    An oversized component yields ERROR "I1", an exhausted budget ERROR
+    "I2".  A returned assignment always projects back to the state and
+    satisfies the full instance.
     """
-    comps = explore_component(state, pcsp, None, cfg.theta_comp)
-    for comp in comps:
-        if comp.size_exceeded or len(comp.constraints) > cfg.theta_comp:
-            return LiftResult(None, "I1", components=len(comps))
-    x: list[int | None] = [None] * csp.n
-    in_comp: set[int] = set()
-    for comp in comps:
-        in_comp.update(comp.vars)
-    for u in range(csp.n):
-        if u not in in_comp:
-            x[u] = scheme.sample_preimage(u, state.y[u], rng)
-    rounds = 0
-    for comp in comps:
-        cons = [csp.constraints[cid] for cid in comp.constraints]
-        for attempt in range(cfg.S):
-            draw = {u: scheme.sample_preimage(u, state.y[u], rng) for u in comp.vars}
-            rounds += 1
-            if all(any(draw[u] != f for u, f in zip(c.vars, c.forbidden)) for c in cons):
-                for u, value in draw.items():
-                    x[u] = value
-                break
-        else:
-            return LiftResult(None, "I2", components=len(comps), rounds=rounds)
-    assignment = tuple(x)  # type: ignore[arg-type]
-    assert scheme.project(assignment) == tuple(state.y)
-    assert evaluate(csp, assignment) == []
-    return LiftResult(assignment, None, components=len(comps), rounds=rounds)
+    Y = np.array([state.y], dtype=np.int64)
+    X, errors, n_comps, rounds = lift(pcsp, csp, scheme, cfg, Y, rng)
+    error = str(errors[0]) or None
+    assignment = None if error else tuple(int(x) for x in X[0])
+    return LiftResult(assignment, error, components=int(n_comps[0]), rounds=int(rounds[0]))
 
 
 @dataclass
@@ -388,13 +478,13 @@ def main_sample(
     pcsp = project_csp(csp, scheme)
     state = ProjectedState(pcsp, initial) if initial is not None else ProjectedState.random(pcsp, rng)
     state, diag = glauber_run(state, pcsp, csp, scheme, cfg, rng)
-    lift = inv_sample(state, pcsp, csp, scheme, cfg, rng)
+    lifted = inv_sample(state, pcsp, csp, scheme, cfg, rng)
     diagnostics = {
         **cfg.to_dict(),
         "s1_failures": diag.s1,
         "s2_failures": diag.s2,
-        "lift_error": lift.error,
-        "lift_components": lift.components,
+        "lift_error": lifted.error,
+        "lift_components": lifted.components,
         "component_hist": {str(k): v for k, v in sorted(diag.component_hist.items())},
     }
-    return SampleResult(lift.assignment, lift.error, diagnostics)
+    return SampleResult(lifted.assignment, lifted.error, diagnostics)

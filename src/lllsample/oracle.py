@@ -151,11 +151,6 @@ def tv_empirical(samples, exact: dict) -> float:
     )
 
 
-def tv_exact(p: dict, q: dict) -> float:
-    support = set(p) | set(q)
-    return 0.5 * sum(abs(float(p.get(x, 0)) - float(q.get(x, 0))) for x in support)
-
-
 # ---------------------------------------------------------------------------
 # 2-trees: vertex sets at pairwise distance >= 2 whose distance<=2 closure
 # is connected

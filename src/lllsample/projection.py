@@ -15,6 +15,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -111,6 +112,10 @@ class ProjectionScheme:
             return block[0]
         return block[int(rng.integers(len(block)))]
 
+    @cached_property
+    def arrays(self) -> "BlockArrays":
+        return BlockArrays.build(self)
+
     def restrict(self, keep) -> "ProjectionScheme":
         """Scheme over a variable subset, in the order given (for pinned
         instances)."""
@@ -143,6 +148,42 @@ class ProjectionScheme:
         )
 
 
+@dataclass(frozen=True)
+class BlockArrays:
+    """Numpy tables of a ProjectionScheme, built once per scheme.
+
+    Block q of variable v is values[start[v, q] : start[v, q] + size[v, q]].
+    Block -1 is the whole alphabet of v, so the projected value -1 reads
+    "unassigned"."""
+
+    values: np.ndarray  # per variable, its blocks' values, then its alphabet
+    start: np.ndarray  # (n, qmax + 1)
+    size: np.ndarray  # (n, qmax + 1)
+    block_of: np.ndarray  # (n, amax) block of each value
+
+    @classmethod
+    def build(cls, scheme: "ProjectionScheme") -> "BlockArrays":
+        n = scheme.n
+        qmax = max(scheme.q_sizes(), default=0)
+        amax = max(scheme.domain_sizes(), default=1)
+        start = np.zeros((n, qmax + 1), dtype=np.int64)
+        size = np.zeros((n, qmax + 1), dtype=np.int64)
+        block_of = np.zeros((n, amax), dtype=np.int64)
+        values: list[int] = []
+        for v, var_blocks in enumerate(scheme.blocks):
+            alphabet = tuple(range(len(scheme.block_of[v])))
+            for q, block in [*enumerate(var_blocks), (qmax, alphabet)]:
+                start[v, q], size[v, q] = len(values), len(block)
+                values.extend(block)
+            block_of[v, : len(alphabet)] = scheme.block_of[v]
+        return cls(np.array(values, dtype=np.int64), start, size, block_of)
+
+    def pick(self, cols: np.ndarray, Yc: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The value at uniform position u in block Yc of variable cols, with
+        cols (c,), and Yc and u broadcasting to (..., c)."""
+        return self.values[self.start[cols, Yc] + (u * self.size[cols, Yc]).astype(np.int64)]
+
+
 def identity_scheme(csp: AtomicCSP, **kw) -> ProjectionScheme:
     return ProjectionScheme(
         tuple(tuple((value,) for value in range(size)) for size in csp.domains), **kw
@@ -151,10 +192,6 @@ def identity_scheme(csp: AtomicCSP, **kw) -> ProjectionScheme:
 
 def full_marking_scheme(csp: AtomicCSP, **kw) -> ProjectionScheme:
     return ProjectionScheme(tuple((tuple(range(size)),) for size in csp.domains), **kw)
-
-
-def scheme_from_blocks(blocks, **kw) -> ProjectionScheme:
-    return ProjectionScheme(tuple(tuple(tuple(b) for b in vb) for vb in blocks), **kw)
 
 
 def _check_match(csp: AtomicCSP, scheme: ProjectionScheme):

@@ -16,7 +16,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .csp import AtomicCSP, evaluate
+from .csp import AtomicCSP, InternalError, evaluate
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def moser_tardos(
         if not any(violated):
             # soundness re-check, independent of incremental bookkeeping
             if any(ev.violated(values) for ev in events):
-                raise RuntimeError("internal error: bookkeeping and predicates disagree")
+                raise InternalError("bookkeeping and predicates disagree")
             return ResampleResult(True, values, total_resamples, attempt, trace)
     return ResampleResult(False, None, total_resamples, attempts, trace)
 
@@ -112,6 +112,6 @@ def find_assignment(
     ]
     problem = ResamplingProblem(n=csp.n, samplers=samplers, events=events)
     result = moser_tardos(problem, rng, delta=delta)
-    if result.success:
-        assert evaluate(csp, result.values) == []
+    if result.success and evaluate(csp, result.values):
+        raise InternalError("resampling returned an assignment that violates a constraint")
     return result

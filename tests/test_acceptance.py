@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Statistical volume runs through the vectorized many-chain driver; its
-distributional equivalence to the scalar sampler is covered separately in
+Statistical volume runs through the vectorized many-chain driver, which
+shares its component explorer, rejection routine and lift with the scalar
+sampler; agreement of the two drivers' sampled laws is covered separately in
 test_batch.py.  All expected distributions come from the enumeration oracle.
 """
 

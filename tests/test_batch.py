@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from lllsample.batch import BatchSampler, BatchUnsupported
+from lllsample.batch import BatchSampler
 from lllsample.bundled import load_bundled
+from lllsample.csp import evaluate
 from lllsample.dynamics import main_sample
 from lllsample.oracle import (
     enumerate_satisfying,
@@ -104,12 +106,30 @@ def test_lift_draws_i2_on_frozen_violation():
     assert i2 == 50 and not counts
 
 
-def test_batch_guards():
-    big = uniform_csp(20, 2, [(tuple(range(i, i + 2)), (0, 0)) for i in range(15)])
-    from lllsample.projection import full_marking_scheme
+def test_batch_disjoint_clauses_marginals():
+    # 20 disjoint 4-clauses over 80 variables, scheme iicc per clause: under
+    # the uniform law each variable sits at its forbidden value in 7 of a
+    # clause's 15 satisfying assignments
+    from lllsample.projection import ProjectionScheme
 
-    with pytest.raises(BatchUnsupported):
-        BatchSampler(big, full_marking_scheme(big), 0.1)
+    k, clauses, draws = 4, 20, 1000
+    rng = np.random.default_rng(31)
+    cons = [
+        (tuple(range(k * i, k * i + k)), tuple(int(b) for b in rng.integers(0, 2, k)))
+        for i in range(clauses)
+    ]
+    csp = uniform_csp(k * clauses, 2, cons)
+    scheme = ProjectionScheme(
+        tuple(((0,), (1,)) if ch == "i" else ((0, 1),) for ch in "iicc" * clauses)
+    )
+    out = BatchSampler(csp, scheme, 0.1, c_t=0.05).sample(draws, seed=23)
+    assert out.ok.all()
+    X = out.assignments.astype(np.int64)
+    assert all(evaluate(csp, [int(x) for x in row]) == [] for row in X)
+    forbidden = np.array([f for _, f in cons]).ravel()
+    p = 7 / 15
+    sigma = math.sqrt(p * (1 - p) / draws)
+    assert np.abs((X == forbidden).mean(axis=0) - p).max() < 4 * sigma
 
 
 def test_batch_no_constraints():

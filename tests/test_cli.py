@@ -80,6 +80,24 @@ def test_sample_error_i1_exit_code(capsys, tmp_path):
     assert payload["error"] == "I1"
 
 
+def test_internal_error_is_not_a_usage_error(cnf_file, collapsed_scheme_file, monkeypatch):
+    # a lift that fails its own verification is a defect: it must surface as
+    # InternalError, not as exit code 2 for bad input
+    import numpy as np
+
+    import lllsample.dynamics as dynamics
+    from lllsample.csp import InternalError
+
+    def accept_anything(csp, scheme, Y, comp, rng, budget):
+        P, n = Y.shape
+        return np.zeros((P, n), dtype=np.int64), np.ones(P, dtype=bool), np.ones(P, dtype=np.int64)
+
+    monkeypatch.setattr(dynamics, "reject", accept_anything)
+    with pytest.raises(InternalError):
+        dispatch(["sample", "--input", cnf_file, "--eps", "0.1", "--seed", "1",
+                  "--scheme", collapsed_scheme_file])
+
+
 def test_find(capsys, cnf_file):
     code, payload = _run(capsys, ["find", "--input", cnf_file, "--seed", "5"])
     assert code == 0 and payload["success"]

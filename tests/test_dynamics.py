@@ -4,14 +4,17 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lllsample.bundled import load_bundled
-from lllsample.csp import evaluate
+from lllsample.csp import InternalError, evaluate
 from lllsample.dynamics import (
     ProjectedState,
     SamplerConfig,
     chain_length,
     component_threshold,
+    components,
+    explore,
     explore_component,
     glauber_run,
     inv_sample,
@@ -39,7 +42,6 @@ def test_schedule_formulas():
     assert cfg.T == math.ceil(20 * 10 * math.log(10 * 5 / 0.1))
     assert cfg.S == math.ceil(10 * (20 * 10 / 0.1) ** 0.25 * math.log(10 * 20 / 0.1))
     assert cfg.theta_comp == 20 * 5 * math.log(10 * 20 / 0.1)
-    assert cfg.H == 100 * 20 * 10
     with pytest.raises(ValueError):
         SamplerConfig(eps=0.5, eta=0.25, kappa=20.0, n=10, delta_deg=5)
     with pytest.raises(ValueError):
@@ -113,6 +115,75 @@ def test_explore_component_examples():
     # all components of the current state
     comps = explore_component(stc, pc, None)
     assert len(comps) == 1 and comps[0].constraints == [0, 1, 2]
+
+
+def _closure(csp, allowed, start):
+    """Brute force: the constraints of allowed reachable from start through
+    shared variables."""
+    comp, grown = set(start), True
+    while grown:
+        grown = False
+        for cid in allowed - comp:
+            if any(set(csp.constraints[cid].vars) & set(csp.constraints[o].vars) for o in comp):
+                comp.add(cid)
+                grown = True
+    return comp
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_explorer_matches_brute_force_closure(data):
+    n = data.draw(st.integers(2, 7))
+    size = data.draw(st.integers(2, 3))
+    cons = []
+    for _ in range(data.draw(st.integers(0, 10))):
+        k = data.draw(st.integers(1, min(3, n)))
+        vars_ = sorted(data.draw(
+            st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+        cons.append((vars_, [data.draw(st.integers(0, size - 1)) for _ in vars_]))
+    csp = uniform_csp(n, size, cons)
+    ys = [data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n)) for _ in range(3)]
+    vs = [data.draw(st.integers(0, n - 1)) for _ in ys]
+
+    def unsat_without(y, v):
+        return {cid for cid, c in enumerate(csp.constraints)
+                if all(y[u] == f for u, f in zip(c.vars, c.forbidden) if u != v)}
+
+    # chain step: the component around v, one state at a time and as rows
+    expect = []
+    for y, v in zip(ys, vs):
+        allowed = unsat_without(y, v)
+        comp = _closure(csp, allowed, {cid for cid in allowed if v in csp.constraints[cid].vars})
+        expect.append(sorted(comp))
+        view = explore_component(ProjectedState(csp, y), csp, v)
+        assert view.constraints == sorted(comp)
+        assert view.vars == sorted({v}.union(*(csp.constraints[cid].vars for cid in comp)))
+    unsat = np.zeros((len(ys), csp.m), dtype=bool)
+    seed = np.zeros_like(unsat)
+    for row, (y, v) in enumerate(zip(ys, vs)):
+        for cid in unsat_without(y, v):
+            unsat[row, cid] = True
+            seed[row, cid] = v in csp.constraints[cid].vars
+    grown = explore(csp, unsat, seed)
+    assert [np.flatnonzero(r).tolist() for r in grown] == expect
+
+    # lift: the full decomposition of the unsatisfied constraints
+    expect = []
+    for y in ys:
+        left, parts = unsat_without(y, None), []
+        while left:
+            part = _closure(csp, left, {min(left)})
+            parts.append(sorted(part))
+            left -= part
+        expect.append(parts)
+        views = explore_component(ProjectedState(csp, y), csp, None)
+        assert [view.constraints for view in views] == parts
+    unsat = np.array([[cid in unsat_without(y, None) for cid in range(csp.m)] for y in ys],
+                     dtype=bool)
+    split = components(csp, unsat)
+    for row, parts in enumerate(expect):
+        got = [np.flatnonzero(c[row]).tolist() for c in split]
+        assert [part for part in got if part] == parts
 
 
 def test_explore_component_early_exit():
@@ -275,3 +346,31 @@ def test_main_sample_diagnostics_fields():
     res = main_sample(csp, scheme, 0.1, seed=5, c_t=0.05)
     for key in ("T", "S", "theta_comp", "s1_failures", "s2_failures", "lift_error"):
         assert key in res.diagnostics
+
+
+@pytest.mark.parametrize("driver", ["scalar", "batch"])
+@pytest.mark.parametrize("value, why", [(0, "violates"), (1, "project")])
+def test_lift_verification_raises(monkeypatch, driver, value, why):
+    # a rejection routine that accepts one fixed draw unchecked makes the lift
+    # return (0, 0), which violates the constraint, or (1, 1), which does not
+    # project to the state (0, 0); the lift's own check must catch either
+    import lllsample.dynamics as dynamics
+    from lllsample.batch import BatchSampler
+
+    csp = uniform_csp(2, 2, [((0, 1), (0, 0))])
+    scheme = identity_scheme(csp)
+
+    def accept_unchecked(csp, scheme, Y, comp, rng, budget):
+        P, n = Y.shape
+        return np.full((P, n), value), np.ones(P, dtype=bool), np.ones(P, dtype=np.int64)
+
+    monkeypatch.setattr(dynamics, "reject", accept_unchecked)
+    with pytest.raises(InternalError, match=why):
+        if driver == "scalar":
+            pcsp = project_csp(csp, scheme)
+            cfg = SamplerConfig.derive(csp, scheme, 0.1)
+            inv_sample(ProjectedState(pcsp, [0, 0]), pcsp, csp, scheme, cfg,
+                       np.random.default_rng(0))
+        else:
+            BatchSampler(csp, scheme, 0.1).lift(np.zeros((4, 2), dtype=np.int64),
+                                                np.random.default_rng(0))

@@ -43,9 +43,9 @@ def test_count_abort_cli_exit_code(tmp_path, capsys):
     assert code == 1 and '"error"' in out
 
 
-def test_stage_draws_scalar_fallback():
-    # more constraints than the vectorized driver accepts: the per-stage
-    # sampler falls back to scalar chains
+def test_stage_draws_fifteen_constraints():
+    # 15 disjoint clauses through one stage's many-chain sampler: every
+    # returned row is a satisfying assignment
     from lllsample.counting import _stage_draws
 
     n = 32
@@ -87,7 +87,7 @@ def test_find_failure_exit_code(tmp_path, capsys):
 
 def test_scalar_sampler_beyond_batch_limits():
     # a few hundred variables, sparse clauses: exercises the scalar chain and
-    # lift end to end where the vectorized driver does not apply
+    # lift end to end at a size the enumeration oracle cannot reach
     rng = np.random.default_rng(55)
     n, lines = 300, []
     vars_pool = list(rng.permutation(n))

@@ -6,6 +6,7 @@ import pytest
 from lllsample.csp import degree_stats, evaluate, parse_dimacs
 from lllsample.resample import (
     BadEvent,
+    ResampleResult,
     ResamplingProblem,
     default_attempts,
     find_assignment,
@@ -110,3 +111,18 @@ def _sparse_3cnf(n, m, rng):
         cons.append((vars_, forb))
         used.append(vars_)
     return uniform_csp(n, 2, cons)
+
+
+def test_find_assignment_verifies_its_result(monkeypatch):
+    # a solver that reports success on a violating assignment is a defect:
+    # find_assignment must raise, not return it
+    import lllsample.resample as resample
+    from lllsample.csp import InternalError
+
+    def claims_success(problem, rng, delta=0.01):
+        return ResampleResult(True, [0] * problem.n, 0, 1)
+
+    monkeypatch.setattr(resample, "moser_tardos", claims_success)
+    csp = uniform_csp(2, 2, [((0, 1), (0, 0))])
+    with pytest.raises(InternalError):
+        find_assignment(csp, np.random.default_rng(0))
