@@ -22,6 +22,7 @@ from .dynamics import (
     SamplerConfig,
     explore_component,
     lift,
+    movable_steps,
     project_csp,
     reject,
     update,
@@ -64,47 +65,42 @@ class BatchSampler:
 
     def run_chains(self, n_chains: int, rng: np.random.Generator, steps: int | None = None):
         """Final projected states of n_chains independent chains, plus step
-        failure tallies."""
+        failure tallies.
+
+        Chain i runs its own K_i ~ Binomial(T, n_movable/n) steps, each at a
+        uniform movable variable (dynamics.movable_steps); the lockstep loop
+        runs max K_i steps and a chain past its K_i keeps its state."""
         N = n_chains
         cfg = self.cfg
         pa, ca, sa = self.arrays
         Y = (rng.random((N, self.n)) * pa.domains[None, :]).astype(np.int64)
         s1_steps = s2_steps = 0
         touched = np.zeros(N, dtype=bool)
-        total = cfg.T if steps is None else steps
-        rows = np.arange(N)
-        if self.m == 0:
-            for _ in range(total):
-                v = rng.integers(self.n, size=N)
-                Y[rows, v] = (rng.random(N) * pa.domains[v]).astype(np.int64)
-            return Y, s1_steps, s2_steps, touched
-        if (pa.domains == 1).all():
-            # constant projected state: every branch of an update writes the
-            # only available value, so the chain law equals its start; step
-            # tallies are vacuous for a chain that cannot move
-            return Y, s1_steps, s2_steps, touched
+        movable, K = movable_steps(self.pcsp, cfg.T if steps is None else steps, N, rng)
         # per-constraint forbidden matches, with a zero column for the pad
         cnt = np.concatenate([pa.matches(Y), np.zeros((N, 1), dtype=np.int64)], axis=1)
-        for _ in range(total):
-            v = rng.integers(self.n, size=N).astype(np.int64)
+        for t in range(K.max(initial=0)):
+            rows = np.flatnonzero(K > t)  # chains with a step left
+            v = movable[rng.integers(movable.size, size=rows.size)]
             cids, forb = pa.inc[v], pa.inc_forb[v]
             hit = Y[rows, v][:, None] == forb
             seed_at = cnt[rows[:, None], cids] - hit == pa.arity[cids] - 1
             # empty component: the block of a uniform value of v
-            new_q = sa.block_of[v, (rng.random(N) * ca.domains[v]).astype(np.int64)]
+            new_q = sa.block_of[v, (rng.random(rows.size) * ca.domains[v]).astype(np.int64)]
             busy = np.flatnonzero(seed_at.any(axis=1))
             if busy.size:
                 seed = np.zeros((busy.size, self.m + 1), dtype=bool)
                 seed[np.arange(busy.size)[:, None], cids[busy]] = seed_at[busy]
                 seed = seed[:, :-1]
-                unsat = (cnt[busy, :-1] == pa.arity[:-1]) | seed
+                busy_rows = rows[busy]
+                unsat = (cnt[busy_rows, :-1] == pa.arity[:-1]) | seed
                 q, s1, s2, _ = update(
-                    self.pcsp, self.csp, self.scheme, cfg, Y[busy], unsat, seed, v[busy], rng
+                    self.pcsp, self.csp, self.scheme, cfg, Y[busy_rows], unsat, seed, v[busy], rng
                 )
                 new_q[busy] = q
                 s1_steps += int(s1.sum())
                 s2_steps += int(s2.sum())
-                touched[busy[s1 | s2]] = True
+                touched[busy_rows[s1 | s2]] = True
             cnt[rows[:, None], cids] += (new_q[:, None] == forb).astype(np.int64) - hit
             Y[rows, v] = new_q
         return Y, s1_steps, s2_steps, touched

@@ -7,6 +7,12 @@ component of unsatisfied projected constraints around that variable.  A final
 lifting pass turns the projected state into a full satisfying assignment, one
 component at a time.
 
+A step at a collapsed variable (a single block) cannot change the projected
+state, so both drivers run only the steps that land on a movable variable:
+of T uniform picks, Binomial(T, n_movable/n) do, each at a uniform movable
+variable (`movable_steps`).  With nothing collapsed that is one uniform pick
+per step and no other draw.
+
 A chain update and a lift are the same operation, and both chain drivers
 (glauber_run here, BatchSampler in batch) run it through three routines.
 Each reads the padded tables of AtomicCSP.arrays and ProjectionScheme.arrays
@@ -351,6 +357,21 @@ class ChainDiagnostics:
         self.component_hist[comp_size] = self.component_hist.get(comp_size, 0) + 1
 
 
+def movable_steps(pcsp: AtomicCSP, steps: int, n_chains: int, rng: np.random.Generator):
+    """The movable variables of pcsp (projected alphabet > 1), and for each
+    of n_chains chains how many of `steps` uniform variable picks land on one.
+
+    A step at a collapsed variable cannot change the projected state, so a
+    chain that runs only those steps, each at a uniform movable variable, has
+    the same law.  With nothing collapsed every chain runs all `steps` and no
+    random draw is made, so its random stream is that of a uniform pick per
+    step."""
+    movable = np.flatnonzero(pcsp.arrays.domains > 1)
+    if movable.size == pcsp.n:
+        return movable, np.full(n_chains, steps)
+    return movable, rng.binomial(steps, movable.size / pcsp.n, n_chains)
+
+
 def glauber_run(
     state: ProjectedState,
     pcsp: AtomicCSP,
@@ -361,13 +382,16 @@ def glauber_run(
     steps: int | None = None,
     check_every: int = 0,
 ):
-    """Run the chain for T steps (uniform variable choice per step), applying
-    sample_step updates in place.  check_every > 0 recomputes the bookkeeping
-    from scratch periodically (debug aid)."""
-    total = cfg.T if steps is None else steps
+    """Run the chain for T steps (steps, if given) of a uniform variable
+    choice each, applying sample_step updates in place.  Only the steps that
+    land on a movable variable are run (see movable_steps); diag.steps counts
+    them.  check_every > 0 recomputes the bookkeeping from scratch
+    periodically (debug aid)."""
+    movable, (total,) = movable_steps(pcsp, cfg.T if steps is None else steps, 1, rng)
+    movable = movable.tolist()  # a list indexes faster than an array, per step
     diag = ChainDiagnostics()
     for t in range(total):
-        v = int(rng.integers(cfg.n))
+        v = movable[rng.integers(len(movable))]
         new_q, flag, size = _step(state, pcsp, csp, scheme, cfg, rng, v)
         diag.record(flag, size)
         state.apply(pcsp, v, new_q)
@@ -481,6 +505,7 @@ def main_sample(
     lifted = inv_sample(state, pcsp, csp, scheme, cfg, rng)
     diagnostics = {
         **cfg.to_dict(),
+        "steps": diag.steps,
         "s1_failures": diag.s1,
         "s2_failures": diag.s2,
         "lift_error": lifted.error,

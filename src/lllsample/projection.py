@@ -371,9 +371,13 @@ def check_admissibility(
         notes.append(f"outside e*b*Delta<=1 regime (={E * b * delta:.4g})")
 
     # A2: |vbl-bar|^2 kappa^2 zeta(C) prod((1-3b)^-Delta P + e^-kappa/3) <= (60000 Delta)^-2
+    # in log space, since (1-3b)^-Delta leaves the float range at large
+    # Delta: log(inflate*P + tail) = log_inflate + log(P + tail/inflate),
+    # where tail/inflate <= 1 cannot overflow; a lhs past the float range
+    # reads inf and fails
     zetas = zeta_values(csp, scheme, b_frac)
-    inflate = (1.0 - 3.0 * b) ** (-delta) if b < 1.0 / 3.0 else math.inf
-    tail = math.exp(-kappa / 3.0)
+    log_inflate = -delta * math.log1p(-3.0 * b) if b < 1.0 / 3.0 else math.inf
+    tail_over_inflate = math.exp(-kappa / 3.0 - log_inflate)
     a2_rhs = (60000.0 * delta) ** -2
     worst_lhs, worst_cid = 0.0, None
     for cid, c in enumerate(csp.constraints):
@@ -381,15 +385,14 @@ def check_admissibility(
         if not ov:
             lhs = 0.0
         else:
-            logs = []
+            logs = [math.log(len(ov) ** 2 * kappa**2 * zetas[cid])]
             for v in ov:
                 p = float(marginal_prob(csp, scheme, v, scheme.project_value(v, c.forbidden_at(v))))
-                term = inflate * p + tail
-                logs.append(math.log(term) if term > 0 else -math.inf)
-            log_prod = math.fsum(logs)  # compensated log-space product
-            lhs = math.exp(
-                math.log(len(ov) ** 2 * kappa**2 * zetas[cid]) + log_prod
-            ) if math.isfinite(log_prod) and math.isfinite(zetas[cid]) else math.inf
+                logs.append(log_inflate + math.log(p + tail_over_inflate))
+            try:
+                lhs = math.exp(math.fsum(logs))  # compensated log-space product
+            except OverflowError:
+                lhs = math.inf
         if lhs > worst_lhs:
             worst_lhs, worst_cid = lhs, cid
     a2_pass = worst_lhs <= a2_rhs

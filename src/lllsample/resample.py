@@ -10,6 +10,7 @@ the engine only enforces budgets.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -75,10 +76,15 @@ def moser_tardos(
     for attempt in range(1, attempts + 1):
         values = [problem.samplers[v](rng) for v in range(n)]
         violated = [ev.violated(values) for ev in events]
+        # lazy min-heap: every violated id is in it, ids that turned
+        # satisfied leave when they reach the top
+        heap = [eid for eid, bad in enumerate(violated) if bad]
         for _ in range(steps):
-            eid = next((i for i, bad in enumerate(violated) if bad), None)
-            if eid is None:
+            while heap and not violated[heap[0]]:
+                heapq.heappop(heap)
+            if not heap:
                 break
+            eid = heap[0]
             trace.append(eid)
             total_resamples += 1
             touched: set[int] = set()
@@ -86,7 +92,10 @@ def moser_tardos(
                 values[v] = problem.samplers[v](rng)
                 touched.update(events_by_var[v])
             for other in touched:
-                violated[other] = events[other].violated(values)
+                bad = events[other].violated(values)
+                if bad and not violated[other]:
+                    heapq.heappush(heap, other)
+                violated[other] = bad
         if not any(violated):
             # soundness re-check, independent of incremental bookkeeping
             if any(ev.violated(values) for ev in events):

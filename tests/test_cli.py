@@ -158,6 +158,24 @@ def test_check_projection_identity_scheme_strict_json(capsys, tmp_path, cnf_file
     assert payload["report"]["a1"]["pass"] is False
 
 
+def test_check_projection_a2_past_float_range(capsys, tmp_path):
+    # a star of 100 edges 4-coloured under blocks {0,1},{2,3}: the A2
+    # left-hand side leaves the float range, which is a failing A2, not a
+    # traceback
+    hyp = tmp_path / "star.hyp"
+    hyp.write_text("".join(f"0 {i}\n" for i in range(1, 101)))
+    sfile = tmp_path / "halves.json"
+    sfile.write_text(ProjectionScheme((((0, 1), (2, 3)),) * 101).to_json())
+    code, payload = _run(
+        capsys,
+        ["check-projection", "--input", str(hyp), "--format", "hypergraph", "--q", "4",
+         "--scheme", str(sfile)],
+    )
+    assert code == 0
+    a2 = payload["report"]["a2"]
+    assert a2["pass"] is False and a2["worst_lhs"] is None
+
+
 def test_scheme_csp_mismatch_is_usage_error(capsys, tmp_path, cnf_file):
     from lllsample.projection import ProjectionScheme
 

@@ -374,3 +374,64 @@ def test_lift_verification_raises(monkeypatch, driver, value, why):
         else:
             BatchSampler(csp, scheme, 0.1).lift(np.zeros((4, 2), dtype=np.int64),
                                                 np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name", ["and2", "ring12"])
+def test_all_collapsed_chain_runs_no_step(monkeypatch, name):
+    # every projected alphabet has one block: no step can move the state, so
+    # neither driver runs one
+    import lllsample.batch as batch
+
+    csp, scheme = load_bundled(name)
+    pcsp = project_csp(csp, scheme)
+    cfg = SamplerConfig.derive(csp, scheme, 0.1)
+    rng = np.random.default_rng(3)
+    state, diag = glauber_run(ProjectedState.random(pcsp, rng), pcsp, csp, scheme, cfg, rng)
+    assert diag.steps == 0 and state.y == [0] * csp.n
+    assert main_sample(csp, scheme, 0.1, seed=3).diagnostics["steps"] == 0
+
+    def no_update(*args):
+        raise AssertionError("a chain with nothing movable ran an update")
+
+    monkeypatch.setattr(batch, "update", no_update)
+    Y, s1, s2, touched = batch.BatchSampler(csp, scheme, 0.1).run_chains(200, rng)
+    assert (Y == 0).all() and s1 == s2 == 0 and not touched.any()
+
+
+def test_nothing_collapsed_runs_every_step():
+    csp, scheme = load_bundled("colork4")
+    assert min(scheme.q_sizes()) > 1
+    pcsp = project_csp(csp, scheme)
+    cfg = SamplerConfig.derive(csp, scheme, 0.1)
+    rng = np.random.default_rng(5)
+    _, diag = glauber_run(ProjectedState.random(pcsp, rng), pcsp, csp, scheme, cfg, rng, steps=300)
+    assert diag.steps == 300
+    res = main_sample(csp, scheme, 0.1, seed=5, c_t=0.05)
+    assert res.diagnostics["steps"] == res.diagnostics["T"]
+
+
+def test_steps_land_on_movable_variables_only(monkeypatch):
+    # mark4 has q = (2, 1, 2, 1): a step picks variable 0 or 2, and the
+    # number of steps run is Binomial(s, 2/4)
+    import lllsample.dynamics as dynamics
+
+    csp, scheme = load_bundled("mark4")
+    pcsp = project_csp(csp, scheme)
+    cfg = SamplerConfig.derive(csp, scheme, 0.1)
+    picked = set()
+    step = dynamics._step
+
+    def spy(state, pcsp, csp, scheme, cfg, rng, v):
+        picked.add(v)
+        return step(state, pcsp, csp, scheme, cfg, rng, v)
+
+    monkeypatch.setattr(dynamics, "_step", spy)
+    s, runs, p = 40, 200, 2 / 4
+    steps = []
+    for seed in range(runs):
+        rng = np.random.default_rng(seed)
+        _, diag = glauber_run(ProjectedState.random(pcsp, rng), pcsp, csp, scheme, cfg, rng, steps=s)
+        steps.append(diag.steps)
+    assert picked == {0, 2}
+    sigma = math.sqrt(s * p * (1 - p) / runs)
+    assert abs(np.mean(steps) - s * p) < 4 * sigma

@@ -21,6 +21,7 @@ from lllsample.projection import (
     identity_scheme,
     kappa_for,
     regime_ok,
+    zeta_values,
     _floor_pow_2_3,
 )
 from conftest import star_instance, uniform_csp
@@ -118,6 +119,27 @@ def test_check_admissibility_full_marking_a2_vacuous():
     csp = uniform_csp(3, 2, [((0, 1, 2), (0, 0, 0))])
     report = check_admissibility(csp, full_marking_scheme(csp), eta=0.25)
     assert report.a2_pass and report.a2_worst_lhs == 0.0
+
+
+@pytest.mark.parametrize("delta", [5, 300, 600])
+def test_check_admissibility_a2_past_float_range(delta):
+    # b = 1/4: the factor (1-3b)^-Delta = 4^Delta of A2 leaves the float
+    # range past Delta = 511 and the left-hand side well before; such a
+    # left-hand side reads inf and fails instead of raising
+    csp = star_instance(4, 2, delta, n_stars=1)
+    scheme = ProjectionScheme((((0, 1), (2, 3)),) * csp.n)
+    report = check_admissibility(csp, scheme, eta=0.25)
+    assert report.b == 0.25 and report.delta_deg == delta and not report.a2_pass
+    if delta == 5:
+        # direct evaluation: both variables of every constraint have two
+        # blocks and sit in the forbidden one with probability 1/2
+        zeta = zeta_values(csp, scheme)[0]
+        term = 4.0**delta * 0.5 + math.exp(-report.kappa / 3)
+        expect = 2**2 * report.kappa**2 * zeta * term**2
+        assert report.a2_worst_lhs == pytest.approx(expect, rel=1e-12)
+    else:
+        assert report.a2_worst_lhs == math.inf
+        assert report.to_dict()["a2"]["worst_lhs"] is None
 
 
 def test_check_admissibility_case1_margins():

@@ -126,3 +126,47 @@ def test_find_assignment_verifies_its_result(monkeypatch):
     csp = uniform_csp(2, 2, [((0, 1), (0, 0))])
     with pytest.raises(InternalError):
         find_assignment(csp, np.random.default_rng(0))
+
+
+def _linear_scan_reference(problem, rng, delta=0.01):
+    """moser_tardos as a plain loop: every step re-evaluates every event and
+    redraws the lowest-id violated one."""
+    n = problem.n
+    steps = problem.steps_per_attempt if problem.steps_per_attempt is not None else 2 * n
+    attempts = problem.attempts if problem.attempts is not None else default_attempts(delta)
+    total, trace = 0, []
+    for attempt in range(1, attempts + 1):
+        values = [problem.samplers[v](rng) for v in range(n)]
+        for _ in range(steps):
+            eid = next((i for i, ev in enumerate(problem.events) if ev.violated(values)), None)
+            if eid is None:
+                break
+            trace.append(eid)
+            total += 1
+            for v in problem.events[eid].vars:
+                values[v] = problem.samplers[v](rng)
+        if not any(ev.violated(values) for ev in problem.events):
+            return ResampleResult(True, values, total, attempt, trace)
+    return ResampleResult(False, None, total, attempts, trace)
+
+
+def test_engine_matches_linear_scan_reference():
+    # dense random clauses over few variables: events turn violated and
+    # satisfied again many times, and short attempts exhaust their budget
+    gen = np.random.default_rng(8)
+    for case in range(60):
+        n, size = int(gen.integers(3, 9)), int(gen.integers(2, 4))
+        cons = []
+        for _ in range(int(gen.integers(1, 3 * n))):
+            vars_ = tuple(int(v) for v in gen.choice(n, size=int(gen.integers(1, 4)), replace=False))
+            cons.append((vars_, tuple(int(f) for f in gen.integers(0, size, len(vars_)))))
+        events = [
+            BadEvent(vars_, lambda vals, vars_=vars_, forb=forb: all(
+                vals[v] == f for v, f in zip(vars_, forb)))
+            for vars_, forb in cons
+        ]
+        samplers = [lambda r, size=size: int(r.integers(size))] * n
+        problem = ResamplingProblem(n, samplers, events, steps_per_attempt=int(gen.integers(1, 3 * n)),
+                                    attempts=3)
+        got = moser_tardos(problem, np.random.default_rng(case))
+        assert got == _linear_scan_reference(problem, np.random.default_rng(case))
