@@ -1,7 +1,7 @@
 """Near-uniform sampling and approximate counting of atomic-CSP solutions
 via single-site dynamics on a projected state space."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .csp import (
     AtomicConstraint,
@@ -44,7 +44,7 @@ from .dynamics import (
     sample_step,
 )
 from .batch import BatchSampler
-from .counting import CountEstimate, CountingError, approx_count, counting_eps, pin_variable
+from .counting import CountEstimate, CountingError, approx_count, counting_eps
 from .oracle import (
     count_2trees,
     count_satisfying,

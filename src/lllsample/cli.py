@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bundled import BUNDLED
 from .counting import CountingError, approx_count, counting_eps
-from .csp import AtomicCSP, CSPError, ParseError, build_coloring_csp, parse_dimacs, parse_hypergraph
+from .csp import AtomicCSP, CSPError, build_coloring_csp, parse_dimacs, parse_hypergraph
 from .dynamics import main_sample
 from .oracle import (
     count_satisfying,
@@ -83,8 +84,12 @@ def _resolve_seed(args) -> int:
 
 def _scheme_for(args, csp: AtomicCSP, seed: int):
     if args.scheme:
-        with open(args.scheme, "r", encoding="utf-8") as fh:
-            return ProjectionScheme.from_json(fh.read()), f"file:{args.scheme}"
+        try:
+            with open(args.scheme, "rb") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CSPError(f"cannot read {args.scheme}: {exc}") from exc
+        return ProjectionScheme.from_json(text), f"file:{args.scheme}"
     scheme = construct_projection(
         csp,
         eta=args.eta,
@@ -122,13 +127,6 @@ def _manifest(args, command: str, seed: int, scheme_source: str | None) -> dict:
     return manifest
 
 
-def _env_float(name: str, current):
-    if current is not None:
-        return current
-    raw = os.environ.get(name)
-    return float(raw) if raw else None
-
-
 def _chain_payload(job) -> dict:
     csp, scheme, eps, eta, c_t, seed = job
     res = main_sample(csp, scheme, eps, seed=seed, eta=eta, c_t=c_t)
@@ -155,7 +153,6 @@ def cmd_find(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    args.c_t = _env_float("LLLSAMPLE_CT", args.c_t)
     seed = _resolve_seed(args)
     csp = _load_csp(args)
     scheme, source = _scheme_for(args, csp, seed)
@@ -178,9 +175,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_count(args) -> int:
-    args.c_t = _env_float("LLLSAMPLE_CT", args.c_t)
-    args.theta_const = _env_float("LLLSAMPLE_THETA_CONST", args.theta_const)
-    args.c_n = _env_float("LLLSAMPLE_CN", args.c_n)
     seed = _resolve_seed(args)
     csp = _load_csp(args)
     scheme, source = _scheme_for(args, csp, seed)
@@ -273,18 +267,47 @@ def cmd_verify(args) -> int:
     return 0 if payload["all_pass"] else RESULT_ERROR
 
 
+def _float_in(low: float, high: float):
+    """argparse type: a float strictly between low and high."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a number in ({low}, {high})")
+        return value
+
+    return parse
+
+
+_PROBABILITY = _float_in(0.0, 1.0)
+_POSITIVE = _float_in(0.0, math.inf)
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
+def _env(name: str):
+    """Default of an option that an environment variable may set; argparse
+    checks it with the option's type."""
+    return os.environ.get(name) or None
+
+
 def _add_common(p, scheme_opts=True):
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("cnf", "hypergraph"), default="cnf")
     p.add_argument("--q", type=int, default=None, help="colors for hypergraph input")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--eta", type=float, default=0.25)
+    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--eta", type=_POSITIVE, default=0.25)
     p.add_argument("--pretty", action="store_true")
     if scheme_opts:
         p.add_argument("--scheme", default=None, help="projection scheme JSON file")
         p.add_argument("--case-hint", default=None,
                        choices=("case1", "case2", "case3", "case4", "case5"))
-        p.add_argument("--construction-delta", type=float, default=0.01)
+        p.add_argument("--construction-delta", type=_PROBABILITY, default=0.01)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,23 +319,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find", help="find one satisfying assignment by resampling")
     _add_common(p, scheme_opts=False)
-    p.add_argument("--delta", type=float, default=0.01, help="failure probability")
+    p.add_argument("--delta", type=_PROBABILITY, default=0.01, help="failure probability")
     p.set_defaults(func=cmd_find)
 
     p = sub.add_parser("sample", help="draw near-uniform satisfying assignments")
     _add_common(p)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_float_in(0.0, 0.5), required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--c-t", type=float, default=None, dest="c_t")
+    p.add_argument("--c-t", type=_POSITIVE, default=_env("LLLSAMPLE_CT"), dest="c_t")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("count", help="approximate the satisfying-assignment count")
     _add_common(p)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--theta-const", type=float, default=None, dest="theta_const")
-    p.add_argument("--c-n", type=float, default=None, dest="c_n")
-    p.add_argument("--c-t", type=float, default=None, dest="c_t")
+    p.add_argument("--delta", type=_PROBABILITY, required=True)
+    p.add_argument("--theta-const", type=_POSITIVE, default=_env("LLLSAMPLE_THETA_CONST"),
+                   dest="theta_const")
+    p.add_argument("--c-n", type=_POSITIVE, default=_env("LLLSAMPLE_CN"), dest="c_n")
+    p.add_argument("--c-t", type=_POSITIVE, default=_env("LLLSAMPLE_CT"), dest="c_t")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("check-projection", help="admissibility report for a scheme")
@@ -333,7 +357,7 @@ def dispatch(argv=None) -> int:
         return USAGE_ERROR if exc.code else 0
     try:
         return args.func(args)
-    except (ParseError, CSPError, RegimeError, AdmissibilityError, ValueError) as exc:
+    except (CSPError, RegimeError, AdmissibilityError) as exc:
         return _fail(str(exc), USAGE_ERROR)
     except ConstructionError as exc:
         return _fail(str(exc), RESULT_ERROR)

@@ -1,14 +1,18 @@
-"""Approximate model counting by self-reducibility.
+"""Approximate model counting by self-reducibility, one constraint at a time.
 
-The satisfying-assignment count is the inverse probability of one fixed
-satisfying assignment under the uniform law, telescoped over variables:
-pin variables one at a time, estimate each conditional marginal of the pinned
-value from sampler draws, and return the product of inverse marginals.  The
-pinned value at each stage is the empirically most frequent one, keeping every
-estimated marginal at least 1/|alphabet| in expectation.
+Let Z_i count the assignments satisfying the first i constraints, so that
+Z_0 = prod |A_v| and Z_m is the count sought.  Each ratio
+r_i = Z_i / Z_{i-1} is the probability that constraint i holds under the
+uniform law on the solutions of the first i - 1 constraints, and the
+telescope Z_m = Z_0 * r_1 * ... * r_m estimates it from the share of sampler
+draws on that sub-instance that satisfy constraint i.  No value is chosen
+from the draws that measure it, so each stage is unbiased.
 
-Stages whose restricted scheme leaves the e*b*Delta <= 1 regime finish with
-an exact enumeration tail instead (desk-scale guard, capped at 2^20 states).
+A sub-instance keeps every variable and alphabet and drops constraints, so
+neither Delta nor b grows and the input's scheme serves every stage.  The
+regime is checked once, on the input: outside it the instance is counted
+exactly by enumeration when the oracle's guard allows, and counting aborts
+otherwise.
 """
 
 from __future__ import annotations
@@ -19,15 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batch import BatchSampler
-from .csp import AtomicCSP, AtomicConstraint, CSPError
+from .csp import AtomicCSP
 from .oracle import ENUM_GUARD, count_satisfying
 from .projection import ProjectionScheme, check_admissibility, regime_ok
-
-EXACT_TAIL_GUARD = 1 << 20
-
-
-class PinnedUnsatisfiable(CSPError):
-    pass
 
 
 class CountingError(RuntimeError):
@@ -44,46 +42,9 @@ def counting_eps(m: int, delta: float, theta_const: float = 0.125) -> float:
     return theta_const * delta * delta / (m * math.log(m / delta))
 
 
-def stage_samples(n: int, delta: float, c_n: float = 64.0) -> int:
-    return math.ceil(c_n * n / (delta * delta))
-
-
-def pin_variable(csp: AtomicCSP, v: int, value: int):
-    """Substitute value for variable v and drop it.
-
-    Constraints forbidding a different value at v become satisfied and vanish;
-    constraints forbidding exactly this value shrink.  A constraint shrinking
-    to zero variables witnesses unsatisfiability of the pinned instance.
-    Returns (pinned CSP, kept original-position list).
-    """
-    if not 0 <= v < csp.n:
-        raise CSPError(f"variable {v} out of range")
-    if not 0 <= value < csp.domains[v]:
-        raise CSPError(f"value {value} outside alphabet of variable {v}")
-    keep = [u for u in range(csp.n) if u != v]
-    remap = {u: i for i, u in enumerate(keep)}
-    constraints = []
-    for c in csp.constraints:
-        if v in c.vars:
-            if c.forbidden_at(v) != value:
-                continue
-            pairs = [(remap[u], f) for u, f in zip(c.vars, c.forbidden) if u != v]
-            if not pairs:
-                raise PinnedUnsatisfiable(
-                    f"pinning variable {v} to {value} violates a unit constraint"
-                )
-            constraints.append(AtomicConstraint(*zip(*pairs)))
-        else:
-            constraints.append(
-                AtomicConstraint(tuple(remap[u] for u in c.vars), c.forbidden)
-            )
-    pinned = AtomicCSP(
-        n=len(keep),
-        domains=tuple(csp.domains[u] for u in keep),
-        constraints=tuple(constraints),
-        allow_unit_domains=csp.allow_unit_domains,
-    )
-    return pinned, keep
+def stage_samples(m: int, delta: float, c_n: float = 64.0) -> int:
+    """Draws per stage of an m-constraint count."""
+    return math.ceil(c_n * m / (delta * delta))
 
 
 @dataclass
@@ -114,6 +75,13 @@ def _stage_draws(csp, scheme, eps, n_draws, seed, eta, c_t):
     return result.assignments[result.ok], int((~result.ok).sum())
 
 
+def _exact(est: CountEstimate, method: str, count: int) -> None:
+    """Record stage 0, the exactly known count that starts the telescope."""
+    est.exact_tail = count
+    est.log_estimate = math.log(count)
+    est.stages.append({"stage": 0, "method": method, "count": count})
+
+
 def approx_count(
     csp: AtomicCSP,
     scheme: ProjectionScheme,
@@ -124,69 +92,51 @@ def approx_count(
     eta: float = 0.25,
     c_t: float = 1.0,
 ) -> CountEstimate:
-    """Multiplicative (1+delta) estimate of the satisfying-assignment count."""
+    """Multiplicative (1+delta) estimate of the satisfying-assignment count.
+
+    Stage 0 is exact: the product of the alphabet sizes or, outside the
+    sampling regime, the enumerated count.  Stage i = 1..m records the
+    estimated ratio r_i as its marginal."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    n0, m0 = csp.n, csp.m
-    eps_stage = counting_eps(m0, delta, theta_const) if m0 else None
+    m = csp.m
+    eps_stage = counting_eps(m, delta, theta_const) if m else None
     est = CountEstimate(estimate=1.0, log_estimate=0.0, delta=delta, eps_stage=eps_stage)
 
-    cur_csp, cur_scheme = csp, scheme
-    log_est = 0.0
-    for stage in range(n0):
-        if cur_csp.n == 0:
-            break
-        if cur_csp.m == 0:
-            tail = cur_csp.state_space_size()
-            log_est += math.log(tail)
-            est.exact_tail = tail
-            est.stages.append({"stage": stage, "method": "unconstrained-tail", "count": tail})
-            break
-        report = check_admissibility(cur_csp, cur_scheme, eta)
-        if not (report.all_pass or regime_ok(cur_csp, cur_scheme)):
-            if cur_csp.state_space_size() > min(EXACT_TAIL_GUARD, ENUM_GUARD):
-                raise CountingError(stage, "regime lost and instance too large to enumerate")
-            tail = count_satisfying(cur_csp)
-            if tail == 0:
-                raise CountingError(stage, "pinned instance is unsatisfiable")
-            log_est += math.log(tail)
-            est.exact_tail = tail
-            est.stages.append({"stage": stage, "method": "exact-tail", "count": tail})
-            break
+    if m and not (check_admissibility(csp, scheme, eta).all_pass or regime_ok(csp, scheme)):
+        if csp.state_space_size() > ENUM_GUARD:
+            raise CountingError(0, "regime lost and instance too large to enumerate")
+        count = count_satisfying(csp)
+        if count == 0:
+            raise CountingError(0, "instance is unsatisfiable")
+        _exact(est, "exact-tail", count)
+        est.estimate = float(count)
+        return est
 
-        n_draws = stage_samples(cur_csp.n, delta, c_n)
-        rows, n_errors = _stage_draws(
-            cur_csp, cur_scheme, eps_stage, n_draws, [seed, stage], eta, c_t
-        )
+    _exact(est, "unconstrained-tail", csp.state_space_size())
+    n_draws = stage_samples(m, delta, c_n)
+    for i, constraint in enumerate(csp.constraints, start=1):
+        prefix = AtomicCSP(csp.n, csp.domains, csp.constraints[: i - 1], csp.allow_unit_domains)
+        rows, n_errors = _stage_draws(prefix, scheme, eps_stage, n_draws, [seed, i], eta, c_t)
         est.samples_total += n_draws
         if n_errors > 0.1 * n_draws:
-            raise CountingError(stage, f"{n_errors}/{n_draws} draws returned ERROR")
-        if rows.shape[0] == 0:
-            raise CountingError(stage, "no successful draws; instance looks unsatisfiable")
-        values = rows[:, 0]
-        counts = np.bincount(values, minlength=cur_csp.domains[0])
-        pick = int(counts.argmax())
-        marginal = counts[pick] / rows.shape[0]
-        log_est -= math.log(marginal)
+            raise CountingError(i, f"{n_errors}/{n_draws} draws returned ERROR")
+        held = np.any(rows[:, list(constraint.vars)] != constraint.forbidden, axis=1)
+        successes = int(held.sum())
+        if successes == 0:
+            raise CountingError(i, "no draw satisfies the constraint; instance looks unsatisfiable")
+        marginal = successes / rows.shape[0]
+        est.log_estimate += math.log(marginal)
         est.stages.append(
             {
-                "stage": stage,
+                "stage": i,
                 "method": "sampled",
-                "variable_position": stage,
-                "value": pick,
-                "marginal": float(marginal),
-                "successes": int(rows.shape[0]),
-                "draws": int(n_draws),
-                "errors": int(n_errors),
-                "admissible": report.all_pass,
+                "constraint": i,
+                "marginal": marginal,
+                "successes": successes,
+                "draws": n_draws,
+                "errors": n_errors,
             }
         )
-        try:
-            cur_csp, keep = pin_variable(cur_csp, 0, pick)
-        except PinnedUnsatisfiable as exc:
-            raise CountingError(stage, str(exc)) from exc
-        cur_scheme = cur_scheme.restrict(keep)
-
-    est.log_estimate = log_est
-    est.estimate = math.exp(log_est)
+    est.estimate = math.exp(est.log_estimate)
     return est

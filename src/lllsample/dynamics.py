@@ -488,7 +488,6 @@ def main_sample(
     eta: float = 0.25,
     c_t: float = 1.0,
     rng: np.random.Generator | None = None,
-    initial=None,
 ) -> SampleResult:
     """Uniform-at-random initial projected state, T chain steps, then lifting.
 
@@ -500,7 +499,7 @@ def main_sample(
     if rng is None:
         rng = np.random.default_rng(seed)
     pcsp = project_csp(csp, scheme)
-    state = ProjectedState(pcsp, initial) if initial is not None else ProjectedState.random(pcsp, rng)
+    state = ProjectedState.random(pcsp, rng)
     state, diag = glauber_run(state, pcsp, csp, scheme, cfg, rng)
     lifted = inv_sample(state, pcsp, csp, scheme, cfg, rng)
     diagnostics = {

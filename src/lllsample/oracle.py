@@ -17,7 +17,7 @@ import numpy as np
 from .csp import AtomicCSP, degree_stats
 from .projection import ProjectionScheme, compute_b, marginal_prob
 
-ENUM_GUARD = 1 << 24
+ENUM_GUARD = 1 << 20
 _CHUNK = 1 << 16
 
 

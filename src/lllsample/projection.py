@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .csp import AtomicCSP, CSPError, degree_stats
+from .csp import AtomicCSP, CSPError, ParseError, degree_stats
 from .resample import BadEvent, ResamplingProblem, moser_tardos
 
 logger = logging.getLogger(__name__)
@@ -106,25 +106,9 @@ class ProjectionScheme:
     def block_size(self, v: int, q: int) -> int:
         return len(self.blocks[v][q])
 
-    def sample_preimage(self, v: int, q: int, rng: np.random.Generator) -> int:
-        block = self.blocks[v][q]
-        if len(block) == 1:
-            return block[0]
-        return block[int(rng.integers(len(block)))]
-
     @cached_property
     def arrays(self) -> "BlockArrays":
         return BlockArrays.build(self)
-
-    def restrict(self, keep) -> "ProjectionScheme":
-        """Scheme over a variable subset, in the order given (for pinned
-        instances)."""
-        return ProjectionScheme(
-            blocks=tuple(self.blocks[v] for v in keep),
-            case=self.case,
-            kappa=self.kappa,
-            eta=self.eta,
-        )
 
     def to_json(self) -> str:
         payload = {
@@ -136,16 +120,25 @@ class ProjectionScheme:
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ProjectionScheme":
-        payload = json.loads(text)
-        return cls(
-            blocks=tuple(
-                tuple(tuple(b) for b in var_blocks) for var_blocks in payload["blocks"]
-            ),
-            case=payload.get("case"),
-            kappa=payload.get("kappa"),
-            eta=payload.get("eta"),
-        )
+    def from_json(cls, text) -> "ProjectionScheme":
+        """Inverse of to_json.  Raises ParseError on text that is not JSON,
+        on blocks that are not lists of lists of integers, on a case that is
+        neither a string nor null, and on a kappa or eta that is neither a
+        positive number nor null."""
+        try:
+            payload = json.loads(text)
+            blocks = tuple(tuple(tuple(b) for b in var_blocks) for var_blocks in payload["blocks"])
+            case, kappa, eta = (payload.get(key) for key in ("case", "kappa", "eta"))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ParseError(f"malformed scheme JSON: {exc!r}") from exc
+        if not all(type(x) is int for var_blocks in blocks for b in var_blocks for x in b):
+            raise ParseError("scheme blocks must be lists of lists of integers")
+        if not isinstance(case, (str, type(None))):
+            raise ParseError("scheme case must be a string or null")
+        for name, value in (("kappa", kappa), ("eta", eta)):
+            if value is not None and not (type(value) in (int, float) and 0 < value < math.inf):
+                raise ParseError(f"scheme {name} must be a positive number or null")
+        return cls(blocks=blocks, case=case, kappa=kappa, eta=eta)
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,46 @@ def test_usage_errors(capsys, tmp_path):
                      "--eps", "0.1"]) == 2  # missing --q
 
 
+def test_scheme_file_errors_are_usage_errors(capsys, tmp_path, cnf_file):
+    missing = str(tmp_path / "missing.json")
+    assert dispatch(["check-projection", "--input", cnf_file, "--scheme", missing]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    assert dispatch(["check-projection", "--input", cnf_file, "--scheme", str(empty)]) == 2
+    assert "malformed scheme" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--eps", "0.5"],
+    ["sample", "--eps", "0"],
+    ["sample", "--eps", "nan"],
+    ["count", "--delta", "1"],
+    ["find", "--delta", "-0.1"],
+    ["sample", "--eps", "0.1", "--construction-delta", "1.5"],
+    ["sample", "--eps", "0.1", "--c-t", "-1"],
+    ["sample", "--eps", "0.1", "--seed", "-3"],
+])
+def test_out_of_range_options_are_usage_errors(capsys, cnf_file, argv):
+    assert dispatch([*argv, "--input", cnf_file]) == 2
+
+
+def test_bad_env_override_is_usage_error(capsys, cnf_file, monkeypatch):
+    monkeypatch.setenv("LLLSAMPLE_CT", "abc")
+    assert dispatch(["sample", "--input", cnf_file, "--eps", "0.1", "--seed", "4"]) == 2
+
+
+def test_internal_value_error_is_not_a_usage_error(cnf_file, monkeypatch):
+    import lllsample.dynamics as dynamics
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal defect")
+
+    monkeypatch.setattr(dynamics, "glauber_run", broken)
+    with pytest.raises(ValueError, match="internal defect"):
+        dispatch(["sample", "--input", cnf_file, "--eps", "0.1", "--seed", "1"])
+
+
 def test_sample_worker_pool_matches_sequential(capsys, cnf_file):
     code1, seq = _run(
         capsys,

@@ -1,17 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
+import lllsample.counting as counting
 from lllsample.bundled import load_bundled
-from lllsample.counting import (
-    CountingError,
-    PinnedUnsatisfiable,
-    approx_count,
-    counting_eps,
-    pin_variable,
-    stage_samples,
-)
-from lllsample.oracle import count_satisfying, enumerate_satisfying
+from lllsample.counting import CountingError, approx_count, counting_eps, stage_samples
 from lllsample.projection import full_marking_scheme, identity_scheme
 from conftest import uniform_csp
 
@@ -20,28 +14,6 @@ def test_counting_eps_formula():
     assert counting_eps(100, 0.1) == pytest.approx(0.01 / (8 * 100 * math.log(1000)))
     assert counting_eps(100, 0.1) == pytest.approx(1.81e-6, rel=5e-3)
     assert stage_samples(4, 0.2) == math.ceil(64 * 4 / 0.04)
-
-
-def test_pinning_soundness():
-    csp, _ = load_bundled("sat62")
-    pinned, keep = pin_variable(csp, 0, 0)
-    assert pinned.n == 5 and keep == [1, 2, 3, 4, 5]
-    # pinned solution set matches the slice of the original enumeration
-    direct = sorted(
-        tuple(x[u] for u in keep) for x in enumerate_satisfying(csp) if x[0] == 0
-    )
-    assert sorted(enumerate_satisfying(pinned)) == direct
-    # pinning to a non-forbidden value drops the constraint
-    gone, _ = pin_variable(csp, 0, 1)
-    assert gone.m == 1
-
-
-def test_pinning_unit_unsatisfiable():
-    csp = uniform_csp(1, 2, [((0,), (1,))])
-    with pytest.raises(PinnedUnsatisfiable):
-        pin_variable(csp, 0, 1)
-    ok, _ = pin_variable(csp, 0, 0)
-    assert ok.n == 0 and ok.m == 0
 
 
 def test_no_constraints_exact():
@@ -62,16 +34,53 @@ def test_count_two_var_clause():
 
 
 def test_count_log_identity():
-    # product of stage marginals times the estimate telescopes back to the
-    # exact tail: log bookkeeping must close to 1e-9
+    # the estimate is the exact unconstrained count times the stage ratios:
+    # log bookkeeping must close to 1e-9
     csp, scheme = load_bundled("sat62")
     est = approx_count(csp, scheme, 0.2, seed=5)
-    acc = est.log_estimate
-    for stage in est.stages:
-        if stage["method"] == "sampled":
-            acc += math.log(stage["marginal"])
-    tail = est.exact_tail if est.exact_tail is not None else 1
-    assert acc == pytest.approx(math.log(tail), abs=1e-9)
+    sampled = [s for s in est.stages if s["method"] == "sampled"]
+    assert [s["constraint"] for s in sampled] == list(range(1, csp.m + 1))
+    acc = sum(math.log(size) for size in csp.domains)
+    acc += sum(math.log(s["marginal"]) for s in sampled)
+    assert est.log_estimate == pytest.approx(acc, abs=1e-9)
+    for s in sampled:
+        assert s["marginal"] == s["successes"] / (s["draws"] - s["errors"])
+
+
+def _exact_disjoint_clause_draws(csp, scheme, eps, n_draws, seed, eta, c_t):
+    """Exact uniform draws over the solutions of disjoint binary clauses:
+    each clause's variables take one of its satisfying patterns uniformly,
+    every other variable is a fair bit.  Built column by column for speed;
+    the rows returned are a transposed view."""
+    rng = np.random.default_rng(seed)
+    fair = rng.integers(0, 256, size=(csp.n, -(-n_draws // 8)), dtype=np.uint8)
+    columns = np.unpackbits(fair, axis=1, count=n_draws)
+    if csp.m:
+        cols = np.array([c.vars for c in csp.constraints])  # (m, k)
+        bits = np.arange(cols.shape[1], dtype=np.uint8)
+        banned = np.array([c.forbidden for c in csp.constraints]) @ (1 << bits)
+        code = rng.integers(0, (1 << bits.size) - 1, size=(csp.m, n_draws), dtype=np.uint8)
+        code += code >= banned[:, None]  # skip the forbidden pattern
+        columns[cols.ravel()] = ((code[:, None, :] >> bits[None, :, None]) & 1).reshape(-1, n_draws)
+    return columns.T, 0
+
+
+def test_count_unbiased_at_n200(monkeypatch):
+    # 50 disjoint 4-clauses with mixed signs: Z = 15^50.  With an exact
+    # sampler in place of the chain, the telescope's mean ratio must sit
+    # within delta/4 of 1.
+    rng = np.random.default_rng(0)
+    clauses = [(tuple(range(4 * j, 4 * j + 4)), tuple(rng.integers(0, 2, 4))) for j in range(50)]
+    csp = uniform_csp(200, 2, clauses)
+    monkeypatch.setattr(counting, "_stage_draws", _exact_disjoint_clause_draws)
+    delta, log_z = 0.5, 50 * math.log(15)
+    ratios = []
+    for seed in range(20):
+        est = approx_count(csp, full_marking_scheme(csp), delta, seed=seed)
+        assert est.stages[0]["method"] == "unconstrained-tail"
+        ratios.append(math.exp(est.log_estimate - log_z))
+    assert abs(np.mean(ratios) - 1) <= delta / 4
+    assert all(1 / (1 + delta) <= r <= 1 + delta for r in ratios)
 
 
 def test_count_stages_mix_sampled_and_exact():

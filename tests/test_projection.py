@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lllsample.csp import CSPError, degree_stats, evaluate
+from lllsample.csp import CSPError, ParseError, degree_stats, evaluate
 from lllsample.dynamics import project_csp
 from lllsample.projection import (
     AdmissibilityError,
@@ -47,18 +47,6 @@ def test_project_and_preimage():
     case1 = ProjectionScheme((blocks16,) * 3)
     # contiguous blocks of 4: value 5 sits in block 1
     assert case1.project_value(0, 5) == 1
-
-
-def test_sample_preimage_uniform(rng):
-    scheme = ProjectionScheme(((tuple(range(4, 8)), (0, 1, 2, 3)),))
-    draws = [scheme.sample_preimage(0, 0, rng) for _ in range(100_000)]
-    counts = np.bincount(draws, minlength=8)[4:8]
-    from scipy.stats import chisquare
-
-    assert chisquare(counts).pvalue > 1e-4
-    assert scheme.sample_preimage(0, 1, rng) in (0, 1, 2, 3)
-    singleton = ProjectionScheme((((0,), (1,)),))
-    assert singleton.sample_preimage(0, 1, rng) == 1
 
 
 def test_compute_b_examples():
@@ -318,6 +306,16 @@ def test_scheme_json_round_trip():
     scheme = construct_projection(csp, seed=5)
     again = ProjectionScheme.from_json(scheme.to_json())
     assert again.blocks == scheme.blocks and again.case == scheme.case
+
+
+@pytest.mark.parametrize("text", [
+    "", "[]", '{"blocks": 5}', '{"blocks": [[1]]}', '{"blocks": [[[0.0, 1]]]}',
+    '{"blocks": [[[0, 1]]], "kappa": NaN}', '{"blocks": [[[0, 1]]], "eta": "x"}',
+    '{"blocks": [[[0, 1]]], "case": 2}',
+])
+def test_scheme_json_malformed(text):
+    with pytest.raises(ParseError):
+        ProjectionScheme.from_json(text)
 
 
 def test_regime_ok():
