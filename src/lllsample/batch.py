@@ -17,16 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csp import AtomicCSP
-from .dynamics import (
-    ProjectedState,
-    SamplerConfig,
-    explore_component,
-    lift,
-    movable_steps,
-    project_csp,
-    reject,
-    update,
-)
+from .dynamics import SamplerConfig, lift, movable_steps, project_csp, update
 from .projection import ProjectionScheme
 
 
@@ -129,26 +120,31 @@ class BatchSampler:
     # -- fixed-state batched subroutines ---------------------------------------
 
     def conditional_draws(self, v: int, z, n_draws: int, seed=None):
-        """n_draws independent runs of the conditional update at (v, z):
-        returns (counts over the projected alphabet of v, flag, s2_failures).
-        z assigns every variable except v (value at v ignored)."""
+        """n_draws independent runs of the conditional update at (v, z), the
+        update run_chains makes: returns (counts over the projected alphabet
+        of v, flag, s2_failures).  Draws that end in S2 are not counted; an
+        oversized component (S1) gives flag "S1" and no counts.  z assigns
+        every variable except v (value at v ignored)."""
         rng = np.random.default_rng(seed)
-        y = list(z)
-        y[v] = 0
-        view = explore_component(ProjectedState(self.pcsp, y), self.pcsp, v, self.cfg.theta_comp)
-        qv = self.pcsp.domains[v]
-        if view.size_exceeded:
-            return np.zeros(qv, dtype=np.int64), "S1", 0
-        if not view.constraints:
-            values = (rng.random(n_draws) * self.csp.domains[v]).astype(np.int64)
-            return np.bincount(self.scheme.arrays.block_of[v, values], minlength=qv), None, 0
+        pa, ca, sa = self.arrays
+        y = np.array(z, dtype=np.int64)
         y[v] = -1
-        Y = np.repeat(np.array([y], dtype=np.int64), n_draws, axis=0)
-        comp = np.zeros((n_draws, self.m), dtype=bool)
-        comp[:, view.constraints] = True
-        X, ok, _ = reject(self.csp, self.scheme, Y, comp, rng, self.cfg.S)
-        counts = np.bincount(self.scheme.arrays.block_of[v, X[ok, v]], minlength=qv)
-        return counts, None, int((~ok).sum())
+        cnt, cids = np.append(pa.matches(y), 0), pa.inc[v]
+        seed_row = np.zeros(self.m + 1, dtype=bool)
+        seed_row[cids] = cnt[cids] == pa.arity[cids] - 1
+        seed_row = seed_row[:-1]
+        qv = self.pcsp.domains[v]
+        if not seed_row.any():
+            values = (rng.random(n_draws) * ca.domains[v]).astype(np.int64)
+            return np.bincount(sa.block_of[v, values], minlength=qv), None, 0
+        unsat_row = (cnt[:-1] == pa.arity[:-1]) | seed_row
+        Y, unsat, seeds = (np.repeat(a[None, :], n_draws, axis=0) for a in (y, unsat_row, seed_row))
+        q, s1, s2, _ = update(
+            self.pcsp, self.csp, self.scheme, self.cfg, Y, unsat, seeds, np.full(n_draws, v), rng
+        )
+        if s1.any():
+            return np.zeros(qv, dtype=np.int64), "S1", 0
+        return np.bincount(q[~s2], minlength=qv), None, int(s2.sum())
 
     def lift_draws(self, y, n_draws: int, seed=None):
         """n_draws independent lifts of the fixed projected state y: returns

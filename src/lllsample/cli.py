@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bundled import BUNDLED
-from .counting import CountingError, approx_count, counting_eps
+from .counting import CountingError, approx_count
 from .csp import AtomicCSP, CSPError, build_coloring_csp, parse_dimacs, parse_hypergraph
 from .dynamics import main_sample
 from .oracle import (
@@ -283,11 +283,16 @@ _PROBABILITY = _float_in(0.0, 1.0)
 _POSITIVE = _float_in(0.0, math.inf)
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
-    return value
+def _int_from(low: int):
+    """argparse type: an integer of at least low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return value
+
+    return parse
 
 
 def _env(name: str):
@@ -300,7 +305,7 @@ def _add_common(p, scheme_opts=True):
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("cnf", "hypergraph"), default="cnf")
     p.add_argument("--q", type=int, default=None, help="colors for hypergraph input")
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_int_from(0), default=None)
     p.add_argument("--eta", type=_POSITIVE, default=0.25)
     p.add_argument("--pretty", action="store_true")
     if scheme_opts:
@@ -325,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw near-uniform satisfying assignments")
     _add_common(p)
     p.add_argument("--eps", type=_float_in(0.0, 0.5), required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--count", type=_int_from(1), default=1)
+    p.add_argument("--workers", type=_int_from(1), default=1)
     p.add_argument("--c-t", type=_POSITIVE, default=_env("LLLSAMPLE_CT"), dest="c_t")
     p.set_defaults(func=cmd_sample)
 

@@ -34,12 +34,17 @@ class CountingError(RuntimeError):
         super().__init__(f"stage {stage}: {reason}")
 
 
+STAGE_EPS_CAP = 0.25
+
+
 def counting_eps(m: int, delta: float, theta_const: float = 0.125) -> float:
     """Per-stage sampler accuracy for a (1+delta) count of an m-constraint
-    instance: theta_const * delta^2 / (m * ln(m/delta))."""
+    instance: theta_const * delta^2 / (m * ln(m/delta)), at most
+    STAGE_EPS_CAP.  The formula passes 1/2, where no sampler accuracy is
+    defined, as m/delta nears 1; a smaller accuracy only tightens a stage."""
     if m < 1:
         raise ValueError("counting_eps needs at least one constraint")
-    return theta_const * delta * delta / (m * math.log(m / delta))
+    return min(theta_const * delta * delta / (m * math.log(m / delta)), STAGE_EPS_CAP)
 
 
 def stage_samples(m: int, delta: float, c_n: float = 64.0) -> int:
@@ -59,7 +64,8 @@ class CountEstimate:
 
     def to_dict(self) -> dict:
         return {
-            "estimate": self.estimate,
+            # strict JSON: a count past the float range is null, log_estimate keeps it
+            "estimate": self.estimate if math.isfinite(self.estimate) else None,
             "log_estimate": self.log_estimate,
             "delta": self.delta,
             "eps_stage": self.eps_stage,
@@ -96,7 +102,8 @@ def approx_count(
 
     Stage 0 is exact: the product of the alphabet sizes or, outside the
     sampling regime, the enumerated count.  Stage i = 1..m records the
-    estimated ratio r_i as its marginal."""
+    estimated ratio r_i as its marginal.  A count past the float range has
+    estimate inf; log_estimate holds it."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     m = csp.m
@@ -138,5 +145,8 @@ def approx_count(
                 "errors": n_errors,
             }
         )
-    est.estimate = math.exp(est.log_estimate)
+    try:
+        est.estimate = math.exp(est.log_estimate)
+    except OverflowError:
+        est.estimate = math.inf
     return est

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,22 +38,6 @@ class ConstructionError(RuntimeError):
 
 class AdmissibilityError(ValueError):
     """Strict construction rejected a scheme that fails the numeric checks."""
-
-
-# Constants reproduced from the offline optimizations behind the randomized
-# constructions.  All are config-overridable through construct_projection's
-# params argument.
-CASE2_GAMMA = 0.1742
-CASE2_ALPHA = 0.4047  # collapse probability; thresholds theta1=gamma, thetaf=2*gamma
-CASE2_THETA1 = 0.1742
-CASE2_THETAF = 0.3484
-CASE3_GAMMA = 0.2
-CASE4_GAMMA = {5: 0.221, 7: 0.236}
-CASE4_MIX = {5: 0.275, 7: 0.69}  # probability of the coarser partition shape
-CASE4_SHAPES = {5: ((3, 2), (2, 2, 1)), 7: ((3, 2, 2), (2, 2, 2, 1))}
-CASE5_GAMMA = 0.142
-CASE5_ALPHA2 = 0.34
-CASE5_MIX = {5: 0.0, 7: 0.0}
 
 
 @dataclass(frozen=True)
@@ -434,7 +419,6 @@ def _contiguous_blocks(size: int, r: int) -> tuple[tuple[int, ...], ...]:
         width = base if j < r - extra else base + 1
         blocks.append(tuple(range(start, start + width)))
         start += width
-    assert start == size
     return tuple(blocks)
 
 
@@ -477,17 +461,41 @@ def choose_case(csp: AtomicCSP) -> str:
     return "case4"
 
 
-def _build_case1(csp: AtomicCSP, a: int):
-    r = _floor_pow_2_3(a)
-    if r < 2:
-        raise RegimeError(f"alphabet {a} too small for cube-root bucketing")
-    blocks = _contiguous_blocks(a, r)
-    return tuple(blocks for _ in range(csp.n))
+# The randomized constructions (cases 2-5) share one window rule.  A
+# variable's partition puts the forbidden value f_v of each constraint C at v
+# in some block; with S(C) = sum over v in C of log|block holding f_v| and
+# L_C = sum over v in C of log|A_v|, constraint C is bad when
+#     S(C) < gamma * Lambda          (b(C) = e^-S(C) too large), or
+#     S(C) > L_C - c * gamma * Lambda (projected mass e^(S(C) - L_C) too large),
+# and Moser-Tardos redraws the partitions of a bad constraint's variables,
+# lowest constraint first.
+# The constants below come from the offline optimizations behind each case.
 
 
-def _build_case4_det(csp: AtomicCSP, a: int):
-    blocks = _contiguous_blocks(a, bucket_count(a))
-    return tuple(blocks for _ in range(csp.n))
+class _Window(NamedTuple):
+    what: str  # names the construction in ConstructionError
+    gamma: float
+    c: int  # factor of gamma * Lambda on the upper side of the window
+    least: bool  # Lambda is the least L_C of the instance, else L_C itself
+    alpha: float = 0.0  # probability that a binary variable is marked (one block)
+    mix: float = 0.0  # probability of the coarser shape at alphabets 5 and 7
+
+
+_WINDOWS = {
+    "case2": _Window("marking", 0.1742, 2, False, alpha=0.4047),
+    "case3": _Window("1/2-partition", 0.2, 2, False),
+    "case4-5": _Window("alphabet-5 mix", 0.221, 2, False, mix=0.275),
+    "case4-7": _Window("alphabet-7 mix", 0.236, 2, False, mix=0.69),
+    "case5": _Window("mixed-alphabet", 0.142, 3, True, alpha=0.34),
+}
+_SHAPES = {5: ((3, 2), (2, 2, 1)), 7: ((3, 2, 2), (2, 2, 2, 1))}  # coarser shape first
+
+
+def _value(blocks: tuple[tuple[int, ...], ...]):
+    """A construction variable's value: its partition, and the log size of
+    the block holding each value of the alphabet."""
+    logs = {x: math.log(len(block)) for block in blocks for x in block}
+    return blocks, tuple(logs[x] for x in range(len(logs)))
 
 
 def _random_partition(a: int, shape: tuple[int, ...], rng: np.random.Generator):
@@ -500,170 +508,58 @@ def _random_partition(a: int, shape: tuple[int, ...], rng: np.random.Generator):
     return tuple(blocks)
 
 
-def _marking_blocks(a: int, collapsed: bool):
-    if collapsed:
-        return (tuple(range(a)),)
-    return tuple((value,) for value in range(a))
+def _sampler(a: int, window: _Window):
+    """Draws the value of a variable of alphabet a: marked with probability
+    alpha at a = 2, a uniform singleton beside a pair at a = 3, and a
+    uniformly placed partition of the coarser shape (probability mix) or of
+    the finer one at a = 5 and 7."""
+    if a == 2:
+        marked, unmarked = _value(((0, 1),)), _value(((0,), (1,)))
+        return lambda r: marked if r.random() < window.alpha else unmarked
+    if a == 3:
+        singles = [_value(((s,), tuple(x for x in range(3) if x != s))) for s in range(3)]
+        return lambda r: singles[int(r.integers(3))]
+    coarse, fine = _SHAPES[a]
+    return lambda r: _value(_random_partition(a, coarse if r.random() < window.mix else fine, r))
 
 
-def _run_construction_mt(csp, samplers, events, delta, rng, what):
-    problem = ResamplingProblem(n=len(samplers), samplers=samplers, events=events)
+def _build_random(csp: AtomicCSP, window: _Window, delta: float, rng):
+    """Partitions inside every constraint's window.  Variables of alphabet
+    at least 4 other than 5 and 7 keep fixed buckets; Moser-Tardos draws
+    the rest."""
+    domains = csp.domains
+    fixed = {
+        v: _value(_contiguous_blocks(a, bucket_count(a)))
+        for v, a in enumerate(domains)
+        if a >= 4 and a not in (5, 7)
+    }
+    drawn = [v for v in range(csp.n) if v not in fixed]
+    pos = {v: i for i, v in enumerate(drawn)}
+    samplers = {a: _sampler(a, window) for a in {domains[v] for v in drawn}}
+    L = [sum(math.log(domains[v]) for v in c.vars) for c in csp.constraints]
+    least = min(L, default=0.0)
+    events = []
+    for c, L_C in zip(csp.constraints, L):
+        scale = least if window.least else L_C
+        low, high = window.gamma * scale, L_C - window.c * window.gamma * scale
+        base = sum(fixed[v][1][f] for v, f in zip(c.vars, c.forbidden) if v in fixed)
+        terms = tuple((pos[v], f) for v, f in zip(c.vars, c.forbidden) if v in pos)
+
+        def bad(vals, total=base, terms=terms, low=low, high=high):  # S(C) outside its window
+            for i, f in terms:
+                total += vals[i][1][f]
+            return not low <= total <= high
+
+        if not terms and bad([]):
+            raise ConstructionError(
+                "deterministic large-alphabet blocks already violate a threshold"
+            )
+        events.append(BadEvent(tuple(i for i, _ in terms), bad))
+    problem = ResamplingProblem(len(drawn), [samplers[domains[v]] for v in drawn], events)
     result = moser_tardos(problem, rng, delta=delta)
     if not result.success:
-        raise ConstructionError(f"{what} construction exhausted its resampling budget")
-    return result.values
-
-
-def _build_case2(csp: AtomicCSP, delta: float, rng, params):
-    alpha = params.get("alpha", CASE2_ALPHA)
-    theta1 = params.get("theta1", CASE2_THETA1)
-    thetaf = params.get("thetaf", CASE2_THETAF)
-    samplers = [lambda r: bool(r.random() < alpha)] * csp.n
-
-    def make_events(c):
-        k = c.arity
-        return [
-            BadEvent(c.vars, lambda vals, c=c, t=theta1 * k: sum(vals[v] for v in c.vars) < t),
-            BadEvent(c.vars, lambda vals, c=c, t=thetaf * k: sum(not vals[v] for v in c.vars) < t),
-        ]
-
-    events = [ev for c in csp.constraints for ev in make_events(c)]
-    marks = _run_construction_mt(csp, samplers, events, delta, rng, "marking")
-    return tuple(_marking_blocks(2, collapsed) for collapsed in marks)
-
-
-def _case3_blocks(a: int, singleton: int):
-    rest = tuple(sorted(set(range(a)) - {singleton}))
-    return ((singleton,), rest)
-
-
-def _build_case3(csp: AtomicCSP, delta: float, rng, params):
-    gamma = params.get("gamma", CASE3_GAMMA)
-    samplers = [lambda r: int(r.integers(3))] * csp.n
-    ln2, ln3 = math.log(2.0), math.log(3.0)
-
-    def pair_count(vals, c):
-        # variables whose forbidden value lands in the 2-element block
-        return sum(vals[v] != f for v, f in zip(c.vars, c.forbidden))
-
-    def make_events(c):
-        k = c.arity
-        return [
-            BadEvent(c.vars, lambda vals, c=c, t=gamma * k * ln3 / ln2: pair_count(vals, c) < t),
-            BadEvent(
-                c.vars,
-                lambda vals, c=c, t=(1 - 2 * gamma) * k * ln3 / ln2: pair_count(vals, c) > t,
-            ),
-        ]
-
-    events = [ev for c in csp.constraints for ev in make_events(c)]
-    singles = _run_construction_mt(csp, samplers, events, delta, rng, "1/2-partition")
-    return tuple(_case3_blocks(3, s) for s in singles)
-
-
-def _build_case4_mix(csp: AtomicCSP, a: int, delta: float, rng, params):
-    gamma = params.get("gamma", CASE4_GAMMA[a])
-    mix = params.get("mix", CASE4_MIX[a])
-    shapes = CASE4_SHAPES[a]
-
-    def sampler(r):
-        shape = shapes[0] if r.random() < mix else shapes[1]
-        return _random_partition(a, shape, r)
-
-    samplers = [sampler] * csp.n
-
-    def forb_size(vals, c, v):
-        f = c.forbidden_at(v)
-        for block in vals[v]:
-            if f in block:
-                return len(block)
-        raise AssertionError
-
-    def log_b(vals, c):
-        return -sum(math.log(forb_size(vals, c, v)) for v in c.vars)
-
-    def log_sizes(vals, c):
-        return sum(math.log(forb_size(vals, c, v)) for v in c.vars)
-
-    lna = math.log(a)
-
-    def make_events(c):
-        k = c.arity
-        return [
-            BadEvent(c.vars, lambda vals, c=c, t=-gamma * k * lna: log_b(vals, c) > t),
-            BadEvent(c.vars, lambda vals, c=c, t=(1 - 2 * gamma) * k * lna: log_sizes(vals, c) > t),
-        ]
-
-    events = [ev for c in csp.constraints for ev in make_events(c)]
-    partitions = _run_construction_mt(csp, samplers, events, delta, rng, f"alphabet-{a} mix")
-    return tuple(partitions)
-
-
-def _build_case5(csp: AtomicCSP, delta: float, rng, params):
-    gamma = params.get("gamma", CASE5_GAMMA)
-    alpha2 = params.get("alpha2", CASE5_ALPHA2)
-    mix = {5: params.get("mix5", CASE5_MIX[5]), 7: params.get("mix7", CASE5_MIX[7])}
-
-    fixed: dict[int, tuple] = {}
-    small: list[int] = []
-    for v, a in enumerate(csp.domains):
-        if a >= 4 and a not in (5, 7):
-            fixed[v] = _contiguous_blocks(a, bucket_count(a))
-        else:
-            small.append(v)
-    small_pos = {v: i for i, v in enumerate(small)}
-
-    def sampler_for(v):
-        a = csp.domains[v]
-        if a == 2:
-            return lambda r: _marking_blocks(2, bool(r.random() < alpha2))
-        if a == 3:
-            return lambda r: _case3_blocks(3, int(r.integers(3)))
-        shapes, x = CASE4_SHAPES[a], mix[a]
-        return lambda r: _random_partition(a, shapes[0] if r.random() < x else shapes[1], r)
-
-    samplers = [sampler_for(v) for v in small]
-
-    log_p = max(
-        (-sum(math.log(csp.domains[v]) for v in c.vars) for c in csp.constraints),
-        default=-math.inf,
-    )
-
-    def var_blocks(vals, v):
-        return fixed[v] if v in fixed else vals[small_pos[v]]
-
-    def forb_size(vals, c, v):
-        f = c.forbidden_at(v)
-        for block in var_blocks(vals, v):
-            if f in block:
-                return len(block)
-        raise AssertionError
-
-    def log_b(vals, c):
-        return -sum(math.log(forb_size(vals, c, v)) for v in c.vars)
-
-    def log_t(vals, c):
-        return sum(
-            math.log(forb_size(vals, c, v)) - math.log(csp.domains[v]) for v in c.vars
-        )
-
-    def make_events(c):
-        deps = tuple(small_pos[v] for v in c.vars if v in small_pos)
-        return [
-            BadEvent(deps, lambda vals, c=c: log_b(vals, c) > gamma * log_p),
-            BadEvent(deps, lambda vals, c=c: log_t(vals, c) > 3 * gamma * log_p),
-        ]
-
-    events = []
-    for c in csp.constraints:
-        for ev in make_events(c):
-            if not ev.vars and ev.violated([]):
-                raise ConstructionError(
-                    "deterministic large-alphabet blocks already violate a threshold"
-                )
-            events.append(ev)
-    values = _run_construction_mt(csp, samplers, events, delta, rng, "mixed-alphabet")
-    return tuple(fixed[v] if v in fixed else values[small_pos[v]] for v in range(csp.n))
+        raise ConstructionError(f"{window.what} construction exhausted its resampling budget")
+    return tuple(fixed[v][0] if v in fixed else result.values[pos[v]][0] for v in range(csp.n))
 
 
 def construct_projection(
@@ -674,7 +570,6 @@ def construct_projection(
     seed=None,
     rng: np.random.Generator | None = None,
     strict: bool = False,
-    params: dict | None = None,
 ) -> ProjectionScheme:
     """Build a projection scheme by the case matching the instance shape.
 
@@ -684,29 +579,31 @@ def construct_projection(
     numeric conditions are asymptotic and desk-scale instances routinely sit
     outside them while the sampler remains exact.
     """
-    params = params or {}
     if rng is None:
         rng = np.random.default_rng(seed)
     case = case_hint or choose_case(csp)
-    a, k = _uniform_case_params(csp)
+    a, _ = _uniform_case_params(csp)
     if case == "case1":
         if a is None or a < 4:
             raise RegimeError("case1 requires a uniform alphabet of size >= 4")
-        blocks = _build_case1(csp, a)
+        blocks = (_contiguous_blocks(a, _floor_pow_2_3(a)),) * csp.n
     elif case == "case2":
         if a != 2:
             raise RegimeError("case2 requires a uniform binary alphabet")
-        blocks = _build_case2(csp, delta, rng, params)
+        blocks = _build_random(csp, _WINDOWS[case], delta, rng)
     elif case == "case3":
         if a != 3:
             raise RegimeError("case3 requires a uniform ternary alphabet")
-        blocks = _build_case3(csp, delta, rng, params)
+        blocks = _build_random(csp, _WINDOWS[case], delta, rng)
     elif case == "case4":
         if a is None or a < 4:
             raise RegimeError("case4 requires a uniform alphabet of size >= 4")
-        blocks = _build_case4_mix(csp, a, delta, rng, params) if a in (5, 7) else _build_case4_det(csp, a)
+        if a in (5, 7):
+            blocks = _build_random(csp, _WINDOWS[f"case4-{a}"], delta, rng)
+        else:
+            blocks = (_contiguous_blocks(a, bucket_count(a)),) * csp.n
     elif case == "case5":
-        blocks = _build_case5(csp, delta, rng, params)
+        blocks = _build_random(csp, _WINDOWS[case], delta, rng)
     else:
         raise RegimeError(f"unknown construction case {case!r}")
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -115,6 +116,33 @@ def test_count(capsys, cnf_file, collapsed_scheme_file):
     assert payload["manifest"]["delta"] == 0.2
 
 
+def test_count_delta_near_one(capsys, cnf_file, collapsed_scheme_file):
+    # counting_eps(1, 0.95) is 2.2; the capped stage accuracy keeps it running
+    code, payload = _run(
+        capsys,
+        ["count", "--input", cnf_file, "--delta", "0.95", "--seed", "3",
+         "--scheme", collapsed_scheme_file],
+    )
+    assert code == 0 and payload["eps_stage"] < 0.5
+    assert 1 - 0.95 <= payload["estimate"] / 3 <= 1 + 0.95
+
+
+def test_count_past_float_range_is_strict_json(capsys, tmp_path):
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text("p cnf 1100 1\n1 2 3 0\n")
+    scheme = tmp_path / "marking.json"
+    scheme.write_text(ProjectionScheme((((0, 1),),) * 1100).to_json())
+    code = dispatch(["count", "--input", str(cnf), "--delta", "0.5", "--seed", "1",
+                     "--scheme", str(scheme)])
+
+    def reject(name):
+        raise ValueError(f"non-finite number {name} in output")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 0 and payload["estimate"] is None
+    assert abs(payload["log_estimate"] - math.log(7 * 2**1097)) <= math.log(1.5)
+
+
 def test_check_projection_hypergraph(capsys, tmp_path):
     hyp = tmp_path / "edge.hyp"
     hyp.write_text("0 1 2\n")
@@ -217,6 +245,9 @@ def test_scheme_file_errors_are_usage_errors(capsys, tmp_path, cnf_file):
     ["sample", "--eps", "0.1", "--construction-delta", "1.5"],
     ["sample", "--eps", "0.1", "--c-t", "-1"],
     ["sample", "--eps", "0.1", "--seed", "-3"],
+    ["sample", "--eps", "0.1", "--count", "0"],
+    ["sample", "--eps", "0.1", "--count", "-2"],
+    ["sample", "--eps", "0.1", "--workers", "0"],
 ])
 def test_out_of_range_options_are_usage_errors(capsys, cnf_file, argv):
     assert dispatch([*argv, "--input", cnf_file]) == 2

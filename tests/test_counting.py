@@ -16,6 +16,25 @@ def test_counting_eps_formula():
     assert stage_samples(4, 0.2) == math.ceil(64 * 4 / 0.04)
 
 
+def test_counting_eps_capped_below_half():
+    # at m = 1 and delta = 0.95 the formula gives 2.2, and a large
+    # theta_const passes 1/2 anywhere; both are capped
+    assert counting_eps(1, 0.95) == counting.STAGE_EPS_CAP < 0.5
+    assert counting_eps(50, 0.5, theta_const=1000.0) == counting.STAGE_EPS_CAP
+    csp, scheme = load_bundled("and2")
+    est = approx_count(csp, scheme, 0.95, seed=0)
+    assert est.eps_stage == counting.STAGE_EPS_CAP
+    assert 1 - 0.95 <= est.estimate / 3 <= 1 + 0.95
+
+
+def test_count_past_float_range():
+    # one 3-clause over 1,100 binary variables: Z = 7 * 2^1097 > e^709
+    csp = uniform_csp(1100, 2, [((0, 1, 2), (0, 0, 0))])
+    est = approx_count(csp, full_marking_scheme(csp), 0.5, seed=0)
+    assert est.estimate == math.inf and est.to_dict()["estimate"] is None
+    assert abs(est.log_estimate - (math.log(7) + 1097 * math.log(2))) <= math.log(1.5)
+
+
 def test_no_constraints_exact():
     csp = uniform_csp(3, 2, [])
     est = approx_count(csp, identity_scheme(csp), 0.2, seed=1)

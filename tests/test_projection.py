@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product
@@ -6,14 +7,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lllsample.csp import CSPError, ParseError, degree_stats, evaluate
+from lllsample.csp import (
+    AtomicConstraint,
+    AtomicCSP,
+    CSPError,
+    ParseError,
+    build_coloring_csp,
+    degree_stats,
+    evaluate,
+)
 from lllsample.dynamics import project_csp
 from lllsample.projection import (
     AdmissibilityError,
+    ConstructionError,
     ProjectionScheme,
     RegimeError,
     bucket_count,
     check_admissibility,
+    choose_case,
     compute_b,
     compute_zeta_kappa,
     construct_projection,
@@ -322,3 +333,88 @@ def test_regime_ok():
     csp = uniform_csp(3, 2, [((0, 1, 2), (0, 0, 0))])
     assert regime_ok(csp, full_marking_scheme(csp))  # e/8 < 1
     assert not regime_ok(csp, identity_scheme(csp))
+
+
+def _random_constraints(rng, domains, m, widths):
+    """m constraints, each on a uniformly random set of distinct variables
+    of a width drawn from widths, with uniformly random forbidden values."""
+    cons = []
+    for _ in range(m):
+        k = int(widths[int(rng.integers(len(widths)))])
+        vs = sorted(int(v) for v in rng.choice(len(domains), size=k, replace=False))
+        cons.append(AtomicConstraint(tuple(vs), tuple(int(rng.integers(domains[v])) for v in vs)))
+    return AtomicCSP(n=len(domains), domains=tuple(domains), constraints=tuple(cons))
+
+
+def _coloring(rng, n, m, k, q):
+    edges = [sorted(int(v) for v in rng.choice(n, size=k, replace=False)) for _ in range(m)]
+    return build_coloring_csp(edges, q, n)
+
+
+def _golden_instances():
+    """Construction inputs per case: random CNF of widths 12, 8, 5 and mixed
+    widths, colourings, stars, mixed alphabets, and instances whose windows
+    cannot all be met: a triangle of pairs, and one variable of alphabet 5
+    or 7 with every value forbidden by a unary constraint."""
+    rng = np.random.default_rng(20261018)
+
+    def alphabets(choices, n):
+        return [int(a) for a in rng.choice(choices, n)]
+
+    triangle = [((0, 1), (0, 0)), ((1, 2), (0, 0)), ((0, 2), (0, 0))]
+    return {
+        "case2": [
+            _random_constraints(rng, (2,) * 60, 20, (12,)),
+            _random_constraints(rng, (2,) * 60, 30, (8,)),
+            _random_constraints(rng, (2,) * 40, 30, (5,)),
+            _random_constraints(rng, (2,) * 60, 25, tuple(range(3, 13))),
+            uniform_csp(3, 2, triangle),
+        ],
+        "case3": [
+            _coloring(rng, 40, 10, 6, 3),
+            _random_constraints(rng, (3,) * 40, 15, (8,)),
+            uniform_csp(3, 3, triangle),
+        ],
+        "case4": [
+            _coloring(rng, 30, 8, 4, 5),
+            _coloring(rng, 30, 8, 4, 7),
+            star_instance(5, 6, 2, n_stars=2),
+            star_instance(7, 3, 3, n_stars=2),
+            uniform_csp(1, 5, [((0,), (f,)) for f in range(5)]),
+            uniform_csp(1, 7, [((0,), (f,)) for f in range(7)]),
+        ],
+        "case5": [
+            _random_constraints(rng, alphabets((2, 3, 5, 7, 9, 16), 30), 12, (4, 6)),
+            _random_constraints(rng, alphabets((2, 3, 4, 5, 7), 30), 20, (3,)),
+            _random_constraints(rng, (2, 3) * 10, 15, (2, 3)),
+            AtomicCSP(6, (2, 3, 5, 7, 9, 16), (AtomicConstraint(tuple(range(6)), (0,) * 6),)),
+            AtomicCSP(3, (5, 5, 7), tuple(AtomicConstraint(v, f) for v, f in triangle)),
+            AtomicCSP(3, (2, 3, 2), tuple(AtomicConstraint(v, f) for v, f in triangle)),
+        ],
+    }
+
+
+def _construction_outputs(csps, seeds):
+    for csp in csps:
+        for seed in seeds:
+            try:
+                yield construct_projection(csp, seed=seed).to_json()
+            except ConstructionError as exc:
+                yield f"ConstructionError: {exc}"
+
+
+GOLDEN_DIGESTS = {
+    "case2": "e2842dcedde349b04f6b49de9338d0a6d29bb2492ef4c5f95017402129944907",
+    "case3": "cff3671683a36bb7151331ea4cff9c453970a051c93d7bf2544a4676cb25b866",
+    "case4": "89ccd7ca58b4d53bf335e174dc855e8f9a796702ab21fa1677bbabc92e1667d4",
+    "case5": "2d8d8a4db7b4c6dde52a839acfac236e8d4e111948c69f7d07b5994481c7bc2f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+def test_construction_output_is_pinned(case):
+    # sha256 over the scheme JSON (or error text) of every instance and seed
+    csps = _golden_instances()[case]
+    assert all(choose_case(csp) == case for csp in csps)
+    text = "\n".join(_construction_outputs(csps, range(10)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[case]
