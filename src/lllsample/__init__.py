@@ -1,7 +1,7 @@
 """Near-uniform sampling and approximate counting of atomic-CSP solutions
 via single-site dynamics on a projected state space."""
 
-__version__ = "0.4.1"
+__version__ = "0.5.0"
 
 from .csp import (
     AtomicConstraint,
@@ -31,7 +31,7 @@ from .projection import (
     identity_scheme,
     regime_ok,
 )
-from .resample import BadEvent, ResamplingProblem, find_assignment, moser_tardos
+from .resample import find_assignment, moser_tardos
 from .dynamics import (
     SampleResult,
     SamplerConfig,

@@ -125,7 +125,8 @@ class AtomicCSP:
 
 @dataclass(frozen=True)
 class CSPArrays:
-    """Padded numpy tables of an AtomicCSP, built once per instance.
+    """Padded numpy tables of an AtomicCSP; those by variable and by
+    neighbour are built on first use.
 
     Tables pad with n for "no variable", m for "no constraint" and -2 for
     "no forbidden value", which no value equals; the arity of the pad
@@ -135,38 +136,51 @@ class CSPArrays:
     vc: np.ndarray  # (m, k) variables of each constraint
     forb: np.ndarray  # (m, k) their forbidden values
     arity: np.ndarray  # (m + 1,)
-    inc: np.ndarray  # (n + 1, d) constraints at each variable
-    inc_forb: np.ndarray  # (n + 1, d) the variable's forbidden value in each of them
-    adj: np.ndarray  # (m, e) constraints sharing a variable with each, itself included
+    csp: AtomicCSP = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, csp: AtomicCSP) -> "CSPArrays":
-        n, m = csp.n, csp.m
-        k = max((c.arity for c in csp.constraints), default=0)
-        d = max((len(ids) for ids in csp.dep_index), default=0)
-        vc = np.full((m, k), n, dtype=np.int64)
-        forb = np.full((m, k), -2, dtype=np.int64)
-        arity = np.full(m + 1, -1, dtype=np.int64)
-        for cid, c in enumerate(csp.constraints):
-            vc[cid, : c.arity] = c.vars
-            forb[cid, : c.arity] = c.forbidden
-            arity[cid] = c.arity
-        inc = np.full((n + 1, d), m, dtype=np.int64)
-        inc_forb = np.full((n + 1, d), -2, dtype=np.int64)
-        for v, triples in enumerate(csp.incidence):
-            for j, (cid, f, _) in enumerate(triples):
-                inc[v, j], inc_forb[v, j] = cid, f
-        near = [sorted({o for v in c.vars for o in csp.dep_index[v]}) for c in csp.constraints]
-        adj = np.full((m, max(map(len, near), default=0)), m, dtype=np.int64)
-        for cid, others in enumerate(near):
-            adj[cid, : len(others)] = others
-        return cls(np.array(csp.domains, dtype=np.int64), vc, forb, arity, inc, inc_forb, adj)
+        cs = csp.constraints
+        arity = np.array([c.arity for c in cs] + [-1], dtype=np.int64)
+        vc = _padded([c.vars for c in cs], csp.m, csp.n)
+        forb = _padded([c.forbidden for c in cs], csp.m, -2)
+        return cls(np.array(csp.domains, dtype=np.int64), vc, forb, arity, csp)
+
+    @cached_property
+    def inc(self) -> np.ndarray:  # (n + 1, d) constraints at each variable
+        return _padded(self.csp.dep_index, self.csp.n + 1, self.csp.m)
+
+    @cached_property
+    def inc_forb(self) -> np.ndarray:  # (n + 1, d) the variable's forbidden value in each of them
+        forbidden = [[f for _, f, _ in triples] for triples in self.csp.incidence]
+        return _padded(forbidden, self.csp.n + 1, -2)
+
+    def _near(self):
+        """Per constraint, the set of constraints sharing a variable with it, itself included."""
+        dep = self.csp.dep_index
+        return (set().union(*(dep[v] for v in c.vars)) for c in self.csp.constraints)
+
+    @cached_property
+    def adj(self) -> np.ndarray:  # (m, e) constraints sharing a variable with each, ascending
+        return _padded([sorted(near) for near in self._near()], self.csp.m, self.csp.m)
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:  # (m,) the row lengths of adj, without the table
+        return tuple(map(len, self._near()))
 
     def matches(self, Z: np.ndarray) -> np.ndarray:
         """(..., m) count of variables at their forbidden value in each
         constraint, for rows Z (..., n)."""
         pad = np.full(Z.shape[:-1] + (1,), -1, dtype=Z.dtype)
         return (np.concatenate([Z, pad], axis=-1)[..., self.vc] == self.forb).sum(axis=-1)
+
+
+def _padded(rows, height: int, pad: int) -> np.ndarray:
+    """(height, longest row) int64 table holding each row as a prefix, the rest pad."""
+    out = np.full((height, max(map(len, rows), default=0)), pad, dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
 
 
 def evaluate(csp: AtomicCSP, x) -> list[int]:
@@ -207,16 +221,8 @@ def degree_stats(csp: AtomicCSP) -> tuple[int, int, list[int]]:
     variable with it, itself included; Delta is the maximum, k the maximum
     arity.  An instance with no constraints reports (0, 0, []).
     """
-    if csp.m == 0:
-        return 0, 0, []
-    degrees = []
-    for c in csp.constraints:
-        overlapping: set[int] = set()
-        for v in c.vars:
-            overlapping.update(csp.dep_index[v])
-        degrees.append(len(overlapping))
-    k = max(c.arity for c in csp.constraints)
-    return max(degrees), k, degrees
+    degrees = csp.arrays.degrees
+    return max(degrees, default=0), csp.arrays.vc.shape[1], list(degrees)
 
 
 # ---------------------------------------------------------------------------

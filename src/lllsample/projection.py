@@ -16,12 +16,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .csp import AtomicCSP, CSPError, ParseError, degree_stats
-from .resample import BadEvent, ResamplingProblem, moser_tardos
+from .csp import AtomicCSP, CSPError, InternalError, ParseError, degree_stats
+from .resample import moser_tardos
 
 logger = logging.getLogger(__name__)
 
@@ -467,8 +468,8 @@ def choose_case(csp: AtomicCSP) -> str:
 # L_C = sum over v in C of log|A_v|, constraint C is bad when
 #     S(C) < gamma * Lambda          (b(C) = e^-S(C) too large), or
 #     S(C) > L_C - c * gamma * Lambda (projected mass e^(S(C) - L_C) too large),
-# and Moser-Tardos redraws the partitions of a bad constraint's variables,
-# lowest constraint first.
+# and Moser-Tardos redraws the partitions of bad constraints' variables, in
+# rounds of bad constraints that share no variable with a lower bad one.
 # The constants below come from the offline optimizations behind each case.
 
 
@@ -491,75 +492,93 @@ _WINDOWS = {
 _SHAPES = {5: ((3, 2), (2, 2, 1)), 7: ((3, 2, 2), (2, 2, 2, 1))}  # coarser shape first
 
 
-def _value(blocks: tuple[tuple[int, ...], ...]):
-    """A construction variable's value: its partition, and the log size of
-    the block holding each value of the alphabet."""
-    logs = {x: math.log(len(block)) for block in blocks for x in block}
-    return blocks, tuple(logs[x] for x in range(len(logs)))
+def _shaped(values: tuple[int, ...], shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """Every partition of values into blocks of the sizes in shape, blocks
+    ordered largest first, then by content."""
+    if not shape:
+        return [()]
+    return sorted({
+        tuple(sorted((first, *tail), key=lambda blk: (-len(blk), blk)))
+        for first in combinations(values, shape[0])
+        for tail in _shaped(tuple(x for x in values if x not in first), shape[1:])
+    })
 
 
-def _random_partition(a: int, shape: tuple[int, ...], rng: np.random.Generator):
-    perm = [int(x) for x in rng.permutation(a)]
-    blocks, start = [], 0
-    for width in shape:
-        blocks.append(tuple(sorted(perm[start : start + width])))
-        start += width
-    blocks.sort(key=lambda blk: (-len(blk), blk))
-    return tuple(blocks)
-
-
-def _sampler(a: int, window: _Window):
-    """Draws the value of a variable of alphabet a: marked with probability
-    alpha at a = 2, a uniform singleton beside a pair at a = 3, and a
-    uniformly placed partition of the coarser shape (probability mix) or of
-    the finer one at a = 5 and 7."""
+def _partitions(a: int, window: _Window) -> list[tuple[tuple, Fraction]]:
+    """Every partition a variable of alphabet a can draw, with its
+    probability: marked with probability alpha at a = 2, a uniform singleton
+    beside a pair at a = 3, and a uniform partition of the coarser shape
+    (probability mix) or of the finer one at a = 5 and 7."""
     if a == 2:
-        marked, unmarked = _value(((0, 1),)), _value(((0,), (1,)))
-        return lambda r: marked if r.random() < window.alpha else unmarked
-    if a == 3:
-        singles = [_value(((s,), tuple(x for x in range(3) if x != s))) for s in range(3)]
-        return lambda r: singles[int(r.integers(3))]
-    coarse, fine = _SHAPES[a]
-    return lambda r: _value(_random_partition(a, coarse if r.random() < window.mix else fine, r))
+        table = [(((0, 1),), Fraction(window.alpha)), (((0,), (1,)), 1 - Fraction(window.alpha))]
+    elif a == 3:
+        table = [(((s,), tuple(x for x in range(3) if x != s)), Fraction(1, 3)) for s in range(3)]
+    else:
+        table = []
+        for shape, share in zip(_SHAPES[a], (Fraction(window.mix), 1 - Fraction(window.mix))):
+            parts = _shaped(tuple(range(a)), shape)
+            table += [(p, share / len(parts)) for p in parts]
+    return [(p, w) for p, w in table if w]
 
 
 def _build_random(csp: AtomicCSP, window: _Window, delta: float, rng):
     """Partitions inside every constraint's window.  Variables of alphabet
     at least 4 other than 5 and 7 keep fixed buckets; Moser-Tardos draws
-    the rest."""
-    domains = csp.domains
-    fixed = {
-        v: _value(_contiguous_blocks(a, bucket_count(a)))
-        for v, a in enumerate(domains)
-        if a >= 4 and a not in (5, 7)
-    }
-    drawn = [v for v in range(csp.n) if v not in fixed]
-    pos = {v: i for i, v in enumerate(drawn)}
-    samplers = {a: _sampler(a, window) for a in {domains[v] for v in drawn}}
-    L = [sum(math.log(domains[v]) for v in c.vars) for c in csp.constraints]
-    least = min(L, default=0.0)
-    events = []
-    for c, L_C in zip(csp.constraints, L):
-        scale = least if window.least else L_C
-        low, high = window.gamma * scale, L_C - window.c * window.gamma * scale
-        base = sum(fixed[v][1][f] for v, f in zip(c.vars, c.forbidden) if v in fixed)
-        terms = tuple((pos[v], f) for v, f in zip(c.vars, c.forbidden) if v in pos)
+    the rest, each as a row of one table of every partition it can take."""
+    n, m, a = csp.n, csp.m, csp.arrays
+    sizes = sorted(set(csp.domains))
+    drawn_sizes = [s for s in sizes if s < 4 or s in (5, 7)]
+    fixed_sizes = [s for s in sizes if s not in drawn_sizes]
+    tables = [_partitions(s, window) for s in drawn_sizes]
+    parts = [p for table in tables for p, _ in table]
+    # the thresholds of alphabet i, shifted by i, in one ascending array: a
+    # variable of alphabet i at uniform u takes row searchsorted(i + u) + i
+    thresholds = np.array([
+        i + float(c) for i, table in enumerate(tables) for c in accumulate(w for _, w in table[:-1])
+    ])
+    first_fixed = len(parts)
+    parts += [_contiguous_blocks(s, bucket_count(s)) for s in fixed_sizes]
+    logs = np.zeros((len(parts) + 1, max(sizes, default=0)))  # the last row: no variable
+    for r, blocks in enumerate(parts):
+        for block in blocks:
+            logs[r, list(block)] = math.log(len(block))
 
-        def bad(vals, total=base, terms=terms, low=low, high=high):  # S(C) outside its window
-            for i, f in terms:
-                total += vals[i][1][f]
-            return not low <= total <= high
+    is_drawn = np.isin(a.domains, drawn_sizes)
+    drawn = np.flatnonzero(is_drawn)
+    alphabet = np.searchsorted(drawn_sizes, a.domains[drawn])
+    pos = np.full(n + 1, drawn.size)
+    pos[drawn] = np.arange(drawn.size)
+    row = np.full(n + 1, len(parts))
+    row[:n][~is_drawn] = first_fixed + np.searchsorted(fixed_sizes, a.domains[~is_drawn])
+    mvc, fcol = pos[a.vc], np.maximum(a.forb, 0)
+    base = logs[row[a.vc], fcol].sum(axis=1)  # S(C) over the fixed buckets
+    L = np.append(np.log(a.domains), 0.0)[a.vc].sum(axis=1)
+    scale = np.full(m, L.min(initial=math.inf)) if window.least else L
+    low, high = window.gamma * scale, L - window.c * window.gamma * scale
 
-        if not terms and bad([]):
-            raise ConstructionError(
-                "deterministic large-alphabet blocks already violate a threshold"
-            )
-        events.append(BadEvent(tuple(i for i, _ in terms), bad))
-    problem = ResamplingProblem(len(drawn), [samplers[domains[v]] for v in drawn], events)
-    result = moser_tardos(problem, rng, delta=delta)
+    def violated(rows):  # S(C) outside its window
+        S = base + logs[np.append(rows, len(parts))[mvc], fcol].sum(axis=1)
+        return (S < low) | (S > high)
+
+    def draw(idx, r):
+        i = alphabet[idx]
+        return np.searchsorted(thresholds, i + r.random(idx.size), side="right") + i
+
+    if (violated(np.full(drawn.size, len(parts))) & (mvc == drawn.size).all(axis=1)).any():
+        raise ConstructionError("deterministic large-alphabet blocks already violate a threshold")
+    result = moser_tardos(drawn.size, mvc, draw, violated, rng, delta=delta)
     if not result.success:
-        raise ConstructionError(f"{window.what} construction exhausted its resampling budget")
-    return tuple(fixed[v][0] if v in fixed else result.values[pos[v]][0] for v in range(csp.n))
+        raise ConstructionError(f"{window.what} construction exhausted its resampling budget: "
+                                f"{result.attempts_used} attempts, {result.resamples} resamples, "
+                                f"{result.violated} of {m} windows still violated")
+    row[drawn] = result.values
+    blocks = tuple(parts[r] for r in row[:n].tolist())
+    size = {p: {x: len(block) for block in p for x in block} for p in set(blocks)}
+    for cid, c in enumerate(csp.constraints):  # re-check from the block sizes alone
+        S = sum(math.log(size[blocks[v]][f]) for v, f in zip(c.vars, c.forbidden))
+        if not low[cid] <= S <= high[cid]:
+            raise InternalError(f"constructed blocks miss the window of constraint {cid}")
+    return blocks
 
 
 def construct_projection(
@@ -579,6 +598,8 @@ def construct_projection(
     numeric conditions are asymptotic and desk-scale instances routinely sit
     outside them while the sampler remains exact.
     """
+    if 1 in csp.domains:
+        raise RegimeError("projection construction requires alphabets of size at least 2")
     if rng is None:
         rng = np.random.default_rng(seed)
     case = case_hint or choose_case(csp)

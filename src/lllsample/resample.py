@@ -1,53 +1,34 @@
-"""Generic resampling engine: draw every variable fresh, then repeatedly
-redraw the variables of a violated bad event until none is violated.
+"""Resampling engine: draw every variable fresh, then redraw the variables
+of violated bad events until none is violated.
 
-The engine serves two callers: finding satisfying assignments of an atomic
-CSP, and randomized projection construction (where a "variable" is one
-vertex's projection choice and a bad event is a per-constraint numeric
-failure).  The caller is responsible for the regime condition e*p*Delta <= 1;
-the engine only enforces budgets.
+Events are the rows of a table vc (m, k) of variable ids, padded with n.
+Each round evaluates every event and redraws, together, the violated events
+that hold the lowest id among the violated events at each of their
+variables: the parallel variant of Moser-Tardos (JACM 2010).  That set is
+independent and holds the lowest violated id, so a round is a run of the
+sequential algorithm.  The engine serves find_assignment and the randomized
+projection constructions; the caller is responsible for the regime
+condition e*p*Delta <= 1, the engine only enforces budgets.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .csp import AtomicCSP, InternalError, evaluate
 
 
-@dataclass(frozen=True)
-class BadEvent:
-    """Violation predicate over a declared variable subset.
-
-    The predicate receives the full value list but must read only the
-    declared variables; resampling redraws exactly those variables.
-    """
-
-    vars: tuple[int, ...]
-    violated: Callable[[Sequence[Any]], bool]
-
-
-@dataclass
-class ResamplingProblem:
-    n: int
-    samplers: Sequence[Callable[[np.random.Generator], Any]]
-    events: Sequence[BadEvent]
-    steps_per_attempt: int | None = None  # default 2n
-    attempts: int | None = None  # default ceil(log(1/delta)), min 1
-
-
 @dataclass
 class ResampleResult:
     success: bool
-    values: list[Any] | None
-    resamples: int
+    values: list[int] | None
+    resamples: int  # events redrawn, over every attempt
     attempts_used: int
-    trace: list[int] = field(default_factory=list)  # event ids in resample order
+    violated: int = 0  # events still violated at the end of a failed run
 
 
 def default_attempts(delta: float) -> int:
@@ -56,52 +37,44 @@ def default_attempts(delta: float) -> int:
     return max(1, math.ceil(math.log(1.0 / delta)))
 
 
-def moser_tardos(
-    problem: ResamplingProblem, rng: np.random.Generator, delta: float = 0.01
-) -> ResampleResult:
-    """Run independent attempts of at most 2n resampling steps each; within an
-    attempt the lowest-id violated event is redrawn.  Success is re-checked
-    against every event before returning."""
-    n = problem.n
-    steps = problem.steps_per_attempt if problem.steps_per_attempt is not None else 2 * n
-    attempts = problem.attempts if problem.attempts is not None else default_attempts(delta)
-    events = list(problem.events)
-    events_by_var: list[list[int]] = [[] for _ in range(n)]
-    for eid, ev in enumerate(events):
-        for v in ev.vars:
-            events_by_var[v].append(eid)
+def redraw_set(vc: np.ndarray, bad: np.ndarray, n: int) -> np.ndarray:
+    """The events among bad (ascending ids) that own every variable they
+    touch, where a variable is owned by the lowest id of bad at it."""
+    rows = vc[bad]
+    owner = np.full(n + 1, len(vc), dtype=np.int64)
+    np.minimum.at(owner, rows, bad[:, None])  # pads all land on owner[n]
+    return bad[((owner[rows] == bad[:, None]) | (rows == n)).all(axis=1)]
 
-    total_resamples = 0
-    trace: list[int] = []
+
+def moser_tardos(
+    n: int,
+    vc: np.ndarray,
+    draw: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    violated: Callable[[np.ndarray], np.ndarray],
+    rng: np.random.Generator,
+    delta: float = 0.01,
+) -> ResampleResult:
+    """Run independent attempts of at most 6n redrawn events each.
+
+    draw(idx, rng) returns fresh values (int array) for the variables idx;
+    violated(values) returns the (m,) bool mask of violated events.  A round
+    past the budget redraws only its lowest ids that still fit.  Near the
+    construction threshold this rule redraws about twice as many events as
+    redrawing the lowest violated id one at a time, whose budget was 2n; 6n
+    builds at least as many of those schemes."""
+    resamples, attempts = 0, default_attempts(delta)
     for attempt in range(1, attempts + 1):
-        values = [problem.samplers[v](rng) for v in range(n)]
-        violated = [ev.violated(values) for ev in events]
-        # lazy min-heap: every violated id is in it, ids that turned
-        # satisfied leave when they reach the top
-        heap = [eid for eid, bad in enumerate(violated) if bad]
-        for _ in range(steps):
-            while heap and not violated[heap[0]]:
-                heapq.heappop(heap)
-            if not heap:
-                break
-            eid = heap[0]
-            trace.append(eid)
-            total_resamples += 1
-            touched: set[int] = set()
-            for v in events[eid].vars:
-                values[v] = problem.samplers[v](rng)
-                touched.update(events_by_var[v])
-            for other in touched:
-                bad = events[other].violated(values)
-                if bad and not violated[other]:
-                    heapq.heappush(heap, other)
-                violated[other] = bad
-        if not any(violated):
-            # soundness re-check, independent of incremental bookkeeping
-            if any(ev.violated(values) for ev in events):
-                raise InternalError("bookkeeping and predicates disagree")
-            return ResampleResult(True, values, total_resamples, attempt, trace)
-    return ResampleResult(False, None, total_resamples, attempts, trace)
+        values, budget = draw(np.arange(n), rng), 6 * n
+        while (bad := np.flatnonzero(violated(values))).size and budget:
+            chosen = redraw_set(vc, bad, n)[:budget]
+            budget -= chosen.size
+            resamples += chosen.size
+            idx = vc[chosen]
+            idx = idx[idx < n]
+            values[idx] = draw(idx, rng)
+        if not bad.size:
+            return ResampleResult(True, values.tolist(), resamples, attempt)
+    return ResampleResult(False, None, resamples, attempts, int(bad.size))
 
 
 def find_assignment(
@@ -109,18 +82,9 @@ def find_assignment(
 ) -> ResampleResult:
     """Satisfying assignment of an atomic CSP via resampling of violated
     constraints.  Caller asserts e*p*Delta <= 1 for the usual guarantee."""
-    samplers = [
-        (lambda r, size=size: int(r.integers(size))) for size in csp.domains
-    ]
-    events = [
-        BadEvent(
-            c.vars,
-            lambda vals, c=c: all(vals[v] == f for v, f in zip(c.vars, c.forbidden)),
-        )
-        for c in csp.constraints
-    ]
-    problem = ResamplingProblem(n=csp.n, samplers=samplers, events=events)
-    result = moser_tardos(problem, rng, delta=delta)
+    a = csp.arrays
+    result = moser_tardos(csp.n, a.vc, lambda idx, r: r.integers(a.domains[idx]),
+                          lambda x: a.matches(x) == a.arity[:-1], rng, delta=delta)
     if result.success and evaluate(csp, result.values):
         raise InternalError("resampling returned an assignment that violates a constraint")
     return result

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import pytest
@@ -19,7 +20,7 @@ from lllsample.csp import (
     violated_by_partial,
     write_dimacs,
 )
-from conftest import uniform_csp
+from conftest import star_instance, uniform_csp
 
 
 def test_parse_basic_clause():
@@ -115,6 +116,23 @@ def test_degree_matches_quadratic_scan(data):
     ]
     assert degrees == brute
     assert delta == (max(brute) if brute else 0)
+
+
+def test_degree_stats_on_stars():
+    # hubs of high degree: the counts match the pairwise scan, and a hub in
+    # each of m constraints costs no table of m rows by m
+    small = star_instance(2, 3, 30, n_stars=3)
+    brute = [sum(1 for other in small.constraints if set(c.vars) & set(other.vars))
+             for c in small.constraints]
+    assert degree_stats(small) == (30, 3, brute)
+    hub = star_instance(2, 3, 2000, n_stars=1)
+    tracemalloc.start()
+    try:
+        assert degree_stats(hub)[0] == 2000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # (m, k * m) 32-bit neighbour ids would take 48 MB
 
 
 def test_dimacs_round_trip():

@@ -1,7 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -33,7 +33,10 @@ from lllsample.projection import (
     kappa_for,
     regime_ok,
     zeta_values,
+    _SHAPES,
+    _WINDOWS,
     _floor_pow_2_3,
+    _partitions,
 )
 from conftest import star_instance, uniform_csp
 
@@ -263,6 +266,80 @@ def test_case5_mixed_alphabets():
     assert float(t) <= p ** (3 * 0.142) * (1 + 1e-9)
 
 
+def _old_sampler_law(a, window):
+    """The law of the partition the construction drew per variable before
+    its table: marked with probability alpha at a = 2, a uniform singleton
+    first at a = 3, and at 5 and 7 the blocks of a uniform permutation cut
+    by the coarser shape (probability mix) or the finer one, ordered by
+    size, largest first, then by content."""
+    if a == 2:
+        law = {((0, 1),): Fraction(window.alpha), ((0,), (1,)): 1 - Fraction(window.alpha)}
+    elif a == 3:
+        law = {((s,), tuple(x for x in range(3) if x != s)): Fraction(1, 3) for s in range(3)}
+    else:
+        law, perms = {}, list(permutations(range(a)))
+        for shape, share in zip(_SHAPES[a], (Fraction(window.mix), 1 - Fraction(window.mix))):
+            for perm in perms:
+                cuts = [sum(shape[:i]) for i in range(len(shape) + 1)]
+                blocks = sorted((tuple(sorted(perm[i:j])) for i, j in zip(cuts, cuts[1:])),
+                                key=lambda blk: (-len(blk), blk))
+                law[tuple(blocks)] = law.get(tuple(blocks), 0) + share / len(perms)
+    return {p: w for p, w in law.items() if w}
+
+
+@pytest.mark.parametrize("name,a", [
+    ("case2", 2), ("case5", 2), ("case3", 3), ("case5", 3),
+    ("case4-5", 5), ("case5", 5), ("case4-7", 7), ("case5", 7),
+])
+def test_partition_table_law_is_exact(name, a):
+    table = _partitions(a, _WINDOWS[name])
+    assert len({p for p, _ in table}) == len(table)
+    assert sum(w for _, w in table) == 1
+    assert dict(table) == _old_sampler_law(a, _WINDOWS[name])
+
+
+def test_construction_verifies_its_windows(monkeypatch):
+    # an engine that reports success with every variable marked (row 0)
+    # leaves each clause's S(C) = L_C above its window: construct_projection
+    # must raise, not return the scheme
+    import lllsample.projection as projection
+    from lllsample.csp import InternalError
+    from lllsample.resample import ResampleResult
+
+    def claims_success(n, vc, draw, violated, rng, delta=0.01):
+        return ResampleResult(True, [0] * n, 0, 1)
+
+    monkeypatch.setattr(projection, "moser_tardos", claims_success)
+    csp = uniform_csp(4, 2, [((0, 1, 2, 3), (0, 1, 0, 1))])
+    with pytest.raises(InternalError):
+        construct_projection(csp, seed=0)
+
+
+def test_construction_near_threshold_builds_most_seeds():
+    # 3-colouring of a random 6-uniform hypergraph near the case-3 threshold:
+    # redrawing the lowest violated id one at a time (0.4.1, budget 2n) built
+    # 5 of these 10 seeds, the parallel rounds with a budget of 2n built 3
+    rng = np.random.default_rng(2)
+    edges = [tuple(sorted(int(v) for v in rng.choice(300, size=6, replace=False)))
+             for _ in range(145)]
+    csp = build_coloring_csp(edges, 3, 300)
+    built = 0
+    for seed in range(10):
+        try:
+            construct_projection(csp, seed=seed)
+            built += 1
+        except ConstructionError:
+            pass
+    assert built >= 7
+
+
+def test_unit_alphabet_is_a_regime_error():
+    csp = AtomicCSP(2, (1, 2), (AtomicConstraint((0, 1), (0, 0)),), allow_unit_domains=True)
+    for hint in (None, "case1", "case2", "case4", "case5"):
+        with pytest.raises(RegimeError):
+            construct_projection(csp, case_hint=hint, seed=0)
+
+
 def test_strict_mode_rejects_desk_scale():
     csp = star_instance(64, 3, 5)
     with pytest.raises(AdmissibilityError):
@@ -404,10 +481,10 @@ def _construction_outputs(csps, seeds):
 
 
 GOLDEN_DIGESTS = {
-    "case2": "e2842dcedde349b04f6b49de9338d0a6d29bb2492ef4c5f95017402129944907",
-    "case3": "cff3671683a36bb7151331ea4cff9c453970a051c93d7bf2544a4676cb25b866",
-    "case4": "89ccd7ca58b4d53bf335e174dc855e8f9a796702ab21fa1677bbabc92e1667d4",
-    "case5": "2d8d8a4db7b4c6dde52a839acfac236e8d4e111948c69f7d07b5994481c7bc2f",
+    "case2": "f138b9a5880551307bca495dd14bf150e8ff6104d91bade7b1844968c17d04a8",
+    "case3": "98c6d9bb14f24b261046452abd825a93f90d1e7a53c6589dcda1e4bed8f577cf",
+    "case4": "716bee80aaf697c14180f3717d81720a9c0d5024326bed36b5eb9383acc05e99",
+    "case5": "29c5b0738bc4cd1a51324b8829d3e4d226347b847fcc0bd1cb159f404293459a",
 }
 
 

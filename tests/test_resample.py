@@ -2,29 +2,45 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lllsample.csp import degree_stats, evaluate, parse_dimacs
 from lllsample.resample import (
-    BadEvent,
     ResampleResult,
-    ResamplingProblem,
     default_attempts,
     find_assignment,
     moser_tardos,
+    redraw_set,
 )
 from conftest import uniform_csp
 
 
-def coin(rng):
-    return int(rng.integers(2))
+def coins(idx, rng):
+    return rng.integers(2, size=idx.size)
+
+
+def clause_tables(n, cons):
+    """Padded (vc, forb) tables of clauses over n variables."""
+    k = max((len(vars_) for vars_, _ in cons), default=0)
+    vc = np.full((len(cons), k), n, dtype=np.int64)
+    forb = np.full((len(cons), k), -2, dtype=np.int64)
+    for cid, (vars_, f) in enumerate(cons):
+        vc[cid, : len(vars_)], forb[cid, : len(vars_)] = vars_, f
+    return vc, forb
+
+
+def clauses_violated(vc, forb):
+    """violated(values) for clauses: every variable at its forbidden value."""
+    return lambda x: (np.append(x, -1)[vc] == forb).sum(axis=1) == (vc < len(x)).sum(axis=1)
 
 
 def test_zero_bad_events_returns_initial_draw():
-    problem = ResamplingProblem(n=3, samplers=[coin] * 3, events=[])
-    r1 = moser_tardos(problem, np.random.default_rng(5))
-    r2 = moser_tardos(problem, np.random.default_rng(5))
+    none = np.zeros((0, 0), dtype=np.int64)
+    r1 = moser_tardos(3, none, coins, lambda x: np.zeros(0, bool), np.random.default_rng(5))
+    r2 = moser_tardos(3, none, coins, lambda x: np.zeros(0, bool), np.random.default_rng(5))
     assert r1.success and r1.resamples == 0
     assert r1.values == r2.values  # deterministic under a fixed seed
+    assert all(type(v) is int for v in r1.values)
 
 
 def test_disjoint_3cnf_satisfied():
@@ -36,41 +52,56 @@ def test_disjoint_3cnf_satisfied():
     assert evaluate(csp, result.values) == []
 
 
+def _rounds(csp, seed):
+    """find_assignment's result and the variables it redrew, round by round."""
+    a, trace = csp.arrays, []
+
+    def draw(idx, rng):
+        trace.append(idx.tolist())
+        return rng.integers(a.domains[idx])
+
+    violated = lambda x: a.matches(x) == a.arity[:-1]
+    return moser_tardos(csp.n, a.vc, draw, violated, np.random.default_rng(seed)), trace
+
+
 def test_determinism_trace():
     csp = parse_dimacs("p cnf 6 4\n1 2 0\n-2 3 0\n4 5 0\n-5 -6 0\n")
     r1 = find_assignment(csp, np.random.default_rng(11))
     r2 = find_assignment(csp, np.random.default_rng(11))
-    assert r1.values == r2.values and r1.trace == r2.trace
+    assert r1 == r2
+    (r3, t3), (r4, t4) = _rounds(csp, 11), _rounds(csp, 11)
+    assert r3 == r1 and t3 == t4
 
 
 def test_lowest_id_selection():
-    # both events violated by the all-zero draw; the trace must start at 0
-    samplers = [lambda rng: 0, lambda rng: 0]
-    events = [
-        BadEvent((0,), lambda vals: vals[0] == 0),
-        BadEvent((1,), lambda vals: vals[1] == 0),
-    ]
+    # clauses 0-2 on a path 0-1-2-3 and clause 3 apart, all violated by the
+    # first draw: a round redraws clause 0, the lowest, and clause 3, but not
+    # clause 1 (it shares variable 1 with clause 0) nor clause 2 (it shares
+    # variable 2 with the violated clause 1)
+    cons = [((0, 1), (0, 0)), ((1, 2), (0, 0)), ((2, 3), (0, 0)), ((4, 5), (0, 0))]
+    vc, forb = clause_tables(6, cons)
+    assert redraw_set(vc, np.array([0, 1, 2, 3]), 6).tolist() == [0, 3]
+    assert redraw_set(vc, np.array([1, 2, 3]), 6).tolist() == [1, 3]
+    assert redraw_set(vc, np.array([2, 3]), 6).tolist() == [2, 3]
+    draws = []
 
-    idx = {"calls": 0}
+    def zeros_first(idx, rng):
+        draws.append(idx.tolist())
+        return np.zeros(idx.size, np.int64) if len(draws) == 1 else rng.integers(2, size=idx.size)
 
-    def forced_then_random(rng):
-        idx["calls"] += 1
-        return 0 if idx["calls"] <= 2 else int(rng.integers(2))
-
-    problem = ResamplingProblem(n=2, samplers=[forced_then_random] * 2, events=events)
-    result = moser_tardos(problem, np.random.default_rng(3))
+    result = moser_tardos(6, vc, zeros_first, clauses_violated(vc, forb), np.random.default_rng(3))
     assert result.success
-    assert result.trace[0] == 0
+    assert draws[1] == [0, 1, 4, 5]  # clauses 0 and 3, in id order
 
 
 def test_budget_exhaustion_failure():
     # impossible event: always violated
-    problem = ResamplingProblem(
-        n=1, samplers=[coin], events=[BadEvent((0,), lambda vals: True)]
-    )
-    result = moser_tardos(problem, np.random.default_rng(0), delta=0.5)
+    vc = np.zeros((1, 1), dtype=np.int64)
+    result = moser_tardos(1, vc, coins, lambda x: np.ones(1, bool), np.random.default_rng(0),
+                          delta=0.5)
     assert not result.success and result.values is None
     assert result.attempts_used == default_attempts(0.5)
+    assert result.resamples == 6 * default_attempts(0.5) and result.violated == 1
 
 
 def test_single_clause_expected_resamples():
@@ -119,8 +150,8 @@ def test_find_assignment_verifies_its_result(monkeypatch):
     import lllsample.resample as resample
     from lllsample.csp import InternalError
 
-    def claims_success(problem, rng, delta=0.01):
-        return ResampleResult(True, [0] * problem.n, 0, 1)
+    def claims_success(n, vc, draw, violated, rng, delta=0.01):
+        return ResampleResult(True, [0] * n, 0, 1)
 
     monkeypatch.setattr(resample, "moser_tardos", claims_success)
     csp = uniform_csp(2, 2, [((0, 1), (0, 0))])
@@ -128,45 +159,68 @@ def test_find_assignment_verifies_its_result(monkeypatch):
         find_assignment(csp, np.random.default_rng(0))
 
 
-def _linear_scan_reference(problem, rng, delta=0.01):
-    """moser_tardos as a plain loop: every step re-evaluates every event and
-    redraws the lowest-id violated one."""
-    n = problem.n
-    steps = problem.steps_per_attempt if problem.steps_per_attempt is not None else 2 * n
-    attempts = problem.attempts if problem.attempts is not None else default_attempts(delta)
-    total, trace = 0, []
+def _linear_scan_reference(n, cons, draw, rng, delta=0.01):
+    """moser_tardos as plain loops: every round scans every clause, and
+    redraws, in id order, the violated ones with no lower violated clause on
+    a variable of theirs, as many as the budget of 6n redraws still allows."""
+    resamples, attempts = 0, default_attempts(delta)
     for attempt in range(1, attempts + 1):
-        values = [problem.samplers[v](rng) for v in range(n)]
-        for _ in range(steps):
-            eid = next((i for i, ev in enumerate(problem.events) if ev.violated(values)), None)
-            if eid is None:
+        values, budget = [int(x) for x in draw(np.arange(n), rng)], 6 * n
+        while True:
+            bad = [e for e, (vars_, f) in enumerate(cons)
+                   if all(values[v] == fv for v, fv in zip(vars_, f))]
+            if not bad or not budget:
                 break
-            trace.append(eid)
-            total += 1
-            for v in problem.events[eid].vars:
-                values[v] = problem.samplers[v](rng)
-        if not any(ev.violated(values) for ev in problem.events):
-            return ResampleResult(True, values, total, attempt, trace)
-    return ResampleResult(False, None, total, attempts, trace)
+            chosen = [e for e in bad if not any(
+                set(cons[o][0]) & set(cons[e][0]) for o in bad if o < e)][:budget]
+            budget -= len(chosen)
+            resamples += len(chosen)
+            idx = [v for e in chosen for v in cons[e][0]]
+            for v, x in zip(idx, draw(np.array(idx, dtype=np.int64), rng)):
+                values[v] = int(x)
+        if not bad:
+            return ResampleResult(True, values, resamples, attempt)
+    return ResampleResult(False, None, resamples, attempts, len(bad))
+
+
+def _random_clauses(gen, n, size):
+    cons = []
+    for _ in range(int(gen.integers(1, 3 * n))):
+        vars_ = tuple(int(v) for v in gen.choice(n, size=int(gen.integers(1, 4)), replace=False))
+        cons.append((vars_, tuple(int(f) for f in gen.integers(0, size, len(vars_)))))
+    return cons
 
 
 def test_engine_matches_linear_scan_reference():
-    # dense random clauses over few variables: events turn violated and
-    # satisfied again many times, and short attempts exhaust their budget
+    # dense random clauses of mixed arity over few variables: clauses turn
+    # violated and satisfied again many times, and many runs exhaust the
+    # budget; values, resamples, attempts and the violated count agree
     gen = np.random.default_rng(8)
     for case in range(60):
         n, size = int(gen.integers(3, 9)), int(gen.integers(2, 4))
-        cons = []
-        for _ in range(int(gen.integers(1, 3 * n))):
-            vars_ = tuple(int(v) for v in gen.choice(n, size=int(gen.integers(1, 4)), replace=False))
-            cons.append((vars_, tuple(int(f) for f in gen.integers(0, size, len(vars_)))))
-        events = [
-            BadEvent(vars_, lambda vals, vars_=vars_, forb=forb: all(
-                vals[v] == f for v, f in zip(vars_, forb)))
-            for vars_, forb in cons
-        ]
-        samplers = [lambda r, size=size: int(r.integers(size))] * n
-        problem = ResamplingProblem(n, samplers, events, steps_per_attempt=int(gen.integers(1, 3 * n)),
-                                    attempts=3)
-        got = moser_tardos(problem, np.random.default_rng(case))
-        assert got == _linear_scan_reference(problem, np.random.default_rng(case))
+        cons = _random_clauses(gen, n, size)
+        vc, forb = clause_tables(n, cons)
+        draw = lambda idx, r: r.integers(size, size=idx.size)
+        delta = float(gen.choice([0.5, 0.01]))
+        got = moser_tardos(n, vc, draw, clauses_violated(vc, forb), np.random.default_rng(case), delta)
+        assert got == _linear_scan_reference(n, cons, draw, np.random.default_rng(case), delta)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_redraw_set_is_an_independent_set_holding_the_lowest_violated(data):
+    n = data.draw(st.integers(1, 8))
+    cons = data.draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 4), unique=True),
+        min_size=1, max_size=12,
+    ))
+    vc, _ = clause_tables(n, [(c, [0] * len(c)) for c in cons])  # mixed arities: pads
+    bad = np.array(sorted(data.draw(st.sets(st.integers(0, len(cons) - 1), min_size=1))))
+    chosen = redraw_set(vc, bad, n).tolist()
+    assert chosen and chosen[0] == bad[0]
+    assert set(chosen) <= set(bad.tolist()) and chosen == sorted(chosen)
+    for i, e in enumerate(chosen):
+        assert not any(set(cons[e]) & set(cons[o]) for o in chosen[i + 1:])
+    # exactly the violated events with no lower violated event beside them
+    assert chosen == [e for e in bad.tolist()
+                      if not any(set(cons[o]) & set(cons[e]) for o in bad.tolist() if o < e)]
