@@ -13,6 +13,15 @@ of T uniform picks, Binomial(T, n_movable/n) do, each at a uniform movable
 variable (`movable_steps`).  With nothing collapsed that is one uniform pick
 per step and no other draw.
 
+The single-chain driver `glauber_run` decides each step in O(1).
+`ProjectedState` keeps, per variable v, the number of constraints at v whose
+other variables all sit at their forbidden value; the step at v has an empty
+component iff that number is 0, and a move updates it by visiting only the
+constraints at v that forbid the old or the new value.  The steps' variables
+and the values an empty step would set are drawn ahead in chunks of
+STEP_CHUNK (`_draw_steps`); a busy step drops its drawn value and runs
+`update`.
+
 A chain update and a lift are the same operation, and both chain drivers
 (glauber_run here, BatchSampler in batch) run it through three routines.
 Each reads the padded tables of AtomicCSP.arrays and ProjectionScheme.arrays
@@ -118,57 +127,89 @@ def project_csp(csp: AtomicCSP, scheme: ProjectionScheme) -> AtomicCSP:
 
 
 class ProjectedState:
-    """Projected assignment plus incremental bookkeeping: per-constraint count
-    of variables sitting at their forbidden projected value, and the set of
-    fully-matched (unsatisfied) constraints."""
+    """Projected assignment plus the bookkeeping that decides a chain step in
+    O(1).
 
-    __slots__ = ("y", "counts", "unsat")
+    - dev[c] counts the variables of constraint c off their forbidden
+      projected value; c is unsatisfied iff dev[c] == 0.
+    - near[v] counts the constraints at v whose other variables all sit at
+      their forbidden value.  A step at v has an empty component iff
+      near[v] == 0.
+
+    Constraint c adds 1 to near[u] for every u in c when dev[c] == 0, and for
+    the one u off its value when dev[c] == 1.  A move of v from old to new
+    changes only the deficits of the constraints at v that forbid old or new,
+    so `apply` visits just those, and touches near only where a deficit
+    passes through 0 or 1."""
+
+    __slots__ = ("y", "dev", "near", "_cons", "_by_forb")
 
     def __init__(self, pcsp: AtomicCSP, y):
         self.y = list(y)
         if len(self.y) != pcsp.n:
             raise ValueError("state length mismatch")
-        self.counts = [0] * pcsp.m
-        self.unsat: set[int] = set()
-        for cid, c in enumerate(pcsp.constraints):
-            self.counts[cid] = sum(self.y[v] == f for v, f in zip(c.vars, c.forbidden))
-            if self.counts[cid] == c.arity:
-                self.unsat.add(cid)
+        self._cons = [(c.vars, c.forbidden) for c in pcsp.constraints]
+        # per variable and projected value, the constraints at it forbidding that value
+        self._by_forb = [[[] for _ in range(size)] for size in pcsp.domains]
+        for v, triples in enumerate(pcsp.incidence):
+            for cid, f, _ in triples:
+                self._by_forb[v][f].append(cid)
+        self.dev, self.near = self._recount()
 
     @classmethod
     def random(cls, pcsp: AtomicCSP, rng: np.random.Generator) -> "ProjectedState":
         y = [int(rng.integers(size)) for size in pcsp.domains]
         return cls(pcsp, y)
 
+    @property
+    def unsat(self) -> set[int]:
+        return {cid for cid, d in enumerate(self.dev) if d == 0}
+
+    def _recount(self):
+        y = self.y
+        dev = [sum(y[v] != f for v, f in zip(vars_, forb)) for vars_, forb in self._cons]
+        near = [0] * len(y)
+        for (vars_, forb), d in zip(self._cons, dev):
+            for v, f in zip(vars_, forb):
+                near[v] += d == (y[v] != f)
+        return dev, near
+
     def apply(self, pcsp: AtomicCSP, v: int, new_q: int):
-        old = self.y[v]
+        y, dev = self.y, self.dev
+        old = y[v]
         if new_q == old:
             return
-        self.y[v] = new_q
-        for cid, f, arity in pcsp.incidence[v]:
-            delta = (new_q == f) - (old == f)
-            if delta:
-                self.counts[cid] += delta
-                if self.counts[cid] == arity:
-                    self.unsat.add(cid)
-                else:
-                    self.unsat.discard(cid)
+        y[v] = new_q
+        at = self._by_forb[v]
+        for cid in at[old]:  # v leaves the value c forbids
+            d = dev[cid]
+            dev[cid] = d + 1
+            if d <= 1:
+                self._shift(cid, v, d, -1)
+        for cid in at[new_q]:  # v takes it
+            d = dev[cid] - 1
+            dev[cid] = d
+            if d <= 1:
+                self._shift(cid, v, d, 1)
+
+    def _shift(self, cid: int, v: int, d: int, sign: int):
+        """Add sign to near[u] for each u != v that constraint cid counts
+        there when v sits at its forbidden value and the deficit is d."""
+        near, y = self.near, self.y
+        vars_, forb = self._cons[cid]
+        for u, f in zip(vars_, forb):
+            if u != v and (d == 0 or y[u] != f):
+                near[u] += sign
 
     def check_consistent(self, pcsp: AtomicCSP):
         expect = set(violated_by_partial(pcsp, self.y))
         if expect != self.unsat:
             raise AssertionError(f"unsat bookkeeping drifted: {self.unsat} != {expect}")
-        for cid, c in enumerate(pcsp.constraints):
-            count = sum(self.y[v] == f for v, f in zip(c.vars, c.forbidden))
-            if count != self.counts[cid]:
-                raise AssertionError(f"count bookkeeping drifted at constraint {cid}")
-
-
-@dataclass
-class ComponentView:
-    vars: list[int]
-    constraints: list[int]
-    size_exceeded: bool = False
+        dev, near = self._recount()
+        if dev != self.dev:
+            raise AssertionError("deficit bookkeeping drifted")
+        if near != self.near:
+            raise AssertionError("near-violation bookkeeping drifted")
 
 
 def explore(pcsp: AtomicCSP, unsat: np.ndarray, comp: np.ndarray, theta: float = math.inf):
@@ -271,42 +312,19 @@ def update(pcsp, csp, scheme, cfg, Y, unsat, seed, v, rng):
 
 def _seeds(state: ProjectedState, pcsp: AtomicCSP, v: int) -> list[int]:
     """Constraints at v that are unsatisfied with v unassigned."""
-    y_v, counts = state.y[v], state.counts
-    return [cid for cid, f, arity in pcsp.incidence[v] if counts[cid] - (y_v == f) == arity - 1]
+    y_v, dev = state.y[v], state.dev
+    return [cid for cid, f, _ in pcsp.incidence[v] if dev[cid] == (y_v != f)]
 
 
-def _rows(state: ProjectedState, pcsp: AtomicCSP, seeds: list[int]):
-    """(unsat, seed) rows of one state, seeds counted as unsatisfied."""
+def _redraw(state, pcsp, csp, scheme, cfg, rng, v):
+    """`update` at v for a state whose component at v is not empty.
+    Returns (new projected value, failure flag, component size)."""
     seed = np.zeros((1, pcsp.m), dtype=bool)
-    seed[0, seeds] = True
-    unsat = seed.copy()
-    unsat[0, list(state.unsat)] = True
-    return unsat, seed
-
-
-def _view(pcsp: AtomicCSP, comp: np.ndarray, theta: float, extra=()) -> ComponentView:
-    cons = np.flatnonzero(comp).tolist()
-    comp_vars = set(extra).union(*(pcsp.constraints[cid].vars for cid in cons))
-    return ComponentView(sorted(comp_vars), cons, len(cons) > theta)
-
-
-def explore_component(
-    state: ProjectedState,
-    pcsp: AtomicCSP,
-    v: int | None,
-    theta_comp: float = math.inf,
-):
-    """Connected component around v in the graph of constraints unsatisfied
-    with v unassigned (v=None: list of all components of the current state).
-
-    Exploration stops early, flagging size_exceeded, once the component holds
-    more than theta_comp unsatisfied constraints.
-    """
-    if v is None:
-        unsat, _ = _rows(state, pcsp, [])
-        return [_view(pcsp, comp[0], theta_comp) for comp in components(pcsp, unsat, theta_comp)]
-    comp = explore(pcsp, *_rows(state, pcsp, _seeds(state, pcsp, v)), theta_comp)
-    return _view(pcsp, comp[0], theta_comp, (v,))
+    seed[0, _seeds(state, pcsp, v)] = True
+    unsat = (np.array([state.dev]) == 0) | seed
+    Y = np.array([state.y], dtype=np.int64)
+    new_q, s1, s2, size = update(pcsp, csp, scheme, cfg, Y, unsat, seed, np.array([v]), rng)
+    return int(new_q[0]), "S1" if s1[0] else "S2" if s2[0] else None, int(size[0])
 
 
 def sample_step(
@@ -328,17 +346,9 @@ def sample_step(
     satisfy every unsatisfied constraint inside, then projects the drawn
     value of v.
     """
-    return _step(state, pcsp, csp, scheme, cfg, rng, v)[:2]
-
-
-def _step(state, pcsp, csp, scheme, cfg, rng, v):
-    seeds = _seeds(state, pcsp, v)
-    if not seeds:
-        return scheme.block_of[v][int(rng.integers(csp.domains[v]))], None, 0
-    unsat, seed = _rows(state, pcsp, seeds)
-    Y = np.array([state.y], dtype=np.int64)
-    new_q, s1, s2, size = update(pcsp, csp, scheme, cfg, Y, unsat, seed, np.array([v]), rng)
-    return int(new_q[0]), "S1" if s1[0] else "S2" if s2[0] else None, int(size[0])
+    if not state.near[v]:
+        return scheme.block_of[v][int(rng.integers(csp.domains[v]))], None
+    return _redraw(state, pcsp, csp, scheme, cfg, rng, v)[:2]
 
 
 @dataclass
@@ -348,13 +358,13 @@ class ChainDiagnostics:
     s2: int = 0
     component_hist: dict[int, int] = field(default_factory=dict)
 
-    def record(self, flag: str | None, comp_size: int):
-        self.steps += 1
+    def record(self, flag: str | None, comp_size: int, times: int = 1):
+        self.steps += times
         if flag == "S1":
-            self.s1 += 1
+            self.s1 += times
         elif flag == "S2":
-            self.s2 += 1
-        self.component_hist[comp_size] = self.component_hist.get(comp_size, 0) + 1
+            self.s2 += times
+        self.component_hist[comp_size] = self.component_hist.get(comp_size, 0) + times
 
 
 def movable_steps(pcsp: AtomicCSP, steps: int, n_chains: int, rng: np.random.Generator):
@@ -372,6 +382,18 @@ def movable_steps(pcsp: AtomicCSP, steps: int, n_chains: int, rng: np.random.Gen
     return movable, rng.binomial(steps, movable.size / pcsp.n, n_chains)
 
 
+STEP_CHUNK = 1024  # steps glauber_run draws at a time
+
+
+def _draw_steps(movable, csp: AtomicCSP, scheme: ProjectionScheme, count: int, rng):
+    """count chain steps drawn ahead, as lists: a uniform movable variable
+    each, and the value the step sets if its component is empty, the block
+    of a uniform value of that variable."""
+    v = movable[rng.integers(movable.size, size=count)]
+    x = (rng.random(count) * csp.arrays.domains[v]).astype(np.int64)
+    return v.tolist(), scheme.arrays.block_of[v, x].tolist()
+
+
 def glauber_run(
     state: ProjectedState,
     pcsp: AtomicCSP,
@@ -383,20 +405,28 @@ def glauber_run(
     check_every: int = 0,
 ):
     """Run the chain for T steps (steps, if given) of a uniform variable
-    choice each, applying sample_step updates in place.  Only the steps that
-    land on a movable variable are run (see movable_steps); diag.steps counts
-    them.  check_every > 0 recomputes the bookkeeping from scratch
-    periodically (debug aid)."""
+    choice each, updating state in place.  Only the steps that land on a
+    movable variable are run (see movable_steps); diag.steps counts them.
+
+    Steps are drawn STEP_CHUNK at a time (_draw_steps).  A step at v with
+    near[v] == 0 has an empty component and sets its drawn value; any other
+    step drops that value and runs `update`.  An empty step counts as
+    component size 0.  check_every > 0 recomputes the bookkeeping from
+    scratch periodically (debug aid)."""
     movable, (total,) = movable_steps(pcsp, cfg.T if steps is None else steps, 1, rng)
-    movable = movable.tolist()  # a list indexes faster than an array, per step
-    diag = ChainDiagnostics()
-    for t in range(total):
-        v = movable[rng.integers(len(movable))]
-        new_q, flag, size = _step(state, pcsp, csp, scheme, cfg, rng, v)
-        diag.record(flag, size)
-        state.apply(pcsp, v, new_q)
-        if check_every and (t + 1) % check_every == 0:
-            state.check_consistent(pcsp)
+    total, diag = int(total), ChainDiagnostics()
+    near, apply = state.near, state.apply
+    for start in range(0, total, STEP_CHUNK):
+        vs, qs = _draw_steps(movable, csp, scheme, min(STEP_CHUNK, total - start), rng)
+        for t, (v, new_q) in enumerate(zip(vs, qs), start + 1):
+            if near[v]:
+                new_q, flag, size = _redraw(state, pcsp, csp, scheme, cfg, rng, v)
+                diag.record(flag, size)
+            apply(pcsp, v, new_q)
+            if check_every and t % check_every == 0:
+                state.check_consistent(pcsp)
+    if total > diag.steps:
+        diag.record(None, 0, total - diag.steps)
     return state, diag
 
 

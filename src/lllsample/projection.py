@@ -188,14 +188,9 @@ def compute_b(csp: AtomicCSP, scheme: ProjectionScheme):
     """Exact per-constraint b(C) = prod of reciprocal preimage-block sizes at
     the forbidden projected values, and the maximum b."""
     _check_match(csp, scheme)
-    per_constraint = []
-    for c in csp.constraints:
-        value = Fraction(1)
-        for v, f in zip(c.vars, c.forbidden):
-            value /= scheme.block_size(v, scheme.project_value(v, f))
-        per_constraint.append(value)
-    b = max(per_constraint, default=Fraction(0))
-    return b, per_constraint
+    volumes = [math.prod(_forbidden_block_sizes(scheme, c)) for c in csp.constraints]
+    b = Fraction(1, min(volumes)) if volumes else Fraction(0)
+    return b, [Fraction(1, volume) for volume in volumes]
 
 
 def marginal_prob(csp: AtomicCSP, scheme: ProjectionScheme, v: int, q: int) -> Fraction:
@@ -203,9 +198,16 @@ def marginal_prob(csp: AtomicCSP, scheme: ProjectionScheme, v: int, q: int) -> F
     return Fraction(scheme.block_size(v, q), csp.domains[v])
 
 
-def overlap_vars(scheme: ProjectionScheme, c) -> tuple[int, ...]:
-    """Variables of a constraint with more than one block (written vbl-bar)."""
-    return tuple(v for v in c.vars if len(scheme.blocks[v]) > 1)
+def _forbidden_block_sizes(scheme: ProjectionScheme, c) -> list[int]:
+    """Per variable of c, the size of the block holding its forbidden value."""
+    return [len(scheme.blocks[v][scheme.block_of[v][f]]) for v, f in zip(c.vars, c.forbidden)]
+
+
+def _overlap_marginals(csp: AtomicCSP, scheme: ProjectionScheme, c) -> list[float]:
+    """The product-measure probability of the forbidden block, as a float,
+    at each variable of c with more than one block (written vbl-bar)."""
+    return [size / csp.domains[v] for v, size in zip(c.vars, _forbidden_block_sizes(scheme, c))
+            if len(scheme.blocks[v]) > 1]
 
 
 def regime_ok(csp: AtomicCSP, scheme: ProjectionScheme) -> bool:
@@ -244,8 +246,7 @@ def zeta_values(csp: AtomicCSP, scheme: ProjectionScheme, b: Fraction | None = N
     out = []
     for c in csp.constraints:
         best = 1.0
-        for v in overlap_vars(scheme, c):
-            p = float(marginal_prob(csp, scheme, v, scheme.project_value(v, c.forbidden_at(v))))
+        for p in _overlap_marginals(csp, scheme, c):
             inner = shrink / p if shrink > 0.0 else math.inf
             best = max(best, min(inner, 2.0 * delta))
         out.append(best)
@@ -326,7 +327,7 @@ def check_admissibility(
     """
     _check_match(csp, scheme)
     delta, k, _ = degree_stats(csp)
-    b_frac, b_per = compute_b(csp, scheme)
+    b_frac, _ = compute_b(csp, scheme)
     b = float(b_frac)
     notes: list[str] = []
     if kappa is None:
@@ -360,13 +361,12 @@ def check_admissibility(
     a2_rhs = (60000.0 * delta) ** -2
     worst_lhs, worst_cid = 0.0, None
     for cid, c in enumerate(csp.constraints):
-        ov = overlap_vars(scheme, c)
+        ov = _overlap_marginals(csp, scheme, c)
         if not ov:
             lhs = 0.0
         else:
             logs = [math.log(len(ov) ** 2 * kappa**2 * zetas[cid])]
-            for v in ov:
-                p = float(marginal_prob(csp, scheme, v, scheme.project_value(v, c.forbidden_at(v))))
+            for p in ov:
                 logs.append(log_inflate + math.log(p + tail_over_inflate))
             try:
                 lhs = math.exp(math.fsum(logs))  # compensated log-space product
@@ -376,16 +376,14 @@ def check_admissibility(
             worst_lhs, worst_cid = lhs, cid
     a2_pass = worst_lhs <= a2_rhs
 
-    # A3: marginal comparability within a factor of 2 at every shared variable
-    worst_ratio = 1.0
-    for v in range(csp.n):
-        probs = {
-            marginal_prob(csp, scheme, v, scheme.project_value(v, csp.constraints[cid].forbidden_at(v)))
-            for cid in csp.dep_index[v]
-        }
-        if probs:
-            ratio = max(probs) / min(probs)
-            worst_ratio = max(worst_ratio, float(ratio))
+    # A3: marginal comparability within a factor of 2 at every shared
+    # variable; the marginals there share the denominator |A_v|, so the
+    # ratio is that of the largest and smallest forbidden block
+    low, high = [math.inf] * csp.n, [0] * csp.n
+    for c in csp.constraints:
+        for v, size in zip(c.vars, _forbidden_block_sizes(scheme, c)):
+            low[v], high[v] = min(low[v], size), max(high[v], size)
+    worst_ratio = max([1.0] + [hi / lo for lo, hi in zip(low, high) if hi])
     a3_pass = worst_ratio <= 2.0
 
     # A4: block-backed lookup projects and samples preimages in O(1) after

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lllsample.csp import AtomicCSP, AtomicConstraint
+from lllsample.projection import ProjectionScheme
 
 
 def uniform_csp(n, size, constraints):
@@ -10,6 +11,27 @@ def uniform_csp(n, size, constraints):
         domains=(size,) * n,
         constraints=tuple(AtomicConstraint(tuple(v), tuple(f)) for v, f in constraints),
     )
+
+
+def random_instance(gen):
+    """A random small instance with mixed alphabets and arities, unary
+    constraints included, and a random scheme: some variables collapsed,
+    some split into singletons."""
+    n = int(gen.integers(2, 7))
+    domains = [int(a) for a in gen.integers(2, 5, n)]
+    cons = []
+    for _ in range(int(gen.integers(1, 2 * n))):
+        k = int(gen.integers(1, min(n, 3) + 1))
+        vars_ = tuple(int(v) for v in gen.choice(n, size=k, replace=False))
+        cons.append(AtomicConstraint(vars_, tuple(int(gen.integers(domains[v])) for v in vars_)))
+    csp = AtomicCSP(n=n, domains=tuple(domains), constraints=tuple(cons))
+    blocks = []
+    for a in domains:
+        values = [int(x) for x in gen.permutation(a)]
+        cuts = sorted(int(c) for c in gen.choice(np.arange(1, a), size=int(gen.integers(0, a)),
+                                                 replace=False))
+        blocks.append(tuple(tuple(values[i:j]) for i, j in zip([0] + cuts, cuts + [a])))
+    return csp, ProjectionScheme(tuple(blocks))
 
 
 def star_instance(alphabet, k, delta, n_stars=6):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lllsample.bundled import load_bundled
-from lllsample.csp import InternalError, evaluate
+import lllsample.dynamics as dynamics
+from lllsample.csp import AtomicConstraint, AtomicCSP, InternalError, evaluate, violated_by_partial
 from lllsample.dynamics import (
     ProjectedState,
     SamplerConfig,
@@ -15,13 +16,14 @@ from lllsample.dynamics import (
     component_threshold,
     components,
     explore,
-    explore_component,
     glauber_run,
     inv_sample,
     main_sample,
+    movable_steps,
     project_csp,
     rejection_budget,
     sample_step,
+    update,
 )
 from lllsample.oracle import (
     exact_lift_conditional,
@@ -30,7 +32,7 @@ from lllsample.oracle import (
     tv_empirical,
 )
 from lllsample.projection import ProjectionScheme, full_marking_scheme, identity_scheme
-from conftest import uniform_csp
+from conftest import random_instance, uniform_csp
 
 
 def test_schedule_formulas():
@@ -73,48 +75,127 @@ def test_state_bookkeeping_random_walk(rng):
     state.check_consistent(pcsp)
 
 
-def test_explore_component_examples():
-    # satisfied everywhere: component is the variable alone
+def _rows_at(pcsp, y, v):
+    """(unsat, seed) rows of a step at v, from the definition: the
+    constraints unsatisfied with v unassigned, and those of them at v."""
+    free = list(y)
+    free[v] = None
+    unsat = np.zeros((1, pcsp.m), dtype=bool)
+    unsat[0, violated_by_partial(pcsp, free)] = True
+    return unsat, unsat & np.array([[v in c.vars for c in pcsp.constraints]], dtype=bool)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_bookkeeping_equals_recomputation(data):
+    # mixed arities, unary constraints and projected alphabets of 1-4
+    n = data.draw(st.integers(1, 6))
+    domains = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    cons = []
+    for _ in range(data.draw(st.integers(0, 10))):
+        k = data.draw(st.integers(1, min(4, n)))
+        vars_ = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+        forb = [data.draw(st.integers(0, domains[v] - 1)) for v in vars_]
+        cons.append(AtomicConstraint(tuple(vars_), tuple(forb)))
+    pcsp = AtomicCSP(n=n, domains=tuple(domains), constraints=tuple(cons), allow_unit_domains=True)
+    y = [data.draw(st.integers(0, size - 1)) for size in domains]
+    state = ProjectedState(pcsp, y)
+    moves = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3)), max_size=40))
+    for v, q in [(0, y[0])] + moves:
+        q %= domains[v]
+        state.apply(pcsp, v, q)
+        y[v] = q
+        assert state.y == y
+        assert state.dev == [sum(y[u] != f for u, f in zip(c.vars, c.forbidden)) for c in cons]
+        assert state.unsat == set(evaluate(pcsp, y))
+        for u in range(n):
+            seeds = np.flatnonzero(_rows_at(pcsp, y, u)[1][0]).tolist()
+            assert state.near[u] == len(seeds)
+            assert (state.near[u] == 0) == (not seeds)
+            assert sorted(dynamics._seeds(state, pcsp, u)) == seeds
+    state.check_consistent(pcsp)
+
+
+def _reference_run(y, pcsp, csp, scheme, cfg, rng, steps, chunk):
+    """glauber_run as a plain loop over the same chunked draws: each step's
+    seeds and unsatisfied constraints are recomputed from the state."""
+    y = list(y)
+    movable, (total,) = movable_steps(pcsp, steps, 1, rng)
+    s1 = s2 = 0
+    hist = {}
+    for start in range(0, total, chunk):
+        vs, qs = dynamics._draw_steps(movable, csp, scheme, min(chunk, total - start), rng)
+        for v, q in zip(vs, qs):
+            unsat, seed = _rows_at(pcsp, y, v)
+            size = 0
+            if seed.any():
+                new_q, f1, f2, sizes = update(pcsp, csp, scheme, cfg, np.array([y]), unsat, seed,
+                                              np.array([v]), rng)
+                q, size = int(new_q[0]), int(sizes[0])
+                s1, s2 = s1 + bool(f1[0]), s2 + bool(f2[0])
+            hist[size] = hist.get(size, 0) + 1
+            y[v] = q
+    return y, int(total), s1, s2, hist
+
+
+@pytest.mark.parametrize("chunk", [7, dynamics.STEP_CHUNK])
+def test_chain_matches_recomputing_reference(monkeypatch, chunk):
+    # same seed, same final state and diagnostics as a loop that recomputes
+    # every step from scratch; small thresholds and budgets make S1 and S2
+    # steps happen
+    monkeypatch.setattr(dynamics, "STEP_CHUNK", chunk)
+    gen = np.random.default_rng(11)
+    busy = failed = 0
+    for case in range(40):
+        csp, scheme = random_instance(gen)
+        pcsp = project_csp(csp, scheme)
+        cfg = SamplerConfig.derive(csp, scheme, 0.1)
+        object.__setattr__(cfg, "theta_comp", float(gen.choice([0.5, 1.5, cfg.theta_comp])))
+        object.__setattr__(cfg, "S", int(gen.choice([1, 3, cfg.S])))
+        y = [int(gen.integers(q)) for q in pcsp.domains]
+        steps = int(gen.integers(0, 60))
+        state, diag = glauber_run(ProjectedState(pcsp, y), pcsp, csp, scheme, cfg,
+                                  np.random.default_rng(case), steps=steps)
+        ref = _reference_run(y, pcsp, csp, scheme, cfg, np.random.default_rng(case), steps, chunk)
+        assert (state.y, diag.steps, diag.s1, diag.s2, diag.component_hist) == ref
+        busy += diag.steps - diag.component_hist.get(0, 0)
+        failed += diag.s1 + diag.s2
+    assert busy > 200 and 50 < failed < busy
+
+
+def _component_at(pcsp, y, v, theta=math.inf):
+    """explore's component around v in state y: the closure, within the
+    constraints unsatisfied with v unassigned, of those of them at v."""
+    return np.flatnonzero(explore(pcsp, *_rows_at(pcsp, y, v), theta)[0]).tolist()
+
+
+def _all_components(pcsp, y):
+    unsat = np.zeros((1, pcsp.m), dtype=bool)
+    unsat[0, violated_by_partial(pcsp, y)] = True
+    return [np.flatnonzero(comp[0]).tolist() for comp in components(pcsp, unsat)]
+
+
+def test_component_examples():
+    # satisfied everywhere: no constraint in the component at v
     csp, scheme = load_bundled("mark4")
     pcsp = project_csp(csp, scheme)
-    state = ProjectedState(pcsp, [1, 0, 1, 0])  # y0=1 satisfies both clauses at v0
-    comp = explore_component(state, pcsp, 1)
-    assert comp.vars == [1] or comp.constraints == [0, 1]
+    assert _component_at(pcsp, [1, 0, 1, 0], 1) == []  # y0=1 and y2=1 satisfy both clauses at v1
 
     # one unsatisfied constraint containing v
     one = uniform_csp(3, 2, [((0, 1), (0, 0))])
-    scheme1 = full_marking_scheme(one)
-    p1 = project_csp(one, scheme1)
-    st = ProjectedState(p1, [0, 0, 0])
-    comp = explore_component(st, p1, 0)
-    assert comp.vars == [0, 1] and comp.constraints == [0]
+    p1 = project_csp(one, full_marking_scheme(one))
+    assert _component_at(p1, [0, 0, 0], 0) == [0]
 
     # chain of three pairwise-overlapping unsatisfied constraints: transitive
     # closure picks up the union of their variable sets
     chain = uniform_csp(4, 2, [((0, 1), (0, 0)), ((1, 2), (0, 0)), ((2, 3), (0, 0))])
-    schemec = full_marking_scheme(chain)
-    pc = project_csp(chain, schemec)
-    stc = ProjectedState(pc, [0, 0, 0, 0])
-    comp = explore_component(stc, pc, 0)
-    assert comp.vars == [0, 1, 2, 3]
-    assert comp.constraints == [0, 1, 2]
-    # brute-force transitive closure over the unsatisfied incidence graph
-    unsat = set(stc.unsat)
-    grown = {0}
-    changed = True
-    while changed:
-        changed = False
-        for cid in unsat:
-            if set(pc.constraints[cid].vars) & grown and not set(
-                pc.constraints[cid].vars
-            ) <= grown:
-                grown |= set(pc.constraints[cid].vars)
-                changed = True
-    assert set(comp.vars) == grown
+    pc = project_csp(chain, full_marking_scheme(chain))
+    comp = _component_at(pc, [0, 0, 0, 0], 0)
+    assert comp == [0, 1, 2]
+    assert set().union(*(pc.constraints[cid].vars for cid in comp)) == {0, 1, 2, 3}
 
     # all components of the current state
-    comps = explore_component(stc, pc, None)
-    assert len(comps) == 1 and comps[0].constraints == [0, 1, 2]
+    assert _all_components(pc, [0, 0, 0, 0]) == [[0, 1, 2]]
 
 
 def _closure(csp, allowed, start):
@@ -155,9 +236,7 @@ def test_explorer_matches_brute_force_closure(data):
         allowed = unsat_without(y, v)
         comp = _closure(csp, allowed, {cid for cid in allowed if v in csp.constraints[cid].vars})
         expect.append(sorted(comp))
-        view = explore_component(ProjectedState(csp, y), csp, v)
-        assert view.constraints == sorted(comp)
-        assert view.vars == sorted({v}.union(*(csp.constraints[cid].vars for cid in comp)))
+        assert _component_at(csp, y, v) == sorted(comp)
     unsat = np.zeros((len(ys), csp.m), dtype=bool)
     seed = np.zeros_like(unsat)
     for row, (y, v) in enumerate(zip(ys, vs)):
@@ -176,8 +255,7 @@ def test_explorer_matches_brute_force_closure(data):
             parts.append(sorted(part))
             left -= part
         expect.append(parts)
-        views = explore_component(ProjectedState(csp, y), csp, None)
-        assert [view.constraints for view in views] == parts
+        assert _all_components(csp, y) == parts
     unsat = np.array([[cid in unsat_without(y, None) for cid in range(csp.m)] for y in ys],
                      dtype=bool)
     split = components(csp, unsat)
@@ -186,12 +264,12 @@ def test_explorer_matches_brute_force_closure(data):
         assert [part for part in got if part] == parts
 
 
-def test_explore_component_early_exit():
+def test_explore_early_exit():
+    # a row stops growing once it holds more than theta constraints
     chain = uniform_csp(4, 2, [((0, 1), (0, 0)), ((1, 2), (0, 0)), ((2, 3), (0, 0))])
     pc = project_csp(chain, full_marking_scheme(chain))
-    stc = ProjectedState(pc, [0, 0, 0, 0])
-    comp = explore_component(stc, pc, 0, theta_comp=1.0)
-    assert comp.size_exceeded
+    assert len(_component_at(pc, [0, 0, 0, 0], 0, theta=1.0)) > 1.0
+    assert _component_at(pc, [0, 0, 0, 0], 0, theta=1.0) != _component_at(pc, [0, 0, 0, 0], 0)
 
 
 def test_sample_step_no_constraints_block_proportional(rng):
@@ -419,13 +497,14 @@ def test_steps_land_on_movable_variables_only(monkeypatch):
     pcsp = project_csp(csp, scheme)
     cfg = SamplerConfig.derive(csp, scheme, 0.1)
     picked = set()
-    step = dynamics._step
+    draw = dynamics._draw_steps
 
-    def spy(state, pcsp, csp, scheme, cfg, rng, v):
-        picked.add(v)
-        return step(state, pcsp, csp, scheme, cfg, rng, v)
+    def spy(movable, csp, scheme, count, rng):
+        vs, qs = draw(movable, csp, scheme, count, rng)
+        picked.update(vs)
+        return vs, qs
 
-    monkeypatch.setattr(dynamics, "_step", spy)
+    monkeypatch.setattr(dynamics, "_draw_steps", spy)
     s, runs, p = 40, 200, 2 / 4
     steps = []
     for seed in range(runs):

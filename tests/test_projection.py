@@ -16,6 +16,7 @@ from lllsample.csp import (
     degree_stats,
     evaluate,
 )
+from lllsample.bundled import BUNDLED, load_bundled
 from lllsample.dynamics import project_csp
 from lllsample.projection import (
     AdmissibilityError,
@@ -38,7 +39,7 @@ from lllsample.projection import (
     _floor_pow_2_3,
     _partitions,
 )
-from conftest import star_instance, uniform_csp
+from conftest import random_instance, star_instance, uniform_csp
 
 
 def test_scheme_validation():
@@ -156,6 +157,77 @@ def test_check_admissibility_case1_margins():
     assert not report.a2_pass
     assert (1.0 / 256) ** 4 > report.a2_rhs  # infeasible for any scheme
     assert report.a3_pass and report.a4_pass
+
+
+def _admissibility_reference(csp, scheme, eta):
+    """check_admissibility's to_dict(), computed with the product-measure
+    marginals as exact Fractions block size / |A_v|."""
+    delta, k, _ = degree_stats(csp)
+    kappa = scheme.kappa or kappa_for(scheme.case, delta, max(csp.domains), k)
+    b_per = []
+    for c in csp.constraints:
+        value = Fraction(1)
+        for v, f in zip(c.vars, c.forbidden):
+            value /= scheme.block_size(v, scheme.project_value(v, f))
+        b_per.append(value)
+    b_frac = max(b_per)
+    b = float(b_frac)
+
+    def prob(v, c):
+        return Fraction(scheme.block_size(v, scheme.project_value(v, c.forbidden_at(v))),
+                        csp.domains[v])
+
+    overlap = [[v for v in c.vars if len(scheme.blocks[v]) > 1] for c in csp.constraints]
+    shrink = (1 - 3 * b) ** delta if b < 1 / 3 else 0.0
+    zetas = [max([1.0] + [min(shrink / float(prob(v, c)) if shrink else math.inf, 2.0 * delta)
+                          for v in ov]) for c, ov in zip(csp.constraints, overlap)]
+    log_inflate = -delta * math.log1p(-3 * b) if b < 1 / 3 else math.inf
+    tail = math.exp(-kappa / 3 - log_inflate)
+    lhs = []
+    for c, ov, zeta in zip(csp.constraints, overlap, zetas):
+        logs = [math.log(len(ov) ** 2 * kappa**2 * zeta)] if ov else []
+        logs += [log_inflate + math.log(float(prob(v, c)) + tail) for v in ov]
+        try:
+            lhs.append(math.exp(math.fsum(logs)) if ov else 0.0)
+        except OverflowError:
+            lhs.append(math.inf)
+    worst = max(lhs)
+    ratios = [1.0]
+    for v in range(csp.n):
+        probs = {prob(v, csp.constraints[cid]) for cid in csp.dep_index[v]}
+        if probs:
+            ratios.append(float(max(probs) / min(probs)))
+    a1 = b_frac <= Fraction(eta) / (300 * delta)
+    a2_rhs = (60000.0 * delta) ** -2
+    finite = lambda x: x if math.isfinite(x) else None
+    return {
+        "eta": eta, "kappa": kappa, "delta": delta, "b": b,
+        "a1": {"pass": a1, "b": b, "bound": eta / (300.0 * delta)},
+        "a2": {"pass": worst <= a2_rhs, "worst_lhs": finite(worst), "rhs": a2_rhs,
+               "worst_constraint": lhs.index(worst) if worst > 0 else None},
+        "a3": {"pass": max(ratios) <= 2.0, "worst_ratio": max(ratios)},
+        "a4": {"pass": True},
+        "zeta": [finite(z) for z in zetas],
+        "admissible": a1 and worst <= a2_rhs and max(ratios) <= 2.0,
+        "notes": [f"outside e*b*Delta<=1 regime (={math.e * b * delta:.4g})"]
+        if math.e * b * delta > 1.0 else [],
+    }
+
+
+def test_admissibility_report_matches_fraction_reference():
+    gen = np.random.default_rng(23)
+    cases = [load_bundled(name) for name in BUNDLED]
+    cases += [random_instance(gen) for _ in range(60)]
+    case1 = star_instance(64, 3, 5)
+    case4 = star_instance(4, 3, 2, n_stars=2)
+    cases += [(case1, construct_projection(case1, case_hint="case1", seed=0)),
+              (case4, construct_projection(case4, case_hint="case4", seed=1))]
+    ratios = set()
+    for csp, scheme in cases:
+        got = check_admissibility(csp, scheme, 0.25).to_dict()
+        assert got == _admissibility_reference(csp, scheme, 0.25)
+        ratios.add(got["a3"]["worst_ratio"])
+    assert len(ratios) > 2  # A3 sees unequal forbidden blocks
 
 
 def test_no_constraint_report_vacuous():
