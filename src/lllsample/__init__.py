@@ -1,7 +1,7 @@
 """Near-uniform sampling and approximate counting of atomic-CSP solutions
 via single-site dynamics on a projected state space."""
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"
 
 from .csp import (
     AtomicConstraint,
@@ -41,7 +41,6 @@ from .dynamics import (
     main_sample,
     project_csp,
     rejection_budget,
-    sample_step,
 )
 from .batch import BatchSampler
 from .counting import CountEstimate, CountingError, approx_count, counting_eps

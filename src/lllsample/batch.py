@@ -2,8 +2,11 @@
 
 Runs N independent copies of the projected chain in lockstep with numpy,
 one vectorized update per time step, plus batched versions of the fixed-state
-conditional draw and of the lifting pass.  Every update and lift goes
-through the routines the scalar driver uses (dynamics.explore,
+conditional draw and of the lifting pass.  Like the scalar driver it reads
+the input's own tables, the scheme's block counts and the projected
+forbidden values (dynamics.projected_forbidden, gathered once per sampler,
+with the same gather by variable for the step test).  Every update and lift
+goes through the routines the scalar driver uses (dynamics.explore,
 dynamics.reject, dynamics.update, dynamics.lift), so the component rule,
 thresholds and fallback draws are the same; the random streams are laid out
 differently, so outputs for a given seed differ from the scalar driver while
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csp import AtomicCSP
-from .dynamics import SamplerConfig, lift, movable_steps, project_csp, update
-from .projection import ProjectionScheme
+from .dynamics import SamplerConfig, lift, movable_steps, projected_forbidden, update
+from .projection import ProjectionScheme, _check_match
 
 
 @dataclass
@@ -44,13 +47,17 @@ class BatchSampler:
         eta: float = 0.25,
         c_t: float = 1.0,
     ):
+        _check_match(csp, scheme)
         self.csp = csp
         self.scheme = scheme
-        self.pcsp = project_csp(csp, scheme)
         self.cfg = SamplerConfig.derive(csp, scheme, eps, eta=eta, c_t=c_t)
         self.n, self.m = csp.n, csp.m
-        # the tables every update and lift reads, built here once
-        self.arrays = self.pcsp.arrays, csp.arrays, scheme.arrays
+        # the tables every update and lift reads, built here once: the
+        # projected forbidden values by constraint, and by variable as
+        # csp.arrays.inc lists the constraints at it
+        self.arrays = csp.arrays, scheme.arrays
+        self.forb = projected_forbidden(csp, scheme)
+        self.inc_forb = scheme.arrays.project(np.arange(self.n + 1)[:, None], csp.arrays.inc_forb)
 
     # -- chain ----------------------------------------------------------------
 
@@ -63,19 +70,19 @@ class BatchSampler:
         runs max K_i steps and a chain past its K_i keeps its state."""
         N = n_chains
         cfg = self.cfg
-        pa, ca, sa = self.arrays
-        Y = (rng.random((N, self.n)) * pa.domains[None, :]).astype(np.int64)
+        ca, sa = self.arrays
+        Y = (rng.random((N, self.n)) * sa.q[None, :]).astype(np.int64)
         s1_steps = s2_steps = 0
         touched = np.zeros(N, dtype=bool)
-        movable, K = movable_steps(self.pcsp, cfg.T if steps is None else steps, N, rng)
-        # per-constraint forbidden matches, with a zero column for the pad
-        cnt = np.concatenate([pa.matches(Y), np.zeros((N, 1), dtype=np.int64)], axis=1)
+        movable, K = movable_steps(self.scheme, cfg.T if steps is None else steps, N, rng)
+        # per-constraint projected forbidden matches, with a zero column for the pad
+        cnt = np.concatenate([ca.matches(Y, self.forb), np.zeros((N, 1), dtype=np.int64)], axis=1)
         for t in range(K.max(initial=0)):
             rows = np.flatnonzero(K > t)  # chains with a step left
             v = movable[rng.integers(movable.size, size=rows.size)]
-            cids, forb = pa.inc[v], pa.inc_forb[v]
+            cids, forb = ca.inc[v], self.inc_forb[v]
             hit = Y[rows, v][:, None] == forb
-            seed_at = cnt[rows[:, None], cids] - hit == pa.arity[cids] - 1
+            seed_at = cnt[rows[:, None], cids] - hit == ca.arity[cids] - 1
             # empty component: the block of a uniform value of v
             new_q = sa.block_of[v, (rng.random(rows.size) * ca.domains[v]).astype(np.int64)]
             busy = np.flatnonzero(seed_at.any(axis=1))
@@ -84,9 +91,9 @@ class BatchSampler:
                 seed[np.arange(busy.size)[:, None], cids[busy]] = seed_at[busy]
                 seed = seed[:, :-1]
                 busy_rows = rows[busy]
-                unsat = (cnt[busy_rows, :-1] == pa.arity[:-1]) | seed
+                unsat = (cnt[busy_rows, :-1] == ca.arity[:-1]) | seed
                 q, s1, s2, _ = update(
-                    self.pcsp, self.csp, self.scheme, cfg, Y[busy_rows], unsat, seed, v[busy], rng
+                    self.csp, self.scheme, cfg, Y[busy_rows], unsat, seed, v[busy], rng
                 )
                 new_q[busy] = q
                 s1_steps += int(s1.sum())
@@ -100,7 +107,7 @@ class BatchSampler:
 
     def lift(self, Y: np.ndarray, rng: np.random.Generator):
         """Batched lifting of final projected states; error rows hold -1."""
-        X, errors, _, _ = lift(self.pcsp, self.csp, self.scheme, self.cfg, Y, rng)
+        X, errors, _, _ = lift(self.csp, self.scheme, self.forb, self.cfg, Y, rng)
         return X, errors
 
     def sample(self, n_samples: int, seed=None) -> BatchResult:
@@ -126,21 +133,21 @@ class BatchSampler:
         oversized component (S1) gives flag "S1" and no counts.  z assigns
         every variable except v (value at v ignored)."""
         rng = np.random.default_rng(seed)
-        pa, ca, sa = self.arrays
+        ca, sa = self.arrays
         y = np.array(z, dtype=np.int64)
         y[v] = -1
-        cnt, cids = np.append(pa.matches(y), 0), pa.inc[v]
+        cnt, cids = np.append(ca.matches(y, self.forb), 0), ca.inc[v]
         seed_row = np.zeros(self.m + 1, dtype=bool)
-        seed_row[cids] = cnt[cids] == pa.arity[cids] - 1
+        seed_row[cids] = cnt[cids] == ca.arity[cids] - 1
         seed_row = seed_row[:-1]
-        qv = self.pcsp.domains[v]
+        qv = int(sa.q[v])
         if not seed_row.any():
             values = (rng.random(n_draws) * ca.domains[v]).astype(np.int64)
             return np.bincount(sa.block_of[v, values], minlength=qv), None, 0
-        unsat_row = (cnt[:-1] == pa.arity[:-1]) | seed_row
+        unsat_row = (cnt[:-1] == ca.arity[:-1]) | seed_row
         Y, unsat, seeds = (np.repeat(a[None, :], n_draws, axis=0) for a in (y, unsat_row, seed_row))
         q, s1, s2, _ = update(
-            self.pcsp, self.csp, self.scheme, self.cfg, Y, unsat, seeds, np.full(n_draws, v), rng
+            self.csp, self.scheme, self.cfg, Y, unsat, seeds, np.full(n_draws, v), rng
         )
         if s1.any():
             return np.zeros(qv, dtype=np.int64), "S1", 0

@@ -25,7 +25,7 @@ import numpy as np
 from .batch import BatchSampler
 from .csp import AtomicCSP
 from .oracle import ENUM_GUARD, count_satisfying
-from .projection import ProjectionScheme, check_admissibility, regime_ok
+from .projection import ProjectionScheme, _check_match, check_admissibility, regime_ok
 
 
 class CountingError(RuntimeError):
@@ -106,6 +106,7 @@ def approx_count(
     estimate inf; log_estimate holds it."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
+    _check_match(csp, scheme)
     m = csp.m
     eps_stage = counting_eps(m, delta, theta_const) if m else None
     est = CountEstimate(estimate=1.0, log_estimate=0.0, delta=delta, eps_stage=eps_stage)

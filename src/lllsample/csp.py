@@ -7,7 +7,6 @@ partial assignments use None for unassigned variables.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -109,16 +108,6 @@ class AtomicCSP:
         return total
 
     @cached_property
-    def incidence(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Per variable, (constraint id, forbidden value of the variable
-        there, arity) for every constraint at it."""
-        out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
-        for cid, c in enumerate(self.constraints):
-            for v, f in zip(c.vars, c.forbidden):
-                out[v].append((cid, f, c.arity))
-        return tuple(map(tuple, out))
-
-    @cached_property
     def arrays(self) -> "CSPArrays":
         return CSPArrays.build(self)
 
@@ -152,7 +141,10 @@ class CSPArrays:
 
     @cached_property
     def inc_forb(self) -> np.ndarray:  # (n + 1, d) the variable's forbidden value in each of them
-        forbidden = [[f for _, f, _ in triples] for triples in self.csp.incidence]
+        forbidden: list[list[int]] = [[] for _ in range(self.csp.n)]
+        for c in self.csp.constraints:
+            for v, f in zip(c.vars, c.forbidden):
+                forbidden[v].append(f)
         return _padded(forbidden, self.csp.n + 1, -2)
 
     def _near(self):
@@ -168,11 +160,12 @@ class CSPArrays:
     def degrees(self) -> tuple[int, ...]:  # (m,) the row lengths of adj, without the table
         return tuple(map(len, self._near()))
 
-    def matches(self, Z: np.ndarray) -> np.ndarray:
-        """(..., m) count of variables at their forbidden value in each
-        constraint, for rows Z (..., n)."""
+    def matches(self, Z: np.ndarray, forb: np.ndarray) -> np.ndarray:
+        """(..., m) count of variables at the value forb (m, k) lists for them
+        in each constraint, for rows Z (..., n): forb is self.forb for
+        assignments, the projected table for projected states."""
         pad = np.full(Z.shape[:-1] + (1,), -1, dtype=Z.dtype)
-        return (np.concatenate([Z, pad], axis=-1)[..., self.vc] == self.forb).sum(axis=-1)
+        return (np.concatenate([Z, pad], axis=-1)[..., self.vc] == forb).sum(axis=-1)
 
 
 def _padded(rows, height: int, pad: int) -> np.ndarray:
@@ -371,26 +364,3 @@ def build_coloring_csp(edges, q: int, n: int | None = None) -> AtomicCSP:
     ]
     return AtomicCSP(n=n, domains=(q,) * n, constraints=tuple(constraints))
 
-
-# ---------------------------------------------------------------------------
-# JSON debugging dump
-
-
-def csp_to_json(csp: AtomicCSP) -> str:
-    payload = {
-        "n": csp.n,
-        "domains": list(csp.domains),
-        "constraints": [
-            {"vars": list(c.vars), "forbidden": list(c.forbidden)} for c in csp.constraints
-        ],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def csp_from_json(text: str) -> AtomicCSP:
-    payload = json.loads(text)
-    constraints = tuple(
-        AtomicConstraint(tuple(c["vars"]), tuple(c["forbidden"]))
-        for c in payload["constraints"]
-    )
-    return AtomicCSP(n=payload["n"], domains=tuple(payload["domains"]), constraints=constraints)

@@ -22,6 +22,13 @@ and the values an empty step would set are drawn ahead in chunks of
 STEP_CHUNK (`_draw_steps`); a busy step drops its drawn value and runs
 `update`.
 
+The chain runs on the input's own tables.  Projecting keeps every
+constraint's variables and maps each forbidden value to its block, so the
+projected instance differs from the input only in its alphabets, the
+scheme's block counts, and its forbidden values, one table that
+`projected_forbidden` gathers once per run; `project_csp` builds the
+projected instance itself only as the reference definition.
+
 A chain update and a lift are the same operation, and both chain drivers
 (glauber_run here, BatchSampler in batch) run it through three routines.
 Each reads the padded tables of AtomicCSP.arrays and ProjectionScheme.arrays
@@ -51,15 +58,25 @@ from .csp import AtomicCSP, InternalError, degree_stats, violated_by_partial
 from .projection import ProjectionScheme, _check_match, kappa_for
 
 
+# An instance without variables has one solution, the empty assignment: its
+# chain runs no step and its lift draws nothing, so each schedule constant is 0.
+
+
 def chain_length(kappa: float, n: int, delta_deg: int, eps: float, c_t: float = 1.0) -> int:
+    if n == 0:
+        return 0
     return math.ceil(c_t * kappa * n * math.log(n * max(delta_deg, 1) / eps))
 
 
 def rejection_budget(kappa: float, n: int, eps: float, eta: float) -> int:
+    if n == 0:
+        return 0
     return math.ceil(10.0 * (kappa * n / eps) ** eta * math.log(n * kappa / eps))
 
 
 def component_threshold(delta_deg: int, n: int, kappa: float, eps: float) -> float:
+    if n == 0:
+        return 0.0
     return 20.0 * delta_deg * math.log(n * kappa / eps)
 
 
@@ -115,7 +132,9 @@ class SamplerConfig:
 
 def project_csp(csp: AtomicCSP, scheme: ProjectionScheme) -> AtomicCSP:
     """The projected instance: same variable sets, forbidden vectors pushed
-    through the per-variable block maps, alphabets = block counts."""
+    through the per-variable block maps, alphabets = block counts.  The
+    chain does not build it: it reads the input's tables, the block counts
+    and `projected_forbidden`."""
     _check_match(csp, scheme)
     constraints = tuple(
         type(c)(c.vars, tuple(scheme.project_value(v, f) for v, f in zip(c.vars, c.forbidden)))
@@ -124,6 +143,14 @@ def project_csp(csp: AtomicCSP, scheme: ProjectionScheme) -> AtomicCSP:
     return AtomicCSP(
         n=csp.n, domains=scheme.q_sizes(), constraints=constraints, allow_unit_domains=True
     )
+
+
+def projected_forbidden(csp: AtomicCSP, scheme: ProjectionScheme) -> np.ndarray:
+    """(m, k) the block of each constraint's forbidden value at its variable,
+    the forbidden values of project_csp(csp, scheme), padded with -2 as
+    csp.arrays.forb is."""
+    a = csp.arrays
+    return scheme.arrays.project(a.vc, a.forb)
 
 
 class ProjectedState:
@@ -142,24 +169,28 @@ class ProjectedState:
     so `apply` visits just those, and touches near only where a deficit
     passes through 0 or 1."""
 
-    __slots__ = ("y", "dev", "near", "_cons", "_by_forb")
+    __slots__ = ("y", "dev", "near", "csp", "scheme", "forb", "_cons", "_by_forb")
 
-    def __init__(self, pcsp: AtomicCSP, y):
+    def __init__(self, csp: AtomicCSP, scheme: ProjectionScheme, y):
         self.y = list(y)
-        if len(self.y) != pcsp.n:
+        if len(self.y) != csp.n:
             raise ValueError("state length mismatch")
-        self._cons = [(c.vars, c.forbidden) for c in pcsp.constraints]
+        self.csp, self.scheme = csp, scheme
+        self.forb = projected_forbidden(csp, scheme)
+        self._cons = [
+            (c.vars, tuple(row[: c.arity])) for c, row in zip(csp.constraints, self.forb.tolist())
+        ]
         # per variable and projected value, the constraints at it forbidding that value
-        self._by_forb = [[[] for _ in range(size)] for size in pcsp.domains]
-        for v, triples in enumerate(pcsp.incidence):
-            for cid, f, _ in triples:
+        self._by_forb = [[[] for _ in range(size)] for size in scheme.q_sizes()]
+        for cid, (vars_, forb) in enumerate(self._cons):
+            for v, f in zip(vars_, forb):
                 self._by_forb[v][f].append(cid)
         self.dev, self.near = self._recount()
 
     @classmethod
-    def random(cls, pcsp: AtomicCSP, rng: np.random.Generator) -> "ProjectedState":
-        y = [int(rng.integers(size)) for size in pcsp.domains]
-        return cls(pcsp, y)
+    def random(cls, csp: AtomicCSP, scheme: ProjectionScheme, rng: np.random.Generator):
+        y = [int(rng.integers(size)) for size in scheme.q_sizes()]
+        return cls(csp, scheme, y)
 
     @property
     def unsat(self) -> set[int]:
@@ -174,7 +205,7 @@ class ProjectedState:
                 near[v] += d == (y[v] != f)
         return dev, near
 
-    def apply(self, pcsp: AtomicCSP, v: int, new_q: int):
+    def apply(self, v: int, new_q: int):
         y, dev = self.y, self.dev
         old = y[v]
         if new_q == old:
@@ -201,8 +232,8 @@ class ProjectedState:
             if u != v and (d == 0 or y[u] != f):
                 near[u] += sign
 
-    def check_consistent(self, pcsp: AtomicCSP):
-        expect = set(violated_by_partial(pcsp, self.y))
+    def check_consistent(self):
+        expect = set(violated_by_partial(project_csp(self.csp, self.scheme), self.y))
         if expect != self.unsat:
             raise AssertionError(f"unsat bookkeeping drifted: {self.unsat} != {expect}")
         dev, near = self._recount()
@@ -212,23 +243,23 @@ class ProjectedState:
             raise AssertionError("near-violation bookkeeping drifted")
 
 
-def explore(pcsp: AtomicCSP, unsat: np.ndarray, comp: np.ndarray, theta: float = math.inf):
+def explore(csp: AtomicCSP, unsat: np.ndarray, comp: np.ndarray, theta: float = math.inf):
     """Grow each row of comp (P, m) bool, seed constraints taken from the
     same row of unsat (P, m) bool, to its closure under "shares a variable"
     within unsat.  A row stops growing once it holds more than theta
     constraints."""
-    adj = pcsp.arrays.adj
+    adj = csp.arrays.adj
     frontier, comp = comp, comp.copy()
     while frontier.any():
         rows, cids = np.nonzero(frontier & (comp.sum(axis=1) <= theta)[:, None])
-        touched = np.zeros((comp.shape[0], pcsp.m + 1), dtype=bool)
+        touched = np.zeros((comp.shape[0], csp.m + 1), dtype=bool)
         touched[rows[:, None], adj[cids]] = True
         frontier = touched[:, :-1] & unsat & ~comp
         comp |= frontier
     return comp
 
 
-def components(pcsp: AtomicCSP, unsat: np.ndarray, theta: float = math.inf) -> list[np.ndarray]:
+def components(csp: AtomicCSP, unsat: np.ndarray, theta: float = math.inf) -> list[np.ndarray]:
     """The connected components of each row of unsat (P, m) bool, in order of
     their lowest constraint: array j holds the j-th component of every row,
     empty where a row has fewer.  A row ends at its first component of more
@@ -238,7 +269,7 @@ def components(pcsp: AtomicCSP, unsat: np.ndarray, theta: float = math.inf) -> l
         rows = np.flatnonzero(rest.any(axis=1))
         seed = np.zeros_like(rest)
         seed[rows, rest[rows].argmax(axis=1)] = True
-        comp = explore(pcsp, rest, seed, theta)
+        comp = explore(csp, rest, seed, theta)
         comps.append(comp)
         rest &= ~comp
         rest[comp.sum(axis=1) > theta] = False
@@ -291,12 +322,12 @@ def reject(csp, scheme, Y, comp, rng, budget):
     return X, ok, rounds
 
 
-def update(pcsp, csp, scheme, cfg, Y, unsat, seed, v, rng):
+def update(csp, scheme, cfg, Y, unsat, seed, v, rng):
     """Conditional redraw at v (P,) for every row of Y (P, n), given the
     constraints unsatisfied with v unassigned, unsat (P, m) bool, and those
     of them at v, seed (P, m) bool, not empty.  Returns (new projected
     values, S1 flags, S2 flags, component sizes), each (P,)."""
-    comp = explore(pcsp, unsat, seed, cfg.theta_comp)
+    comp = explore(csp, unsat, seed, cfg.theta_comp)
     size = comp.sum(axis=1)
     s1 = size > cfg.theta_comp
     comp[s1] = False  # an oversized component is not sampled
@@ -305,50 +336,28 @@ def update(pcsp, csp, scheme, cfg, Y, unsat, seed, v, rng):
     Y[rows, v] = -1
     X, ok, _ = reject(csp, scheme, Y, comp, rng, cfg.S)
     s2 = ~ok & ~s1
-    fallback = (rng.random(size.size) * pcsp.arrays.domains[v]).astype(np.int64)
+    fallback = (rng.random(size.size) * scheme.arrays.q[v]).astype(np.int64)
     new_q = np.where(s1 | s2, fallback, scheme.arrays.block_of[v, X[rows, v]])
     return new_q, s1, s2, size
 
 
-def _seeds(state: ProjectedState, pcsp: AtomicCSP, v: int) -> list[int]:
+def _seeds(state: ProjectedState, v: int) -> list[int]:
     """Constraints at v that are unsatisfied with v unassigned."""
     y_v, dev = state.y[v], state.dev
-    return [cid for cid, f, _ in pcsp.incidence[v] if dev[cid] == (y_v != f)]
+    return [
+        cid for f, cids in enumerate(state._by_forb[v]) for cid in cids if dev[cid] == (y_v != f)
+    ]
 
 
-def _redraw(state, pcsp, csp, scheme, cfg, rng, v):
+def _redraw(state, csp, scheme, cfg, rng, v):
     """`update` at v for a state whose component at v is not empty.
     Returns (new projected value, failure flag, component size)."""
-    seed = np.zeros((1, pcsp.m), dtype=bool)
-    seed[0, _seeds(state, pcsp, v)] = True
+    seed = np.zeros((1, csp.m), dtype=bool)
+    seed[0, _seeds(state, v)] = True
     unsat = (np.array([state.dev]) == 0) | seed
     Y = np.array([state.y], dtype=np.int64)
-    new_q, s1, s2, size = update(pcsp, csp, scheme, cfg, Y, unsat, seed, np.array([v]), rng)
+    new_q, s1, s2, size = update(csp, scheme, cfg, Y, unsat, seed, np.array([v]), rng)
     return int(new_q[0]), "S1" if s1[0] else "S2" if s2[0] else None, int(size[0])
-
-
-def sample_step(
-    state: ProjectedState,
-    pcsp: AtomicCSP,
-    csp: AtomicCSP,
-    scheme: ProjectionScheme,
-    cfg: SamplerConfig,
-    rng: np.random.Generator,
-    v: int,
-):
-    """One conditional redraw of variable v.  Returns (new projected value,
-    failure flag in {None, "S1", "S2"}).
-
-    With no constraint at v unsatisfied with v unassigned, the new value is
-    the block of a uniform value of v.  Otherwise the non-failing branch
-    draws original-space values for the component (blocks of the current
-    projected state for the others, the full alphabet for v) until they
-    satisfy every unsatisfied constraint inside, then projects the drawn
-    value of v.
-    """
-    if not state.near[v]:
-        return scheme.block_of[v][int(rng.integers(csp.domains[v]))], None
-    return _redraw(state, pcsp, csp, scheme, cfg, rng, v)[:2]
 
 
 @dataclass
@@ -367,8 +376,8 @@ class ChainDiagnostics:
         self.component_hist[comp_size] = self.component_hist.get(comp_size, 0) + times
 
 
-def movable_steps(pcsp: AtomicCSP, steps: int, n_chains: int, rng: np.random.Generator):
-    """The movable variables of pcsp (projected alphabet > 1), and for each
+def movable_steps(scheme: ProjectionScheme, steps: int, n_chains: int, rng: np.random.Generator):
+    """The movable variables of scheme (more than one block), and for each
     of n_chains chains how many of `steps` uniform variable picks land on one.
 
     A step at a collapsed variable cannot change the projected state, so a
@@ -376,10 +385,10 @@ def movable_steps(pcsp: AtomicCSP, steps: int, n_chains: int, rng: np.random.Gen
     the same law.  With nothing collapsed every chain runs all `steps` and no
     random draw is made, so its random stream is that of a uniform pick per
     step."""
-    movable = np.flatnonzero(pcsp.arrays.domains > 1)
-    if movable.size == pcsp.n:
+    movable = np.flatnonzero(scheme.arrays.q > 1)
+    if movable.size == scheme.n:
         return movable, np.full(n_chains, steps)
-    return movable, rng.binomial(steps, movable.size / pcsp.n, n_chains)
+    return movable, rng.binomial(steps, movable.size / scheme.n, n_chains)
 
 
 STEP_CHUNK = 1024  # steps glauber_run draws at a time
@@ -396,13 +405,11 @@ def _draw_steps(movable, csp: AtomicCSP, scheme: ProjectionScheme, count: int, r
 
 def glauber_run(
     state: ProjectedState,
-    pcsp: AtomicCSP,
     csp: AtomicCSP,
     scheme: ProjectionScheme,
     cfg: SamplerConfig,
     rng: np.random.Generator,
     steps: int | None = None,
-    check_every: int = 0,
 ):
     """Run the chain for T steps (steps, if given) of a uniform variable
     choice each, updating state in place.  Only the steps that land on a
@@ -411,27 +418,25 @@ def glauber_run(
     Steps are drawn STEP_CHUNK at a time (_draw_steps).  A step at v with
     near[v] == 0 has an empty component and sets its drawn value; any other
     step drops that value and runs `update`.  An empty step counts as
-    component size 0.  check_every > 0 recomputes the bookkeeping from
-    scratch periodically (debug aid)."""
-    movable, (total,) = movable_steps(pcsp, cfg.T if steps is None else steps, 1, rng)
+    component size 0."""
+    movable, (total,) = movable_steps(scheme, cfg.T if steps is None else steps, 1, rng)
     total, diag = int(total), ChainDiagnostics()
     near, apply = state.near, state.apply
     for start in range(0, total, STEP_CHUNK):
         vs, qs = _draw_steps(movable, csp, scheme, min(STEP_CHUNK, total - start), rng)
-        for t, (v, new_q) in enumerate(zip(vs, qs), start + 1):
+        for v, new_q in zip(vs, qs):
             if near[v]:
-                new_q, flag, size = _redraw(state, pcsp, csp, scheme, cfg, rng, v)
+                new_q, flag, size = _redraw(state, csp, scheme, cfg, rng, v)
                 diag.record(flag, size)
-            apply(pcsp, v, new_q)
-            if check_every and t % check_every == 0:
-                state.check_consistent(pcsp)
+            apply(v, new_q)
     if total > diag.steps:
         diag.record(None, 0, total - diag.steps)
     return state, diag
 
 
-def lift(pcsp, csp, scheme, cfg, Y, rng):
-    """Lift every row of Y (P, n), a projected state, to a full assignment.
+def lift(csp, scheme, forb, cfg, Y, rng):
+    """Lift every row of Y (P, n), a projected state, to a full assignment;
+    forb is projected_forbidden(csp, scheme).
 
     Each variable is drawn from its block; then the components of the row's
     unsatisfied projected constraints are rejection-sampled one at a time
@@ -444,7 +449,7 @@ def lift(pcsp, csp, scheme, cfg, Y, rng):
     """
     P, n = Y.shape
     a, cols = csp.arrays, np.arange(n)
-    comps = components(pcsp, pcsp.arrays.matches(Y) == pcsp.arrays.arity[:-1], cfg.theta_comp)
+    comps = components(csp, a.matches(Y, forb) == a.arity[:-1], cfg.theta_comp)
     errors = np.full(P, "", dtype="<U2")
     n_comps = np.zeros(P, dtype=np.int64)
     for comp in comps:
@@ -465,7 +470,7 @@ def lift(pcsp, csp, scheme, cfg, Y, rng):
     X[~good] = -1
     if (scheme.arrays.block_of[cols, X[good]] != Y[good]).any():
         raise InternalError("lift returned an assignment that does not project to its state")
-    if (a.matches(X[good]) == a.arity[:-1]).any():
+    if (a.matches(X[good], a.forb) == a.arity[:-1]).any():
         raise InternalError("lift returned an assignment that violates a constraint")
     return X, errors, n_comps, rounds
 
@@ -480,7 +485,6 @@ class LiftResult:
 
 def inv_sample(
     state: ProjectedState,
-    pcsp: AtomicCSP,
     csp: AtomicCSP,
     scheme: ProjectionScheme,
     cfg: SamplerConfig,
@@ -493,7 +497,7 @@ def inv_sample(
     satisfies the full instance.
     """
     Y = np.array([state.y], dtype=np.int64)
-    X, errors, n_comps, rounds = lift(pcsp, csp, scheme, cfg, Y, rng)
+    X, errors, n_comps, rounds = lift(csp, scheme, state.forb, cfg, Y, rng)
     error = str(errors[0]) or None
     assignment = None if error else tuple(int(x) for x in X[0])
     return LiftResult(assignment, error, components=int(n_comps[0]), rounds=int(rounds[0]))
@@ -525,13 +529,13 @@ def main_sample(
     assignment, when not an ERROR, is always an exactly verified satisfying
     assignment regardless.
     """
+    _check_match(csp, scheme)
     cfg = SamplerConfig.derive(csp, scheme, eps, seed=seed, eta=eta, c_t=c_t)
     if rng is None:
         rng = np.random.default_rng(seed)
-    pcsp = project_csp(csp, scheme)
-    state = ProjectedState.random(pcsp, rng)
-    state, diag = glauber_run(state, pcsp, csp, scheme, cfg, rng)
-    lifted = inv_sample(state, pcsp, csp, scheme, cfg, rng)
+    state = ProjectedState.random(csp, scheme, rng)
+    state, diag = glauber_run(state, csp, scheme, cfg, rng)
+    lifted = inv_sample(state, csp, scheme, cfg, rng)
     diagnostics = {
         **cfg.to_dict(),
         "steps": diag.steps,

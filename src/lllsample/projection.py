@@ -139,6 +139,7 @@ class BlockArrays:
     start: np.ndarray  # (n, qmax + 1)
     size: np.ndarray  # (n, qmax + 1)
     block_of: np.ndarray  # (n, amax) block of each value
+    q: np.ndarray  # (n,) block count of each variable
 
     @classmethod
     def build(cls, scheme: "ProjectionScheme") -> "BlockArrays":
@@ -155,7 +156,16 @@ class BlockArrays:
                 start[v, q], size[v, q] = len(values), len(block)
                 values.extend(block)
             block_of[v, : len(alphabet)] = scheme.block_of[v]
-        return cls(np.array(values, dtype=np.int64), start, size, block_of)
+        q = np.array(scheme.q_sizes(), dtype=np.int64)
+        return cls(np.array(values, dtype=np.int64), start, size, block_of, q)
+
+    def project(self, var: np.ndarray, value: np.ndarray) -> np.ndarray:
+        """The block of each value at its variable, entrywise over var and
+        value, which broadcast together; -2 where value is the pad -2."""
+        pad = value < 0
+        out = self.block_of[np.where(pad, 0, var), np.where(pad, 0, value)]
+        out[pad] = -2
+        return out
 
     def pick(self, cols: np.ndarray, Yc: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The value at uniform position u in block Yc of variable cols, with

@@ -84,7 +84,7 @@ def find_assignment(
     constraints.  Caller asserts e*p*Delta <= 1 for the usual guarantee."""
     a = csp.arrays
     result = moser_tardos(csp.n, a.vc, lambda idx, r: r.integers(a.domains[idx]),
-                          lambda x: a.matches(x) == a.arity[:-1], rng, delta=delta)
+                          lambda x: a.matches(x, a.forb) == a.arity[:-1], rng, delta=delta)
     if result.success and evaluate(csp, result.values):
         raise InternalError("resampling returned an assignment that violates a constraint")
     return result

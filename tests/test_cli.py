@@ -204,13 +204,28 @@ def test_check_projection_a2_past_float_range(capsys, tmp_path):
     assert a2["pass"] is False and a2["worst_lhs"] is None
 
 
-def test_scheme_csp_mismatch_is_usage_error(capsys, tmp_path, cnf_file):
+@pytest.mark.parametrize("argv", [
+    ["check-projection"],
+    ["sample", "--eps", "0.1"],
+    ["count", "--delta", "0.5"],
+], ids=["check-projection", "sample", "count"])
+def test_scheme_csp_mismatch_is_usage_error(capsys, tmp_path, cnf_file, argv):
     from lllsample.projection import ProjectionScheme
 
     wrong = ProjectionScheme((((0, 1),),))  # one variable, CSP has two
     sfile = tmp_path / "wrong.json"
     sfile.write_text(wrong.to_json())
-    assert dispatch(["check-projection", "--input", cnf_file, "--scheme", str(sfile)]) == 2
+    assert dispatch([*argv, "--input", cnf_file, "--scheme", str(sfile), "--seed", "1"]) == 2
+    assert "scheme covers domains" in capsys.readouterr().err
+
+
+def test_sample_zero_variables(capsys, tmp_path):
+    empty = tmp_path / "empty.cnf"
+    empty.write_text("p cnf 0 0\n")
+    code, payload = _run(capsys, ["sample", "--input", str(empty), "--eps", "0.1", "--seed", "1"])
+    assert code == 0
+    assert payload["assignment"] == [] and payload["error"] is None
+    assert payload["diagnostics"]["steps"] == 0
 
 
 def test_usage_errors(capsys, tmp_path):

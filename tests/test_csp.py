@@ -11,8 +11,6 @@ from lllsample.csp import (
     ParseError,
     ParserWarning,
     build_coloring_csp,
-    csp_from_json,
-    csp_to_json,
     degree_stats,
     evaluate,
     parse_dimacs,
@@ -201,7 +199,12 @@ def test_constraint_validation():
         uniform_csp(2, 2, [((0, 1), (0, 2))])
 
 
-def test_json_round_trip():
-    csp = parse_dimacs("p cnf 3 2\n1 2 0\n-2 -3 0\n")
-    again = csp_from_json(csp_to_json(csp))
-    assert again.n == csp.n and again.constraints == csp.constraints
+def test_inc_forb_lists_each_variables_forbidden_value():
+    csp = parse_dimacs("p cnf 4 3\n1 -2 0\n-2 3 4 0\n-1 -4 0\n")
+    a = csp.arrays
+    for v in range(csp.n):
+        cids = [cid for cid in a.inc[v].tolist() if cid < csp.m]
+        assert cids == list(csp.dep_index[v])
+        expect = [csp.constraints[cid].forbidden_at(v) for cid in cids]
+        assert a.inc_forb[v].tolist() == expect + [-2] * (a.inc.shape[1] - len(cids))
+    assert (a.inc_forb[csp.n] == -2).all()

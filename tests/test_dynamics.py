@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lllsample.bundled import load_bundled
+from lllsample.bundled import BUNDLED, load_bundled
 import lllsample.dynamics as dynamics
 from lllsample.csp import AtomicConstraint, AtomicCSP, InternalError, evaluate, violated_by_partial
 from lllsample.dynamics import (
@@ -21,8 +21,8 @@ from lllsample.dynamics import (
     main_sample,
     movable_steps,
     project_csp,
+    projected_forbidden,
     rejection_budget,
-    sample_step,
     update,
 )
 from lllsample.oracle import (
@@ -66,13 +66,28 @@ def test_project_csp():
 
 def test_state_bookkeeping_random_walk(rng):
     csp, scheme = load_bundled("mark4")
-    pcsp = project_csp(csp, scheme)
-    state = ProjectedState.random(pcsp, rng)
-    state.check_consistent(pcsp)
+    state = ProjectedState.random(csp, scheme, rng)
+    state.check_consistent()
     for _ in range(300):
-        v = int(rng.integers(pcsp.n))
-        state.apply(pcsp, v, int(rng.integers(pcsp.domains[v])))
-    state.check_consistent(pcsp)
+        v = int(rng.integers(csp.n))
+        state.apply(v, int(rng.integers(scheme.q_sizes()[v])))
+    state.check_consistent()
+
+
+def test_projected_forbidden_matches_project_csp():
+    # the chain's one projected table equals the reference projected instance
+    gen = np.random.default_rng(4)
+    cases = [load_bundled(name) for name in sorted(BUNDLED)]
+    cases += [random_instance(gen) for _ in range(40)]
+    for csp, scheme in cases:
+        pcsp = project_csp(csp, scheme)
+        forb = projected_forbidden(csp, scheme)
+        assert forb.shape == csp.arrays.forb.shape
+        assert [tuple(row[: c.arity]) for c, row in zip(csp.constraints, forb.tolist())] == [
+            c.forbidden for c in pcsp.constraints
+        ]
+        assert (forb[csp.arrays.forb == -2] == -2).all()
+        assert pcsp.domains == tuple(scheme.arrays.q.tolist())
 
 
 def _rows_at(pcsp, y, v):
@@ -98,12 +113,18 @@ def test_bookkeeping_equals_recomputation(data):
         forb = [data.draw(st.integers(0, domains[v] - 1)) for v in vars_]
         cons.append(AtomicConstraint(tuple(vars_), tuple(forb)))
     pcsp = AtomicCSP(n=n, domains=tuple(domains), constraints=tuple(cons), allow_unit_domains=True)
+    # an input that projects to pcsp: one more value per variable, joined to
+    # its last block
+    csp = AtomicCSP(n=n, domains=tuple(q + 1 for q in domains), constraints=tuple(cons))
+    scheme = ProjectionScheme(tuple(
+        tuple((j,) for j in range(q - 1)) + ((q - 1, q),) for q in domains))
+    assert project_csp(csp, scheme) == pcsp
     y = [data.draw(st.integers(0, size - 1)) for size in domains]
-    state = ProjectedState(pcsp, y)
+    state = ProjectedState(csp, scheme, y)
     moves = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3)), max_size=40))
     for v, q in [(0, y[0])] + moves:
         q %= domains[v]
-        state.apply(pcsp, v, q)
+        state.apply(v, q)
         y[v] = q
         assert state.y == y
         assert state.dev == [sum(y[u] != f for u, f in zip(c.vars, c.forbidden)) for c in cons]
@@ -112,15 +133,15 @@ def test_bookkeeping_equals_recomputation(data):
             seeds = np.flatnonzero(_rows_at(pcsp, y, u)[1][0]).tolist()
             assert state.near[u] == len(seeds)
             assert (state.near[u] == 0) == (not seeds)
-            assert sorted(dynamics._seeds(state, pcsp, u)) == seeds
-    state.check_consistent(pcsp)
+            assert sorted(dynamics._seeds(state, u)) == seeds
+    state.check_consistent()
 
 
 def _reference_run(y, pcsp, csp, scheme, cfg, rng, steps, chunk):
     """glauber_run as a plain loop over the same chunked draws: each step's
     seeds and unsatisfied constraints are recomputed from the state."""
     y = list(y)
-    movable, (total,) = movable_steps(pcsp, steps, 1, rng)
+    movable, (total,) = movable_steps(scheme, steps, 1, rng)
     s1 = s2 = 0
     hist = {}
     for start in range(0, total, chunk):
@@ -129,7 +150,7 @@ def _reference_run(y, pcsp, csp, scheme, cfg, rng, steps, chunk):
             unsat, seed = _rows_at(pcsp, y, v)
             size = 0
             if seed.any():
-                new_q, f1, f2, sizes = update(pcsp, csp, scheme, cfg, np.array([y]), unsat, seed,
+                new_q, f1, f2, sizes = update(csp, scheme, cfg, np.array([y]), unsat, seed,
                                               np.array([v]), rng)
                 q, size = int(new_q[0]), int(sizes[0])
                 s1, s2 = s1 + bool(f1[0]), s2 + bool(f2[0])
@@ -154,7 +175,7 @@ def test_chain_matches_recomputing_reference(monkeypatch, chunk):
         object.__setattr__(cfg, "S", int(gen.choice([1, 3, cfg.S])))
         y = [int(gen.integers(q)) for q in pcsp.domains]
         steps = int(gen.integers(0, 60))
-        state, diag = glauber_run(ProjectedState(pcsp, y), pcsp, csp, scheme, cfg,
+        state, diag = glauber_run(ProjectedState(csp, scheme, y), csp, scheme, cfg,
                                   np.random.default_rng(case), steps=steps)
         ref = _reference_run(y, pcsp, csp, scheme, cfg, np.random.default_rng(case), steps, chunk)
         assert (state.y, diag.steps, diag.s1, diag.s2, diag.component_hist) == ref
@@ -165,7 +186,8 @@ def test_chain_matches_recomputing_reference(monkeypatch, chunk):
 
 def _component_at(pcsp, y, v, theta=math.inf):
     """explore's component around v in state y: the closure, within the
-    constraints unsatisfied with v unassigned, of those of them at v."""
+    constraints unsatisfied with v unassigned, of those of them at v.
+    explore reads only the variable sets, which projecting keeps."""
     return np.flatnonzero(explore(pcsp, *_rows_at(pcsp, y, v), theta)[0]).tolist()
 
 
@@ -272,31 +294,29 @@ def test_explore_early_exit():
     assert _component_at(pc, [0, 0, 0, 0], 0, theta=1.0) != _component_at(pc, [0, 0, 0, 0], 0)
 
 
-def test_sample_step_no_constraints_block_proportional(rng):
+def test_empty_step_draws_block_proportional(rng):
+    # with no constraint at v its component is empty, and the step sets the
+    # value _draw_steps drew: the block of a uniform value of v
     csp = uniform_csp(1, 4, [])
     scheme = ProjectionScheme((((0, 1, 2), (3,)),))
-    pcsp = project_csp(csp, scheme)
-    cfg = SamplerConfig(eps=0.1, eta=0.25, kappa=10.0, n=1, delta_deg=0)
-    state = ProjectedState(pcsp, [0])
-    hits = 0
+    assert ProjectedState(csp, scheme, [0]).near == [0]
     draws = 100_000
-    for _ in range(draws):
-        q, flag = sample_step(state, pcsp, csp, scheme, cfg, rng, 0)
-        assert flag is None
-        hits += q == 0
+    vs, qs = dynamics._draw_steps(np.array([0]), csp, scheme, draws, rng)
+    assert vs == [0] * draws
+    hits = sum(q == 0 for q in qs)
     assert abs(hits / draws - 0.75) < 0.01
 
 
-def test_sample_step_matches_exact_conditional(rng):
+def test_redraw_matches_exact_conditional(rng):
     csp, scheme = load_bundled("mark3")
-    pcsp = project_csp(csp, scheme)
     cfg = SamplerConfig.derive(csp, scheme, 0.1)
     v, z = 0, (0, 0, 0)  # y1=0, y2 collapsed
     exact = exact_projected_conditional(csp, scheme, v, z)
-    state = ProjectedState(pcsp, list(z))
+    state = ProjectedState(csp, scheme, list(z))
+    assert state.near[v]  # a busy step: glauber_run redraws it
     counts = {}
     for _ in range(20_000):
-        q, flag = sample_step(state, pcsp, csp, scheme, cfg, rng, v)
+        q, flag, _ = dynamics._redraw(state, csp, scheme, cfg, rng, v)
         assert flag is None
         counts[q] = counts.get(q, 0) + 1
     assert tv_empirical(counts, exact) < 0.02
@@ -304,24 +324,22 @@ def test_sample_step_matches_exact_conditional(rng):
 
 def test_glauber_zero_steps_is_identity(rng):
     csp, scheme = load_bundled("mark4")
-    pcsp = project_csp(csp, scheme)
     cfg = SamplerConfig.derive(csp, scheme, 0.1)
-    state = ProjectedState(pcsp, [0, 0, 0, 0])
+    state = ProjectedState(csp, scheme, [0, 0, 0, 0])
     before = list(state.y)
-    glauber_run(state, pcsp, csp, scheme, cfg, rng, steps=0)
+    glauber_run(state, csp, scheme, cfg, rng, steps=0)
     assert state.y == before
 
 
 def test_glauber_no_constraints_uniform(rng):
     csp = uniform_csp(3, 2, [])
     scheme = identity_scheme(csp)
-    pcsp = project_csp(csp, scheme)
     cfg = SamplerConfig.derive(csp, scheme, 0.1, c_t=0.2)
     ones = np.zeros(3)
     runs = 4000
     for _ in range(runs):
-        state = ProjectedState.random(pcsp, rng)
-        glauber_run(state, pcsp, csp, scheme, cfg, rng, steps=15)
+        state = ProjectedState.random(csp, scheme, rng)
+        glauber_run(state, csp, scheme, cfg, rng, steps=15)
         ones += state.y
     # each coordinate marginal stays uniform within 3 sigma
     sigma = math.sqrt(runs * 0.25)
@@ -329,21 +347,21 @@ def test_glauber_no_constraints_uniform(rng):
 
 
 def test_glauber_bookkeeping_check(rng):
+    # the bookkeeping equals a recount every 100 steps
     csp, scheme = load_bundled("colork4")
-    pcsp = project_csp(csp, scheme)
     cfg = SamplerConfig.derive(csp, scheme, 0.1)
-    state = ProjectedState.random(pcsp, rng)
-    glauber_run(state, pcsp, csp, scheme, cfg, rng, steps=500, check_every=100)
-    state.check_consistent(pcsp)
+    state = ProjectedState.random(csp, scheme, rng)
+    for _ in range(5):
+        glauber_run(state, csp, scheme, cfg, rng, steps=100)
+        state.check_consistent()
 
 
 def test_inv_sample_no_unsat_uniform_blocks(rng):
     csp, scheme = load_bundled("mark4")
-    pcsp = project_csp(csp, scheme)
     cfg = SamplerConfig.derive(csp, scheme, 0.1)
-    state = ProjectedState(pcsp, [1, 0, 1, 0])  # satisfies every projected constraint
+    state = ProjectedState(csp, scheme, [1, 0, 1, 0])  # satisfies every projected constraint
     assert not state.unsat
-    lift = inv_sample(state, pcsp, csp, scheme, cfg, rng)
+    lift = inv_sample(state, csp, scheme, cfg, rng)
     assert lift.error is None
     assert scheme.project(lift.assignment) == (1, 0, 1, 0)
     assert evaluate(csp, lift.assignment) == []
@@ -351,11 +369,10 @@ def test_inv_sample_no_unsat_uniform_blocks(rng):
 
 def test_inv_sample_i1_on_oversized_component(rng):
     csp, scheme = load_bundled("sat62")
-    pcsp = project_csp(csp, scheme)
     cfg = SamplerConfig.derive(csp, scheme, 0.1)
     object.__setattr__(cfg, "theta_comp", 0.5)  # inject an undersized threshold
-    state = ProjectedState(pcsp, [0] * 6)
-    lift = inv_sample(state, pcsp, csp, scheme, cfg, rng)
+    state = ProjectedState(csp, scheme, [0] * 6)
+    lift = inv_sample(state, csp, scheme, cfg, rng)
     assert lift.error == "I1" and lift.assignment is None
 
 
@@ -363,23 +380,21 @@ def test_inv_sample_i2_on_unsatisfiable_block_cube(rng):
     # identity blocks freeze the violating assignment: rejection can never accept
     csp = uniform_csp(2, 2, [((0, 1), (0, 0))])
     scheme = identity_scheme(csp)
-    pcsp = project_csp(csp, scheme)
     cfg = SamplerConfig.derive(csp, scheme, 0.4)
-    state = ProjectedState(pcsp, [0, 0])
-    lift = inv_sample(state, pcsp, csp, scheme, cfg, rng)
+    state = ProjectedState(csp, scheme, [0, 0])
+    lift = inv_sample(state, csp, scheme, cfg, rng)
     assert lift.error == "I2"
 
 
 def test_inv_sample_matches_exact_lift_conditional(rng):
     csp, scheme = load_bundled("mark3")
-    pcsp = project_csp(csp, scheme)
     cfg = SamplerConfig.derive(csp, scheme, 0.1)
     y = (0, 0, 0)
     exact = exact_lift_conditional(csp, scheme, y)
     counts = {}
     for _ in range(20_000):
-        state = ProjectedState(pcsp, list(y))
-        lift = inv_sample(state, pcsp, csp, scheme, cfg, rng)
+        state = ProjectedState(csp, scheme, list(y))
+        lift = inv_sample(state, csp, scheme, cfg, rng)
         assert lift.error is None
         counts[lift.assignment] = counts.get(lift.assignment, 0) + 1
     assert tv_empirical(counts, exact) < 0.02
@@ -445,9 +460,8 @@ def test_lift_verification_raises(monkeypatch, driver, value, why):
     monkeypatch.setattr(dynamics, "reject", accept_unchecked)
     with pytest.raises(InternalError, match=why):
         if driver == "scalar":
-            pcsp = project_csp(csp, scheme)
             cfg = SamplerConfig.derive(csp, scheme, 0.1)
-            inv_sample(ProjectedState(pcsp, [0, 0]), pcsp, csp, scheme, cfg,
+            inv_sample(ProjectedState(csp, scheme, [0, 0]), csp, scheme, cfg,
                        np.random.default_rng(0))
         else:
             BatchSampler(csp, scheme, 0.1).lift(np.zeros((4, 2), dtype=np.int64),
@@ -461,10 +475,9 @@ def test_all_collapsed_chain_runs_no_step(monkeypatch, name):
     import lllsample.batch as batch
 
     csp, scheme = load_bundled(name)
-    pcsp = project_csp(csp, scheme)
     cfg = SamplerConfig.derive(csp, scheme, 0.1)
     rng = np.random.default_rng(3)
-    state, diag = glauber_run(ProjectedState.random(pcsp, rng), pcsp, csp, scheme, cfg, rng)
+    state, diag = glauber_run(ProjectedState.random(csp, scheme, rng), csp, scheme, cfg, rng)
     assert diag.steps == 0 and state.y == [0] * csp.n
     assert main_sample(csp, scheme, 0.1, seed=3).diagnostics["steps"] == 0
 
@@ -479,10 +492,10 @@ def test_all_collapsed_chain_runs_no_step(monkeypatch, name):
 def test_nothing_collapsed_runs_every_step():
     csp, scheme = load_bundled("colork4")
     assert min(scheme.q_sizes()) > 1
-    pcsp = project_csp(csp, scheme)
     cfg = SamplerConfig.derive(csp, scheme, 0.1)
     rng = np.random.default_rng(5)
-    _, diag = glauber_run(ProjectedState.random(pcsp, rng), pcsp, csp, scheme, cfg, rng, steps=300)
+    _, diag = glauber_run(ProjectedState.random(csp, scheme, rng), csp, scheme, cfg, rng,
+                          steps=300)
     assert diag.steps == 300
     res = main_sample(csp, scheme, 0.1, seed=5, c_t=0.05)
     assert res.diagnostics["steps"] == res.diagnostics["T"]
@@ -494,7 +507,6 @@ def test_steps_land_on_movable_variables_only(monkeypatch):
     import lllsample.dynamics as dynamics
 
     csp, scheme = load_bundled("mark4")
-    pcsp = project_csp(csp, scheme)
     cfg = SamplerConfig.derive(csp, scheme, 0.1)
     picked = set()
     draw = dynamics._draw_steps
@@ -509,7 +521,8 @@ def test_steps_land_on_movable_variables_only(monkeypatch):
     steps = []
     for seed in range(runs):
         rng = np.random.default_rng(seed)
-        _, diag = glauber_run(ProjectedState.random(pcsp, rng), pcsp, csp, scheme, cfg, rng, steps=s)
+        _, diag = glauber_run(ProjectedState.random(csp, scheme, rng), csp, scheme, cfg, rng,
+                              steps=s)
         steps.append(diag.steps)
     assert picked == {0, 2}
     sigma = math.sqrt(s * p * (1 - p) / runs)

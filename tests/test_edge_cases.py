@@ -104,3 +104,56 @@ def test_scalar_sampler_beyond_batch_limits():
     res = main_sample(csp, scheme, 0.2, seed=10, c_t=0.01)
     assert res.ok
     assert evaluate(csp, res.assignment) == []
+
+
+def test_zero_variable_instance_samples_the_empty_assignment():
+    # p cnf 0 0 has one solution, the empty assignment; neither driver runs a step
+    from lllsample.batch import BatchSampler
+
+    csp = parse_dimacs("p cnf 0 0\n")
+    scheme = full_marking_scheme(csp)
+    res = main_sample(csp, scheme, 0.1, seed=0)
+    assert res.ok and res.assignment == ()
+    assert res.diagnostics["steps"] == res.diagnostics["T"] == 0
+    out = BatchSampler(csp, scheme, 0.1).sample(5, seed=0)
+    assert out.assignments.shape == (5, 0) and out.ok.all()
+    assert out.s1_steps == out.s2_steps == 0
+
+
+def test_sampling_builds_no_projected_instance(monkeypatch):
+    # the chain and the lift read the input's tables; project_csp is only
+    # the reference definition
+    import lllsample
+    import lllsample.dynamics as dynamics
+    from lllsample.batch import BatchSampler
+
+    def no_projection(*args):
+        raise AssertionError("a projected instance was built")
+
+    monkeypatch.setattr(dynamics, "project_csp", no_projection)
+    monkeypatch.setattr(lllsample, "project_csp", no_projection)
+    for name in ("mark4", "colork4", "sat62"):
+        csp, scheme = load_bundled(name)
+        res = main_sample(csp, scheme, 0.1, seed=1, c_t=0.2)
+        assert res.ok and evaluate(csp, res.assignment) == []
+        out = BatchSampler(csp, scheme, 0.1, c_t=0.2).sample(20, seed=1)
+        assert out.ok.all() and all(evaluate(csp, x) == [] for x in out.assignments.tolist())
+    est = approx_count(*load_bundled("sat62"), 0.5, seed=2)
+    assert [stage["method"] for stage in est.stages] == ["unconstrained-tail", "sampled", "sampled"]
+    assert 0.5 * 49 < est.estimate < 1.5 * 49
+
+
+def test_scheme_for_other_alphabets_is_rejected():
+    # by both drivers, and by the count also where no stage is sampled
+    from lllsample.batch import BatchSampler
+    from lllsample.csp import CSPError
+    from lllsample.projection import ProjectionScheme
+
+    csp = parse_dimacs("p cnf 2 1\n1 2 0\n")
+    for wrong in (ProjectionScheme((((0, 1),),)), ProjectionScheme((((0, 1),), ((0, 1, 2),)))):
+        with pytest.raises(CSPError, match="scheme covers domains"):
+            main_sample(csp, wrong, 0.1, seed=0)
+        with pytest.raises(CSPError, match="scheme covers domains"):
+            BatchSampler(csp, wrong, 0.1)
+        with pytest.raises(CSPError, match="scheme covers domains"):
+            approx_count(parse_dimacs("p cnf 2 0\n"), wrong, 0.5, seed=0)

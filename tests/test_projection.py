@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import permutations, product
@@ -16,8 +17,11 @@ from lllsample.csp import (
     degree_stats,
     evaluate,
 )
+import lllsample.dynamics as dynamics
+from lllsample.batch import BatchSampler
 from lllsample.bundled import BUNDLED, load_bundled
-from lllsample.dynamics import project_csp
+from lllsample.counting import approx_count
+from lllsample.dynamics import main_sample, project_csp
 from lllsample.projection import (
     AdmissibilityError,
     ConstructionError,
@@ -567,3 +571,34 @@ def test_construction_output_is_pinned(case):
     assert all(choose_case(csp) == case for csp in csps)
     text = "\n".join(_construction_outputs(csps, range(10)))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[case]
+
+
+def _sampling_outputs():
+    for name in sorted(BUNDLED):
+        csp, scheme = load_bundled(name)
+        for seed in range(3):
+            res = main_sample(csp, scheme, 0.1, seed=[seed, 9])
+            yield json.dumps([name, res.assignment, res.error, res.diagnostics], sort_keys=True)
+        out = BatchSampler(csp, scheme, 0.1).sample(40, seed=[5, 9])
+        yield json.dumps([name, out.assignments.tolist(), out.errors.tolist(), out.s1_steps,
+                          out.s2_steps])
+    csp, scheme = load_bundled("sat62")
+    yield json.dumps(approx_count(csp, scheme, 0.5, seed=3).to_dict(), sort_keys=True)
+
+
+SAMPLING_DIGESTS = {
+    "schedule": "cce8046b31a0e5b5bff7e23512dd20c3b92c39a1923ba5786e74eb30737f9c48",
+    "shrunk": "b8f042ca8d3d249989ca1d3efc5e4028de4bb24c190464a40123541c146d7471",
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(SAMPLING_DIGESTS))
+def test_sampling_output_is_pinned(monkeypatch, schedule):
+    # sha256 over main_sample's results, BatchSampler.sample's draws and one
+    # approx_count on the bundled instances; "shrunk" cuts the component
+    # threshold and the rejection budget so S1, S2, I1 and I2 paths run
+    if schedule == "shrunk":
+        monkeypatch.setattr(dynamics, "component_threshold", lambda *args: 1.5)
+        monkeypatch.setattr(dynamics, "rejection_budget", lambda *args: 2)
+    text = "\n".join(_sampling_outputs())
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLING_DIGESTS[schedule]

@@ -60,7 +60,7 @@ def _rounds(csp, seed):
         trace.append(idx.tolist())
         return rng.integers(a.domains[idx])
 
-    violated = lambda x: a.matches(x) == a.arity[:-1]
+    violated = lambda x: a.matches(x, a.forb) == a.arity[:-1]
     return moser_tardos(csp.n, a.vc, draw, violated, np.random.default_rng(seed)), trace
 
 
