@@ -1,7 +1,7 @@
 """Near-uniform sampling and approximate counting of atomic-CSP solutions
 via single-site dynamics on a projected state space."""
 
-__version__ = "0.6.1"
+__version__ = "0.6.2"
 
 from .csp import (
     AtomicConstraint,
@@ -25,11 +25,9 @@ from .projection import (
     RegimeError,
     check_admissibility,
     compute_b,
-    compute_zeta_kappa,
     construct_projection,
     full_marking_scheme,
     identity_scheme,
-    regime_ok,
 )
 from .resample import find_assignment, moser_tardos
 from .dynamics import (

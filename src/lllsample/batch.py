@@ -1,11 +1,13 @@
 """Vectorized many-chain driver.
 
 Runs N independent copies of the projected chain in lockstep with numpy,
-one vectorized update per time step, plus batched versions of the fixed-state
-conditional draw and of the lifting pass.  Like the scalar driver it reads
-the input's own tables, the scheme's block counts and the projected
-forbidden values (dynamics.projected_forbidden, gathered once per sampler,
-with the same gather by variable for the step test).  Every update and lift
+one vectorized update per time step, plus a batched lifting pass.  Like the
+scalar driver it reads the input's own tables, the scheme's block counts and
+the projected forbidden values (dynamics.projected_forbidden, gathered once
+per sampler, with the same gather by variable for the step test).  Each
+driver keeps its own step bookkeeping: run_chains decides which constraints
+seed a step from per-constraint match counts, the scalar driver from its
+near-violation counts.  Every update and lift
 goes through the routines the scalar driver uses (dynamics.explore,
 dynamics.reject, dynamics.update, dynamics.lift), so the component rule,
 thresholds and fallback draws are the same; the random streams are laid out
@@ -26,7 +28,7 @@ from .projection import ProjectionScheme, _check_match
 
 @dataclass
 class BatchResult:
-    assignments: np.ndarray  # (N, n) int16, row of -1s on error
+    assignments: np.ndarray  # (N, n) int64, row of -1s on error
     errors: np.ndarray  # (N,) of "", "I1", "I2"
     s1_steps: int
     s2_steps: int
@@ -116,55 +118,10 @@ class BatchSampler:
         X, errors = self.lift(Y, rng)
         touched = touched | (errors != "")
         return BatchResult(
-            assignments=X.astype(np.int16),
+            assignments=X,
             errors=errors,
             s1_steps=s1_steps,
             s2_steps=s2_steps,
             touched=touched,
             cfg=self.cfg,
         )
-
-    # -- fixed-state batched subroutines ---------------------------------------
-
-    def conditional_draws(self, v: int, z, n_draws: int, seed=None):
-        """n_draws independent runs of the conditional update at (v, z), the
-        update run_chains makes: returns (counts over the projected alphabet
-        of v, flag, s2_failures).  Draws that end in S2 are not counted; an
-        oversized component (S1) gives flag "S1" and no counts.  z assigns
-        every variable except v (value at v ignored)."""
-        rng = np.random.default_rng(seed)
-        ca, sa = self.arrays
-        y = np.array(z, dtype=np.int64)
-        y[v] = -1
-        cnt, cids = np.append(ca.matches(y, self.forb), 0), ca.inc[v]
-        seed_row = np.zeros(self.m + 1, dtype=bool)
-        seed_row[cids] = cnt[cids] == ca.arity[cids] - 1
-        seed_row = seed_row[:-1]
-        qv = int(sa.q[v])
-        if not seed_row.any():
-            values = (rng.random(n_draws) * ca.domains[v]).astype(np.int64)
-            return np.bincount(sa.block_of[v, values], minlength=qv), None, 0
-        unsat_row = (cnt[:-1] == ca.arity[:-1]) | seed_row
-        Y, unsat, seeds = (np.repeat(a[None, :], n_draws, axis=0) for a in (y, unsat_row, seed_row))
-        q, s1, s2, _ = update(
-            self.csp, self.scheme, self.cfg, Y, unsat, seeds, np.full(n_draws, v), rng
-        )
-        if s1.any():
-            return np.zeros(qv, dtype=np.int64), "S1", 0
-        return np.bincount(q[~s2], minlength=qv), None, int(s2.sum())
-
-    def lift_draws(self, y, n_draws: int, seed=None):
-        """n_draws independent lifts of the fixed projected state y: returns
-        (dict assignment->count over non-ERROR draws, i1 flag, i2 count)."""
-        rng = np.random.default_rng(seed)
-        Y = np.repeat(np.array(y, dtype=np.int64)[None, :], n_draws, axis=0)
-        X, errors = self.lift(Y, rng)
-        i1 = bool((errors == "I1").any())
-        i2 = int((errors == "I2").sum())
-        ok = errors == ""
-        counts: dict[tuple[int, ...], int] = {}
-        if ok.any():
-            vals, cnts = np.unique(X[ok], axis=0, return_counts=True)
-            for row, cnt in zip(vals, cnts):
-                counts[tuple(int(x) for x in row)] = int(cnt)
-        return counts, i1, i2

@@ -43,7 +43,6 @@ from .projection import (
     RegimeError,
     check_admissibility,
     construct_projection,
-    regime_ok,
 )
 from .resample import find_assignment
 
@@ -95,7 +94,7 @@ def _scheme_for(args, csp: AtomicCSP, seed: int):
         eta=args.eta,
         delta=args.construction_delta,
         case_hint=args.case_hint,
-        rng=np.random.default_rng([seed, 0]),
+        seed=[seed, 0],
     )
     return scheme, f"auto:{scheme.case}"
 
@@ -204,7 +203,7 @@ def cmd_check_projection(args) -> int:
     report = check_admissibility(csp, scheme, args.eta)
     payload = {
         "report": report.to_dict(),
-        "regime_ok": regime_ok(csp, scheme),
+        "regime_ok": report.regime,
         "scheme": json.loads(scheme.to_json()),
         "manifest": _manifest(args, "check-projection", seed, source),
     }

@@ -25,7 +25,7 @@ import numpy as np
 from .batch import BatchSampler
 from .csp import AtomicCSP
 from .oracle import ENUM_GUARD, count_satisfying
-from .projection import ProjectionScheme, _check_match, check_admissibility, regime_ok
+from .projection import ProjectionScheme, RegimeError, _check_match, check_admissibility
 
 
 class CountingError(RuntimeError):
@@ -48,8 +48,12 @@ def counting_eps(m: int, delta: float, theta_const: float = 0.125) -> float:
 
 
 def stage_samples(m: int, delta: float, c_n: float = 64.0) -> int:
-    """Draws per stage of an m-constraint count."""
-    return math.ceil(c_n * m / (delta * delta))
+    """Draws per stage of an m-constraint count; RegimeError where that is
+    past the int64 range numpy counts draws in."""
+    draws = c_n * m / (delta * delta)
+    if not draws < 2.0**63:
+        raise RegimeError(f"stage draws {draws:.4g} are past the int64 range (c_n = {c_n})")
+    return math.ceil(draws)
 
 
 @dataclass
@@ -111,7 +115,8 @@ def approx_count(
     eps_stage = counting_eps(m, delta, theta_const) if m else None
     est = CountEstimate(estimate=1.0, log_estimate=0.0, delta=delta, eps_stage=eps_stage)
 
-    if m and not (check_admissibility(csp, scheme, eta).all_pass or regime_ok(csp, scheme)):
+    report = check_admissibility(csp, scheme, eta)
+    if not (report.all_pass or report.regime):
         if csp.state_space_size() > ENUM_GUARD:
             raise CountingError(0, "regime lost and instance too large to enumerate")
         count = count_satisfying(csp)

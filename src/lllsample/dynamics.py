@@ -55,23 +55,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csp import AtomicCSP, InternalError, degree_stats, violated_by_partial
-from .projection import ProjectionScheme, _check_match, kappa_for
+from .projection import ProjectionScheme, RegimeError, _check_match, scheme_kappa
 
 
 # An instance without variables has one solution, the empty assignment: its
 # chain runs no step and its lift draws nothing, so each schedule constant is 0.
+# Constants that leave the ranges the drivers can run raise RegimeError: T is
+# drawn from and counted by numpy in int64, and S must be a finite number.
 
 
 def chain_length(kappa: float, n: int, delta_deg: int, eps: float, c_t: float = 1.0) -> int:
     if n == 0:
         return 0
-    return math.ceil(c_t * kappa * n * math.log(n * max(delta_deg, 1) / eps))
+    T = c_t * kappa * n * math.log(n * max(delta_deg, 1) / eps)
+    if not T < 2.0**63:
+        raise RegimeError(
+            f"chain length T = {T:.4g} is past the int64 range (c_t = {c_t}, eps = {eps})"
+        )
+    return math.ceil(T)
 
 
 def rejection_budget(kappa: float, n: int, eps: float, eta: float) -> int:
     if n == 0:
         return 0
-    return math.ceil(10.0 * (kappa * n / eps) ** eta * math.log(n * kappa / eps))
+    try:
+        S = 10.0 * (kappa * n / eps) ** eta * math.log(n * kappa / eps)
+    except OverflowError:
+        S = math.inf
+    if not math.isfinite(S):
+        raise RegimeError(f"rejection budget S is past the float range (eta = {eta}, eps = {eps})")
+    return math.ceil(S)
 
 
 def component_threshold(delta_deg: int, n: int, kappa: float, eps: float) -> float:
@@ -113,13 +126,9 @@ class SamplerConfig:
         seed: int | None = None,
         eta: float = 0.25,
         c_t: float = 1.0,
-        kappa: float | None = None,
     ) -> "SamplerConfig":
-        delta_deg, k, _ = degree_stats(csp)
-        if kappa is None:
-            kappa = scheme.kappa
-        if kappa is None:
-            kappa = kappa_for(scheme.case, delta_deg, max(csp.domains, default=2), k)
+        kappa = scheme_kappa(csp, scheme)
+        delta_deg, _, _ = degree_stats(csp)
         return cls(eps=eps, eta=eta, kappa=kappa, n=csp.n, delta_deg=delta_deg, seed=seed, c_t=c_t)
 
     def to_dict(self) -> dict:

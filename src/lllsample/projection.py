@@ -220,14 +220,6 @@ def _overlap_marginals(csp: AtomicCSP, scheme: ProjectionScheme, c) -> list[floa
             if len(scheme.blocks[v]) > 1]
 
 
-def regime_ok(csp: AtomicCSP, scheme: ProjectionScheme) -> bool:
-    """e * b * Delta <= 1, the hypothesis under which the conditional-marginal
-    bound (and hence the sampling analysis) applies."""
-    delta, _, _ = degree_stats(csp)
-    b, _ = compute_b(csp, scheme)
-    return E * float(b) * delta <= 1.0
-
-
 def kappa_for(case: str | None, delta: int, a_max: int, k_max: int) -> float:
     """Chain-length scale for each construction case; generic fallback covers
     user-supplied schemes.  Always at least 4*ln(3000*Delta)."""
@@ -243,6 +235,15 @@ def kappa_for(case: str | None, delta: int, a_max: int, k_max: int) -> float:
     else:
         kappa = 12.0 * math.log(3000.0 * (d + a_max + max(k_max, 1)))
     return max(kappa, 4.0 * math.log(3000.0 * d))
+
+
+def scheme_kappa(csp: AtomicCSP, scheme: ProjectionScheme) -> float:
+    """The chain-length scale of scheme on csp: the scheme's own kappa, or
+    else kappa_for its case."""
+    if scheme.kappa is not None:
+        return scheme.kappa
+    delta, k, _ = degree_stats(csp)
+    return kappa_for(scheme.case, delta, max(csp.domains, default=2), k)
 
 
 def zeta_values(csp: AtomicCSP, scheme: ProjectionScheme, b: Fraction | None = None):
@@ -263,19 +264,6 @@ def zeta_values(csp: AtomicCSP, scheme: ProjectionScheme, b: Fraction | None = N
     return out
 
 
-def compute_zeta_kappa(csp: AtomicCSP, scheme: ProjectionScheme, eta: float):
-    """(zeta per constraint, kappa).  Requires the e*b*Delta <= 1 regime."""
-    delta, k, _ = degree_stats(csp)
-    b, _ = compute_b(csp, scheme)
-    if E * float(b) * max(delta, 0) > 1.0:
-        raise RegimeError(
-            f"e*b*Delta = {E * float(b) * delta:.4g} > 1; conditional-marginal bound unavailable"
-        )
-    zetas = zeta_values(csp, scheme, b)
-    a_max = max(csp.domains, default=2)
-    return zetas, kappa_for(scheme.case, delta, a_max, k)
-
-
 # ---------------------------------------------------------------------------
 # Admissibility
 
@@ -286,6 +274,7 @@ class AdmissibilityReport:
     kappa: float
     delta_deg: int
     b: float
+    regime: bool  # e*b*Delta <= 1, under which the conditional-marginal bound applies
     a1_bound: float
     a1_pass: bool
     a2_rhs: float
@@ -328,26 +317,24 @@ class AdmissibilityReport:
 
 
 def check_admissibility(
-    csp: AtomicCSP, scheme: ProjectionScheme, eta: float, kappa: float | None = None
+    csp: AtomicCSP, scheme: ProjectionScheme, eta: float
 ) -> AdmissibilityReport:
-    """Evaluate the four admissibility conditions numerically.
+    """Evaluate the four admissibility conditions numerically, and whether
+    the instance lies in the e*b*Delta <= 1 regime.
 
     Failures are report entries, never exceptions.  With no constraints every
     condition passes vacuously.
     """
     _check_match(csp, scheme)
-    delta, k, _ = degree_stats(csp)
+    delta, _, _ = degree_stats(csp)
     b_frac, _ = compute_b(csp, scheme)
     b = float(b_frac)
     notes: list[str] = []
-    if kappa is None:
-        kappa = scheme.kappa
-    if kappa is None:
-        kappa = kappa_for(scheme.case, delta, max(csp.domains, default=2), k)
+    kappa = scheme_kappa(csp, scheme)
 
     if csp.m == 0:
         return AdmissibilityReport(
-            eta=eta, kappa=kappa, delta_deg=0, b=0.0, a1_bound=math.inf, a1_pass=True,
+            eta=eta, kappa=kappa, delta_deg=0, b=0.0, regime=True, a1_bound=math.inf, a1_pass=True,
             a2_rhs=math.inf, a2_worst_lhs=0.0, a2_worst_constraint=None, a2_pass=True,
             a3_worst_ratio=1.0, a3_pass=True, a4_pass=True, zeta=[],
             notes=["no constraints: vacuous pass"],
@@ -357,8 +344,10 @@ def check_admissibility(
     a1_bound = eta / (300.0 * delta)
     a1_pass = b_frac <= Fraction(eta) / (300 * delta)
 
-    if E * b * delta > 1.0:
-        notes.append(f"outside e*b*Delta<=1 regime (={E * b * delta:.4g})")
+    e_b_delta = E * b * delta
+    regime = e_b_delta <= 1.0
+    if not regime:
+        notes.append(f"outside e*b*Delta<=1 regime (={e_b_delta:.4g})")
 
     # A2: |vbl-bar|^2 kappa^2 zeta(C) prod((1-3b)^-Delta P + e^-kappa/3) <= (60000 Delta)^-2
     # in log space, since (1-3b)^-Delta leaves the float range at large
@@ -399,8 +388,9 @@ def check_admissibility(
     # A4: block-backed lookup projects and samples preimages in O(1) after
     # O(log|alphabet|) indexing; holds structurally for this representation.
     return AdmissibilityReport(
-        eta=eta, kappa=kappa, delta_deg=delta, b=b, a1_bound=a1_bound, a1_pass=bool(a1_pass),
-        a2_rhs=a2_rhs, a2_worst_lhs=worst_lhs, a2_worst_constraint=worst_cid, a2_pass=bool(a2_pass),
+        eta=eta, kappa=kappa, delta_deg=delta, b=b, regime=regime, a1_bound=a1_bound,
+        a1_pass=bool(a1_pass), a2_rhs=a2_rhs, a2_worst_lhs=worst_lhs,
+        a2_worst_constraint=worst_cid, a2_pass=bool(a2_pass),
         a3_worst_ratio=worst_ratio, a3_pass=bool(a3_pass), a4_pass=True,
         zeta=[float(z) if math.isfinite(z) else math.inf for z in zetas], notes=notes,
     )
@@ -595,7 +585,6 @@ def construct_projection(
     delta: float = 0.01,
     case_hint: str | None = None,
     seed=None,
-    rng: np.random.Generator | None = None,
     strict: bool = False,
 ) -> ProjectionScheme:
     """Build a projection scheme by the case matching the instance shape.
@@ -608,8 +597,7 @@ def construct_projection(
     """
     if 1 in csp.domains:
         raise RegimeError("projection construction requires alphabets of size at least 2")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     case = case_hint or choose_case(csp)
     a, _ = _uniform_case_params(csp)
     if case == "case1":

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lllsample.csp import AtomicCSP, AtomicConstraint
+from lllsample.csp import AtomicCSP, AtomicConstraint, violated_by_partial
+from lllsample.dynamics import lift, project_csp, projected_forbidden, update
 from lllsample.projection import ProjectionScheme
 
 
@@ -32,6 +33,48 @@ def random_instance(gen):
                                                  replace=False))
         blocks.append(tuple(tuple(values[i:j]) for i, j in zip([0] + cuts, cuts + [a])))
     return csp, ProjectionScheme(tuple(blocks))
+
+
+def rows_at(pcsp, y, v):
+    """(unsat, seed) rows of a step at v, from the definition: the
+    constraints unsatisfied with v unassigned, and those of them at v."""
+    free = list(y)
+    free[v] = None
+    unsat = np.zeros((1, pcsp.m), dtype=bool)
+    unsat[0, violated_by_partial(pcsp, free)] = True
+    return unsat, unsat & np.array([[v in c.vars for c in pcsp.constraints]], dtype=bool)
+
+
+def conditional_draws(csp, scheme, cfg, v, z, n_draws, seed):
+    """n_draws independent chain steps at v from the projected state z (its
+    value at v ignored), each through dynamics.update with the rows of
+    rows_at, or, with no constraint to seed a component, the block of a
+    uniform value of v.  Returns (counts over the projected alphabet of v,
+    flag, S2 count): draws that end in S2 are not counted, and an oversized
+    component (S1) gives flag "S1" and no counts."""
+    rng = np.random.default_rng(seed)
+    q = scheme.arrays.q[v]
+    unsat, seeds = rows_at(project_csp(csp, scheme), z, v)
+    if not seeds.any():
+        values = (rng.random(n_draws) * csp.domains[v]).astype(np.int64)
+        return np.bincount(scheme.arrays.block_of[v, values], minlength=q), None, 0
+    Y, unsat, seeds = (np.repeat(a, n_draws, axis=0) for a in (np.array([z]), unsat, seeds))
+    new_q, s1, s2, _ = update(csp, scheme, cfg, Y, unsat, seeds, np.full(n_draws, v), rng)
+    if s1.any():
+        return np.zeros(q, dtype=np.int64), "S1", 0
+    return np.bincount(new_q[~s2], minlength=q), None, int(s2.sum())
+
+
+def lift_draws(csp, scheme, cfg, y, n_draws, seed):
+    """n_draws independent lifts of the projected state y through
+    dynamics.lift: (dict assignment -> count over the draws without ERROR,
+    whether any draw ended in I1, how many ended in I2)."""
+    rng = np.random.default_rng(seed)
+    Y = np.repeat(np.array([y], dtype=np.int64), n_draws, axis=0)
+    X, errors, _, _ = lift(csp, scheme, projected_forbidden(csp, scheme), cfg, Y, rng)
+    rows, counts = np.unique(X[errors == ""], axis=0, return_counts=True)
+    found = dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+    return found, bool((errors == "I1").any()), int((errors == "I2").sum())
 
 
 def star_instance(alphabet, k, delta, n_stars=6):

@@ -3,7 +3,10 @@
 Statistical volume runs through the vectorized many-chain driver, which
 shares its component explorer, rejection routine and lift with the scalar
 sampler; agreement of the two drivers' sampled laws is covered separately in
-test_batch.py.  All expected distributions come from the enumeration oracle.
+test_batch.py.  The conditional and lifting criteria call dynamics.update and
+dynamics.lift directly, with each step's constraints taken from their
+definition (conftest.rows_at).  All expected distributions come from the
+enumeration oracle.
 """
 
 import math
@@ -17,7 +20,12 @@ from lllsample.batch import BatchSampler
 from lllsample.bundled import BUNDLED, tagged
 from lllsample.counting import approx_count, counting_eps
 from lllsample.csp import degree_stats, evaluate
-from lllsample.dynamics import chain_length, component_threshold, rejection_budget
+from lllsample.dynamics import (
+    SamplerConfig,
+    chain_length,
+    component_threshold,
+    rejection_budget,
+)
 from lllsample.oracle import (
     count_2trees,
     enumerate_satisfying,
@@ -36,7 +44,7 @@ from lllsample.projection import (
     marginal_prob,
 )
 from lllsample.resample import find_assignment
-from conftest import star_instance, uniform_csp
+from conftest import conditional_draws, lift_draws, star_instance, uniform_csp
 
 EPS = 0.1
 SAMPLES_PER_INSTANCE = 20_000  # 2e5 seeded samples across the ten instances
@@ -102,14 +110,14 @@ def test_criterion_2_conditional_exactness():
     worst, pairs = 0.0, 0
     for inst in tagged("conditional"):
         csp, scheme = inst.load()
-        sampler = BatchSampler(csp, scheme, EPS)
+        cfg = SamplerConfig.derive(csp, scheme, EPS)
         conditionals = _feasible_conditionals(csp, scheme)
         # the grouped table must agree with the direct conditional oracle
         v0, z0, dist0 = conditionals[0]
         assert exact_projected_conditional(csp, scheme, v0, z0) == dist0
         for v, z, exact in conditionals:
-            counts, flag, s2 = sampler.conditional_draws(
-                v, z, CONDITIONAL_DRAWS, seed=[1, pairs]
+            counts, flag, s2 = conditional_draws(
+                csp, scheme, cfg, v, z, CONDITIONAL_DRAWS, seed=[1, pairs]
             )
             if flag == "S1":
                 continue  # failing branch, excluded by the criterion
@@ -128,10 +136,10 @@ def test_criterion_3_lifting_exactness():
     worst, states = 0.0, 0
     for inst in tagged("lift"):
         csp, scheme = inst.load()
-        sampler = BatchSampler(csp, scheme, EPS)
+        cfg = SamplerConfig.derive(csp, scheme, EPS)
         for y in exact_mu_pi(csp, scheme):
             exact = exact_lift_conditional(csp, scheme, y)
-            counts, i1, i2 = sampler.lift_draws(y, LIFT_DRAWS, seed=[2, states])
+            counts, i1, i2 = lift_draws(csp, scheme, cfg, y, LIFT_DRAWS, seed=[2, states])
             if i1:
                 continue  # failing branch, excluded by the criterion
             tv = tv_empirical(counts, exact)

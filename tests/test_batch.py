@@ -7,8 +7,8 @@ import pytest
 
 from lllsample.batch import BatchSampler
 from lllsample.bundled import load_bundled
-from lllsample.csp import evaluate
-from lllsample.dynamics import main_sample
+from lllsample.csp import AtomicConstraint, AtomicCSP, evaluate
+from lllsample.dynamics import SamplerConfig, main_sample
 from lllsample.oracle import (
     enumerate_satisfying,
     exact_lift_conditional,
@@ -16,7 +16,7 @@ from lllsample.oracle import (
     exact_projected_conditional,
     tv_empirical,
 )
-from conftest import uniform_csp
+from conftest import conditional_draws, lift_draws, uniform_csp
 
 
 def _batch_counts(inst_name, n_samples, seed, eps=0.1, c_t=1.0):
@@ -78,20 +78,20 @@ def test_batch_deterministic():
 
 def test_conditional_draws_match_oracle():
     csp, scheme = load_bundled("colork4")
-    bs = BatchSampler(csp, scheme, 0.1)
+    cfg = SamplerConfig.derive(csp, scheme, 0.1)
     v, z = 0, (0, 1, 0, 1)
     exact = exact_projected_conditional(csp, scheme, v, z)
-    counts, flag, s2 = bs.conditional_draws(v, z, 50_000, seed=13)
+    counts, flag, s2 = conditional_draws(csp, scheme, cfg, v, z, 50_000, seed=13)
     assert flag is None and s2 == 0
     assert tv_empirical({q: int(c) for q, c in enumerate(counts)}, exact) < 0.01
 
 
 def test_lift_draws_match_oracle():
     csp, scheme = load_bundled("mark3")
-    bs = BatchSampler(csp, scheme, 0.1)
+    cfg = SamplerConfig.derive(csp, scheme, 0.1)
     y = (1, 0, 0)
     exact = exact_lift_conditional(csp, scheme, y)
-    counts, i1, i2 = bs.lift_draws(y, 50_000, seed=17)
+    counts, i1, i2 = lift_draws(csp, scheme, cfg, y, 50_000, seed=17)
     assert not i1 and i2 == 0
     assert tv_empirical(counts, exact) < 0.01
 
@@ -101,9 +101,28 @@ def test_lift_draws_i2_on_frozen_violation():
 
     csp = uniform_csp(2, 2, [((0, 1), (0, 0))])
     scheme = identity_scheme(csp)
-    bs = BatchSampler(csp, scheme, 0.4)
-    counts, i1, i2 = bs.lift_draws((0, 0), 50, seed=1)
+    cfg = SamplerConfig.derive(csp, scheme, 0.4)
+    counts, i1, i2 = lift_draws(csp, scheme, cfg, (0, 0), 50, seed=1)
     assert i2 == 50 and not counts
+
+
+def test_batch_values_past_int16_stay_in_their_alphabet():
+    # a 40,000-value alphabet: values of 32768 and up must come back as
+    # drawn, not wrapped to negatives by a 16-bit result
+    from lllsample.projection import ProjectionScheme
+
+    a = 40_000
+    csp = AtomicCSP(n=3, domains=(a, a, 2), constraints=(
+        AtomicConstraint((0, 2), (a - 1, 0)),
+        AtomicConstraint((0, 1, 2), (35_000, 39_000, 1)),
+    ))
+    halves = (tuple(range(a // 2)), tuple(range(a // 2, a)))
+    scheme = ProjectionScheme((halves, halves, ((0,), (1,))))
+    out = BatchSampler(csp, scheme, 0.1, c_t=0.05).sample(200, seed=4)
+    assert out.ok.all() and (out.assignments >= 2**15).any()
+    for row in out.assignments.tolist():
+        assert all(0 <= x < size for x, size in zip(row, csp.domains))
+        assert evaluate(csp, row) == []
 
 
 def test_batch_disjoint_clauses_marginals():

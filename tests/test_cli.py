@@ -268,6 +268,28 @@ def test_out_of_range_options_are_usage_errors(capsys, cnf_file, argv):
     assert dispatch([*argv, "--input", cnf_file]) == 2
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["sample", "--eps", "0.1", "--eta", "1000"], "eta"),
+    (["sample", "--eps", "0.1", "--c-t", "1e307"], "c_t"),
+    (["sample", "--eps", "0.1", "--c-t", "1e30"], "c_t"),
+    (["count", "--delta", "0.5", "--eta", "1000"], "eta"),
+    (["count", "--delta", "0.5", "--c-t", "1e307"], "c_t"),
+    (["count", "--delta", "0.5", "--c-n", "1e308"], "c_n"),
+    (["count", "--delta", "0.5", "--c-n", "1e307"], "c_n"),
+], ids=["sample-eta", "sample-c_t-inf", "sample-c_t-int64", "count-eta", "count-c_t",
+        "count-c_n-inf", "count-c_n-int64"])
+def test_schedule_constants_past_range_are_usage_errors(capsys, cnf_file, collapsed_scheme_file,
+                                                        argv, name):
+    # a rejection budget or chain length past the float range, or a count
+    # numpy cannot hold, is a regime error naming the constant; the
+    # collapsed scheme keeps count on the sampling path
+    code = dispatch([*argv, "--input", cnf_file, "--seed", "1", "--scheme",
+                     collapsed_scheme_file])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"({name} = " in captured.err
+
+
 def test_bad_env_override_is_usage_error(capsys, cnf_file, monkeypatch):
     monkeypatch.setenv("LLLSAMPLE_CT", "abc")
     assert dispatch(["sample", "--input", cnf_file, "--eps", "0.1", "--seed", "4"]) == 2

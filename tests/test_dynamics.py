@@ -32,7 +32,7 @@ from lllsample.oracle import (
     tv_empirical,
 )
 from lllsample.projection import ProjectionScheme, full_marking_scheme, identity_scheme
-from conftest import random_instance, uniform_csp
+from conftest import random_instance, rows_at, uniform_csp
 
 
 def test_schedule_formulas():
@@ -90,16 +90,6 @@ def test_projected_forbidden_matches_project_csp():
         assert pcsp.domains == tuple(scheme.arrays.q.tolist())
 
 
-def _rows_at(pcsp, y, v):
-    """(unsat, seed) rows of a step at v, from the definition: the
-    constraints unsatisfied with v unassigned, and those of them at v."""
-    free = list(y)
-    free[v] = None
-    unsat = np.zeros((1, pcsp.m), dtype=bool)
-    unsat[0, violated_by_partial(pcsp, free)] = True
-    return unsat, unsat & np.array([[v in c.vars for c in pcsp.constraints]], dtype=bool)
-
-
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_bookkeeping_equals_recomputation(data):
@@ -130,7 +120,7 @@ def test_bookkeeping_equals_recomputation(data):
         assert state.dev == [sum(y[u] != f for u, f in zip(c.vars, c.forbidden)) for c in cons]
         assert state.unsat == set(evaluate(pcsp, y))
         for u in range(n):
-            seeds = np.flatnonzero(_rows_at(pcsp, y, u)[1][0]).tolist()
+            seeds = np.flatnonzero(rows_at(pcsp, y, u)[1][0]).tolist()
             assert state.near[u] == len(seeds)
             assert (state.near[u] == 0) == (not seeds)
             assert sorted(dynamics._seeds(state, u)) == seeds
@@ -147,7 +137,7 @@ def _reference_run(y, pcsp, csp, scheme, cfg, rng, steps, chunk):
     for start in range(0, total, chunk):
         vs, qs = dynamics._draw_steps(movable, csp, scheme, min(chunk, total - start), rng)
         for v, q in zip(vs, qs):
-            unsat, seed = _rows_at(pcsp, y, v)
+            unsat, seed = rows_at(pcsp, y, v)
             size = 0
             if seed.any():
                 new_q, f1, f2, sizes = update(csp, scheme, cfg, np.array([y]), unsat, seed,
@@ -188,7 +178,7 @@ def _component_at(pcsp, y, v, theta=math.inf):
     """explore's component around v in state y: the closure, within the
     constraints unsatisfied with v unassigned, of those of them at v.
     explore reads only the variable sets, which projecting keeps."""
-    return np.flatnonzero(explore(pcsp, *_rows_at(pcsp, y, v), theta)[0]).tolist()
+    return np.flatnonzero(explore(pcsp, *rows_at(pcsp, y, v), theta)[0]).tolist()
 
 
 def _all_components(pcsp, y):

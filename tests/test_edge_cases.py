@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lllsample
 from lllsample.counting import approx_count
 from lllsample.csp import evaluate, parse_dimacs
 from lllsample.bundled import load_bundled
@@ -157,3 +161,15 @@ def test_scheme_for_other_alphabets_is_rejected():
             BatchSampler(csp, wrong, 0.1)
         with pytest.raises(CSPError, match="scheme covers domains"):
             approx_count(parse_dimacs("p cnf 2 0\n"), wrong, 0.5, seed=0)
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so no guarantee of the library may
+    # rest on one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(lllsample.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -31,12 +31,11 @@ from lllsample.projection import (
     check_admissibility,
     choose_case,
     compute_b,
-    compute_zeta_kappa,
     construct_projection,
     full_marking_scheme,
     identity_scheme,
     kappa_for,
-    regime_ok,
+    scheme_kappa,
     zeta_values,
     _SHAPES,
     _WINDOWS,
@@ -95,22 +94,33 @@ def test_b_consistency_property():
 
 
 def test_zeta_kappa():
-    # empty multi-block set floors zeta at 1
+    # empty multi-block set floors zeta at 1; a scheme without kappa takes
+    # the generic formula at Delta=1, A=2, k=3
     csp = uniform_csp(3, 2, [((0, 1, 2), (0, 0, 0))])
-    zetas, kappa = compute_zeta_kappa(csp, full_marking_scheme(csp), eta=0.25)
-    assert zetas == [1.0]
+    assert zeta_values(csp, full_marking_scheme(csp)) == [1.0]
+    assert scheme_kappa(csp, full_marking_scheme(csp)) == kappa_for(None, 1, 2, 3)
     # ceiling 2*Delta binds on the case-1 example
     case1 = star_instance(64, 3, 5)
     scheme = construct_projection(case1, case_hint="case1", seed=0)
-    zetas, _ = compute_zeta_kappa(case1, scheme, eta=0.25)
+    zetas = zeta_values(case1, scheme)
     assert all(z <= min(1.5 * 64 ** (2 / 3), 10.0) for z in zetas)
     # kappa arithmetic: case 1 with Delta=100, A=64
     assert kappa_for("case1", 100, 64, 3) == pytest.approx(12 * math.log(3000 * 164))
     assert kappa_for("case1", 100, 64, 3) == pytest.approx(157.2747, abs=5e-4)
-    # regime error outside e*b*Delta <= 1
-    ident = identity_scheme(csp)
-    with pytest.raises(RegimeError):
-        compute_zeta_kappa(csp, ident, eta=0.25)
+
+
+def test_scheme_kappa_overrides_the_case_formula():
+    # a scheme's own kappa is the one the sampler and the report use; without
+    # one both use kappa_for of the scheme's case
+    csp, scheme = load_bundled("mark4")
+    delta, k, _ = degree_stats(csp)
+    formula = kappa_for(scheme.case, delta, max(csp.domains), k)
+    payload = json.loads(scheme.to_json())
+    own = ProjectionScheme.from_json(json.dumps({**payload, "kappa": formula + 7.5}))
+    for s, kappa in [(scheme, formula), (own, formula + 7.5)]:
+        assert scheme_kappa(csp, s) == kappa
+        assert dynamics.SamplerConfig.derive(csp, s, 0.1).kappa == kappa
+        assert check_admissibility(csp, s, 0.25).kappa == kappa
 
 
 def test_check_admissibility_identity_fails_a1():
@@ -228,9 +238,11 @@ def test_admissibility_report_matches_fraction_reference():
               (case4, construct_projection(case4, case_hint="case4", seed=1))]
     ratios = set()
     for csp, scheme in cases:
-        got = check_admissibility(csp, scheme, 0.25).to_dict()
-        assert got == _admissibility_reference(csp, scheme, 0.25)
-        ratios.add(got["a3"]["worst_ratio"])
+        report = check_admissibility(csp, scheme, 0.25)
+        expect = _admissibility_reference(csp, scheme, 0.25)
+        assert report.to_dict() == expect
+        assert report.regime == (math.e * expect["b"] * expect["delta"] <= 1.0)
+        ratios.add(expect["a3"]["worst_ratio"])
     assert len(ratios) > 2  # A3 sees unequal forbidden blocks
 
 
@@ -484,8 +496,8 @@ def test_scheme_json_malformed(text):
 
 def test_regime_ok():
     csp = uniform_csp(3, 2, [((0, 1, 2), (0, 0, 0))])
-    assert regime_ok(csp, full_marking_scheme(csp))  # e/8 < 1
-    assert not regime_ok(csp, identity_scheme(csp))
+    assert check_admissibility(csp, full_marking_scheme(csp), eta=0.25).regime  # e/8 < 1
+    assert not check_admissibility(csp, identity_scheme(csp), eta=0.25).regime
 
 
 def _random_constraints(rng, domains, m, widths):
