@@ -7,12 +7,13 @@ the projected forbidden values (dynamics.projected_forbidden, gathered once
 per sampler, with the same gather by variable for the step test).  Each
 driver keeps its own step bookkeeping: run_chains decides which constraints
 seed a step from per-constraint match counts, the scalar driver from its
-near-violation counts.  Every update and lift
-goes through the routines the scalar driver uses (dynamics.explore,
-dynamics.reject, dynamics.update, dynamics.lift), so the component rule,
-thresholds and fallback draws are the same; the random streams are laid out
-differently, so outputs for a given seed differ from the scalar driver while
-the sampled law is the same.
+near-violation counts.  Every update goes
+through dynamics.update (explore, then reject), which the scalar driver's
+busy step repeats on its own lists draw for draw, and every lift through
+dynamics.lift, as the scalar driver's; so the component rule, thresholds and
+fallback draws are the same.  The random streams are laid out differently,
+so outputs for a given seed differ from the scalar driver while the sampled
+law is the same.
 """
 
 from __future__ import annotations

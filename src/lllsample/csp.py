@@ -222,6 +222,19 @@ def degree_stats(csp: AtomicCSP) -> tuple[int, int, list[int]]:
 # DIMACS CNF
 
 
+def _decode(text) -> str:
+    """text as a string; bytes must be UTF-8, or ParseError names the first
+    line, as str.splitlines counts them, that does not decode."""
+    if not isinstance(text, bytes):
+        return text
+    try:
+        return text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; the bad byte is on their last line
+        lineno = len((text[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError("input is not UTF-8 text", lineno) from None
+
+
 def parse_dimacs(text) -> AtomicCSP:
     """Parse DIMACS CNF into an atomic CSP over binary alphabets.
 
@@ -230,8 +243,7 @@ def parse_dimacs(text) -> AtomicCSP:
     Duplicate literals are dropped; tautological clauses are skipped with a
     warning.  The declared clause count must match the number of clauses read.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = _decode(text)
     n = None
     declared_m = None
     clauses: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -322,8 +334,7 @@ def write_dimacs(csp: AtomicCSP) -> str:
 
 def parse_hypergraph(text) -> list[tuple[int, ...]]:
     """One edge per line: whitespace-separated 0-indexed vertex ids, '#' comments."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = _decode(text)
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

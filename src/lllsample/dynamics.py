@@ -20,7 +20,7 @@ component iff that number is 0, and a move updates it by visiting only the
 constraints at v that forbid the old or the new value.  The steps' variables
 and the values an empty step would set are drawn ahead in chunks of
 STEP_CHUNK (`_draw_steps`); a busy step drops its drawn value and runs
-`update`.
+`_redraw`.
 
 The chain runs on the input's own tables.  Projecting keeps every
 constraint's variables and maps each forbidden value to its block, so the
@@ -29,16 +29,23 @@ scheme's block counts, and its forbidden values, one table that
 `projected_forbidden` gathers once per run; `project_csp` builds the
 projected instance itself only as the reference definition.
 
-A chain update and a lift are the same operation, and both chain drivers
-(glauber_run here, BatchSampler in batch) run it through three routines.
-Each reads the padded tables of AtomicCSP.arrays and ProjectionScheme.arrays
-and is vectorised over rows, one row per chain or per draw:
+A chain update and a lift are the same operation.  The batch driver
+(BatchSampler in batch) runs its updates, and both drivers run their lifts,
+through three routines that read the padded tables of AtomicCSP.arrays and
+ProjectionScheme.arrays and are vectorised over rows, one row per chain or
+per draw:
 - `explore` grows components; a component is a boolean row over the m
   constraints, closed under "shares a variable" within the unsatisfied set;
 - `reject` draws inside components until every constraint in them holds;
 - `lift` lifts projected states one component at a time and verifies them.
-A step whose component is empty, the common case, needs none of them: the
-new projected value is the block of a uniform value of the variable.
+`update` is one chain step of explore and reject.  The single chain runs the
+same step on one row as `_redraw`, over the lists ProjectedState keeps: a
+numpy call costs about the same for one row as for hundreds, and a single
+chain's components mostly hold one or two constraints.  `_redraw` draws the
+same random numbers as `update` in the same order, so it returns the same
+value for the same generator state.  A step whose component is empty, the
+common case, needs neither: the new projected value is the block of a
+uniform value of the variable.
 
 Failure paths are tagged, never raised: "S1"/"S2" for an oversized component
 or exhausted rejection budget during a chain update (the update falls back to
@@ -359,14 +366,52 @@ def _seeds(state: ProjectedState, v: int) -> list[int]:
 
 
 def _redraw(state, csp, scheme, cfg, rng, v):
-    """`update` at v for a state whose component at v is not empty.
-    Returns (new projected value, failure flag, component size)."""
-    seed = np.zeros((1, csp.m), dtype=bool)
-    seed[0, _seeds(state, v)] = True
-    unsat = (np.array([state.dev]) == 0) | seed
-    Y = np.array([state.y], dtype=np.int64)
-    new_q, s1, s2, size = update(csp, scheme, cfg, Y, unsat, seed, np.array([v]), rng)
-    return int(new_q[0]), "S1" if s1[0] else "S2" if s2[0] else None, int(size[0])
+    """`update` at v for a state whose component at v is not empty, run on
+    the state's own lists and drawing the same random numbers in the same
+    order.  Returns (new projected value, failure flag, component size).
+
+    The component grows from `_seeds` a level at a time through the
+    constraints of deficit 0, and stops growing once it holds more than
+    cfg.theta_comp constraints (S1); otherwise `_reject_at` draws inside it
+    (S2 when its budget runs out).  The fallback value is drawn on every
+    step, as `update` draws it."""
+    dev, dep, cons = state.dev, csp.dep_index, state._cons
+    comp = set(_seeds(state, v))
+    frontier = comp
+    while frontier and len(comp) <= cfg.theta_comp:
+        frontier = {c for cid in frontier for u in cons[cid][0] for c in dep[u] if dev[c] == 0}
+        frontier -= comp
+        comp |= frontier
+    s1 = len(comp) > cfg.theta_comp
+    new_q = None if s1 else _reject_at(state, csp, scheme, comp, v, cfg.S, rng)
+    fallback = int(rng.random() * len(scheme.blocks[v]))
+    if new_q is None:
+        return fallback, "S1" if s1 else "S2", len(comp)
+    return new_q, None, len(comp)
+
+
+def _reject_at(state, csp, scheme, comp, v, budget, rng):
+    """`reject` on one row, v unassigned: the block at v of the first draw
+    under which every constraint of comp holds, or None once budget draws
+    have failed.  A draw sets the component's variables in increasing order,
+    each to a uniform value of its block and v to a uniform value of its
+    alphabet; draws come in rounds of doubling width, at most 64."""
+    cols = sorted({u for cid in comp for u in csp.constraints[cid].vars})
+    at = {u: i for i, u in enumerate(cols)}
+    blocks = [range(csp.domains[u]) if u == v else scheme.blocks[u][state.y[u]] for u in cols]
+    sized = [(block, len(block)) for block in blocks]
+    tests = [[(at[u], f) for u, f in zip(c.vars, c.forbidden)]
+             for c in (csp.constraints[cid] for cid in comp)]
+    used, width = 0, 1
+    while used < budget:
+        width = min(width, budget - used)
+        for row in rng.random((width, len(cols))).tolist():
+            x = [block[int(u * size)] for (block, size), u in zip(sized, row)]
+            if not any(all(x[i] == f for i, f in test) for test in tests):
+                return scheme.block_of[v][x[at[v]]]
+        used += width
+        width = min(2 * width, 64)
+    return None
 
 
 @dataclass

@@ -241,6 +241,17 @@ def test_usage_errors(capsys, tmp_path):
                      "--eps", "0.1"]) == 2  # missing --q
 
 
+@pytest.mark.parametrize("name, data, extra", [
+    ("bad.cnf", b"p cnf 2 1\n1 \xff 0\n", []),
+    ("bad.hyp", b"0 1\n\xfe 2\n", ["--format", "hypergraph", "--q", "3"]),
+])
+def test_input_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, name, data, extra):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert dispatch(["sample", "--input", str(path), "--eps", "0.1", *extra]) == 2
+    assert "line 2: input is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_scheme_file_errors_are_usage_errors(capsys, tmp_path, cnf_file):
     missing = str(tmp_path / "missing.json")
     assert dispatch(["check-projection", "--input", cnf_file, "--scheme", missing]) == 2

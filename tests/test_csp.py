@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import warnings
 
@@ -161,6 +162,77 @@ def test_dimacs_round_trip_random(data):
     assert sorted((c.vars, c.forbidden) for c in again.constraints) == sorted(
         (c.vars, c.forbidden) for c in csp.constraints
     )
+
+
+def test_input_that_is_not_utf8_is_a_parse_error():
+    # the error names the first line that does not decode, as the parser
+    # counts lines; text before it is unaffected
+    for text, line in [(b"p cnf 2 1\n1 \xff 0\n", 2), (b"\xc3(", 1),
+                       (b"c \xe2\x82\xac\r\np cnf 1 1\r\n1 0 \x80\n", 3)]:
+        with pytest.raises(ParseError, match="not UTF-8") as caught:
+            parse_dimacs(text)
+        assert caught.value.line == line
+    with pytest.raises(ParseError, match="line 3: input is not UTF-8"):
+        parse_hypergraph(b"0 1 # \xe2\x82\xac\n1 2\n\xfe 3\n")
+    assert parse_hypergraph("0 1 # \u20ac\n".encode()) == [(0, 1)]
+
+
+# Fuzz inputs are parser words, small integers, random bytes and whitespace,
+# or a valid document with a few short edits that insert no ASCII digit.  So
+# every integer in them stays small: a header declaring about 10^11 variables,
+# or a vertex id that large, makes the parsed instance allocate per-variable
+# tuples of that length and ends in MemoryError, a known limit these tests
+# stay clear of.
+def _fuzz_input(words, documents):
+    token = st.one_of(st.sampled_from(words), st.integers(-9, 9).map(lambda i: b"%d" % i),
+                      st.binary(max_size=3))
+    separator = st.sampled_from([b" ", b"\t", b"\n", b"\r\n", b" \n"])
+    soup = st.lists(st.tuples(token, separator), max_size=30).map(
+        lambda parts: b"".join(t + sep for t, sep in parts))
+    no_digit = st.binary(max_size=3).filter(lambda b: not any(48 <= c <= 57 for c in b))
+    edits = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3), no_digit), max_size=3)
+
+    def edited(doc, edits):
+        for at, cut, new in edits:
+            at %= len(doc) + 1
+            doc = doc[:at] + new + doc[at + cut:]
+        return doc
+
+    return st.one_of(soup, st.builds(edited, st.sampled_from(documents), edits))
+
+
+def _parses_or_names_a_line(parse, data):
+    """parse(data), or None after a ParseError whose line, when set, is one
+    of the input's lines."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ParserWarning)
+            return parse(data)
+    except ParseError as exc:
+        if exc.line is not None:
+            assert 1 <= exc.line <= len(data.decode("utf-8", "replace").splitlines())
+        return None
+
+
+@given(_fuzz_input([b"p cnf", b"p", b"c", b"%", b"0", b"1 -2 0", b"x"],
+                   [b"p cnf 3 2\n1 -2 0\n2 3 -1 0\n", b"c x\np cnf 4 1\n-4 1 1 0\n",
+                    b"p cnf 2 0\n", b"p cnf 3 1\n1 -1 0\n"]))
+@settings(max_examples=300, deadline=None)
+def test_dimacs_parser_fuzz(data):
+    csp = _parses_or_names_a_line(parse_dimacs, data)
+    assert csp is None or all(size == 2 for size in csp.domains)
+
+
+@given(_fuzz_input([b"#", b"# 1 2", b"0 1", b"-1", b"x"],
+                   [b"0 1 2\n2 3\n", b"# edges\n0 1  # one\n\n1 2 3\n"]))
+@settings(max_examples=300, deadline=None)
+def test_hypergraph_parser_fuzz(data):
+    # a parsed edge list may still be no colouring instance (a repeated or a
+    # lone vertex): CSPError, not a parse failure
+    edges = _parses_or_names_a_line(parse_hypergraph, data)
+    if edges is not None:
+        with contextlib.suppress(CSPError):
+            build_coloring_csp(edges, q=3)
 
 
 def test_coloring_builder():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lllsample.batch import BatchSampler
 from lllsample.bundled import BUNDLED, load_bundled
 import lllsample.dynamics as dynamics
 from lllsample.csp import AtomicConstraint, AtomicCSP, InternalError, evaluate, violated_by_partial
@@ -151,9 +152,9 @@ def _reference_run(y, pcsp, csp, scheme, cfg, rng, steps, chunk):
 
 @pytest.mark.parametrize("chunk", [7, dynamics.STEP_CHUNK])
 def test_chain_matches_recomputing_reference(monkeypatch, chunk):
-    # same seed, same final state and diagnostics as a loop that recomputes
-    # every step from scratch; small thresholds and budgets make S1 and S2
-    # steps happen
+    # same seed, same final state, diagnostics and generator state as a loop
+    # that recomputes every step from scratch through numpy `update`; small
+    # thresholds and budgets make S1 and S2 steps happen
     monkeypatch.setattr(dynamics, "STEP_CHUNK", chunk)
     gen = np.random.default_rng(11)
     busy = failed = 0
@@ -165,13 +166,41 @@ def test_chain_matches_recomputing_reference(monkeypatch, chunk):
         object.__setattr__(cfg, "S", int(gen.choice([1, 3, cfg.S])))
         y = [int(gen.integers(q)) for q in pcsp.domains]
         steps = int(gen.integers(0, 60))
-        state, diag = glauber_run(ProjectedState(csp, scheme, y), csp, scheme, cfg,
-                                  np.random.default_rng(case), steps=steps)
-        ref = _reference_run(y, pcsp, csp, scheme, cfg, np.random.default_rng(case), steps, chunk)
+        run_rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+        state, diag = glauber_run(ProjectedState(csp, scheme, y), csp, scheme, cfg, run_rng,
+                                  steps=steps)
+        ref = _reference_run(y, pcsp, csp, scheme, cfg, ref_rng, steps, chunk)
         assert (state.y, diag.steps, diag.s1, diag.s2, diag.component_hist) == ref
+        # every step draws as many numbers as the reference's update does
+        assert run_rng.bit_generator.state == ref_rng.bit_generator.state
         busy += diag.steps - diag.component_hist.get(0, 0)
         failed += diag.s1 + diag.s2
     assert busy > 200 and 50 < failed < busy
+
+
+def test_fallback_values_stay_in_the_projected_alphabet():
+    # with the threshold and budget shrunk as above, S1 and S2 fallbacks
+    # happen in both drivers; every final projected value lies in [0, q_v)
+    gen = np.random.default_rng(23)
+    fallbacks = batch_fallbacks = 0
+    for case in range(30):
+        csp, scheme = random_instance(gen)
+        q = scheme.q_sizes()
+        cfg = SamplerConfig.derive(csp, scheme, 0.1)
+        object.__setattr__(cfg, "theta_comp", float(gen.choice([0.5, 1.5])))
+        object.__setattr__(cfg, "S", int(gen.choice([1, 3])))
+        rng = np.random.default_rng(case)
+        state, diag = glauber_run(ProjectedState.random(csp, scheme, rng), csp, scheme, cfg, rng,
+                                  steps=60)
+        assert all(0 <= y < size for y, size in zip(state.y, q))
+        state.check_consistent()
+        fallbacks += diag.s1 + diag.s2
+        sampler = BatchSampler(csp, scheme, 0.1)
+        sampler.cfg = cfg
+        Y, s1, s2, _ = sampler.run_chains(20, rng, steps=60)
+        assert ((0 <= Y) & (Y < np.array(q))).all()
+        batch_fallbacks += s1 + s2
+    assert fallbacks > 200 and batch_fallbacks > 3000
 
 
 def _component_at(pcsp, y, v, theta=math.inf):
@@ -438,7 +467,6 @@ def test_lift_verification_raises(monkeypatch, driver, value, why):
     # return (0, 0), which violates the constraint, or (1, 1), which does not
     # project to the state (0, 0); the lift's own check must catch either
     import lllsample.dynamics as dynamics
-    from lllsample.batch import BatchSampler
 
     csp = uniform_csp(2, 2, [((0, 1), (0, 0))])
     scheme = identity_scheme(csp)
