@@ -1,7 +1,7 @@
 """Near-uniform sampling and approximate counting of atomic-CSP solutions
 via single-site dynamics on a projected state space."""
 
-__version__ = "0.6.2"
+__version__ = "0.7.0"
 
 from .csp import (
     AtomicConstraint,

@@ -35,6 +35,12 @@ class ParserWarning(UserWarning):
     pass
 
 
+# Most variables an input may declare.  The parsers refuse more before
+# building any per-variable table, so a huge declared size is an input error
+# rather than a MemoryError.
+MAX_VARIABLES = 10**7
+
+
 @dataclass(frozen=True)
 class AtomicConstraint:
     """A single forbidden partial assignment: violated iff every listed
@@ -266,6 +272,10 @@ def parse_dimacs(text) -> AtomicCSP:
                 raise ParseError(f"malformed header {line!r}", lineno) from None
             if n < 0 or declared_m < 0:
                 raise ParseError(f"negative counts in header {line!r}", lineno)
+            if n > MAX_VARIABLES:
+                raise ParseError(
+                    f"header declares {n} variables, past the limit of {MAX_VARIABLES}", lineno
+                )
             continue
         if n is None:
             raise ParseError("clause before 'p cnf' header", lineno)
@@ -366,6 +376,8 @@ def build_coloring_csp(edges, q: int, n: int | None = None) -> AtomicCSP:
     max_v = max((max(e) for e in edges), default=-1)
     if n is None:
         n = max_v + 1
+    if n > MAX_VARIABLES:
+        raise CSPError(f"{n} vertices, past the limit of {MAX_VARIABLES} variables")
     elif max_v >= n:
         raise CSPError(f"edge vertex {max_v} out of range for n={n}")
     constraints = [

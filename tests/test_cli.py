@@ -252,6 +252,17 @@ def test_input_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, name, data, e
     assert "line 2: input is not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, data, extra", [
+    ("big.cnf", "p cnf 100000000000 0\n", []),
+    ("big.hyp", "0 100000000000\n", ["--format", "hypergraph", "--q", "3"]),
+])
+def test_too_many_variables_is_a_usage_error(capsys, tmp_path, name, data, extra):
+    path = tmp_path / name
+    path.write_text(data)
+    assert dispatch(["count", "--input", str(path), "--delta", "0.5", *extra]) == 2
+    assert "past the limit" in capsys.readouterr().err
+
+
 def test_scheme_file_errors_are_usage_errors(capsys, tmp_path, cnf_file):
     missing = str(tmp_path / "missing.json")
     assert dispatch(["check-projection", "--input", cnf_file, "--scheme", missing]) == 2

@@ -2,11 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import chisquare
 
 import lllsample.counting as counting
 from lllsample.bundled import load_bundled
-from lllsample.counting import CountingError, approx_count, counting_eps, stage_samples
-from lllsample.projection import full_marking_scheme, identity_scheme
+from lllsample.counting import CountingError, approx_count, blocks, counting_eps, stage_samples
+from lllsample.csp import AtomicConstraint, AtomicCSP, parse_dimacs
+from lllsample.oracle import ENUM_GUARD
+from lllsample.projection import (
+    ProjectionScheme,
+    check_admissibility,
+    full_marking_scheme,
+    identity_scheme,
+)
 from conftest import uniform_csp
 
 
@@ -84,18 +93,18 @@ def _exact_disjoint_clause_draws(csp, scheme, eps, n_draws, seed, eta, c_t):
     return columns.T, 0
 
 
-def test_count_unbiased_at_n200(monkeypatch):
+def test_count_unbiased_at_n200():
     # 50 disjoint 4-clauses with mixed signs: Z = 15^50.  With an exact
     # sampler in place of the chain, the telescope's mean ratio must sit
     # within delta/4 of 1.
     rng = np.random.default_rng(0)
     clauses = [(tuple(range(4 * j, 4 * j + 4)), tuple(rng.integers(0, 2, 4))) for j in range(50)]
     csp = uniform_csp(200, 2, clauses)
-    monkeypatch.setattr(counting, "_stage_draws", _exact_disjoint_clause_draws)
     delta, log_z = 0.5, 50 * math.log(15)
     ratios = []
     for seed in range(20):
-        est = approx_count(csp, full_marking_scheme(csp), delta, seed=seed)
+        est = counting._count(csp, full_marking_scheme(csp), delta, seed=seed,
+                              chain_draws=_exact_disjoint_clause_draws)
         assert est.stages[0]["method"] == "unconstrained-tail"
         ratios.append(math.exp(est.log_estimate - log_z))
     assert abs(np.mean(ratios) - 1) <= delta / 4
@@ -145,3 +154,151 @@ def test_counting_error_reports_stage():
     with pytest.raises(CountingError) as err:
         approx_count(csp, full_marking_scheme(csp), 0.2, seed=0)
     assert err.value.stage == 0
+
+
+@st.composite
+def _instances(draw):
+    """Random instances over alphabets of 2-4 values whose constraints all
+    have at least a drawn width, with a random scheme: each value's block
+    is a drawn label of at most 3."""
+    n = draw(st.integers(1, 30))
+    domains = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+    width = min(n, draw(st.integers(1, 8)))
+    constraints = []
+    for _ in range(draw(st.integers(0, 14))):
+        vars_ = draw(st.lists(st.integers(0, n - 1), min_size=width, max_size=min(n, width + 2),
+                              unique=True))
+        forbidden = [draw(st.integers(0, domains[v] - 1)) for v in vars_]
+        constraints.append(AtomicConstraint(vars_, forbidden))
+    scheme = []
+    for size in domains:
+        labels = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        scheme.append(tuple(tuple(a for a in range(size) if labels[a] == label)
+                            for label in sorted(set(labels))))
+    return AtomicCSP(n, domains, constraints), ProjectionScheme(tuple(scheme))
+
+
+def _lll_mass(csp):
+    """e * p_C per constraint, and e * p_max * Delta, from the definitions."""
+    mass = [math.e / math.prod(csp.domains[v] for v in c.vars) for c in csp.constraints]
+    degree = max((sum(1 for d in csp.constraints if set(c.vars) & set(d.vars))
+                  for c in csp.constraints), default=0)
+    return mass, max(mass, default=0.0) * degree
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances())
+def test_blocks_partition_the_constraints(instance):
+    csp, scheme = instance
+    cut = blocks(csp)
+    mass, lll = _lll_mass(csp)
+    assert [i for span in cut.spans for i in span] == list(range(csp.m))
+    assert all(len(span) >= 1 for span in cut.spans) and len(cut.sigma) == len(cut.spans)
+    for j, (span, sigma) in enumerate(zip(cut.spans, cut.sigma)):
+        assert sigma == pytest.approx(math.fsum(mass[i] for i in span))
+        if len(span) > 1:
+            assert sigma <= 0.5
+        if j + 1 < len(cut.spans):  # it closed because the next constraint would pass 1/2
+            assert sigma + mass[span.stop] > 0.5
+    # the sampled stages run only in the regime, which gives each ratio >= 1/2
+    if check_admissibility(csp, scheme, 0.25).regime:
+        assert lll <= 1.0 + 1e-12
+
+
+def test_blocks_of_disjoint_wide_clauses():
+    # 50 disjoint 8-clauses: e/256 each, 47 fit under 1/2
+    wide = uniform_csp(400, 2, [(tuple(range(8 * j, 8 * j + 8)), (0,) * 8) for j in range(50)])
+    assert [len(span) for span in blocks(wide).spans] == [47, 3]
+    assert blocks(uniform_csp(2, 2, [])) == ([], [])
+
+
+def test_first_stage_draws_from_the_product_law():
+    csp = AtomicCSP(3, (2, 3, 5), [AtomicConstraint((0, 1, 2), (0, 0, 0))])
+    rows = counting._product_draws(csp, 30000, [4, 1])
+    assert rows.shape == (30000, 3) and rows.dtype == np.int64
+    code = rows[:, 0] * 15 + rows[:, 1] * 5 + rows[:, 2]  # the joint law of all three
+    assert chisquare(np.bincount(code, minlength=30)).pvalue > 1e-3
+    assert rows.min() == 0 and (rows.max(axis=0) == np.array(csp.domains) - 1).all()
+
+
+def test_one_block_runs_no_chain():
+    # a single 4-clause is one block: the count is the exact first stage alone
+    csp = uniform_csp(4, 2, [((0, 1, 2, 3), (0, 1, 0, 1))])
+
+    def no_chain(*args):
+        raise AssertionError("a chain stage ran")
+
+    est = counting._count(csp, full_marking_scheme(csp), 0.5, seed=3, chain_draws=no_chain)
+    (stage,) = est.stages[1:]
+    assert stage["sampler"] == "exact" and stage["draws"] == math.ceil(64 / 0.25)
+    assert est.samples_total == stage["draws"] and est.eps_stage == counting_eps(1, 0.5)
+
+
+def test_stage_health_fields():
+    csp, scheme = load_bundled("sat62")  # two 3-clauses, e/8 each: one block apiece
+    est = approx_count(csp, scheme, 0.2, seed=5)
+    first, second = est.stages[1:]
+    assert (first["sampler"], second["sampler"]) == ("exact", "chain")
+    assert [(s["constraint"], s["last"]) for s in (first, second)] == [(1, 1), (2, 2)]
+    for s in (first, second):
+        assert s["sigma"] == pytest.approx(math.e / 8)
+        assert s["variance"] == pytest.approx(
+            s["marginal"] * (1 - s["marginal"]) / (s["draws"] - s["errors"]))
+    # the exact stage takes at least c_n / delta^2 draws, the chain stage N
+    assert (first["draws"], second["draws"]) == (1600, stage_samples(2 * math.e / 8, 0.2))
+    assert est.samples_total == first["draws"] + second["draws"]
+
+
+def test_one_wide_clause_keeps_the_exact_stage_floor():
+    # one 10-clause at delta=0.5: N = ceil(64 * e/1024 / 0.25) = 1.  The
+    # clause forbids the first exact draw, so a single draw would end the
+    # count; the exact stage's floor of c_n / delta^2 draws carries it.
+    free = uniform_csp(10, 2, [])
+    first = counting._product_draws(free, 1, [7, 1])[0]
+    csp = uniform_csp(10, 2, [(tuple(range(10)), tuple(int(x) for x in first))])
+    assert stage_samples(math.e / 1024, 0.5) == 1
+    est = approx_count(csp, full_marking_scheme(csp), 0.5, seed=7)
+    (stage,) = est.stages[1:]
+    assert stage["draws"] == 256 and stage["successes"] == 255
+    assert est.estimate == pytest.approx(1024 * 255 / 256)
+
+
+def _binary_scheme(spec):
+    """A scheme over binary alphabets: "i" keeps a variable's two values
+    apart (movable), "c" collapses them."""
+    return ProjectionScheme(tuple(((0, 1),) if ch == "c" else ((0,), (1,)) for ch in spec))
+
+
+def test_count_past_enumeration_through_the_chain():
+    # 6 disjoint 5-clauses at n=30: Z = 31^6, past the oracle's guard.  The
+    # blocks are 5 + 1, so the second stage runs the chain at c_t=1 under a
+    # scheme that keeps two variables of each clause movable.
+    rng = np.random.default_rng(0)
+    lines = ["p cnf 30 6"] + [" ".join(str((5 * j + i + 1) * (1 if rng.integers(2) else -1))
+                                       for i in range(5)) + " 0" for j in range(6)]
+    csp = parse_dimacs("\n".join(lines) + "\n")
+    scheme = _binary_scheme("iiccc" * 6)
+    assert csp.state_space_size() > ENUM_GUARD
+    delta = 0.5
+    est = approx_count(csp, scheme, delta, seed=0, c_t=1.0)
+    assert [s["sampler"] for s in est.stages[1:]] == ["exact", "chain"]
+    ratio = math.exp(est.log_estimate - 6 * math.log(31))
+    assert 1 / (1 + delta) <= ratio <= 1 + delta
+
+
+@pytest.mark.slow
+def test_count_at_n400_through_the_chain():
+    # 50 disjoint 8-clauses at n=400: Z = 255^50, blocks 47 + 3, one exact
+    # and one chain stage at c_t=1; the mean ratio over seeds lies within
+    # delta/4 of 1.
+    rng = np.random.default_rng(1)
+    clauses = [(tuple(range(8 * j, 8 * j + 8)), tuple(rng.integers(0, 2, 8))) for j in range(50)]
+    csp = uniform_csp(400, 2, clauses)
+    scheme = _binary_scheme("iiiicccc" * 50)
+    delta, log_z = 0.5, 50 * math.log(255)
+    ratios = []
+    for seed in range(3):
+        est = approx_count(csp, scheme, delta, seed=seed, c_t=1.0)
+        assert [s["sampler"] for s in est.stages[1:]] == ["exact", "chain"]
+        ratios.append(math.exp(est.log_estimate - log_z))
+    assert abs(np.mean(ratios) - 1) <= delta / 4

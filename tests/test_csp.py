@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lllsample.csp import (
+    MAX_VARIABLES,
     AtomicConstraint,
     AtomicCSP,
     CSPError,
@@ -177,12 +178,25 @@ def test_input_that_is_not_utf8_is_a_parse_error():
     assert parse_hypergraph("0 1 # \u20ac\n".encode()) == [(0, 1)]
 
 
+def test_variable_count_past_the_limit_is_refused_before_allocating():
+    # the refusal comes before any per-variable table: nothing near n is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="line 2: header declares 100000000000 variables"):
+            parse_dimacs("c big\np cnf 100000000000 0\n")
+        with pytest.raises(CSPError, match="past the limit"):
+            build_coloring_csp(parse_hypergraph("0 100000000000\n"), 3)
+        with pytest.raises(CSPError, match="past the limit"):
+            build_coloring_csp([(0, 1)], 3, n=MAX_VARIABLES + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # Fuzz inputs are parser words, small integers, random bytes and whitespace,
 # or a valid document with a few short edits that insert no ASCII digit.  So
-# every integer in them stays small: a header declaring about 10^11 variables,
-# or a vertex id that large, makes the parsed instance allocate per-variable
-# tuples of that length and ends in MemoryError, a known limit these tests
-# stay clear of.
+# every integer in them stays small, and so does every parsed instance.
 def _fuzz_input(words, documents):
     token = st.one_of(st.sampled_from(words), st.integers(-9, 9).map(lambda i: b"%d" % i),
                       st.binary(max_size=3))
