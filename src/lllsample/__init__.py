@@ -1,7 +1,7 @@
 """Near-uniform sampling and approximate counting of atomic-CSP solutions
 via single-site dynamics on a projected state space."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .csp import (
     AtomicConstraint,
@@ -14,7 +14,6 @@ from .csp import (
     evaluate,
     parse_dimacs,
     parse_hypergraph,
-    violated_by_partial,
     write_dimacs,
 )
 from .projection import (
@@ -43,12 +42,8 @@ from .dynamics import (
 from .batch import BatchSampler
 from .counting import CountEstimate, CountingError, approx_count, counting_eps
 from .oracle import (
-    count_2trees,
     count_satisfying,
     enumerate_satisfying,
-    exact_mu_pi,
-    exact_projected_conditional,
-    greedy_2tree,
     tv_empirical,
 )
 

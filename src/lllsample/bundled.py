@@ -1,5 +1,5 @@
-"""Small bunded instances with fixed projection schemes, used by the
-verification CLI and the acceptance suite.
+"""Small bundled instances with fixed projection schemes, used by the test
+suite and the benchmark.
 
 Tags route instances to checks: "tv" (whole-sampler uniformity), "conditional"
 (single-site conditional exactness), "lift" (lifting exactness), "regime"

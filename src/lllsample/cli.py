@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: find (resampling solver), sample (projected-chain sampler),
-count (approximate model count), check-projection (admissibility report),
-verify (oracle self-checks on the bundled instances).  Output is a single
-JSON document on stdout carrying a manifest that, together with the input
-file, fully determines the run; diagnostics go to stderr.
+count (approximate model count), check-projection (admissibility report).
+Output is a single JSON document on stdout carrying a manifest that,
+together with the input file, fully determines the run; diagnostics go to
+stderr.
 
 Exit codes: 0 success, 1 ERROR result (sampler lift failure, solver budget,
 counting abort), 2 usage/parse/regime errors.
@@ -15,27 +15,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .bundled import BUNDLED
 from .counting import CountingError, approx_count
 from .csp import AtomicCSP, CSPError, build_coloring_csp, parse_dimacs, parse_hypergraph
 from .dynamics import main_sample
-from .oracle import (
-    count_satisfying,
-    count_2trees,
-    count_2trees_backtracking,
-    greedy_2tree,
-    is_two_tree,
-    exact_mu_pi,
-    marginal_bound_holds,
-    two_tree_count_bound,
-)
 from .projection import (
     AdmissibilityError,
     ConstructionError,
@@ -100,6 +88,8 @@ def _scheme_for(args, csp: AtomicCSP, seed: int):
 
 
 def _overrides(args) -> dict:
+    """The schedule constants the user set; the library's defaults hold for
+    the rest."""
     out = {}
     for name in ("c_t", "theta_const", "c_n"):
         if hasattr(args, name) and getattr(args, name) is not None:
@@ -127,8 +117,8 @@ def _manifest(args, command: str, seed: int, scheme_source: str | None) -> dict:
 
 
 def _chain_payload(job) -> dict:
-    csp, scheme, eps, eta, c_t, seed = job
-    res = main_sample(csp, scheme, eps, seed=seed, eta=eta, c_t=c_t)
+    csp, scheme, eps, eta, overrides, seed = job
+    res = main_sample(csp, scheme, eps, seed=seed, eta=eta, **overrides)
     return {
         "assignment": list(res.assignment) if res.assignment is not None else None,
         "error": res.error,
@@ -155,8 +145,8 @@ def cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     csp = _load_csp(args)
     scheme, source = _scheme_for(args, csp, seed)
-    c_t = args.c_t if args.c_t is not None else 1.0
-    jobs = [(csp, scheme, args.eps, args.eta, c_t, [seed, 1, i]) for i in range(args.count)]
+    overrides = _overrides(args)
+    jobs = [(csp, scheme, args.eps, args.eta, overrides, [seed, 1, i]) for i in range(args.count)]
     if args.workers > 1 and args.count > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_chain_payload, jobs))
@@ -184,10 +174,8 @@ def cmd_count(args) -> int:
             scheme,
             args.delta,
             seed=seed,
-            theta_const=args.theta_const if args.theta_const is not None else 0.125,
-            c_n=args.c_n if args.c_n is not None else 64.0,
             eta=args.eta,
-            c_t=args.c_t if args.c_t is not None else 1.0,
+            **_overrides(args),
         )
     except CountingError as exc:
         _emit({"error": str(exc), "stage": exc.stage, "manifest": manifest}, args.pretty)
@@ -209,61 +197,6 @@ def cmd_check_projection(args) -> int:
     }
     _emit(payload, args.pretty)
     return 0
-
-
-def _verify_checks() -> list[dict]:
-    checks = []
-    for name, inst in BUNDLED.items():
-        csp, scheme = inst.load()
-        cnt = count_satisfying(csp)
-        checks.append(
-            {"name": f"count:{name}", "pass": cnt == inst.solutions,
-             "detail": f"enumerated {cnt}, frozen {inst.solutions}"}
-        )
-        mu = exact_mu_pi(csp, scheme)
-        checks.append(
-            {"name": f"mu_pi_total:{name}", "pass": sum(mu.values()) == 1,
-             "detail": f"{len(mu)} projected states"}
-        )
-        if "regime" in inst.tags:
-            from itertools import product
-
-            qs = scheme.q_sizes()
-            ok = True
-            for v in range(csp.n):
-                for z in product(*(range(q) for q in qs)):
-                    try:
-                        if not marginal_bound_holds(csp, scheme, v, z):
-                            ok = False
-                    except ValueError:
-                        continue  # conditioning event infeasible
-            checks.append({"name": f"marginal_bound:{name}", "pass": ok, "detail": "all (v,z)"})
-    path5 = {i: [j for j in (i - 1, i + 1) if 0 <= j < 5] for i in range(5)}
-    star = {0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}
-    for gname, graph, delta in [("path5", path5, 2), ("star", star, 3)]:
-        for ell in (2, 3):
-            scan = count_2trees(graph, 0, ell)
-            back = count_2trees_backtracking(graph, 0, ell)
-            checks.append(
-                {"name": f"2tree_count:{gname}:{ell}", "pass": scan == back
-                 and scan <= two_tree_count_bound(delta, ell),
-                 "detail": f"scan {scan}, backtracking {back}"}
-            )
-        tree = greedy_2tree(graph, set(graph), 0)
-        ok = is_two_tree(graph, tree) and len(tree) >= len(graph) / (delta + 1)
-        checks.append({"name": f"greedy_2tree:{gname}", "pass": ok, "detail": f"size {len(tree)}"})
-    return checks
-
-
-def cmd_verify(args) -> int:
-    checks = _verify_checks()
-    payload = {
-        "checks": checks,
-        "all_pass": all(c["pass"] for c in checks),
-        "manifest": {"command": "verify", "version": __version__},
-    }
-    _emit(payload, args.pretty)
-    return 0 if payload["all_pass"] else RESULT_ERROR
 
 
 def _float_in(low: float, high: float):
@@ -292,12 +225,6 @@ def _int_from(low: int):
         return value
 
     return parse
-
-
-def _env(name: str):
-    """Default of an option that an environment variable may set; argparse
-    checks it with the option's type."""
-    return os.environ.get(name) or None
 
 
 def _add_common(p, scheme_opts=True):
@@ -331,25 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_float_in(0.0, 0.5), required=True)
     p.add_argument("--count", type=_int_from(1), default=1)
     p.add_argument("--workers", type=_int_from(1), default=1)
-    p.add_argument("--c-t", type=_POSITIVE, default=_env("LLLSAMPLE_CT"), dest="c_t")
+    p.add_argument("--c-t", type=_POSITIVE, dest="c_t")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("count", help="approximate the satisfying-assignment count")
     _add_common(p)
     p.add_argument("--delta", type=_PROBABILITY, required=True)
-    p.add_argument("--theta-const", type=_POSITIVE, default=_env("LLLSAMPLE_THETA_CONST"),
-                   dest="theta_const")
-    p.add_argument("--c-n", type=_POSITIVE, default=_env("LLLSAMPLE_CN"), dest="c_n")
-    p.add_argument("--c-t", type=_POSITIVE, default=_env("LLLSAMPLE_CT"), dest="c_t")
+    p.add_argument("--theta-const", type=_POSITIVE, dest="theta_const")
+    p.add_argument("--c-n", type=_POSITIVE, dest="c_n")
+    p.add_argument("--c-t", type=_POSITIVE, dest="c_t")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("check-projection", help="admissibility report for a scheme")
     _add_common(p)
     p.set_defaults(func=cmd_check_projection)
-
-    p = sub.add_parser("verify", help="run the oracle self-checks on bundled instances")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 

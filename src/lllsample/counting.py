@@ -45,7 +45,9 @@ and one that broke its block would end the count.
 A sub-instance keeps every variable and alphabet and drops constraints, so
 neither Delta nor b grows and the input's scheme serves every stage.
 Outside the regime the instance is counted exactly by enumeration when the
-oracle's guard allows, and counting aborts otherwise.
+oracle's guard allows.  Above the guard, a count of one block still runs,
+since its one stage is exact and needs no chain, and a count of more blocks
+aborts.
 """
 
 from __future__ import annotations
@@ -199,14 +201,17 @@ def _count(
     est = CountEstimate(estimate=1.0, log_estimate=0.0, delta=delta, eps_stage=eps_stage)
 
     if not check_admissibility(csp, scheme, eta).regime:
-        if csp.state_space_size() > ENUM_GUARD:
+        if csp.state_space_size() <= ENUM_GUARD:
+            count = count_satisfying(csp)
+            if count == 0:
+                raise CountingError(0, "instance is unsatisfiable")
+            _exact(est, "exact-tail", count)
+            est.estimate = float(count)
+            return est
+        # one block is the exact first stage alone: no chain runs, so the
+        # regime is not needed
+        if len(cut.spans) > 1:
             raise CountingError(0, "regime lost and instance too large to enumerate")
-        count = count_satisfying(csp)
-        if count == 0:
-            raise CountingError(0, "instance is unsatisfiable")
-        _exact(est, "exact-tail", count)
-        est.estimate = float(count)
-        return est
 
     _exact(est, "unconstrained-tail", csp.state_space_size())
     if cut.spans:

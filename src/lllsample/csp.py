@@ -198,21 +198,6 @@ def evaluate(csp: AtomicCSP, x) -> list[int]:
     ]
 
 
-def violated_by_partial(csp: AtomicCSP, y) -> list[int]:
-    """Ids of constraints whose assigned variables all sit at their forbidden
-    values; constraints with no assigned variable count as unsatisfied."""
-    if len(y) != csp.n:
-        raise CSPError(f"assignment has length {len(y)}, expected {csp.n}")
-    out = []
-    for cid, c in enumerate(csp.constraints):
-        for v, f in zip(c.vars, c.forbidden):
-            if y[v] is not None and y[v] != f:
-                break
-        else:
-            out.append(cid)
-    return out
-
-
 def degree_stats(csp: AtomicCSP) -> tuple[int, int, list[int]]:
     """(Delta, k, per-constraint degrees).
 

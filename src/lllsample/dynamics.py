@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csp import AtomicCSP, InternalError, degree_stats, violated_by_partial
+from .csp import AtomicCSP, InternalError, degree_stats
 from .projection import ProjectionScheme, RegimeError, _check_match, scheme_kappa
 
 
@@ -208,10 +208,6 @@ class ProjectedState:
         y = [int(rng.integers(size)) for size in scheme.q_sizes()]
         return cls(csp, scheme, y)
 
-    @property
-    def unsat(self) -> set[int]:
-        return {cid for cid, d in enumerate(self.dev) if d == 0}
-
     def _recount(self):
         y = self.y
         dev = [sum(y[v] != f for v, f in zip(vars_, forb)) for vars_, forb in self._cons]
@@ -247,16 +243,6 @@ class ProjectedState:
         for u, f in zip(vars_, forb):
             if u != v and (d == 0 or y[u] != f):
                 near[u] += sign
-
-    def check_consistent(self):
-        expect = set(violated_by_partial(project_csp(self.csp, self.scheme), self.y))
-        if expect != self.unsat:
-            raise AssertionError(f"unsat bookkeeping drifted: {self.unsat} != {expect}")
-        dev, near = self._recount()
-        if dev != self.dev:
-            raise AssertionError("deficit bookkeeping drifted")
-        if near != self.near:
-            raise AssertionError("near-violation bookkeeping drifted")
 
 
 def explore(csp: AtomicCSP, unsat: np.ndarray, comp: np.ndarray, theta: float = math.inf):

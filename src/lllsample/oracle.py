@@ -1,21 +1,18 @@
-"""Brute-force ground truth: exact enumeration of satisfying assignments,
-exact projected and conditional distributions, empirical TV distance, and
-the 2-tree combinatorics used as independent checks on component bounds.
+"""Brute-force ground truth: exact enumeration of satisfying assignments
+(the counter's fallback outside the sampling regime), empirical TV distance,
+and the bound on 2-trees that component sizes are compared against.
 
-Everything here is exact (integer counts, Fractions) and guarded to desk
-scale; nothing reuses the sampling code paths it is meant to check.
+Enumeration is exact (integer counts) and guarded to desk scale; nothing
+here reuses the sampling code paths it is meant to check.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
-from .csp import AtomicCSP, degree_stats
-from .projection import ProjectionScheme, compute_b, marginal_prob
+from .csp import AtomicCSP
 
 ENUM_GUARD = 1 << 20
 _CHUNK = 1 << 16
@@ -62,73 +59,6 @@ def count_satisfying(csp: AtomicCSP) -> int:
     return sum(rows.shape[0] for rows in _satisfying_rows(csp))
 
 
-def exact_mu_pi(csp: AtomicCSP, scheme: ProjectionScheme) -> dict[tuple[int, ...], Fraction]:
-    """Pushforward of the uniform distribution on satisfying assignments
-    through the projection; exact probabilities."""
-    counts: dict[tuple[int, ...], int] = {}
-    total = 0
-    for rows in _satisfying_rows(csp):
-        total += rows.shape[0]
-        for row in rows:
-            y = scheme.project(row)
-            counts[y] = counts.get(y, 0) + 1
-    if total == 0:
-        raise ValueError("instance has no satisfying assignment")
-    return {y: Fraction(c, total) for y, c in counts.items()}
-
-
-def exact_projected_conditional(
-    csp: AtomicCSP, scheme: ProjectionScheme, v: int, z
-) -> dict[int, Fraction]:
-    """Exact conditional law of the projected value at v given the projected
-    values z everywhere else (z[v] is ignored).  Raises if the conditioning
-    event has zero probability."""
-    counts: dict[int, int] = {}
-    total = 0
-    for rows in _satisfying_rows(csp):
-        for row in rows:
-            y = scheme.project(row)
-            if all(y[u] == z[u] for u in range(csp.n) if u != v):
-                counts[y[v]] = counts.get(y[v], 0) + 1
-                total += 1
-    if total == 0:
-        raise ValueError("conditioning event has probability zero")
-    return {q: Fraction(c, total) for q, c in counts.items()}
-
-
-def exact_lift_conditional(
-    csp: AtomicCSP, scheme: ProjectionScheme, y
-) -> dict[tuple[int, ...], Fraction]:
-    """Uniform distribution on satisfying assignments whose projection is y."""
-    matches: list[tuple[int, ...]] = []
-    for rows in _satisfying_rows(csp):
-        for row in rows:
-            if scheme.project(row) == tuple(y):
-                matches.append(tuple(int(x) for x in row))
-    if not matches:
-        raise ValueError("projected state has no satisfying preimage")
-    p = Fraction(1, len(matches))
-    return {x: p for x in matches}
-
-
-def marginal_bound_holds(
-    csp: AtomicCSP, scheme: ProjectionScheme, v: int, z, slack: float = 1e-12
-) -> bool:
-    """Conditional marginal at v given z is at most (1-3b)^-Delta times the
-    product-measure marginal, coordinatewise."""
-    delta, _, _ = degree_stats(csp)
-    b, _ = compute_b(csp, scheme)
-    if float(b) >= 1.0 / 3.0:
-        raise ValueError("bound undefined for b >= 1/3")
-    inflate = (1.0 - 3.0 * float(b)) ** (-delta)
-    cond = exact_projected_conditional(csp, scheme, v, z)
-    for q, prob in cond.items():
-        cap = inflate * float(marginal_prob(csp, scheme, v, q))
-        if float(prob) > cap * (1.0 + slack):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Total variation
 
@@ -156,104 +86,6 @@ def tv_empirical(samples, exact: dict) -> float:
 # is connected
 
 
-def _distances_from(adj: dict, src) -> dict:
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
-def all_pairs_distances(adj: dict) -> dict:
-    return {u: _distances_from(adj, u) for u in adj}
-
-
-def is_two_tree(adj: dict, vertices) -> bool:
-    verts = list(vertices)
-    if not verts:
-        return False
-    dist = {u: _distances_from(adj, u) for u in verts}
-    for u, w in combinations(verts, 2):
-        if dist[u].get(w, math.inf) < 2:
-            return False
-    # connectivity after joining pairs at distance <= 2
-    seen = {verts[0]}
-    frontier = [verts[0]]
-    while frontier:
-        u = frontier.pop()
-        for w in verts:
-            if w not in seen and dist[u].get(w, math.inf) <= 2:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(verts)
-
-
-def count_2trees(adj: dict, root, ell: int) -> int:
-    """Number of 2-trees of size ell containing root (exhaustive subset scan,
-    graphs capped at 20 vertices)."""
-    verts = sorted(adj)
-    if len(verts) > 20:
-        raise ValueError("exhaustive 2-tree count capped at 20 vertices")
-    if ell < 1:
-        return 0
-    others = [u for u in verts if u != root]
-    return sum(
-        1 for extra in combinations(others, ell - 1) if is_two_tree(adj, (root, *extra))
-    )
-
-
-def count_2trees_backtracking(adj: dict, root, ell: int) -> int:
-    """Independent recursive counter (distance-pruned backtracking) used to
-    cross-check the subset scan."""
-    verts = sorted(adj)
-    dist = all_pairs_distances(adj)
-
-    def feasible(chosen, candidate):
-        return all(dist[candidate].get(u, math.inf) >= 2 for u in chosen)
-
-    def rec(chosen, start):
-        if len(chosen) == ell:
-            return 1 if is_two_tree(adj, chosen) else 0
-        total = 0
-        for idx in range(start, len(verts)):
-            u = verts[idx]
-            if u == root or not feasible(chosen, u):
-                continue
-            total += rec(chosen + [u], idx + 1)
-        return total
-
-    return rec([root], 0)
-
-
 def two_tree_count_bound(delta: int, ell: int) -> float:
     """(e * Delta^2)^(ell-1) / 2."""
     return (math.e * delta * delta) ** (ell - 1) / 2.0
-
-
-def greedy_2tree(adj: dict, subgraph_vertices, v) -> list:
-    """Greedy 2-tree inside a connected subgraph: repeatedly discard the last
-    pick's closed neighborhood and take the smallest remaining vertex at
-    distance exactly 2 from the current set.  Output size is at least
-    |V(H)|/(Delta+1)."""
-    H = set(subgraph_vertices)
-    if v not in H:
-        raise ValueError("root must lie in the subgraph")
-    tree = [v]
-    remaining = H - {v} - set(adj[v])
-    while remaining:
-        dist_to_tree = {}
-        for u in sorted(remaining):
-            d = min(_distances_from(adj, u).get(t, math.inf) for t in tree)
-            dist_to_tree[u] = d
-        pick = next((u for u in sorted(remaining) if dist_to_tree[u] == 2), None)
-        if pick is None:
-            break
-        tree.append(pick)
-        remaining -= {pick} | set(adj[pick])
-    return tree

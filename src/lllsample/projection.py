@@ -203,11 +203,6 @@ def compute_b(csp: AtomicCSP, scheme: ProjectionScheme):
     return b, [Fraction(1, volume) for volume in volumes]
 
 
-def marginal_prob(csp: AtomicCSP, scheme: ProjectionScheme, v: int, q: int) -> Fraction:
-    """Product-measure probability that variable v projects to block q."""
-    return Fraction(scheme.block_size(v, q), csp.domains[v])
-
-
 def _forbidden_block_sizes(scheme: ProjectionScheme, c) -> list[int]:
     """Per variable of c, the size of the block holding its forbidden value."""
     return [len(scheme.blocks[v][scheme.block_of[v][f]]) for v, f in zip(c.vars, c.forbidden)]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lllsample.csp import AtomicCSP, AtomicConstraint, violated_by_partial
+from lllsample.csp import AtomicCSP, AtomicConstraint
 from lllsample.dynamics import lift, project_csp, projected_forbidden, update
 from lllsample.projection import ProjectionScheme
+from reference import violated_by_partial
 
 
 def uniform_csp(n, size, constraints):

@@ -27,12 +27,7 @@ from lllsample.dynamics import (
     rejection_budget,
 )
 from lllsample.oracle import (
-    count_2trees,
     enumerate_satisfying,
-    exact_projected_conditional,
-    greedy_2tree,
-    is_two_tree,
-    marginal_bound_holds,
     tv_empirical,
     two_tree_count_bound,
 )
@@ -41,10 +36,19 @@ from lllsample.projection import (
     compute_b,
     construct_projection,
     kappa_for,
-    marginal_prob,
 )
 from lllsample.resample import find_assignment
 from conftest import conditional_draws, lift_draws, star_instance, uniform_csp
+from reference import (
+    count_2trees,
+    exact_lift_conditional,
+    exact_mu_pi,
+    exact_projected_conditional,
+    greedy_2tree,
+    is_two_tree,
+    marginal_bound_holds,
+    marginal_prob,
+)
 
 EPS = 0.1
 SAMPLES_PER_INSTANCE = 20_000  # 2e5 seeded samples across the ten instances
@@ -90,8 +94,6 @@ def test_criterion_1_uniformity(uniformity_runs):
 def _feasible_conditionals(csp, scheme):
     """(v, z, exact conditional) for every projected partial state of positive
     measure, from a single enumeration pass."""
-    from lllsample.oracle import exact_mu_pi
-
     mu = exact_mu_pi(csp, scheme)
     out = []
     for v in range(csp.n):
@@ -131,8 +133,6 @@ def test_criterion_2_conditional_exactness():
 
 
 def test_criterion_3_lifting_exactness():
-    from lllsample.oracle import exact_lift_conditional, exact_mu_pi
-
     worst, states = 0.0, 0
     for inst in tagged("lift"):
         csp, scheme = inst.load()

@@ -11,12 +11,14 @@ from lllsample.csp import AtomicConstraint, AtomicCSP, evaluate
 from lllsample.dynamics import SamplerConfig, main_sample
 from lllsample.oracle import (
     enumerate_satisfying,
-    exact_lift_conditional,
-    exact_mu_pi,
-    exact_projected_conditional,
     tv_empirical,
 )
 from conftest import conditional_draws, lift_draws, uniform_csp
+from reference import (
+    exact_lift_conditional,
+    exact_mu_pi,
+    exact_projected_conditional,
+)
 
 
 def _batch_counts(inst_name, n_samples, seed, eps=0.1, c_t=1.0):

@@ -17,10 +17,10 @@ from lllsample.csp import (
     evaluate,
     parse_dimacs,
     parse_hypergraph,
-    violated_by_partial,
     write_dimacs,
 )
 from conftest import star_instance, uniform_csp
+from reference import violated_by_partial
 
 
 def test_parse_basic_clause():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lllsample.batch import BatchSampler
 from lllsample.bundled import BUNDLED, load_bundled
 import lllsample.dynamics as dynamics
-from lllsample.csp import AtomicConstraint, AtomicCSP, InternalError, evaluate, violated_by_partial
+from lllsample.csp import AtomicConstraint, AtomicCSP, InternalError, evaluate
 from lllsample.dynamics import (
     ProjectedState,
     SamplerConfig,
@@ -26,14 +26,17 @@ from lllsample.dynamics import (
     rejection_budget,
     update,
 )
-from lllsample.oracle import (
+from lllsample.oracle import tv_empirical
+from lllsample.projection import ProjectionScheme, full_marking_scheme, identity_scheme
+from conftest import random_instance, rows_at, uniform_csp
+from reference import (
+    check_consistent,
     exact_lift_conditional,
     exact_mu_pi,
     exact_projected_conditional,
-    tv_empirical,
+    unsat,
+    violated_by_partial,
 )
-from lllsample.projection import ProjectionScheme, full_marking_scheme, identity_scheme
-from conftest import random_instance, rows_at, uniform_csp
 
 
 def test_schedule_formulas():
@@ -68,11 +71,11 @@ def test_project_csp():
 def test_state_bookkeeping_random_walk(rng):
     csp, scheme = load_bundled("mark4")
     state = ProjectedState.random(csp, scheme, rng)
-    state.check_consistent()
+    check_consistent(state)
     for _ in range(300):
         v = int(rng.integers(csp.n))
         state.apply(v, int(rng.integers(scheme.q_sizes()[v])))
-    state.check_consistent()
+    check_consistent(state)
 
 
 def test_projected_forbidden_matches_project_csp():
@@ -119,13 +122,13 @@ def test_bookkeeping_equals_recomputation(data):
         y[v] = q
         assert state.y == y
         assert state.dev == [sum(y[u] != f for u, f in zip(c.vars, c.forbidden)) for c in cons]
-        assert state.unsat == set(evaluate(pcsp, y))
+        assert unsat(state) == set(evaluate(pcsp, y))
         for u in range(n):
             seeds = np.flatnonzero(rows_at(pcsp, y, u)[1][0]).tolist()
             assert state.near[u] == len(seeds)
             assert (state.near[u] == 0) == (not seeds)
             assert sorted(dynamics._seeds(state, u)) == seeds
-    state.check_consistent()
+    check_consistent(state)
 
 
 def _reference_run(y, pcsp, csp, scheme, cfg, rng, steps, chunk):
@@ -193,7 +196,7 @@ def test_fallback_values_stay_in_the_projected_alphabet():
         state, diag = glauber_run(ProjectedState.random(csp, scheme, rng), csp, scheme, cfg, rng,
                                   steps=60)
         assert all(0 <= y < size for y, size in zip(state.y, q))
-        state.check_consistent()
+        check_consistent(state)
         fallbacks += diag.s1 + diag.s2
         sampler = BatchSampler(csp, scheme, 0.1)
         sampler.cfg = cfg
@@ -372,14 +375,14 @@ def test_glauber_bookkeeping_check(rng):
     state = ProjectedState.random(csp, scheme, rng)
     for _ in range(5):
         glauber_run(state, csp, scheme, cfg, rng, steps=100)
-        state.check_consistent()
+        check_consistent(state)
 
 
 def test_inv_sample_no_unsat_uniform_blocks(rng):
     csp, scheme = load_bundled("mark4")
     cfg = SamplerConfig.derive(csp, scheme, 0.1)
     state = ProjectedState(csp, scheme, [1, 0, 1, 0])  # satisfies every projected constraint
-    assert not state.unsat
+    assert not unsat(state)
     lift = inv_sample(state, csp, scheme, cfg, rng)
     assert lift.error is None
     assert scheme.project(lift.assignment) == (1, 0, 1, 0)

@@ -70,10 +70,23 @@ def test_count_aborts_when_regime_lost_and_too_large():
     from lllsample.projection import identity_scheme
     from conftest import uniform_csp
 
-    csp = uniform_csp(21, 2, [((0, 1), (0, 0))])
+    # two blocks: the second would run the chain outside the regime
+    csp = uniform_csp(21, 2, [((0, 1), (0, 0)), ((1, 2), (0, 0))])
     with pytest.raises(CountingError) as err:
         approx_count(csp, identity_scheme(csp), 0.2, seed=0)
     assert err.value.stage == 0
+
+
+def test_count_of_one_block_runs_when_regime_lost_and_too_large():
+    # identity blocks put a 2-clause outside the regime (b = 1), but one
+    # block is the exact first stage alone, which runs no chain
+    from lllsample.projection import identity_scheme
+    from conftest import uniform_csp
+
+    csp = uniform_csp(21, 2, [((0, 1), (0, 0))])
+    est = approx_count(csp, identity_scheme(csp), 0.2, seed=0)
+    assert [stage.get("sampler") for stage in est.stages] == [None, "exact"]
+    assert abs(est.estimate / (3 * 2**19) - 1) <= 0.2
 
 
 def test_find_failure_exit_code(tmp_path, capsys):
@@ -173,3 +186,25 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_public_surface():
+    # what the package exports and the CLI offers; a name that only tests
+    # need belongs in tests/reference.py
+    from lllsample.cli import build_parser
+
+    assert set(lllsample.__all__) == {
+        "AdmissibilityError", "AdmissibilityReport", "AtomicCSP", "AtomicConstraint",
+        "BatchSampler", "CSPError", "ConstructionError", "CountEstimate", "CountingError",
+        "InternalError", "ParseError", "ProjectionScheme", "RegimeError", "SampleResult",
+        "SamplerConfig", "approx_count", "build_coloring_csp", "chain_length",
+        "check_admissibility", "component_threshold", "compute_b", "construct_projection",
+        "count_satisfying", "counting_eps", "degree_stats", "enumerate_satisfying", "evaluate",
+        "find_assignment", "full_marking_scheme", "identity_scheme", "inv_sample",
+        "main_sample", "moser_tardos", "parse_dimacs", "parse_hypergraph", "project_csp",
+        "rejection_budget", "tv_empirical", "write_dimacs",
+        # submodules the imports above bind
+        "batch", "counting", "csp", "dynamics", "oracle", "projection", "resample",
+    }
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == {"find", "sample", "count", "check-projection"}

@@ -5,26 +5,28 @@ from itertools import product
 import numpy as np
 import pytest
 
-from lllsample.bundled import load_bundled
+from lllsample.bundled import BUNDLED, load_bundled
 from lllsample.csp import build_coloring_csp, parse_dimacs
 from lllsample.oracle import (
     EnumerationGuard,
+    count_satisfying,
+    enumerate_satisfying,
+    tv_empirical,
+    two_tree_count_bound,
+)
+from lllsample.projection import ProjectionScheme, full_marking_scheme, identity_scheme
+from conftest import random_graph, connected_subgraph, uniform_csp
+from reference import (
     all_pairs_distances,
     count_2trees,
     count_2trees_backtracking,
-    count_satisfying,
-    enumerate_satisfying,
     exact_lift_conditional,
     exact_mu_pi,
     exact_projected_conditional,
     greedy_2tree,
     is_two_tree,
     marginal_bound_holds,
-    tv_empirical,
-    two_tree_count_bound,
 )
-from lllsample.projection import ProjectionScheme, full_marking_scheme, identity_scheme
-from conftest import random_graph, connected_subgraph, uniform_csp
 
 
 def test_enumerate_examples():
@@ -49,6 +51,14 @@ def test_exact_mu_pi():
     marked = exact_mu_pi(csp, full_marking_scheme(csp))
     assert marked == {(0, 0): Fraction(1)}
     assert sum(marked.values()) == 1
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_bundled_counts_and_projected_laws(name):
+    inst = BUNDLED[name]
+    csp, scheme = inst.load()
+    assert count_satisfying(csp) == inst.solutions
+    assert sum(exact_mu_pi(csp, scheme).values()) == 1
 
 
 def test_exact_projected_conditional():
