@@ -47,7 +47,9 @@ neither Delta nor b grows and the input's scheme serves every stage.
 Outside the regime the instance is counted exactly by enumeration when the
 oracle's guard allows.  Above the guard, a count of one block still runs,
 since its one stage is exact and needs no chain, and a count of more blocks
-aborts.
+aborts.  A constraint whose variables all have one-value alphabets is
+violated by every assignment; the count reports such an instance as
+unsatisfiable before anything else.
 """
 
 from __future__ import annotations
@@ -196,6 +198,9 @@ def _count(
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     _check_match(csp, scheme)
+    # every assignment violates a constraint whose alphabets have one value each
+    if any(all(csp.domains[v] == 1 for v in c.vars) for c in csp.constraints):
+        raise CountingError(0, "instance is unsatisfiable")
     cut = blocks(csp)
     eps_stage = counting_eps(len(cut.spans), delta, theta_const) if cut.spans else None
     est = CountEstimate(estimate=1.0, log_estimate=0.0, delta=delta, eps_stage=eps_stage)

@@ -43,9 +43,14 @@ same step on one row as `_redraw`, over the lists ProjectedState keeps: a
 numpy call costs about the same for one row as for hundreds, and a single
 chain's components mostly hold one or two constraints.  `_redraw` draws the
 same random numbers as `update` in the same order, so it returns the same
-value for the same generator state.  A step whose component is empty, the
-common case, needs neither: the new projected value is the block of a
-uniform value of the variable.
+value for the same generator state, and its cost follows the component
+rather than the degree: it grows the component only through variables whose
+near count leaves room for a constraint of deficit 0, and tests each draw
+against per-constraint draw entries, the size of the block holding each
+forbidden value and its position there, cached the first time a constraint
+enters a component (`ProjectedState._draw_entries`), without building a
+value.  A step whose component is empty, the common case, needs neither:
+the new projected value is the block of a uniform value of the variable.
 
 Failure paths are tagged, never raised: "S1"/"S2" for an oversized component
 or exhausted rejection budget during a chain update (the update falls back to
@@ -183,9 +188,12 @@ class ProjectedState:
     the one u off its value when dev[c] == 1.  A move of v from old to new
     changes only the deficits of the constraints at v that forbid old or new,
     so `apply` visits just those, and touches near only where a deficit
-    passes through 0 or 1."""
+    passes through 0 or 1.
 
-    __slots__ = ("y", "dev", "near", "csp", "scheme", "forb", "_cons", "_by_forb")
+    A busy step's draws are tested against `_draw_entries`, built for a
+    constraint the first time it enters a component and kept."""
+
+    __slots__ = ("y", "dev", "near", "csp", "scheme", "forb", "_cons", "_by_forb", "_entries")
 
     def __init__(self, csp: AtomicCSP, scheme: ProjectionScheme, y):
         self.y = list(y)
@@ -202,11 +210,28 @@ class ProjectedState:
             for v, f in zip(vars_, forb):
                 self._by_forb[v][f].append(cid)
         self.dev, self.near = self._recount()
+        self._entries = [None] * csp.m
 
     @classmethod
     def random(cls, csp: AtomicCSP, scheme: ProjectionScheme, rng: np.random.Generator):
         y = [int(rng.integers(size)) for size in scheme.q_sizes()]
         return cls(csp, scheme, y)
+
+    def _draw_entries(self, cid: int):
+        """(variables, tested) of constraint cid: its variables in increasing
+        order, and (i, u, size, position) for each u = variables[i] whose
+        forbidden value f lies in a block of more than one value: size is
+        that block's size and position the place of f in it."""
+        entries = self._entries[cid]
+        if entries is None:
+            c, scheme, tested = self.csp.constraints[cid], self.scheme, []
+            pairs = sorted(zip(c.vars, c.forbidden))
+            for i, (u, f) in enumerate(pairs):
+                block = scheme.blocks[u][scheme.block_of[u][f]]
+                if len(block) > 1:
+                    tested.append((i, u, len(block), block.index(f)))
+            entries = self._entries[cid] = tuple(u for u, _ in pairs), tuple(tested)
+        return entries
 
     def _recount(self):
         y = self.y
@@ -360,12 +385,19 @@ def _redraw(state, csp, scheme, cfg, rng, v):
     constraints of deficit 0, and stops growing once it holds more than
     cfg.theta_comp constraints (S1); otherwise `_reject_at` draws inside it
     (S2 when its budget runs out).  The fallback value is drawn on every
-    step, as `update` draws it."""
-    dev, dep, cons = state.dev, csp.dep_index, state._cons
+    step, as `update` draws it.
+
+    Growth visits the constraints at a variable u of a frontier constraint
+    only when near[u] exceeds what that constraint adds there itself (1 at
+    deficit 0, else 0).  Every constraint of deficit 0 adds 1 to near at
+    each of its variables, so otherwise none but the frontier constraint
+    can be found at u; and near rarely leaves room for one."""
+    dev, near, dep, cons = state.dev, state.near, csp.dep_index, state._cons
     comp = set(_seeds(state, v))
     frontier = comp
     while frontier and len(comp) <= cfg.theta_comp:
-        frontier = {c for cid in frontier for u in cons[cid][0] for c in dep[u] if dev[c] == 0}
+        frontier = {c for cid in frontier for own in (dev[cid] == 0,) for u in cons[cid][0]
+                    if near[u] > own for c in dep[u] if dev[c] == 0}
         frontier -= comp
         comp |= frontier
     s1 = len(comp) > cfg.theta_comp
@@ -381,20 +413,40 @@ def _reject_at(state, csp, scheme, comp, v, budget, rng):
     under which every constraint of comp holds, or None once budget draws
     have failed.  A draw sets the component's variables in increasing order,
     each to a uniform value of its block and v to a uniform value of its
-    alphabet; draws come in rounds of doubling width, at most 64."""
-    cols = sorted({u for cid in comp for u in csp.constraints[cid].vars})
-    at = {u: i for i, u in enumerate(cols)}
-    blocks = [range(csp.domains[u]) if u == v else scheme.blocks[u][state.y[u]] for u in cols]
-    sized = [(block, len(block)) for block in blocks]
-    tests = [[(at[u], f) for u, f in zip(c.vars, c.forbidden)]
-             for c in (csp.constraints[cid] for cid in comp)]
+    alphabet; draws come in rounds of doubling width, at most 64.
+
+    No value is built but v's.  Every variable u != v of a constraint in
+    comp sits in the block of its forbidden value, so a uniform r draws that
+    value at u iff int(r * size) is its position in the block, and at v iff
+    int(r * |A_v|) is the value itself.  A block of one value always draws
+    it and is not tested (`ProjectedState._draw_entries`).  A one-constraint
+    component takes its columns and tests from its entries as they are; a
+    larger one maps its entries onto the sorted union of its variables."""
+    if len(comp) == 1:
+        (cid,) = comp
+        cols, tested = state._draw_entries(cid)
+        tests = [(csp.constraints[cid].forbidden_at(v), tested)]
+    else:
+        entries = [state._draw_entries(cid) for cid in comp]
+        cols = sorted({u for variables, _ in entries for u in variables})
+        at = {u: i for i, u in enumerate(cols)}
+        tests = []
+        for cid, (_, tested) in zip(comp, entries):
+            c = csp.constraints[cid]
+            tests.append((c.forbidden_at(v) if v in c.vars else None,
+                          [(at[u], u, size, pos) for _, u, size, pos in tested]))
+    i_v, q_v = cols.index(v), csp.domains[v]
     used, width = 0, 1
     while used < budget:
         width = min(width, budget - used)
         for row in rng.random((width, len(cols))).tolist():
-            x = [block[int(u * size)] for (block, size), u in zip(sized, row)]
-            if not any(all(x[i] == f for i, f in test) for test in tests):
-                return scheme.block_of[v][x[at[v]]]
+            x_v = int(row[i_v] * q_v)
+            for f_v, tested in tests:
+                if (f_v is None or x_v == f_v) and all(
+                        int(row[i] * size) == pos for i, u, size, pos in tested if u != v):
+                    break  # the draw violates this constraint
+            else:
+                return scheme.block_of[v][x_v]
         used += width
         width = min(2 * width, 64)
     return None
@@ -457,7 +509,7 @@ def glauber_run(
 
     Steps are drawn STEP_CHUNK at a time (_draw_steps).  A step at v with
     near[v] == 0 has an empty component and sets its drawn value; any other
-    step drops that value and runs `update`.  An empty step counts as
+    step drops that value and runs `_redraw`.  An empty step counts as
     component size 0."""
     movable, (total,) = movable_steps(scheme, cfg.T if steps is None else steps, 1, rng)
     total, diag = int(total), ChainDiagnostics()

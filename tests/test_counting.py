@@ -156,6 +156,16 @@ def test_counting_error_reports_stage():
     assert err.value.stage == 0
 
 
+def test_constraint_on_one_value_alphabets_is_unsatisfiable():
+    # every assignment violates the constraint; past the enumeration guard and
+    # outside the regime the count still says so, before drawing anything
+    csp = AtomicCSP(22, (1,) + (2,) * 21, (AtomicConstraint((0,), (0,)),),
+                    allow_unit_domains=True)
+    assert csp.state_space_size() > ENUM_GUARD
+    with pytest.raises(CountingError, match="stage 0: instance is unsatisfiable"):
+        approx_count(csp, identity_scheme(csp), 0.2, seed=0)
+
+
 @st.composite
 def _instances(draw):
     """Random instances over alphabets of 2-4 values whose constraints all

@@ -27,7 +27,12 @@ from lllsample.dynamics import (
     update,
 )
 from lllsample.oracle import tv_empirical
-from lllsample.projection import ProjectionScheme, full_marking_scheme, identity_scheme
+from lllsample.projection import (
+    ProjectionScheme,
+    construct_projection,
+    full_marking_scheme,
+    identity_scheme,
+)
 from conftest import random_instance, rows_at, uniform_csp
 from reference import (
     check_consistent,
@@ -179,6 +184,54 @@ def test_chain_matches_recomputing_reference(monkeypatch, chunk):
         busy += diag.steps - diag.component_hist.get(0, 0)
         failed += diag.s1 + diag.s2
     assert busy > 200 and 50 < failed < busy
+
+
+def _wide_instances(gen):
+    """Instances at the arity of the benchmark's chain: three random 12-CNF
+    on 40 variables under a case2 scheme, and one with 8-ary constraints
+    over ternary alphabets, each split into a permuted pair and a single
+    value, so that some pairs are not contiguous."""
+    for _ in range(3):
+        cons = [
+            AtomicConstraint(tuple(int(v) for v in gen.choice(40, size=12, replace=False)),
+                             tuple(int(b) for b in gen.integers(2, size=12)))
+            for _ in range(12)
+        ]
+        csp = AtomicCSP(40, (2,) * 40, tuple(cons))
+        yield csp, construct_projection(csp, case_hint="case2", seed=int(gen.integers(2**31)))
+    cons = [
+        AtomicConstraint(tuple(int(v) for v in gen.choice(16, size=8, replace=False)),
+                         tuple(int(x) for x in gen.integers(3, size=8)))
+        for _ in range(24)
+    ]
+    pairs = [[int(x) for x in gen.permutation(3)] for _ in range(16)]
+    yield (AtomicCSP(16, (3,) * 16, tuple(cons)),
+           ProjectionScheme(tuple(((p[0], p[1]), (p[2],)) for p in pairs)))
+
+
+def test_chain_matches_reference_on_wide_constraints():
+    # the same check at arity 8 and 12, where most busy steps have a
+    # one-constraint component and the rest several; a threshold of 1.5 makes
+    # two-constraint components stop growing (S1)
+    gen = np.random.default_rng(12)
+    hist, s1 = {}, 0
+    for case, (csp, scheme) in enumerate(_wide_instances(gen)):
+        pcsp = project_csp(csp, scheme)
+        y = [int(gen.integers(q)) for q in pcsp.domains]
+        for theta in (None, 1.5):
+            cfg = SamplerConfig.derive(csp, scheme, 0.1)
+            if theta is not None:
+                object.__setattr__(cfg, "theta_comp", theta)
+            run_rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+            state, diag = glauber_run(ProjectedState(csp, scheme, y), csp, scheme, cfg, run_rng,
+                                      steps=3000)
+            ref = _reference_run(y, pcsp, csp, scheme, cfg, ref_rng, 3000, dynamics.STEP_CHUNK)
+            assert (state.y, diag.steps, diag.s1, diag.s2, diag.component_hist) == ref
+            assert run_rng.bit_generator.state == ref_rng.bit_generator.state
+            s1 += diag.s1
+            for size, count in diag.component_hist.items():
+                hist[size] = hist.get(size, 0) + count
+    assert hist[1] > 500 and hist[2] > 100 and hist[3] > 10 and s1 > 100
 
 
 def test_fallback_values_stay_in_the_projected_alphabet():
