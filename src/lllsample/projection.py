@@ -198,21 +198,30 @@ def compute_b(csp: AtomicCSP, scheme: ProjectionScheme):
     """Exact per-constraint b(C) = prod of reciprocal preimage-block sizes at
     the forbidden projected values, and the maximum b."""
     _check_match(csp, scheme)
-    volumes = [math.prod(_forbidden_block_sizes(scheme, c)) for c in csp.constraints]
-    b = Fraction(1, min(volumes)) if volumes else Fraction(0)
-    return b, [Fraction(1, volume) for volume in volumes]
+    sizes = _forbidden_block_sizes(csp, scheme)
+    return _max_b(sizes), [Fraction(1, math.prod(s)) for s in sizes]
 
 
-def _forbidden_block_sizes(scheme: ProjectionScheme, c) -> list[int]:
-    """Per variable of c, the size of the block holding its forbidden value."""
-    return [len(scheme.blocks[v][scheme.block_of[v][f]]) for v, f in zip(c.vars, c.forbidden)]
+def _max_b(sizes: list[list[int]]) -> Fraction:
+    """The largest b(C), the reciprocal of the product of C's forbidden
+    block sizes; 0 without constraints."""
+    return Fraction(1, min(map(math.prod, sizes))) if sizes else Fraction(0)
 
 
-def _overlap_marginals(csp: AtomicCSP, scheme: ProjectionScheme, c) -> list[float]:
-    """The product-measure probability of the forbidden block, as a float,
-    at each variable of c with more than one block (written vbl-bar)."""
-    return [size / csp.domains[v] for v, size in zip(c.vars, _forbidden_block_sizes(scheme, c))
-            if len(scheme.blocks[v]) > 1]
+def _forbidden_block_sizes(csp: AtomicCSP, scheme: ProjectionScheme) -> list[list[int]]:
+    """Per constraint, per variable of it, the size of the block holding its
+    forbidden value."""
+    size_at = [[len(var_blocks[j]) for j in lookup]
+               for var_blocks, lookup in zip(scheme.blocks, scheme.block_of)]
+    return [[size_at[v][f] for v, f in zip(c.vars, c.forbidden)] for c in csp.constraints]
+
+
+def _overlap_marginals(csp: AtomicCSP, scheme: ProjectionScheme, sizes) -> list[list[float]]:
+    """Per constraint, the product-measure probability of the forbidden
+    block, as a float, at each of its variables with more than one block
+    (written vbl-bar); sizes are the forbidden block sizes."""
+    return [[size / csp.domains[v] for v, size in zip(c.vars, sz) if len(scheme.blocks[v]) > 1]
+            for c, sz in zip(csp.constraints, sizes)]
 
 
 def kappa_for(case: str | None, delta: int, a_max: int, k_max: int) -> float:
@@ -245,14 +254,20 @@ def zeta_values(csp: AtomicCSP, scheme: ProjectionScheme, b: Fraction | None = N
     """zeta(C) with the conservative substitute 1 for the worst-case TV term:
     max over multi-block variables of max(1, min((1-3b)^Delta / P, 2*Delta)).
     Returns math.inf entries when b >= 1/3 makes the factor meaningless."""
+    _check_match(csp, scheme)
+    sizes = _forbidden_block_sizes(csp, scheme)
     if b is None:
-        b, _ = compute_b(csp, scheme)
-    delta, _, _ = degree_stats(csp)
+        b = _max_b(sizes)
+    return _zetas(_overlap_marginals(csp, scheme, sizes), b, degree_stats(csp)[0])
+
+
+def _zetas(marginals: list[list[float]], b: Fraction, delta: int) -> list[float]:
+    """zeta(C) of each constraint from its overlap marginals."""
     shrink = (1.0 - 3.0 * float(b)) ** delta if float(b) < 1.0 / 3.0 else 0.0
     out = []
-    for c in csp.constraints:
+    for ov in marginals:
         best = 1.0
-        for p in _overlap_marginals(csp, scheme, c):
+        for p in ov:
             inner = shrink / p if shrink > 0.0 else math.inf
             best = max(best, min(inner, 2.0 * delta))
         out.append(best)
@@ -318,11 +333,13 @@ def check_admissibility(
     the instance lies in the e*b*Delta <= 1 regime.
 
     Failures are report entries, never exceptions.  With no constraints every
-    condition passes vacuously.
+    condition passes vacuously.  The forbidden block sizes are gathered once
+    and serve b, zeta, A2 and A3 alike.
     """
     _check_match(csp, scheme)
     delta, _, _ = degree_stats(csp)
-    b_frac, _ = compute_b(csp, scheme)
+    sizes = _forbidden_block_sizes(csp, scheme)
+    b_frac = _max_b(sizes)
     b = float(b_frac)
     notes: list[str] = []
     kappa = scheme_kappa(csp, scheme)
@@ -349,13 +366,13 @@ def check_admissibility(
     # Delta: log(inflate*P + tail) = log_inflate + log(P + tail/inflate),
     # where tail/inflate <= 1 cannot overflow; a lhs past the float range
     # reads inf and fails
-    zetas = zeta_values(csp, scheme, b_frac)
+    marginals = _overlap_marginals(csp, scheme, sizes)
+    zetas = _zetas(marginals, b_frac, delta)
     log_inflate = -delta * math.log1p(-3.0 * b) if b < 1.0 / 3.0 else math.inf
     tail_over_inflate = math.exp(-kappa / 3.0 - log_inflate)
     a2_rhs = (60000.0 * delta) ** -2
     worst_lhs, worst_cid = 0.0, None
-    for cid, c in enumerate(csp.constraints):
-        ov = _overlap_marginals(csp, scheme, c)
+    for cid, ov in enumerate(marginals):
         if not ov:
             lhs = 0.0
         else:
@@ -374,8 +391,8 @@ def check_admissibility(
     # variable; the marginals there share the denominator |A_v|, so the
     # ratio is that of the largest and smallest forbidden block
     low, high = [math.inf] * csp.n, [0] * csp.n
-    for c in csp.constraints:
-        for v, size in zip(c.vars, _forbidden_block_sizes(scheme, c)):
+    for c, sz in zip(csp.constraints, sizes):
+        for v, size in zip(c.vars, sz):
             low[v], high[v] = min(low[v], size), max(high[v], size)
     worst_ratio = max([1.0] + [hi / lo for lo, hi in zip(low, high) if hi])
     a3_pass = worst_ratio <= 2.0

@@ -2,11 +2,11 @@
 of violated bad events until none is violated.
 
 Events are the rows of a table vc (m, k) of variable ids, padded with n.
-Each round evaluates every event and redraws, together, the violated events
-that hold the lowest id among the violated events at each of their
-variables: the parallel variant of Moser-Tardos (JACM 2010).  That set is
-independent and holds the lowest violated id, so a round is a run of the
-sequential algorithm.  The engine serves find_assignment and the randomized
+Each round takes the mask of violated events and redraws, together, the
+violated events that hold the lowest id among the violated events at each
+of their variables: the parallel variant of Moser-Tardos (JACM 2010).  That
+set is independent and holds the lowest violated id, so a round is a run of
+the sequential algorithm.  The engine serves find_assignment and the randomized
 projection constructions; the caller is responsible for the regime
 condition e*p*Delta <= 1, the engine only enforces budgets.
 """
@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from .csp import AtomicCSP, InternalError, evaluate
+from .csp import AtomicCSP, InternalError
 
 
 @dataclass
@@ -34,7 +35,7 @@ class ResampleResult:
 def default_attempts(delta: float) -> int:
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    return max(1, math.ceil(math.log(1.0 / delta)))
+    return max(1, math.ceil(-math.log(delta)))
 
 
 def redraw_set(vc: np.ndarray, bad: np.ndarray, n: int) -> np.ndarray:
@@ -81,10 +82,35 @@ def find_assignment(
     csp: AtomicCSP, rng: np.random.Generator, delta: float = 0.01
 ) -> ResampleResult:
     """Satisfying assignment of an atomic CSP via resampling of violated
-    constraints.  Caller asserts e*p*Delta <= 1 for the usual guarantee."""
-    a = csp.arrays
-    result = moser_tardos(csp.n, a.vc, lambda idx, r: r.integers(a.domains[idx]),
-                          lambda x: a.matches(x, a.forb) == a.arity[:-1], rng, delta=delta)
-    if result.success and evaluate(csp, result.values):
-        raise InternalError("resampling returned an assignment that violates a constraint")
+    constraints.  Caller asserts e*p*Delta <= 1 for the usual guarantee.
+
+    The engine's violated mask is kept between rounds: a round re-evaluates
+    only the constraints at variables whose value changed since the last
+    round, which is exact since a constraint's status depends on its own
+    variables alone.  A returned assignment is then checked once from
+    scratch on csp.arrays, every value in its alphabet and every constraint
+    satisfied, or InternalError is raised."""
+    a, dep = csp.arrays, csp.dep_index
+    prev = mask = None  # the values and the mask of the previous round
+
+    def violated(x):
+        nonlocal prev, mask
+        if prev is None:
+            prev, mask = x.copy(), a.matches(x, a.forb) == a.arity[:-1]
+            return mask
+        changed = np.flatnonzero(prev != x)
+        cids = np.fromiter(chain.from_iterable(map(dep.__getitem__, changed.tolist())),
+                           dtype=np.int64)
+        mask[cids] = (np.append(x, -1)[a.vc[cids]] == a.forb[cids]).sum(axis=1) == a.arity[cids]
+        prev[changed] = x[changed]
+        return mask
+
+    result = moser_tardos(csp.n, a.vc, lambda idx, r: r.integers(a.domains[idx]), violated, rng,
+                          delta=delta)
+    if result.success:
+        x = np.asarray(result.values, dtype=np.int64)
+        if x.shape != a.domains.shape or ((x < 0) | (x >= a.domains)).any():
+            raise InternalError("resampling returned a value outside its variable's alphabet")
+        if (a.matches(x, a.forb) == a.arity[:-1]).any():
+            raise InternalError("resampling returned an assignment that violates a constraint")
     return result

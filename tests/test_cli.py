@@ -105,6 +105,16 @@ def test_find(capsys, cnf_file):
     assert payload["assignment"] != [0, 0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["find", "--delta", "1e-320"],
+    ["check-projection", "--construction-delta", "1e-320"],
+], ids=["find", "check-projection"])
+def test_subnormal_delta_runs(capsys, cnf_file, argv):
+    # 1/delta is inf below about 5.6e-309; the attempt count uses -log(delta)
+    code, payload = _run(capsys, argv + ["--input", cnf_file, "--seed", "5"])
+    assert code == 0 and payload is not None
+
+
 def test_count(capsys, cnf_file, collapsed_scheme_file):
     code, payload = _run(
         capsys,

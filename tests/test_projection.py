@@ -40,6 +40,7 @@ from lllsample.projection import (
     _SHAPES,
     _WINDOWS,
     _floor_pow_2_3,
+    _overlap_marginals,
     _partitions,
 )
 from conftest import random_instance, star_instance, uniform_csp
@@ -244,6 +245,60 @@ def test_admissibility_report_matches_fraction_reference():
         assert report.regime == (math.e * expect["b"] * expect["delta"] <= 1.0)
         ratios.add(expect["a3"]["worst_ratio"])
     assert len(ratios) > 2  # A3 sees unequal forbidden blocks
+
+
+def _random_construction(gen, domains, m):
+    """A random instance on the alphabets domains, m constraints of arity
+    3-5, and the scheme construct_projection builds for it."""
+    n = len(domains)
+    cons = []
+    for _ in range(m):
+        vars_ = sorted(int(v) for v in gen.choice(n, size=int(gen.integers(3, 6)), replace=False))
+        cons.append(AtomicConstraint(tuple(vars_), tuple(int(gen.integers(domains[v]))
+                                                         for v in vars_)))
+    csp = AtomicCSP(n=n, domains=tuple(domains), constraints=tuple(cons))
+    return csp, construct_projection(csp, seed=int(gen.integers(1 << 30)))
+
+
+def test_admissibility_report_matches_the_public_quantities():
+    # check_admissibility gathers the forbidden block sizes once; its b,
+    # zeta, A2 worst lhs and A3 worst ratio equal what compute_b,
+    # zeta_values and _overlap_marginals give, and the block sizes read
+    # from the scheme one constraint at a time
+    gen = np.random.default_rng(31)
+    cases = [load_bundled(name) for name in sorted(BUNDLED)]
+    for a in (2, 3, 5, 7):
+        cases += [_random_construction(gen, (a,) * 40, 12) for _ in range(3)]
+    cases += [_random_construction(gen, [int(a) for a in gen.choice([2, 3, 5, 7, 9], 40)], 12)
+              for _ in range(3)]
+    cases.append((star_instance(64, 3, 5), construct_projection(star_instance(64, 3, 5), seed=0)))
+    assert {scheme.case for _, scheme in cases} >= {"case1", "case2", "case3", "case4", "case5"}
+    for csp, scheme in cases:
+        report = check_admissibility(csp, scheme, 0.25)
+        b, _ = compute_b(csp, scheme)
+        zetas = zeta_values(csp, scheme)
+        assert report.b == float(b)
+        assert report.zeta == zetas
+        delta, kappa = report.delta_deg, report.kappa
+        log_inflate = -delta * math.log1p(-3.0 * float(b)) if b < Fraction(1, 3) else math.inf
+        tail_over_inflate = math.exp(-kappa / 3.0 - log_inflate)
+        size_at = lambda v, f: scheme.block_size(v, scheme.project_value(v, f))
+        sizes = [list(map(size_at, c.vars, c.forbidden)) for c in csp.constraints]
+        worst_lhs, worst_ratio = 0.0, 1.0
+        for ov, zeta in zip(_overlap_marginals(csp, scheme, sizes), zetas):
+            if ov:
+                logs = [math.log(len(ov) ** 2 * kappa**2 * zeta)]
+                logs += [log_inflate + math.log(p + tail_over_inflate) for p in ov]
+                try:
+                    worst_lhs = max(worst_lhs, math.exp(math.fsum(logs)))
+                except OverflowError:
+                    worst_lhs = math.inf
+        for v in range(csp.n):
+            at_v = [size_at(v, csp.constraints[cid].forbidden_at(v)) for cid in csp.dep_index[v]]
+            if at_v:
+                worst_ratio = max(worst_ratio, max(at_v) / min(at_v))
+        assert report.a2_worst_lhs == worst_lhs
+        assert report.a3_worst_ratio == worst_ratio
 
 
 def test_no_constraint_report_vacuous():

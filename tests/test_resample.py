@@ -52,8 +52,9 @@ def test_disjoint_3cnf_satisfied():
     assert evaluate(csp, result.values) == []
 
 
-def _rounds(csp, seed):
-    """find_assignment's result and the variables it redrew, round by round."""
+def _rounds(csp, seed, delta=0.01):
+    """find_assignment's result and the variables it redrew, round by round,
+    with every constraint evaluated from scratch in every round."""
     a, trace = csp.arrays, []
 
     def draw(idx, rng):
@@ -61,7 +62,7 @@ def _rounds(csp, seed):
         return rng.integers(a.domains[idx])
 
     violated = lambda x: a.matches(x, a.forb) == a.arity[:-1]
-    return moser_tardos(csp.n, a.vc, draw, violated, np.random.default_rng(seed)), trace
+    return moser_tardos(csp.n, a.vc, draw, violated, np.random.default_rng(seed), delta), trace
 
 
 def test_determinism_trace():
@@ -71,6 +72,39 @@ def test_determinism_trace():
     assert r1 == r2
     (r3, t3), (r4, t4) = _rounds(csp, 11), _rounds(csp, 11)
     assert r3 == r1 and t3 == t4
+
+
+def test_incremental_mask_matches_evaluating_from_scratch():
+    # find_assignment re-evaluates only the constraints at changed values;
+    # on dense instances, whose attempts exhaust their budget and restart,
+    # and on a sparse 4-CNF it gives what evaluating every constraint gives
+    gen = np.random.default_rng(8)
+    outcomes = set()
+    for case in range(60):
+        n, size = int(gen.integers(3, 9)), int(gen.integers(2, 4))
+        csp = uniform_csp(n, size, _random_clauses(gen, n, size))
+        delta = float(gen.choice([0.5, 0.01]))
+        got = find_assignment(csp, np.random.default_rng(case), delta)
+        assert got == _rounds(csp, case, delta)[0]
+        outcomes.add((got.success, got.attempts_used > 1))
+    assert outcomes >= {(True, False), (True, True), (False, True)}
+    lines = ["p cnf 2000 4000"]
+    for _ in range(4000):
+        vars_ = gen.choice(2000, size=4, replace=False) + 1
+        lines.append(" ".join(str(v * s) for v, s in zip(vars_, gen.choice([-1, 1], 4))) + " 0")
+    csp = parse_dimacs("\n".join(lines) + "\n")
+    got = find_assignment(csp, np.random.default_rng(5))
+    assert got.success and got.resamples > 100
+    assert got == _rounds(csp, 5)[0]
+
+
+def test_default_attempts_is_ceil_log_one_over_delta():
+    # -log(delta) in place of log(1/delta): the same count wherever 1/delta
+    # is finite, and a count rather than OverflowError below about 5.6e-309
+    for delta in [0.5, 0.01] + [10.0**-k for k in range(1, 309)]:
+        assert default_attempts(delta) == max(1, math.ceil(math.log(1.0 / delta)))
+    assert default_attempts(1e-320) == math.ceil(320 * math.log(10))
+    assert default_attempts(5e-324) == 745
 
 
 def test_lowest_id_selection():
