@@ -220,12 +220,16 @@ def _count(
 
     _exact(est, "unconstrained-tail", csp.state_space_size())
     if cut.spans:
+        # the stage accuracy scales with delta^2, which underflows to 0 below
+        # about 1.6e-162
+        if eps_stage == 0.0:
+            raise RegimeError(f"the stage accuracy underflows to 0 at delta = {delta}")
         # refuse schedule constants that no chain stage could run, even when
         # every stage is exact: those of the constraint-free chain, whose
         # Delta, and so T and kappa, are the smallest of any prefix
         free = AtomicCSP(csp.n, csp.domains, (), csp.allow_unit_domains)
         SamplerConfig.derive(free, scheme, eps_stage, eta=eta, c_t=c_t)
-    n_draws = stage_samples(math.fsum(cut.sigma), delta, c_n)
+        n_draws = stage_samples(math.fsum(cut.sigma), delta, c_n)
     if seed is None:
         seed = np.random.SeedSequence().entropy
     for j, (span, sigma) in enumerate(zip(cut.spans, cut.sigma), start=1):

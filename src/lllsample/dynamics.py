@@ -17,10 +17,12 @@ The single-chain driver `glauber_run` decides each step in O(1).
 `ProjectedState` keeps, per variable v, the number of constraints at v whose
 other variables all sit at their forbidden value; the step at v has an empty
 component iff that number is 0, and a move updates it by visiting only the
-constraints at v that forbid the old or the new value.  The steps' variables
-and the values an empty step would set are drawn ahead in chunks of
-STEP_CHUNK (`_draw_steps`); a busy step drops its drawn value and runs
-`_redraw`.
+constraints at v that forbid the old or the new value.  Constraints with
+the same variables and projected forbidden values share one group and one
+deficit, so a move visits each group once: a colouring's q constraints per
+edge project onto one group per colour block.  The steps' variables and the
+values an empty step would set are drawn ahead in chunks of STEP_CHUNK
+(`_draw_steps`); a busy step drops its drawn value and runs `_redraw`.
 
 The chain runs on the input's own tables.  Projecting keeps every
 constraint's variables and maps each forbidden value to its block, so the
@@ -44,13 +46,14 @@ numpy call costs about the same for one row as for hundreds, and a single
 chain's components mostly hold one or two constraints.  `_redraw` draws the
 same random numbers as `update` in the same order, so it returns the same
 value for the same generator state, and its cost follows the component
-rather than the degree: it grows the component only through variables whose
-near count leaves room for a constraint of deficit 0, and tests each draw
-against per-constraint draw entries, the size of the block holding each
-forbidden value and its position there, cached the first time a constraint
-enters a component (`ProjectedState._draw_entries`), without building a
-value.  A step whose component is empty, the common case, needs neither:
-the new projected value is the block of a uniform value of the variable.
+rather than the degree: it grows the component over groups, only through
+variables whose near count leaves room for a group of deficit 0, and tests
+each draw against the member constraints' draw entries, the size of the
+block holding each forbidden value and its position there, cached the first
+time a constraint enters a component (`ProjectedState._draw_entries`),
+without building a value.  A step whose component is empty, the common
+case, needs neither: the new projected value is the block of a uniform
+value of the variable.
 
 Failure paths are tagged, never raised: "S1"/"S2" for an oversized component
 or exhausted rejection budget during a chain update (the update falls back to
@@ -178,22 +181,28 @@ class ProjectedState:
     """Projected assignment plus the bookkeeping that decides a chain step in
     O(1).
 
-    - dev[c] counts the variables of constraint c off their forbidden
-      projected value; c is unsatisfied iff dev[c] == 0.
+    The bookkeeping is kept per group: the constraints with the same
+    variables and projected forbidden values, in the same order, form one
+    group, and the groups are numbered in order of their first member.
+    Under a colouring's block projection the q constraints of an edge fall
+    into one group per block.
+    - dev[g] counts the variables of group g off their forbidden projected
+      value; its constraints are unsatisfied iff dev[g] == 0.
     - near[v] counts the constraints at v whose other variables all sit at
       their forbidden value.  A step at v has an empty component iff
       near[v] == 0.
 
-    Constraint c adds 1 to near[u] for every u in c when dev[c] == 0, and for
-    the one u off its value when dev[c] == 1.  A move of v from old to new
-    changes only the deficits of the constraints at v that forbid old or new,
-    so `apply` visits just those, and touches near only where a deficit
-    passes through 0 or 1.
+    Group g adds its multiplicity (number of constraints) to near[u] for
+    every u in g when dev[g] == 0, and for the one u off its value when
+    dev[g] == 1.  A move of v from old to new changes only the deficits of
+    the groups at v that forbid old or new, so `apply` visits just those,
+    and touches near only where a deficit passes through 0 or 1.
 
     A busy step's draws are tested against `_draw_entries`, built for a
     constraint the first time it enters a component and kept."""
 
-    __slots__ = ("y", "dev", "near", "csp", "scheme", "forb", "_cons", "_by_forb", "_entries")
+    __slots__ = ("y", "dev", "near", "csp", "scheme", "forb", "_cons", "_members", "_max_mult",
+                 "_by_forb", "_entries")
 
     def __init__(self, csp: AtomicCSP, scheme: ProjectionScheme, y):
         self.y = list(y)
@@ -201,15 +210,24 @@ class ProjectedState:
             raise ValueError("state length mismatch")
         self.csp, self.scheme = csp, scheme
         self.forb = projected_forbidden(csp, scheme)
-        self._cons = [
-            (c.vars, tuple(row[: c.arity])) for c, row in zip(csp.constraints, self.forb.tolist())
-        ]
-        # per variable and projected value, the constraints at it forbidding that value
+        groups = {}  # (variables, projected forbidden values) -> member constraints
+        for cid, (c, row) in enumerate(zip(csp.constraints, self.forb.tolist())):
+            groups.setdefault((c.vars, tuple(row[: c.arity])), []).append(cid)
+        self._members = list(groups.values())
+        self._max_mult = max(map(len, self._members), default=1)
+        # (variables, projected forbidden values, multiplicity) of each group
+        self._cons = [(*key, len(cids)) for key, cids in groups.items()]
+        # per variable and projected value, the groups at it forbidding that value
         self._by_forb = [[[] for _ in range(size)] for size in scheme.q_sizes()]
-        for cid, (vars_, forb) in enumerate(self._cons):
+        for g, (vars_, forb, _) in enumerate(self._cons):
             for v, f in zip(vars_, forb):
-                self._by_forb[v][f].append(cid)
-        self.dev, self.near = self._recount()
+                self._by_forb[v][f].append(g)
+        y = self.y
+        self.dev = [sum(y[v] != f for v, f in zip(vars_, forb)) for vars_, forb, _ in self._cons]
+        self.near = [0] * len(y)
+        for (vars_, forb, k), d in zip(self._cons, self.dev):
+            for v, f in zip(vars_, forb):
+                self.near[v] += k * (d == (y[v] != f))
         self._entries = [None] * csp.m
 
     @classmethod
@@ -233,41 +251,30 @@ class ProjectedState:
             entries = self._entries[cid] = tuple(u for u, _ in pairs), tuple(tested)
         return entries
 
-    def _recount(self):
-        y = self.y
-        dev = [sum(y[v] != f for v, f in zip(vars_, forb)) for vars_, forb in self._cons]
-        near = [0] * len(y)
-        for (vars_, forb), d in zip(self._cons, dev):
-            for v, f in zip(vars_, forb):
-                near[v] += d == (y[v] != f)
-        return dev, near
-
     def apply(self, v: int, new_q: int):
-        y, dev = self.y, self.dev
-        old = y[v]
-        if new_q == old:
-            return
-        y[v] = new_q
+        """Move v to new_q; a move to v's own value changes nothing."""
+        y, dev, cons = self.y, self.dev, self._cons
+        old, y[v] = y[v], new_q
         at = self._by_forb[v]
-        for cid in at[old]:  # v leaves the value c forbids
-            d = dev[cid]
-            dev[cid] = d + 1
+        for g in at[old]:  # v leaves the value g forbids
+            d = dev[g]
+            dev[g] = d + 1
             if d <= 1:
-                self._shift(cid, v, d, -1)
-        for cid in at[new_q]:  # v takes it
-            d = dev[cid] - 1
-            dev[cid] = d
+                self._shift(g, v, d, -cons[g][2])
+        for g in at[new_q]:  # v takes it
+            d = dev[g] - 1
+            dev[g] = d
             if d <= 1:
-                self._shift(cid, v, d, 1)
+                self._shift(g, v, d, cons[g][2])
 
-    def _shift(self, cid: int, v: int, d: int, sign: int):
-        """Add sign to near[u] for each u != v that constraint cid counts
-        there when v sits at its forbidden value and the deficit is d."""
+    def _shift(self, g: int, v: int, d: int, k: int):
+        """Add k to near[u] for each u != v that group g counts there when v
+        sits at its forbidden value and the deficit is d."""
         near, y = self.near, self.y
-        vars_, forb = self._cons[cid]
+        vars_, forb, _ = self._cons[g]
         for u, f in zip(vars_, forb):
             if u != v and (d == 0 or y[u] != f):
-                near[u] += sign
+                near[u] += k
 
 
 def explore(csp: AtomicCSP, unsat: np.ndarray, comp: np.ndarray, theta: float = math.inf):
@@ -368,39 +375,43 @@ def update(csp, scheme, cfg, Y, unsat, seed, v, rng):
     return new_q, s1, s2, size
 
 
-def _seeds(state: ProjectedState, v: int) -> list[int]:
-    """Constraints at v that are unsatisfied with v unassigned."""
-    y_v, dev = state.y[v], state.dev
-    return [
-        cid for f, cids in enumerate(state._by_forb[v]) for cid in cids if dev[cid] == (y_v != f)
-    ]
-
-
 def _redraw(state, csp, scheme, cfg, rng, v):
     """`update` at v for a state whose component at v is not empty, run on
     the state's own lists and drawing the same random numbers in the same
     order.  Returns (new projected value, failure flag, component size).
 
-    The component grows from `_seeds` a level at a time through the
-    constraints of deficit 0, and stops growing once it holds more than
-    cfg.theta_comp constraints (S1); otherwise `_reject_at` draws inside it
-    (S2 when its budget runs out).  The fallback value is drawn on every
-    step, as `update` draws it.
+    The component grows over groups, from those at v unsatisfied with v
+    unassigned, a level at a time through the groups of deficit 0, and stops
+    growing once it holds more than cfg.theta_comp constraints (S1);
+    otherwise `_reject_at` draws inside its member constraints (S2 when its
+    budget runs out).  The members of a group share their variables and
+    deficit, so they join a component at the same level, and the component
+    is the one `update` grows over constraints.  The fallback value is
+    drawn on every step, as `update` draws it.
 
-    Growth visits the constraints at a variable u of a frontier constraint
-    only when near[u] exceeds what that constraint adds there itself (1 at
-    deficit 0, else 0).  Every constraint of deficit 0 adds 1 to near at
-    each of its variables, so otherwise none but the frontier constraint
-    can be found at u; and near rarely leaves room for one."""
-    dev, near, dep, cons = state.dev, state.near, csp.dep_index, state._cons
-    comp = set(_seeds(state, v))
+    Growth visits the groups at a variable u of a frontier group only when
+    near[u] exceeds what that group adds there itself (its multiplicity at
+    deficit 0, else 0).  Every group of deficit 0 adds its multiplicity to
+    near at each of its variables, so otherwise none but the frontier group
+    can be found at u; and near rarely leaves room for one.  A group of
+    deficit 0 at u forbids y[u], so only those are visited.  While the
+    component holds at most theta / (largest multiplicity) groups, it holds
+    at most theta constraints, so its members are summed only past that."""
+    dev, near, y, cons, by_forb = state.dev, state.near, state.y, state._cons, state._by_forb
+    members, max_mult, theta = state._members, state._max_mult, cfg.theta_comp
+    y_v = y[v]
+    comp = {g for f, gs in enumerate(by_forb[v]) for g in gs if dev[g] == (y_v != f)}
     frontier = comp
-    while frontier and len(comp) <= cfg.theta_comp:
-        frontier = {c for cid in frontier for own in (dev[cid] == 0,) for u in cons[cid][0]
-                    if near[u] > own for c in dep[u] if dev[c] == 0}
+    while frontier and (len(comp) * max_mult <= theta
+                        or sum(len(members[g]) for g in comp) <= theta):
+        frontier = {h for g in frontier for vars_, _, k in (cons[g],)
+                    for own in (k * (dev[g] == 0),) for u in vars_ if near[u] > own
+                    for h in by_forb[u][y[u]] if dev[h] == 0}
         frontier -= comp
         comp |= frontier
-    s1 = len(comp) > cfg.theta_comp
+    if max_mult > 1:  # else group g is constraint g (groups are numbered by first member)
+        comp = [cid for g in comp for cid in members[g]]
+    s1 = len(comp) > theta
     new_q = None if s1 else _reject_at(state, csp, scheme, comp, v, cfg.S, rng)
     fallback = int(rng.random() * len(scheme.blocks[v]))
     if new_q is None:
@@ -513,14 +524,15 @@ def glauber_run(
     component size 0."""
     movable, (total,) = movable_steps(scheme, cfg.T if steps is None else steps, 1, rng)
     total, diag = int(total), ChainDiagnostics()
-    near, apply = state.near, state.apply
+    y, near, apply = state.y, state.near, state.apply
     for start in range(0, total, STEP_CHUNK):
         vs, qs = _draw_steps(movable, csp, scheme, min(STEP_CHUNK, total - start), rng)
         for v, new_q in zip(vs, qs):
             if near[v]:
                 new_q, flag, size = _redraw(state, csp, scheme, cfg, rng, v)
                 diag.record(flag, size)
-            apply(v, new_q)
+            if new_q != y[v]:
+                apply(v, new_q)
     if total > diag.steps:
         diag.record(None, 0, total - diag.steps)
     return state, diag

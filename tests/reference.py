@@ -30,20 +30,50 @@ def violated_by_partial(csp: AtomicCSP, y) -> list[int]:
     return out
 
 
+def group_of(state: ProjectedState) -> list[int]:
+    """Each constraint's group in the state's bookkeeping."""
+    out = [None] * state.csp.m
+    for g, cids in enumerate(state._members):
+        for cid in cids:
+            out[cid] = g
+    return out
+
+
 def unsat(state: ProjectedState) -> set[int]:
-    """The constraints the state's deficits mark unsatisfied."""
-    return {cid for cid, d in enumerate(state.dev) if d == 0}
+    """The constraints the state's deficits mark unsatisfied, read through
+    the constraint -> group map."""
+    return {cid for cid, g in enumerate(group_of(state)) if state.dev[g] == 0}
+
+
+def seeds(state: ProjectedState, v: int) -> list[int]:
+    """Constraints at v that are unsatisfied with v unassigned, by the
+    state's per-group deficits and lists."""
+    y_v, dev = state.y[v], state.dev
+    return [cid for f, gs in enumerate(state._by_forb[v]) for g in gs
+            for cid in state._members[g] if dev[g] == (y_v != f)]
 
 
 def check_consistent(state: ProjectedState) -> None:
-    """Raise AssertionError unless the state's deficits and near-violation
-    counts match a recount from its projected assignment."""
-    expect = set(violated_by_partial(project_csp(state.csp, state.scheme), state.y))
+    """Raise AssertionError unless the state's groups are the constraints
+    with equal variables and projected forbidden values, and each constraint's deficit (read through
+    its group) and each near-violation count match a recount from the
+    projected assignment."""
+    pcsp = project_csp(state.csp, state.scheme)
+    y = state.y
+    expect = set(violated_by_partial(pcsp, y))
     if expect != unsat(state):
         raise AssertionError(f"unsat bookkeeping drifted: {unsat(state)} != {expect}")
-    dev, near = state._recount()
-    if dev != state.dev:
+    cons, groups = pcsp.constraints, group_of(state)
+    for c, d in enumerate(groups):
+        if any((cons[c] == cons[o]) != (d == groups[o]) for o in range(c)):
+            raise AssertionError(f"constraint {c} is grouped apart from its projected twins")
+    dev = [sum(y[v] != f for v, f in zip(c.vars, c.forbidden)) for c in pcsp.constraints]
+    if dev != [state.dev[g] for g in groups]:
         raise AssertionError("deficit bookkeeping drifted")
+    near = [0] * pcsp.n
+    for c, d in zip(pcsp.constraints, dev):
+        for v, f in zip(c.vars, c.forbidden):
+            near[v] += d == (y[v] != f)
     if near != state.near:
         raise AssertionError("near-violation bookkeeping drifted")
 

@@ -115,6 +115,17 @@ def test_subnormal_delta_runs(capsys, cnf_file, argv):
     assert code == 0 and payload is not None
 
 
+@pytest.mark.parametrize("delta", ["1e-170", "1e-320"])
+def test_count_at_an_underflowing_delta_is_a_usage_error(capsys, cnf_file, collapsed_scheme_file,
+                                                         delta):
+    # delta^2, and with it the stage accuracy, is 0 at these delta
+    code = dispatch(["count", "--input", cnf_file, "--delta", delta, "--seed", "1",
+                     "--scheme", collapsed_scheme_file])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "underflows" in captured.err and "Traceback" not in captured.err
+
+
 def test_count(capsys, cnf_file, collapsed_scheme_file):
     code, payload = _run(
         capsys,

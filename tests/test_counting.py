@@ -45,10 +45,12 @@ def test_count_past_float_range():
 
 
 def test_no_constraints_exact():
+    # no stage is sampled, so a delta whose square underflows to 0 counts too
     csp = uniform_csp(3, 2, [])
-    est = approx_count(csp, identity_scheme(csp), 0.2, seed=1)
-    assert est.estimate == pytest.approx(8.0)
-    assert est.stages[0]["method"] == "unconstrained-tail"
+    for delta in (0.2, 1e-320):
+        est = approx_count(csp, identity_scheme(csp), delta, seed=1)
+        assert est.estimate == pytest.approx(8.0)
+        assert est.stages[0]["method"] == "unconstrained-tail"
 
 
 def test_count_two_var_clause():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lllsample.batch import BatchSampler
 from lllsample.bundled import BUNDLED, load_bundled
 import lllsample.dynamics as dynamics
-from lllsample.csp import AtomicConstraint, AtomicCSP, InternalError, evaluate
+from lllsample.csp import AtomicConstraint, AtomicCSP, InternalError, build_coloring_csp, evaluate
 from lllsample.dynamics import (
     ProjectedState,
     SamplerConfig,
@@ -39,6 +39,8 @@ from reference import (
     exact_lift_conditional,
     exact_mu_pi,
     exact_projected_conditional,
+    group_of,
+    seeds as reference_seeds,
     unsat,
     violated_by_partial,
 )
@@ -109,12 +111,16 @@ def test_bookkeeping_equals_recomputation(data):
     for _ in range(data.draw(st.integers(0, 10))):
         k = data.draw(st.integers(1, min(4, n)))
         vars_ = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
-        forb = [data.draw(st.integers(0, domains[v] - 1)) for v in vars_]
+        forb = [data.draw(st.integers(0, domains[v])) for v in vars_]
         cons.append(AtomicConstraint(tuple(vars_), tuple(forb)))
-    pcsp = AtomicCSP(n=n, domains=tuple(domains), constraints=tuple(cons), allow_unit_domains=True)
-    # an input that projects to pcsp: one more value per variable, joined to
-    # its last block
+    # an input with one more value per variable, joined to its last block, and
+    # the instance it projects to; forbidden values q-1 and q share a block, so
+    # constraints can project alike and share a group
     csp = AtomicCSP(n=n, domains=tuple(q + 1 for q in domains), constraints=tuple(cons))
+    pcsp = AtomicCSP(n=n, domains=tuple(domains), allow_unit_domains=True, constraints=tuple(
+        AtomicConstraint(c.vars, tuple(min(f, domains[v] - 1)
+                                       for v, f in zip(c.vars, c.forbidden)))
+        for c in cons))
     scheme = ProjectionScheme(tuple(
         tuple((j,) for j in range(q - 1)) + ((q - 1, q),) for q in domains))
     assert project_csp(csp, scheme) == pcsp
@@ -126,13 +132,14 @@ def test_bookkeeping_equals_recomputation(data):
         state.apply(v, q)
         y[v] = q
         assert state.y == y
-        assert state.dev == [sum(y[u] != f for u, f in zip(c.vars, c.forbidden)) for c in cons]
+        assert [state.dev[g] for g in group_of(state)] == [
+            sum(y[u] != f for u, f in zip(c.vars, c.forbidden)) for c in pcsp.constraints]
         assert unsat(state) == set(evaluate(pcsp, y))
         for u in range(n):
             seeds = np.flatnonzero(rows_at(pcsp, y, u)[1][0]).tolist()
             assert state.near[u] == len(seeds)
             assert (state.near[u] == 0) == (not seeds)
-            assert sorted(dynamics._seeds(state, u)) == seeds
+            assert sorted(reference_seeds(state, u)) == seeds
     check_consistent(state)
 
 
@@ -188,9 +195,11 @@ def test_chain_matches_recomputing_reference(monkeypatch, chunk):
 
 def _wide_instances(gen):
     """Instances at the arity of the benchmark's chain: three random 12-CNF
-    on 40 variables under a case2 scheme, and one with 8-ary constraints
-    over ternary alphabets, each split into a permuted pair and a single
-    value, so that some pairs are not contiguous."""
+    on 40 variables under a case2 scheme; one with 8-ary constraints over
+    ternary alphabets, each split into a permuted pair and a single value, so
+    that some pairs are not contiguous; and a 16-colouring of 30 random
+    6-uniform edges on 10 vertices under case1, whose 6 blocks of 2 or 3
+    colours project each edge's 16 constraints onto 6 groups."""
     for _ in range(3):
         cons = [
             AtomicConstraint(tuple(int(v) for v in gen.choice(40, size=12, replace=False)),
@@ -207,14 +216,18 @@ def _wide_instances(gen):
     pairs = [[int(x) for x in gen.permutation(3)] for _ in range(16)]
     yield (AtomicCSP(16, (3,) * 16, tuple(cons)),
            ProjectionScheme(tuple(((p[0], p[1]), (p[2],)) for p in pairs)))
+    edges = [sorted(int(v) for v in gen.choice(10, size=6, replace=False)) for _ in range(30)]
+    csp = build_coloring_csp(edges, 16, n=10)
+    yield csp, construct_projection(csp, case_hint="case1")
 
 
 def test_chain_matches_reference_on_wide_constraints():
     # the same check at arity 8 and 12, where most busy steps have a
     # one-constraint component and the rest several; a threshold of 1.5 makes
-    # two-constraint components stop growing (S1)
+    # two-constraint components stop growing (S1), and stops every colouring
+    # component at its seeds, since each group there holds 2 or 3 constraints
     gen = np.random.default_rng(12)
-    hist, s1 = {}, 0
+    hist, s1, grouped_busy = {}, 0, 0
     for case, (csp, scheme) in enumerate(_wide_instances(gen)):
         pcsp = project_csp(csp, scheme)
         y = [int(gen.integers(q)) for q in pcsp.domains]
@@ -231,7 +244,10 @@ def test_chain_matches_reference_on_wide_constraints():
             s1 += diag.s1
             for size, count in diag.component_hist.items():
                 hist[size] = hist.get(size, 0) + count
+            if len(state._members) < csp.m:
+                grouped_busy += diag.steps - diag.component_hist.get(0, 0)
     assert hist[1] > 500 and hist[2] > 100 and hist[3] > 10 and s1 > 100
+    assert grouped_busy > 50
 
 
 def test_fallback_values_stay_in_the_projected_alphabet():
@@ -380,6 +396,39 @@ def test_empty_step_draws_block_proportional(rng):
     assert vs == [0] * draws
     hits = sum(q == 0 for q in qs)
     assert abs(hits / draws - 0.75) < 0.01
+
+
+def test_redraw_matches_update_on_grouped_components():
+    # a 16-colouring under case1 has groups of 2 and 3 constraints; states
+    # drawn from two of its six blocks put whole edges in one block often, so
+    # components grow through several groups.  At thresholds between a
+    # component's group count and its constraint count, `_redraw` must stop
+    # where numpy `update` does, and return its value, flag and size with as
+    # many random numbers drawn
+    gen = np.random.default_rng(13)
+    edges = [sorted(int(v) for v in gen.choice(10, size=6, replace=False)) for _ in range(30)]
+    csp = build_coloring_csp(edges, 16, n=10)
+    scheme = construct_projection(csp, case_hint="case1")
+    pcsp = project_csp(csp, scheme)
+    grown = 0
+    for theta in (1.5, 4.5, 10.5, None):
+        cfg = SamplerConfig.derive(csp, scheme, 0.1)
+        if theta is not None:
+            object.__setattr__(cfg, "theta_comp", theta)
+        for trial in range(100):
+            y, v = [int(b) for b in gen.integers(2, size=10)], int(gen.integers(10))
+            unsat, seed = rows_at(pcsp, y, v)
+            if not seed.any():
+                continue
+            run_rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            got = dynamics._redraw(ProjectedState(csp, scheme, y), csp, scheme, cfg, run_rng, v)
+            new_q, s1, s2, size = update(csp, scheme, cfg, np.array([y]), unsat, seed,
+                                         np.array([v]), ref_rng)
+            flag = "S1" if s1[0] else "S2" if s2[0] else None
+            assert got == (int(new_q[0]), flag, int(size[0]))
+            assert run_rng.bit_generator.state == ref_rng.bit_generator.state
+            grown += int(size[0]) > int(seed.sum())
+    assert grown > 25
 
 
 def test_redraw_matches_exact_conditional(rng):
