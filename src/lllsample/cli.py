@@ -17,13 +17,14 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .counting import CountingError, approx_count
 from .csp import AtomicCSP, CSPError, build_coloring_csp, parse_dimacs, parse_hypergraph
-from .dynamics import main_sample
+from .dynamics import Sampler
 from .projection import (
     AdmissibilityError,
     ConstructionError,
@@ -116,9 +117,8 @@ def _manifest(args, command: str, seed: int, scheme_source: str | None) -> dict:
     return manifest
 
 
-def _chain_payload(job) -> dict:
-    csp, scheme, eps, eta, overrides, seed = job
-    res = main_sample(csp, scheme, eps, seed=seed, eta=eta, **overrides)
+def _chain_payload(sampler: Sampler, seed) -> dict:
+    res = sampler.sample_one(seed)
     return {
         "assignment": list(res.assignment) if res.assignment is not None else None,
         "error": res.error,
@@ -145,20 +145,21 @@ def cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     csp = _load_csp(args)
     scheme, source = _scheme_for(args, csp, seed)
-    overrides = _overrides(args)
-    jobs = [(csp, scheme, args.eps, args.eta, overrides, [seed, 1, i]) for i in range(args.count)]
+    # one set-up for all chains; a pool gets one chunk per worker, each
+    # unpickling it once
+    run = partial(_chain_payload, Sampler(csp, scheme, args.eps, eta=args.eta, **_overrides(args)))
+    seeds = [[seed, 1, i] for i in range(args.count)]
     if args.workers > 1 and args.count > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_chain_payload, jobs))
+            results = list(pool.map(run, seeds, chunksize=-(-args.count // args.workers)))
     else:
-        results = [_chain_payload(job) for job in jobs]
+        results = list(map(run, seeds))
     manifest = _manifest(args, "sample", seed, source)
+    errored = any(r["error"] is not None for r in results)
     if args.count == 1:
         payload = {**results[0], "manifest": manifest}
-        errored = results[0]["error"] is not None
     else:
         payload = {"results": results, "manifest": manifest}
-        errored = any(r["error"] is not None for r in results)
     _emit(payload, args.pretty)
     return RESULT_ERROR if errored else 0
 

@@ -28,8 +28,12 @@ The chain runs on the input's own tables.  Projecting keeps every
 constraint's variables and maps each forbidden value to its block, so the
 projected instance differs from the input only in its alphabets, the
 scheme's block counts, and its forbidden values, one table that
-`projected_forbidden` gathers once per run; `project_csp` builds the
-projected instance itself only as the reference definition.
+`projected_forbidden` gathers; `project_csp` builds the projected instance
+itself only as the reference definition.
+
+What a chain or a lift reads besides its own state is set up once per
+(instance, scheme) pair, as a `Sampler`: `main_sample` builds one per sample,
+CLI `sample --count k` one for all k, and a BatchSampler is one.
 
 A chain update and a lift are the same operation.  The batch driver
 (BatchSampler in batch) runs its updates, and both drivers run their lifts,
@@ -41,7 +45,7 @@ per draw:
 - `reject` draws inside components until every constraint in them holds;
 - `lift` lifts projected states one component at a time and verifies them.
 `update` is one chain step of explore and reject.  The single chain runs the
-same step on one row as `_redraw`, over the lists ProjectedState keeps: a
+same step on one row as `_redraw`, over the lists of the sampler and state: a
 numpy call costs about the same for one row as for hundreds, and a single
 chain's components mostly hold one or two constraints.  `_redraw` draws the
 same random numbers as `update` in the same order, so it returns the same
@@ -50,7 +54,7 @@ rather than the degree: it grows the component over groups, only through
 variables whose near count leaves room for a group of deficit 0, and tests
 each draw against the member constraints' draw entries, the size of the
 block holding each forbidden value and its position there, cached the first
-time a constraint enters a component (`ProjectedState._draw_entries`),
+time a constraint enters a component (`Sampler._draw_entries`),
 without building a value.  A step whose component is empty, the common
 case, needs neither: the new projected value is the block of a uniform
 value of the variable.
@@ -66,6 +70,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,7 +123,6 @@ class SamplerConfig:
     kappa: float
     n: int
     delta_deg: int
-    seed: int | None = None
     c_t: float = 1.0
     T: int = field(init=False)
     S: int = field(init=False)
@@ -133,24 +138,17 @@ class SamplerConfig:
         )
 
     @classmethod
-    def derive(
-        cls,
-        csp: AtomicCSP,
-        scheme: ProjectionScheme,
-        eps: float,
-        seed: int | None = None,
-        eta: float = 0.25,
-        c_t: float = 1.0,
-    ) -> "SamplerConfig":
+    def derive(cls, csp: AtomicCSP, scheme: ProjectionScheme, eps: float, eta: float = 0.25,
+               c_t: float = 1.0) -> "SamplerConfig":
         kappa = scheme_kappa(csp, scheme)
         delta_deg, _, _ = degree_stats(csp)
-        return cls(eps=eps, eta=eta, kappa=kappa, n=csp.n, delta_deg=delta_deg, seed=seed, c_t=c_t)
+        return cls(eps=eps, eta=eta, kappa=kappa, n=csp.n, delta_deg=delta_deg, c_t=c_t)
 
     def to_dict(self) -> dict:
         return {
             "eps": self.eps, "eta": self.eta, "kappa": self.kappa, "c_t": self.c_t,
             "n": self.n, "delta": self.delta_deg, "T": self.T, "S": self.S,
-            "theta_comp": self.theta_comp, "seed": self.seed,
+            "theta_comp": self.theta_comp,
         }
 
 
@@ -177,15 +175,108 @@ def projected_forbidden(csp: AtomicCSP, scheme: ProjectionScheme) -> np.ndarray:
     return scheme.arrays.project(a.vc, a.forb)
 
 
-class ProjectedState:
-    """Projected assignment plus the bookkeeping that decides a chain step in
-    O(1).
+class Groups(NamedTuple):
+    """The single chain's tables.  The constraints with the same variables
+    and projected forbidden values, in the same order, form one group, and
+    the groups are numbered in order of their first member."""
 
-    The bookkeeping is kept per group: the constraints with the same
-    variables and projected forbidden values, in the same order, form one
-    group, and the groups are numbered in order of their first member.
-    Under a colouring's block projection the q constraints of an edge fall
-    into one group per block.
+    cons: list  # (variables, projected forbidden values, multiplicity) of each group
+    members: list  # the constraints of each group
+    max_mult: int  # the largest multiplicity
+    by_forb: list  # per variable and projected value, the groups at it forbidding that value
+    entries: list  # per constraint, its draw entries once built (Sampler._draw_entries)
+
+
+def group_constraints(csp: AtomicCSP, scheme: ProjectionScheme, forb: np.ndarray) -> Groups:
+    """The groups of csp under scheme; forb is projected_forbidden(csp, scheme)."""
+    groups = {}  # (variables, projected forbidden values) -> member constraints
+    for cid, (c, row) in enumerate(zip(csp.constraints, forb.tolist())):
+        groups.setdefault((c.vars, tuple(row[: c.arity])), []).append(cid)
+    members = list(groups.values())
+    cons = [(*key, len(cids)) for key, cids in groups.items()]
+    by_forb = [[[] for _ in range(size)] for size in scheme.q_sizes()]
+    for g, (vars_, forb_g, _) in enumerate(cons):
+        for v, f in zip(vars_, forb_g):
+            by_forb[v][f].append(g)
+    return Groups(cons, members, max(map(len, members), default=1), by_forb, [None] * csp.m)
+
+
+class Sampler:
+    """The set-up of one (instance, scheme) pair, built once and shared by
+    every chain and lift run on it: the schedule `cfg` and the projected
+    forbidden values by constraint, `forb`.  A table only one driver reads
+    is built the first time it is read, as CSPArrays builds its tables by
+    variable: the single chain's `groups`, and the many-chain driver's
+    `inc_forb`."""
+
+    def __init__(self, csp: AtomicCSP, scheme: ProjectionScheme, eps: float, eta: float = 0.25,
+                 c_t: float = 1.0):
+        _check_match(csp, scheme)
+        self.csp, self.scheme = csp, scheme
+        self.cfg = SamplerConfig.derive(csp, scheme, eps, eta=eta, c_t=c_t)
+        self.forb = projected_forbidden(csp, scheme)
+
+    @cached_property
+    def inc_forb(self) -> np.ndarray:
+        """(n + 1, d) the projected forbidden values by variable, as
+        csp.arrays.inc lists the constraints at it."""
+        n, a = self.csp.n, self.csp.arrays
+        return self.scheme.arrays.project(np.arange(n + 1)[:, None], a.inc_forb)
+
+    @cached_property
+    def groups(self) -> Groups:
+        return group_constraints(self.csp, self.scheme, self.forb)
+
+    def _draw_entries(self, cid: int):
+        """(variables, tested) of constraint cid: its variables in increasing
+        order, and (i, u, size, position) for each u = variables[i] whose
+        forbidden value f lies in a block of more than one value: size is
+        that block's size and position the place of f in it.  Built the
+        first time the constraint enters a component, and kept."""
+        cache = self.groups.entries
+        entries = cache[cid]
+        if entries is None:
+            c, scheme, tested = self.csp.constraints[cid], self.scheme, []
+            pairs = sorted(zip(c.vars, c.forbidden))
+            for i, (u, f) in enumerate(pairs):
+                block = scheme.blocks[u][scheme.block_of[u][f]]
+                if len(block) > 1:
+                    tested.append((i, u, len(block), block.index(f)))
+            entries = cache[cid] = tuple(u for u, _ in pairs), tuple(tested)
+        return entries
+
+    def lift(self, Y: np.ndarray, rng: np.random.Generator):
+        """(assignments, errors) of `lift` on Y; an error row holds -1."""
+        X, errors, _, _ = lift(self, Y, rng)
+        return X, errors
+
+    def sample_one(self, seed=None, rng: np.random.Generator | None = None) -> "SampleResult":
+        """One sample: a uniform-at-random initial projected state, T chain
+        steps (glauber_run), then lifting (inv_sample), on rng or else on
+        default_rng(seed)."""
+        if rng is None:
+            rng = np.random.default_rng(seed)
+        state, diag = glauber_run(ProjectedState.random(self, rng), rng)
+        lifted = inv_sample(state, rng)
+        diagnostics = {
+            **self.cfg.to_dict(),
+            "seed": seed,
+            "steps": diag.steps,
+            "s1_failures": diag.s1,
+            "s2_failures": diag.s2,
+            "lift_error": lifted.error,
+            "lift_components": lifted.components,
+            "component_hist": {str(k): v for k, v in sorted(diag.component_hist.items())},
+        }
+        return SampleResult(lifted.assignment, lifted.error, diagnostics)
+
+
+class ProjectedState:
+    """Projected assignment of one chain on a sampler, plus the bookkeeping
+    that decides a chain step in O(1).
+
+    The bookkeeping is kept per group (`Groups`): under a colouring's block
+    projection the q constraints of an edge fall into one group per block.
     - dev[g] counts the variables of group g off their forbidden projected
       value; its constraints are unsatisfied iff dev[g] == 0.
     - near[v] counts the constraints at v whose other variables all sit at
@@ -196,60 +287,29 @@ class ProjectedState:
     every u in g when dev[g] == 0, and for the one u off its value when
     dev[g] == 1.  A move of v from old to new changes only the deficits of
     the groups at v that forbid old or new, so `apply` visits just those,
-    and touches near only where a deficit passes through 0 or 1.
+    and touches near only where a deficit passes through 0 or 1.  The
+    sampler's group tables are bound here, so that `apply` reads them as
+    directly as tables of the state's own."""
 
-    A busy step's draws are tested against `_draw_entries`, built for a
-    constraint the first time it enters a component and kept."""
+    __slots__ = ("y", "dev", "near", "sampler", "_cons", "_by_forb")
 
-    __slots__ = ("y", "dev", "near", "csp", "scheme", "forb", "_cons", "_members", "_max_mult",
-                 "_by_forb", "_entries")
-
-    def __init__(self, csp: AtomicCSP, scheme: ProjectionScheme, y):
+    def __init__(self, sampler: Sampler, y):
         self.y = list(y)
-        if len(self.y) != csp.n:
+        if len(self.y) != sampler.csp.n:
             raise ValueError("state length mismatch")
-        self.csp, self.scheme = csp, scheme
-        self.forb = projected_forbidden(csp, scheme)
-        groups = {}  # (variables, projected forbidden values) -> member constraints
-        for cid, (c, row) in enumerate(zip(csp.constraints, self.forb.tolist())):
-            groups.setdefault((c.vars, tuple(row[: c.arity])), []).append(cid)
-        self._members = list(groups.values())
-        self._max_mult = max(map(len, self._members), default=1)
-        # (variables, projected forbidden values, multiplicity) of each group
-        self._cons = [(*key, len(cids)) for key, cids in groups.items()]
-        # per variable and projected value, the groups at it forbidding that value
-        self._by_forb = [[[] for _ in range(size)] for size in scheme.q_sizes()]
-        for g, (vars_, forb, _) in enumerate(self._cons):
-            for v, f in zip(vars_, forb):
-                self._by_forb[v][f].append(g)
+        self.sampler = sampler
+        self._cons, _, _, self._by_forb, _ = sampler.groups
         y = self.y
         self.dev = [sum(y[v] != f for v, f in zip(vars_, forb)) for vars_, forb, _ in self._cons]
         self.near = [0] * len(y)
         for (vars_, forb, k), d in zip(self._cons, self.dev):
             for v, f in zip(vars_, forb):
                 self.near[v] += k * (d == (y[v] != f))
-        self._entries = [None] * csp.m
 
     @classmethod
-    def random(cls, csp: AtomicCSP, scheme: ProjectionScheme, rng: np.random.Generator):
-        y = [int(rng.integers(size)) for size in scheme.q_sizes()]
-        return cls(csp, scheme, y)
-
-    def _draw_entries(self, cid: int):
-        """(variables, tested) of constraint cid: its variables in increasing
-        order, and (i, u, size, position) for each u = variables[i] whose
-        forbidden value f lies in a block of more than one value: size is
-        that block's size and position the place of f in it."""
-        entries = self._entries[cid]
-        if entries is None:
-            c, scheme, tested = self.csp.constraints[cid], self.scheme, []
-            pairs = sorted(zip(c.vars, c.forbidden))
-            for i, (u, f) in enumerate(pairs):
-                block = scheme.blocks[u][scheme.block_of[u][f]]
-                if len(block) > 1:
-                    tested.append((i, u, len(block), block.index(f)))
-            entries = self._entries[cid] = tuple(u for u, _ in pairs), tuple(tested)
-        return entries
+    def random(cls, sampler: Sampler, rng: np.random.Generator):
+        y = [int(rng.integers(size)) for size in sampler.scheme.q_sizes()]
+        return cls(sampler, y)
 
     def apply(self, v: int, new_q: int):
         """Move v to new_q; a move to v's own value changes nothing."""
@@ -375,7 +435,7 @@ def update(csp, scheme, cfg, Y, unsat, seed, v, rng):
     return new_q, s1, s2, size
 
 
-def _redraw(state, csp, scheme, cfg, rng, v):
+def _redraw(state: ProjectedState, rng: np.random.Generator, v: int):
     """`update` at v for a state whose component at v is not empty, run on
     the state's own lists and drawing the same random numbers in the same
     order.  Returns (new projected value, failure flag, component size).
@@ -397,8 +457,9 @@ def _redraw(state, csp, scheme, cfg, rng, v):
     deficit 0 at u forbids y[u], so only those are visited.  While the
     component holds at most theta / (largest multiplicity) groups, it holds
     at most theta constraints, so its members are summed only past that."""
-    dev, near, y, cons, by_forb = state.dev, state.near, state.y, state._cons, state._by_forb
-    members, max_mult, theta = state._members, state._max_mult, cfg.theta_comp
+    sampler, dev, near, y = state.sampler, state.dev, state.near, state.y
+    cons, members, max_mult, by_forb, _ = sampler.groups
+    theta = sampler.cfg.theta_comp
     y_v = y[v]
     comp = {g for f, gs in enumerate(by_forb[v]) for g in gs if dev[g] == (y_v != f)}
     frontier = comp
@@ -412,33 +473,35 @@ def _redraw(state, csp, scheme, cfg, rng, v):
     if max_mult > 1:  # else group g is constraint g (groups are numbered by first member)
         comp = [cid for g in comp for cid in members[g]]
     s1 = len(comp) > theta
-    new_q = None if s1 else _reject_at(state, csp, scheme, comp, v, cfg.S, rng)
-    fallback = int(rng.random() * len(scheme.blocks[v]))
+    new_q = None if s1 else _reject_at(sampler, comp, v, rng)
+    fallback = int(rng.random() * len(sampler.scheme.blocks[v]))
     if new_q is None:
         return fallback, "S1" if s1 else "S2", len(comp)
     return new_q, None, len(comp)
 
 
-def _reject_at(state, csp, scheme, comp, v, budget, rng):
+def _reject_at(sampler: Sampler, comp, v: int, rng: np.random.Generator):
     """`reject` on one row, v unassigned: the block at v of the first draw
-    under which every constraint of comp holds, or None once budget draws
-    have failed.  A draw sets the component's variables in increasing order,
-    each to a uniform value of its block and v to a uniform value of its
-    alphabet; draws come in rounds of doubling width, at most 64.
+    under which every constraint of comp holds, or None once the budget
+    cfg.S of draws have failed.  A draw sets the component's variables in
+    increasing order, each to a uniform value of its block and v to a
+    uniform value of its alphabet; draws come in rounds of doubling width,
+    at most 64.
 
     No value is built but v's.  Every variable u != v of a constraint in
     comp sits in the block of its forbidden value, so a uniform r draws that
     value at u iff int(r * size) is its position in the block, and at v iff
     int(r * |A_v|) is the value itself.  A block of one value always draws
-    it and is not tested (`ProjectedState._draw_entries`).  A one-constraint
+    it and is not tested (`Sampler._draw_entries`).  A one-constraint
     component takes its columns and tests from its entries as they are; a
     larger one maps its entries onto the sorted union of its variables."""
+    csp, budget = sampler.csp, sampler.cfg.S
     if len(comp) == 1:
         (cid,) = comp
-        cols, tested = state._draw_entries(cid)
+        cols, tested = sampler._draw_entries(cid)
         tests = [(csp.constraints[cid].forbidden_at(v), tested)]
     else:
-        entries = [state._draw_entries(cid) for cid in comp]
+        entries = [sampler._draw_entries(cid) for cid in comp]
         cols = sorted({u for variables, _ in entries for u in variables})
         at = {u: i for i, u in enumerate(cols)}
         tests = []
@@ -457,7 +520,7 @@ def _reject_at(state, csp, scheme, comp, v, budget, rng):
                         int(row[i] * size) == pos for i, u, size, pos in tested if u != v):
                     break  # the draw violates this constraint
             else:
-                return scheme.block_of[v][x_v]
+                return sampler.scheme.block_of[v][x_v]
         used += width
         width = min(2 * width, 64)
     return None
@@ -506,30 +569,25 @@ def _draw_steps(movable, csp: AtomicCSP, scheme: ProjectionScheme, count: int, r
     return v.tolist(), scheme.arrays.block_of[v, x].tolist()
 
 
-def glauber_run(
-    state: ProjectedState,
-    csp: AtomicCSP,
-    scheme: ProjectionScheme,
-    cfg: SamplerConfig,
-    rng: np.random.Generator,
-    steps: int | None = None,
-):
-    """Run the chain for T steps (steps, if given) of a uniform variable
-    choice each, updating state in place.  Only the steps that land on a
-    movable variable are run (see movable_steps); diag.steps counts them.
+def glauber_run(state: ProjectedState, rng: np.random.Generator, steps: int | None = None):
+    """Run the chain for its sampler's T steps (steps, if given) of a uniform
+    variable choice each, updating state in place.  Only the steps that land
+    on a movable variable are run (see movable_steps); diag.steps counts them.
 
     Steps are drawn STEP_CHUNK at a time (_draw_steps).  A step at v with
     near[v] == 0 has an empty component and sets its drawn value; any other
     step drops that value and runs `_redraw`.  An empty step counts as
     component size 0."""
-    movable, (total,) = movable_steps(scheme, cfg.T if steps is None else steps, 1, rng)
+    sampler = state.sampler
+    csp, scheme = sampler.csp, sampler.scheme
+    movable, (total,) = movable_steps(scheme, sampler.cfg.T if steps is None else steps, 1, rng)
     total, diag = int(total), ChainDiagnostics()
     y, near, apply = state.y, state.near, state.apply
     for start in range(0, total, STEP_CHUNK):
         vs, qs = _draw_steps(movable, csp, scheme, min(STEP_CHUNK, total - start), rng)
         for v, new_q in zip(vs, qs):
             if near[v]:
-                new_q, flag, size = _redraw(state, csp, scheme, cfg, rng, v)
+                new_q, flag, size = _redraw(state, rng, v)
                 diag.record(flag, size)
             if new_q != y[v]:
                 apply(v, new_q)
@@ -538,9 +596,9 @@ def glauber_run(
     return state, diag
 
 
-def lift(csp, scheme, forb, cfg, Y, rng):
-    """Lift every row of Y (P, n), a projected state, to a full assignment;
-    forb is projected_forbidden(csp, scheme).
+def lift(sampler: Sampler, Y: np.ndarray, rng: np.random.Generator):
+    """Lift every row of Y (P, n), a projected state of the sampler's
+    instance, to a full assignment.
 
     Each variable is drawn from its block; then the components of the row's
     unsatisfied projected constraints are rejection-sampled one at a time
@@ -551,9 +609,10 @@ def lift(csp, scheme, forb, cfg, Y, rng):
     InternalError is raised.  Returns (assignments (P, n), errors (P,) of
     "", "I1", "I2", components (P,), rejection rounds (P,)).
     """
+    csp, scheme, cfg = sampler.csp, sampler.scheme, sampler.cfg
     P, n = Y.shape
     a, cols = csp.arrays, np.arange(n)
-    comps = components(csp, a.matches(Y, forb) == a.arity[:-1], cfg.theta_comp)
+    comps = components(csp, a.matches(Y, sampler.forb) == a.arity[:-1], cfg.theta_comp)
     errors = np.full(P, "", dtype="<U2")
     n_comps = np.zeros(P, dtype=np.int64)
     for comp in comps:
@@ -587,13 +646,7 @@ class LiftResult:
     rounds: int = 0
 
 
-def inv_sample(
-    state: ProjectedState,
-    csp: AtomicCSP,
-    scheme: ProjectionScheme,
-    cfg: SamplerConfig,
-    rng: np.random.Generator,
-) -> LiftResult:
+def inv_sample(state: ProjectedState, rng: np.random.Generator) -> LiftResult:
     """Lift the projected state to a full assignment (`lift` on one row).
 
     An oversized component yields ERROR "I1", an exhausted budget ERROR
@@ -601,7 +654,7 @@ def inv_sample(
     satisfies the full instance.
     """
     Y = np.array([state.y], dtype=np.int64)
-    X, errors, n_comps, rounds = lift(csp, scheme, state.forb, cfg, Y, rng)
+    X, errors, n_comps, rounds = lift(state.sampler, Y, rng)
     error = str(errors[0]) or None
     assignment = None if error else tuple(int(x) for x in X[0])
     return LiftResult(assignment, error, components=int(n_comps[0]), rounds=int(rounds[0]))
@@ -618,35 +671,13 @@ class SampleResult:
         return self.error is None
 
 
-def main_sample(
-    csp: AtomicCSP,
-    scheme: ProjectionScheme,
-    eps: float,
-    seed=None,
-    eta: float = 0.25,
-    c_t: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> SampleResult:
-    """Uniform-at-random initial projected state, T chain steps, then lifting.
+def main_sample(csp: AtomicCSP, scheme: ProjectionScheme, eps: float, seed=None,
+                eta: float = 0.25, c_t: float = 1.0,
+                rng: np.random.Generator | None = None) -> SampleResult:
+    """One sample on a set-up of its own: Sampler.sample_one.
 
     The distributional guarantee presumes an admissible scheme; the returned
     assignment, when not an ERROR, is always an exactly verified satisfying
     assignment regardless.
     """
-    _check_match(csp, scheme)
-    cfg = SamplerConfig.derive(csp, scheme, eps, seed=seed, eta=eta, c_t=c_t)
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    state = ProjectedState.random(csp, scheme, rng)
-    state, diag = glauber_run(state, csp, scheme, cfg, rng)
-    lifted = inv_sample(state, csp, scheme, cfg, rng)
-    diagnostics = {
-        **cfg.to_dict(),
-        "steps": diag.steps,
-        "s1_failures": diag.s1,
-        "s2_failures": diag.s2,
-        "lift_error": lifted.error,
-        "lift_components": lifted.components,
-        "component_hist": {str(k): v for k, v in sorted(diag.component_hist.items())},
-    }
-    return SampleResult(lifted.assignment, lifted.error, diagnostics)
+    return Sampler(csp, scheme, eps, eta=eta, c_t=c_t).sample_one(seed, rng)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lllsample.csp import AtomicCSP, AtomicConstraint
-from lllsample.dynamics import lift, project_csp, projected_forbidden, update
+from lllsample.dynamics import Sampler, lift, project_csp, update
 from lllsample.projection import ProjectionScheme
 from reference import violated_by_partial
 
@@ -72,7 +72,9 @@ def lift_draws(csp, scheme, cfg, y, n_draws, seed):
     whether any draw ended in I1, how many ended in I2)."""
     rng = np.random.default_rng(seed)
     Y = np.repeat(np.array([y], dtype=np.int64), n_draws, axis=0)
-    X, errors, _, _ = lift(csp, scheme, projected_forbidden(csp, scheme), cfg, Y, rng)
+    sampler = Sampler(csp, scheme, cfg.eps, cfg.eta, cfg.c_t)
+    sampler.cfg = cfg
+    X, errors, _, _ = lift(sampler, Y, rng)
     rows, counts = np.unique(X[errors == ""], axis=0, return_counts=True)
     found = dict(zip(map(tuple, rows.tolist()), counts.tolist()))
     return found, bool((errors == "I1").any()), int((errors == "I2").sum())

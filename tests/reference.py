@@ -32,8 +32,8 @@ def violated_by_partial(csp: AtomicCSP, y) -> list[int]:
 
 def group_of(state: ProjectedState) -> list[int]:
     """Each constraint's group in the state's bookkeeping."""
-    out = [None] * state.csp.m
-    for g, cids in enumerate(state._members):
+    out = [None] * state.sampler.csp.m
+    for g, cids in enumerate(state.sampler.groups.members):
         for cid in cids:
             out[cid] = g
     return out
@@ -48,9 +48,9 @@ def unsat(state: ProjectedState) -> set[int]:
 def seeds(state: ProjectedState, v: int) -> list[int]:
     """Constraints at v that are unsatisfied with v unassigned, by the
     state's per-group deficits and lists."""
-    y_v, dev = state.y[v], state.dev
-    return [cid for f, gs in enumerate(state._by_forb[v]) for g in gs
-            for cid in state._members[g] if dev[g] == (y_v != f)]
+    y_v, dev, groups = state.y[v], state.dev, state.sampler.groups
+    return [cid for f, gs in enumerate(groups.by_forb[v]) for g in gs
+            for cid in groups.members[g] if dev[g] == (y_v != f)]
 
 
 def check_consistent(state: ProjectedState) -> None:
@@ -58,7 +58,7 @@ def check_consistent(state: ProjectedState) -> None:
     with equal variables and projected forbidden values, and each constraint's deficit (read through
     its group) and each near-violation count match a recount from the
     projected assignment."""
-    pcsp = project_csp(state.csp, state.scheme)
+    pcsp = project_csp(state.sampler.csp, state.sampler.scheme)
     y = state.y
     expect = set(violated_by_partial(pcsp, y))
     if expect != unsat(state):

@@ -4,7 +4,9 @@ import math
 import pytest
 
 from lllsample.cli import dispatch
-from lllsample.projection import ProjectionScheme
+from lllsample.csp import parse_dimacs
+from lllsample.dynamics import main_sample
+from lllsample.projection import ProjectionScheme, construct_projection
 
 
 @pytest.fixture
@@ -54,6 +56,16 @@ def test_sample_multi_count(capsys, cnf_file):
         ["sample", "--input", cnf_file, "--eps", "0.1", "--seed", "3", "--count", "4"],
     )
     assert code == 0 and len(payload["results"]) == 4
+    # the four chains share one sampler, and each equals a main_sample of its own
+    with open(cnf_file, "rb") as fh:
+        csp = parse_dimacs(fh.read())
+    scheme = construct_projection(csp, seed=[3, 0])
+    expect = []
+    for i in range(4):
+        res = main_sample(csp, scheme, 0.1, seed=[3, 1, i])
+        expect.append({"assignment": list(res.assignment), "error": res.error,
+                       "diagnostics": res.diagnostics})
+    assert payload["results"] == json.loads(json.dumps(expect))
 
 
 def test_sample_auto_seed_echoed(capsys, cnf_file):

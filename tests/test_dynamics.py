@@ -12,6 +12,7 @@ import lllsample.dynamics as dynamics
 from lllsample.csp import AtomicConstraint, AtomicCSP, InternalError, build_coloring_csp, evaluate
 from lllsample.dynamics import (
     ProjectedState,
+    Sampler,
     SamplerConfig,
     chain_length,
     component_threshold,
@@ -77,7 +78,7 @@ def test_project_csp():
 
 def test_state_bookkeeping_random_walk(rng):
     csp, scheme = load_bundled("mark4")
-    state = ProjectedState.random(csp, scheme, rng)
+    state = ProjectedState.random(Sampler(csp, scheme, 0.1), rng)
     check_consistent(state)
     for _ in range(300):
         v = int(rng.integers(csp.n))
@@ -125,7 +126,7 @@ def test_bookkeeping_equals_recomputation(data):
         tuple((j,) for j in range(q - 1)) + ((q - 1, q),) for q in domains))
     assert project_csp(csp, scheme) == pcsp
     y = [data.draw(st.integers(0, size - 1)) for size in domains]
-    state = ProjectedState(csp, scheme, y)
+    state = ProjectedState(Sampler(csp, scheme, 0.1), y)
     moves = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3)), max_size=40))
     for v, q in [(0, y[0])] + moves:
         q %= domains[v]
@@ -176,14 +177,14 @@ def test_chain_matches_recomputing_reference(monkeypatch, chunk):
     for case in range(40):
         csp, scheme = random_instance(gen)
         pcsp = project_csp(csp, scheme)
-        cfg = SamplerConfig.derive(csp, scheme, 0.1)
+        sampler = Sampler(csp, scheme, 0.1)
+        cfg = sampler.cfg
         object.__setattr__(cfg, "theta_comp", float(gen.choice([0.5, 1.5, cfg.theta_comp])))
         object.__setattr__(cfg, "S", int(gen.choice([1, 3, cfg.S])))
         y = [int(gen.integers(q)) for q in pcsp.domains]
         steps = int(gen.integers(0, 60))
         run_rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
-        state, diag = glauber_run(ProjectedState(csp, scheme, y), csp, scheme, cfg, run_rng,
-                                  steps=steps)
+        state, diag = glauber_run(ProjectedState(sampler, y), run_rng, steps=steps)
         ref = _reference_run(y, pcsp, csp, scheme, cfg, ref_rng, steps, chunk)
         assert (state.y, diag.steps, diag.s1, diag.s2, diag.component_hist) == ref
         # every step draws as many numbers as the reference's update does
@@ -232,22 +233,51 @@ def test_chain_matches_reference_on_wide_constraints():
         pcsp = project_csp(csp, scheme)
         y = [int(gen.integers(q)) for q in pcsp.domains]
         for theta in (None, 1.5):
-            cfg = SamplerConfig.derive(csp, scheme, 0.1)
+            sampler = Sampler(csp, scheme, 0.1)
+            cfg = sampler.cfg
             if theta is not None:
                 object.__setattr__(cfg, "theta_comp", theta)
             run_rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
-            state, diag = glauber_run(ProjectedState(csp, scheme, y), csp, scheme, cfg, run_rng,
-                                      steps=3000)
+            state, diag = glauber_run(ProjectedState(sampler, y), run_rng, steps=3000)
             ref = _reference_run(y, pcsp, csp, scheme, cfg, ref_rng, 3000, dynamics.STEP_CHUNK)
             assert (state.y, diag.steps, diag.s1, diag.s2, diag.component_hist) == ref
             assert run_rng.bit_generator.state == ref_rng.bit_generator.state
             s1 += diag.s1
             for size, count in diag.component_hist.items():
                 hist[size] = hist.get(size, 0) + count
-            if len(state._members) < csp.m:
+            if len(sampler.groups.members) < csp.m:
                 grouped_busy += diag.steps - diag.component_hist.get(0, 0)
     assert hist[1] > 500 and hist[2] > 100 and hist[3] > 10 and s1 > 100
     assert grouped_busy > 50
+
+
+def test_one_sampler_serves_many_samples(monkeypatch):
+    # k samples on one Sampler equal k main_sample calls at the same seeds,
+    # while the projected table and the groups are built once and the draw
+    # entries stay warm from chain to chain: on a 12-CNF whose chains take
+    # busy steps, and on a colouring whose groups hold several constraints
+    cases = list(_wide_instances(np.random.default_rng(12)))
+    calls = {"projected_forbidden": 0, "group_constraints": 0}
+    for name in calls:
+        def counted(*args, _build=getattr(dynamics, name), _name=name):
+            calls[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    k = 4
+    for csp, scheme in (cases[0], cases[-1]):
+        sampler = Sampler(csp, scheme, 0.1, c_t=0.05)
+        shared = [sampler.sample_one([7, i]) for i in range(k)]
+        assert calls == {"projected_forbidden": 1, "group_constraints": 1}
+        warm = sum(entry is not None for entry in sampler.groups.entries)
+        fresh = [main_sample(csp, scheme, 0.1, seed=[7, i], c_t=0.05) for i in range(k)]
+        assert [(r.assignment, r.error, r.diagnostics) for r in shared] == [
+            (r.assignment, r.error, r.diagnostics) for r in fresh]
+        busy = sum(count for size, count in shared[-1].diagnostics["component_hist"].items()
+                   if size != "0")
+        assert warm and busy and all(r.ok for r in shared)
+        calls.update(projected_forbidden=0, group_constraints=0)
+    assert sampler.groups.max_mult > 1
 
 
 def test_fallback_values_stay_in_the_projected_alphabet():
@@ -258,17 +288,15 @@ def test_fallback_values_stay_in_the_projected_alphabet():
     for case in range(30):
         csp, scheme = random_instance(gen)
         q = scheme.q_sizes()
-        cfg = SamplerConfig.derive(csp, scheme, 0.1)
+        sampler = BatchSampler(csp, scheme, 0.1)
+        cfg = sampler.cfg
         object.__setattr__(cfg, "theta_comp", float(gen.choice([0.5, 1.5])))
         object.__setattr__(cfg, "S", int(gen.choice([1, 3])))
         rng = np.random.default_rng(case)
-        state, diag = glauber_run(ProjectedState.random(csp, scheme, rng), csp, scheme, cfg, rng,
-                                  steps=60)
+        state, diag = glauber_run(ProjectedState.random(sampler, rng), rng, steps=60)
         assert all(0 <= y < size for y, size in zip(state.y, q))
         check_consistent(state)
         fallbacks += diag.s1 + diag.s2
-        sampler = BatchSampler(csp, scheme, 0.1)
-        sampler.cfg = cfg
         Y, s1, s2, _ = sampler.run_chains(20, rng, steps=60)
         assert ((0 <= Y) & (Y < np.array(q))).all()
         batch_fallbacks += s1 + s2
@@ -390,7 +418,7 @@ def test_empty_step_draws_block_proportional(rng):
     # value _draw_steps drew: the block of a uniform value of v
     csp = uniform_csp(1, 4, [])
     scheme = ProjectionScheme((((0, 1, 2), (3,)),))
-    assert ProjectedState(csp, scheme, [0]).near == [0]
+    assert ProjectedState(Sampler(csp, scheme, 0.1), [0]).near == [0]
     draws = 100_000
     vs, qs = dynamics._draw_steps(np.array([0]), csp, scheme, draws, rng)
     assert vs == [0] * draws
@@ -412,7 +440,8 @@ def test_redraw_matches_update_on_grouped_components():
     pcsp = project_csp(csp, scheme)
     grown = 0
     for theta in (1.5, 4.5, 10.5, None):
-        cfg = SamplerConfig.derive(csp, scheme, 0.1)
+        sampler = Sampler(csp, scheme, 0.1)
+        cfg = sampler.cfg
         if theta is not None:
             object.__setattr__(cfg, "theta_comp", theta)
         for trial in range(100):
@@ -421,7 +450,7 @@ def test_redraw_matches_update_on_grouped_components():
             if not seed.any():
                 continue
             run_rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
-            got = dynamics._redraw(ProjectedState(csp, scheme, y), csp, scheme, cfg, run_rng, v)
+            got = dynamics._redraw(ProjectedState(sampler, y), run_rng, v)
             new_q, s1, s2, size = update(csp, scheme, cfg, np.array([y]), unsat, seed,
                                          np.array([v]), ref_rng)
             flag = "S1" if s1[0] else "S2" if s2[0] else None
@@ -433,14 +462,13 @@ def test_redraw_matches_update_on_grouped_components():
 
 def test_redraw_matches_exact_conditional(rng):
     csp, scheme = load_bundled("mark3")
-    cfg = SamplerConfig.derive(csp, scheme, 0.1)
     v, z = 0, (0, 0, 0)  # y1=0, y2 collapsed
     exact = exact_projected_conditional(csp, scheme, v, z)
-    state = ProjectedState(csp, scheme, list(z))
+    state = ProjectedState(Sampler(csp, scheme, 0.1), list(z))
     assert state.near[v]  # a busy step: glauber_run redraws it
     counts = {}
     for _ in range(20_000):
-        q, flag, _ = dynamics._redraw(state, csp, scheme, cfg, rng, v)
+        q, flag, _ = dynamics._redraw(state, rng, v)
         assert flag is None
         counts[q] = counts.get(q, 0) + 1
     assert tv_empirical(counts, exact) < 0.02
@@ -448,22 +476,21 @@ def test_redraw_matches_exact_conditional(rng):
 
 def test_glauber_zero_steps_is_identity(rng):
     csp, scheme = load_bundled("mark4")
-    cfg = SamplerConfig.derive(csp, scheme, 0.1)
-    state = ProjectedState(csp, scheme, [0, 0, 0, 0])
+    state = ProjectedState(Sampler(csp, scheme, 0.1), [0, 0, 0, 0])
     before = list(state.y)
-    glauber_run(state, csp, scheme, cfg, rng, steps=0)
+    glauber_run(state, rng, steps=0)
     assert state.y == before
 
 
 def test_glauber_no_constraints_uniform(rng):
     csp = uniform_csp(3, 2, [])
     scheme = identity_scheme(csp)
-    cfg = SamplerConfig.derive(csp, scheme, 0.1, c_t=0.2)
+    sampler = Sampler(csp, scheme, 0.1, c_t=0.2)
     ones = np.zeros(3)
     runs = 4000
     for _ in range(runs):
-        state = ProjectedState.random(csp, scheme, rng)
-        glauber_run(state, csp, scheme, cfg, rng, steps=15)
+        state = ProjectedState.random(sampler, rng)
+        glauber_run(state, rng, steps=15)
         ones += state.y
     # each coordinate marginal stays uniform within 3 sigma
     sigma = math.sqrt(runs * 0.25)
@@ -473,19 +500,18 @@ def test_glauber_no_constraints_uniform(rng):
 def test_glauber_bookkeeping_check(rng):
     # the bookkeeping equals a recount every 100 steps
     csp, scheme = load_bundled("colork4")
-    cfg = SamplerConfig.derive(csp, scheme, 0.1)
-    state = ProjectedState.random(csp, scheme, rng)
+    state = ProjectedState.random(Sampler(csp, scheme, 0.1), rng)
     for _ in range(5):
-        glauber_run(state, csp, scheme, cfg, rng, steps=100)
+        glauber_run(state, rng, steps=100)
         check_consistent(state)
 
 
 def test_inv_sample_no_unsat_uniform_blocks(rng):
     csp, scheme = load_bundled("mark4")
-    cfg = SamplerConfig.derive(csp, scheme, 0.1)
-    state = ProjectedState(csp, scheme, [1, 0, 1, 0])  # satisfies every projected constraint
+    # satisfies every projected constraint
+    state = ProjectedState(Sampler(csp, scheme, 0.1), [1, 0, 1, 0])
     assert not unsat(state)
-    lift = inv_sample(state, csp, scheme, cfg, rng)
+    lift = inv_sample(state, rng)
     assert lift.error is None
     assert scheme.project(lift.assignment) == (1, 0, 1, 0)
     assert evaluate(csp, lift.assignment) == []
@@ -493,10 +519,10 @@ def test_inv_sample_no_unsat_uniform_blocks(rng):
 
 def test_inv_sample_i1_on_oversized_component(rng):
     csp, scheme = load_bundled("sat62")
-    cfg = SamplerConfig.derive(csp, scheme, 0.1)
-    object.__setattr__(cfg, "theta_comp", 0.5)  # inject an undersized threshold
-    state = ProjectedState(csp, scheme, [0] * 6)
-    lift = inv_sample(state, csp, scheme, cfg, rng)
+    sampler = Sampler(csp, scheme, 0.1)
+    object.__setattr__(sampler.cfg, "theta_comp", 0.5)  # inject an undersized threshold
+    state = ProjectedState(sampler, [0] * 6)
+    lift = inv_sample(state, rng)
     assert lift.error == "I1" and lift.assignment is None
 
 
@@ -504,21 +530,20 @@ def test_inv_sample_i2_on_unsatisfiable_block_cube(rng):
     # identity blocks freeze the violating assignment: rejection can never accept
     csp = uniform_csp(2, 2, [((0, 1), (0, 0))])
     scheme = identity_scheme(csp)
-    cfg = SamplerConfig.derive(csp, scheme, 0.4)
-    state = ProjectedState(csp, scheme, [0, 0])
-    lift = inv_sample(state, csp, scheme, cfg, rng)
+    state = ProjectedState(Sampler(csp, scheme, 0.4), [0, 0])
+    lift = inv_sample(state, rng)
     assert lift.error == "I2"
 
 
 def test_inv_sample_matches_exact_lift_conditional(rng):
     csp, scheme = load_bundled("mark3")
-    cfg = SamplerConfig.derive(csp, scheme, 0.1)
+    sampler = Sampler(csp, scheme, 0.1)
     y = (0, 0, 0)
     exact = exact_lift_conditional(csp, scheme, y)
     counts = {}
     for _ in range(20_000):
-        state = ProjectedState(csp, scheme, list(y))
-        lift = inv_sample(state, csp, scheme, cfg, rng)
+        state = ProjectedState(sampler, list(y))
+        lift = inv_sample(state, rng)
         assert lift.error is None
         counts[lift.assignment] = counts.get(lift.assignment, 0) + 1
     assert tv_empirical(counts, exact) < 0.02
@@ -583,9 +608,7 @@ def test_lift_verification_raises(monkeypatch, driver, value, why):
     monkeypatch.setattr(dynamics, "reject", accept_unchecked)
     with pytest.raises(InternalError, match=why):
         if driver == "scalar":
-            cfg = SamplerConfig.derive(csp, scheme, 0.1)
-            inv_sample(ProjectedState(csp, scheme, [0, 0]), csp, scheme, cfg,
-                       np.random.default_rng(0))
+            inv_sample(ProjectedState(Sampler(csp, scheme, 0.1), [0, 0]), np.random.default_rng(0))
         else:
             BatchSampler(csp, scheme, 0.1).lift(np.zeros((4, 2), dtype=np.int64),
                                                 np.random.default_rng(0))
@@ -598,9 +621,8 @@ def test_all_collapsed_chain_runs_no_step(monkeypatch, name):
     import lllsample.batch as batch
 
     csp, scheme = load_bundled(name)
-    cfg = SamplerConfig.derive(csp, scheme, 0.1)
     rng = np.random.default_rng(3)
-    state, diag = glauber_run(ProjectedState.random(csp, scheme, rng), csp, scheme, cfg, rng)
+    state, diag = glauber_run(ProjectedState.random(Sampler(csp, scheme, 0.1), rng), rng)
     assert diag.steps == 0 and state.y == [0] * csp.n
     assert main_sample(csp, scheme, 0.1, seed=3).diagnostics["steps"] == 0
 
@@ -615,10 +637,8 @@ def test_all_collapsed_chain_runs_no_step(monkeypatch, name):
 def test_nothing_collapsed_runs_every_step():
     csp, scheme = load_bundled("colork4")
     assert min(scheme.q_sizes()) > 1
-    cfg = SamplerConfig.derive(csp, scheme, 0.1)
     rng = np.random.default_rng(5)
-    _, diag = glauber_run(ProjectedState.random(csp, scheme, rng), csp, scheme, cfg, rng,
-                          steps=300)
+    _, diag = glauber_run(ProjectedState.random(Sampler(csp, scheme, 0.1), rng), rng, steps=300)
     assert diag.steps == 300
     res = main_sample(csp, scheme, 0.1, seed=5, c_t=0.05)
     assert res.diagnostics["steps"] == res.diagnostics["T"]
@@ -630,7 +650,7 @@ def test_steps_land_on_movable_variables_only(monkeypatch):
     import lllsample.dynamics as dynamics
 
     csp, scheme = load_bundled("mark4")
-    cfg = SamplerConfig.derive(csp, scheme, 0.1)
+    sampler = Sampler(csp, scheme, 0.1)
     picked = set()
     draw = dynamics._draw_steps
 
@@ -644,8 +664,7 @@ def test_steps_land_on_movable_variables_only(monkeypatch):
     steps = []
     for seed in range(runs):
         rng = np.random.default_rng(seed)
-        _, diag = glauber_run(ProjectedState.random(csp, scheme, rng), csp, scheme, cfg, rng,
-                              steps=s)
+        _, diag = glauber_run(ProjectedState.random(sampler, rng), rng, steps=s)
         steps.append(diag.steps)
     assert picked == {0, 2}
     sigma = math.sqrt(s * p * (1 - p) / runs)
