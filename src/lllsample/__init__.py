@@ -1,7 +1,7 @@
 """Near-uniform sampling and approximate counting of atomic-CSP solutions
 via single-site dynamics on a projected state space."""
 
-__version__ = "0.8.1"
+__version__ = "0.9.0"
 
 from .csp import (
     AtomicConstraint,

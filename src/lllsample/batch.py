@@ -1,7 +1,12 @@
 """Vectorized many-chain driver.
 
 Runs N independent copies of the projected chain in lockstep with numpy,
-one vectorized update per time step, plus a batched lifting pass.
+one vectorized update per time step, plus a batched lifting pass.  As in
+the scalar driver, every chain starts from the projection of a uniform
+assignment (Sampler.start_states) and steps only movable variables, those
+with more than one block that lie in some constraint
+(dynamics.movable_steps): a variable in no constraint keeps its start,
+which is already its exact law.
 BatchSampler is a dynamics.Sampler, the set-up built once per (instance,
 scheme) that the scalar driver runs on too: the schedule and the projected
 forbidden values by constraint, and by variable for the step test
@@ -47,15 +52,16 @@ class BatchSampler(Sampler):
         """Final projected states of n_chains independent chains, plus step
         failure tallies.
 
-        Chain i runs its own K_i ~ Binomial(T, n_movable/n) steps, each at a
-        uniform movable variable (dynamics.movable_steps); the lockstep loop
-        runs max K_i steps and a chain past its K_i keeps its state."""
+        Chain i runs its own K_i ~ Binomial(T, n_movable/n') steps, each at
+        a uniform movable variable (dynamics.movable_steps); the lockstep
+        loop runs max K_i steps and a chain past its K_i keeps its state."""
         N, cfg, csp = n_chains, self.cfg, self.csp
         ca, sa, inc_forb = csp.arrays, self.scheme.arrays, self.inc_forb
-        Y = (rng.random((N, csp.n)) * sa.q[None, :]).astype(np.int64)
+        Y = self.start_states(N, rng)
         s1_steps = s2_steps = 0
         touched = np.zeros(N, dtype=bool)
-        movable, K = movable_steps(self.scheme, cfg.T if steps is None else steps, N, rng)
+        movable, K = movable_steps(self.scheme, self.constrained, cfg.T if steps is None else steps,
+                                   N, rng)
         # per-constraint projected forbidden matches, with a zero column for the pad
         cnt = np.concatenate([ca.matches(Y, self.forb), np.zeros((N, 1), dtype=np.int64)], axis=1)
         for t in range(K.max(initial=0)):

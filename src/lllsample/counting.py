@@ -43,7 +43,8 @@ c_n / delta^2 draws: where sum_j sigma_j is small, N comes to a few draws,
 and one that broke its block would end the count.
 
 A sub-instance keeps every variable and alphabet and drops constraints, so
-neither Delta nor b grows and the input's scheme serves every stage.
+neither Delta nor b grows and the input's scheme serves every stage; its
+chain runs only on the variables the earlier blocks constrain.
 Outside the regime the instance is counted exactly by enumeration when the
 oracle's guard allows.  Above the guard, a count of one block still runs,
 since its one stage is exact and needs no chain, and a count of more blocks
@@ -224,11 +225,10 @@ def _count(
         # about 1.6e-162
         if eps_stage == 0.0:
             raise RegimeError(f"the stage accuracy underflows to 0 at delta = {delta}")
-        # refuse schedule constants that no chain stage could run, even when
-        # every stage is exact: those of the constraint-free chain, whose
-        # Delta, and so T and kappa, are the smallest of any prefix
-        free = AtomicCSP(csp.n, csp.domains, (), csp.allow_unit_domains)
-        SamplerConfig.derive(free, scheme, eps_stage, eta=eta, c_t=c_t)
+        # refuse schedule constants past the drivers' ranges, even when every
+        # stage is exact: those of the input, whose constrained variables and
+        # Delta, and so T, S and kappa, bound those of every prefix
+        SamplerConfig.derive(csp, scheme, eps_stage, eta=eta, c_t=c_t)
         n_draws = stage_samples(math.fsum(cut.sigma), delta, c_n)
     if seed is None:
         seed = np.random.SeedSequence().entropy

@@ -7,11 +7,19 @@ component of unsatisfied projected constraints around that variable.  A final
 lifting pass turns the projected state into a full satisfying assignment, one
 component at a time.
 
-A step at a collapsed variable (a single block) cannot change the projected
-state, so both drivers run only the steps that land on a movable variable:
-of T uniform picks, Binomial(T, n_movable/n) do, each at a uniform movable
-variable (`movable_steps`).  With nothing collapsed that is one uniform pick
-per step and no other draw.
+The chain runs on the n' variables that lie in some constraint, and its
+schedule counts n' of them.  The uniform law factors over the connected
+components of the constraint hypergraph, so a variable in no constraint is
+an exact uniform draw: both drivers start from the projection of a uniform
+assignment, the block of a uniform value at every variable, and never step
+a free variable; the lift draws it uniformly inside its block.  A step at a
+collapsed variable (a single block) cannot change the projected state
+either, so both drivers run only the steps that land on a movable variable,
+one that has more than one block and lies in some constraint: of T uniform
+picks among the n' constrained variables, Binomial(T, n_movable/n') do,
+each at a uniform movable variable (`movable_steps`).  With every
+constrained variable movable that is one uniform pick per step and no
+other draw.
 
 The single-chain driver `glauber_run` decides each step in O(1).
 `ProjectedState` keeps, per variable v, the number of constraints at v whose
@@ -22,7 +30,10 @@ the same variables and projected forbidden values share one group and one
 deficit, so a move visits each group once: a colouring's q constraints per
 edge project onto one group per colour block.  The steps' variables and the
 values an empty step would set are drawn ahead in chunks of STEP_CHUNK
-(`_draw_steps`); a busy step drops its drawn value and runs `_redraw`.
+(`_draw_steps`); a busy step drops its drawn value and runs `_redraw`.  The
+step loop makes each move's bookkeeping update itself, as
+`ProjectedState.apply` makes it for one move, since a method call per step
+would cost an empty step most of its time.
 
 The chain runs on the input's own tables.  Projecting keeps every
 constraint's variables and maps each forbidden value to its block, so the
@@ -114,9 +125,17 @@ def component_threshold(delta_deg: int, n: int, kappa: float, eps: float) -> flo
     return 20.0 * delta_deg * math.log(n * kappa / eps)
 
 
+def constrained_variables(csp: AtomicCSP) -> np.ndarray:
+    """(n,) bool: whether each variable lies in some constraint."""
+    mask = np.zeros(csp.n + 1, dtype=bool)
+    mask[csp.arrays.vc] = True
+    return mask[: csp.n]
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Schedule constants derived from (eps, eta, kappa, n, Delta, C_T)."""
+    """Schedule constants derived from (eps, eta, kappa, n, Delta, C_T); n
+    counts the variables the chain runs on, those in some constraint."""
 
     eps: float
     eta: float
@@ -142,7 +161,8 @@ class SamplerConfig:
                c_t: float = 1.0) -> "SamplerConfig":
         kappa = scheme_kappa(csp, scheme)
         delta_deg, _, _ = degree_stats(csp)
-        return cls(eps=eps, eta=eta, kappa=kappa, n=csp.n, delta_deg=delta_deg, c_t=c_t)
+        n = int(np.count_nonzero(constrained_variables(csp)))
+        return cls(eps=eps, eta=eta, kappa=kappa, n=n, delta_deg=delta_deg, c_t=c_t)
 
     def to_dict(self) -> dict:
         return {
@@ -204,10 +224,11 @@ def group_constraints(csp: AtomicCSP, scheme: ProjectionScheme, forb: np.ndarray
 class Sampler:
     """The set-up of one (instance, scheme) pair, built once and shared by
     every chain and lift run on it: the schedule `cfg` and the projected
-    forbidden values by constraint, `forb`.  A table only one driver reads
-    is built the first time it is read, as CSPArrays builds its tables by
-    variable: the single chain's `groups`, and the many-chain driver's
-    `inc_forb`."""
+    forbidden values by constraint, `forb`.  Tables by variable are built
+    the first time they are read, as CSPArrays builds its own: which
+    variables lie in some constraint, `constrained`, and the tables only
+    one driver reads, the single chain's `groups` and the many-chain
+    driver's `inc_forb`."""
 
     def __init__(self, csp: AtomicCSP, scheme: ProjectionScheme, eps: float, eta: float = 0.25,
                  c_t: float = 1.0):
@@ -215,6 +236,19 @@ class Sampler:
         self.csp, self.scheme = csp, scheme
         self.cfg = SamplerConfig.derive(csp, scheme, eps, eta=eta, c_t=c_t)
         self.forb = projected_forbidden(csp, scheme)
+
+    @cached_property
+    def constrained(self) -> np.ndarray:
+        return constrained_variables(self.csp)
+
+    def start_states(self, n_chains: int, rng: np.random.Generator) -> np.ndarray:
+        """(n_chains, n) projections of uniform assignments, the block of a
+        uniform value at each variable, from one rng.random call.  This is
+        the exact law of the variables in no constraint, which no chain
+        steps."""
+        n = self.csp.n
+        x = (rng.random((n_chains, n)) * self.csp.arrays.domains).astype(np.int64)
+        return self.scheme.arrays.block_of[np.arange(n), x]
 
     @cached_property
     def inc_forb(self) -> np.ndarray:
@@ -251,9 +285,9 @@ class Sampler:
         return X, errors
 
     def sample_one(self, seed=None, rng: np.random.Generator | None = None) -> "SampleResult":
-        """One sample: a uniform-at-random initial projected state, T chain
-        steps (glauber_run), then lifting (inv_sample), on rng or else on
-        default_rng(seed)."""
+        """One sample: the projection of a uniform assignment as the initial
+        state, T chain steps (glauber_run), then lifting (inv_sample), on
+        rng or else on default_rng(seed)."""
         if rng is None:
             rng = np.random.default_rng(seed)
         state, diag = glauber_run(ProjectedState.random(self, rng), rng)
@@ -308,11 +342,14 @@ class ProjectedState:
 
     @classmethod
     def random(cls, sampler: Sampler, rng: np.random.Generator):
-        y = [int(rng.integers(size)) for size in sampler.scheme.q_sizes()]
-        return cls(sampler, y)
+        """A chain's start: the projection of a uniform assignment
+        (Sampler.start_states)."""
+        return cls(sampler, sampler.start_states(1, rng)[0].tolist())
 
     def apply(self, v: int, new_q: int):
-        """Move v to new_q; a move to v's own value changes nothing."""
+        """Move v to new_q; a move to v's own value changes nothing.
+        `glauber_run` makes the same update inline, step by step; this is
+        its per-move form, which the bookkeeping tests drive."""
         y, dev, cons = self.y, self.dev, self._cons
         old, y[v] = y[v], new_q
         at = self._by_forb[v]
@@ -542,19 +579,23 @@ class ChainDiagnostics:
         self.component_hist[comp_size] = self.component_hist.get(comp_size, 0) + times
 
 
-def movable_steps(scheme: ProjectionScheme, steps: int, n_chains: int, rng: np.random.Generator):
-    """The movable variables of scheme (more than one block), and for each
-    of n_chains chains how many of `steps` uniform variable picks land on one.
+def movable_steps(scheme: ProjectionScheme, constrained: np.ndarray, steps: int, n_chains: int,
+                  rng: np.random.Generator):
+    """The movable variables, those with more than one block of scheme
+    among the constrained ones (a bool mask), and for each of n_chains
+    chains how many of `steps` uniform picks among the constrained variables
+    land on one.
 
     A step at a collapsed variable cannot change the projected state, so a
     chain that runs only those steps, each at a uniform movable variable, has
-    the same law.  With nothing collapsed every chain runs all `steps` and no
-    random draw is made, so its random stream is that of a uniform pick per
-    step."""
-    movable = np.flatnonzero(scheme.arrays.q > 1)
-    if movable.size == scheme.n:
-        return movable, np.full(n_chains, steps)
-    return movable, rng.binomial(steps, movable.size / scheme.n, n_chains)
+    the same law.  With every constrained variable movable, every chain runs
+    all `steps` and no random draw is made, so its random stream is that of a
+    uniform pick per step; with no movable variable no chain runs a step."""
+    movable = np.flatnonzero((scheme.arrays.q > 1) & constrained)
+    n = int(constrained.sum())
+    if movable.size == n:
+        return movable, np.full(n_chains, steps if n else 0)
+    return movable, rng.binomial(steps, movable.size / n, n_chains)
 
 
 STEP_CHUNK = 1024  # steps glauber_run draws at a time
@@ -571,26 +612,42 @@ def _draw_steps(movable, csp: AtomicCSP, scheme: ProjectionScheme, count: int, r
 
 def glauber_run(state: ProjectedState, rng: np.random.Generator, steps: int | None = None):
     """Run the chain for its sampler's T steps (steps, if given) of a uniform
-    variable choice each, updating state in place.  Only the steps that land
-    on a movable variable are run (see movable_steps); diag.steps counts them.
+    pick among the constrained variables each, updating state in place.
+    Only the steps that land on a movable variable are run (see
+    movable_steps); diag.steps counts them.
 
     Steps are drawn STEP_CHUNK at a time (_draw_steps).  A step at v with
     near[v] == 0 has an empty component and sets its drawn value; any other
     step drops that value and runs `_redraw`.  An empty step counts as
-    component size 0."""
+    component size 0.  A move updates dev and near here, as
+    `ProjectedState.apply` does."""
     sampler = state.sampler
     csp, scheme = sampler.csp, sampler.scheme
-    movable, (total,) = movable_steps(scheme, sampler.cfg.T if steps is None else steps, 1, rng)
+    movable, (total,) = movable_steps(scheme, sampler.constrained,
+                                      sampler.cfg.T if steps is None else steps, 1, rng)
     total, diag = int(total), ChainDiagnostics()
-    y, near, apply = state.y, state.near, state.apply
+    y, dev, near, cons, by_forb, shift = (state.y, state.dev, state.near, state._cons,
+                                          state._by_forb, state._shift)
     for start in range(0, total, STEP_CHUNK):
         vs, qs = _draw_steps(movable, csp, scheme, min(STEP_CHUNK, total - start), rng)
         for v, new_q in zip(vs, qs):
             if near[v]:
                 new_q, flag, size = _redraw(state, rng, v)
                 diag.record(flag, size)
-            if new_q != y[v]:
-                apply(v, new_q)
+            old = y[v]
+            if new_q != old:
+                y[v] = new_q
+                at = by_forb[v]
+                for g in at[old]:
+                    d = dev[g]
+                    dev[g] = d + 1
+                    if d <= 1:
+                        shift(g, v, d, -cons[g][2])
+                for g in at[new_q]:
+                    d = dev[g] - 1
+                    dev[g] = d
+                    if d <= 1:
+                        shift(g, v, d, cons[g][2])
     if total > diag.steps:
         diag.record(None, 0, total - diag.steps)
     return state, diag

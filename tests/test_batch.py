@@ -8,7 +8,13 @@ import pytest
 from lllsample.batch import BatchSampler
 from lllsample.bundled import load_bundled
 from lllsample.csp import AtomicConstraint, AtomicCSP, evaluate
-from lllsample.dynamics import SamplerConfig, main_sample
+from lllsample.dynamics import (
+    ProjectedState,
+    SamplerConfig,
+    glauber_run,
+    inv_sample,
+    main_sample,
+)
 from lllsample.oracle import (
     enumerate_satisfying,
     tv_empirical,
@@ -194,6 +200,47 @@ def test_no_constraints_block_proportional_both_drivers():
         freq = np.bincount(values, minlength=3) / values.size
         sigma = math.sqrt((1 / 3) * (2 / 3) / values.size)
         assert np.abs(freq - 1 / 3).max() < 4 * sigma
+
+
+def test_free_variable_starts_from_a_uniform_value():
+    # a variable in no constraint is never stepped, so both drivers must
+    # start it at its law, the block of a uniform value, and the lift draws
+    # it uniformly inside that block: blocks {0},{1,2} give each value 1/3,
+    # where a uniform block would give 0 half the time.  Variable 1 is
+    # collapsed and in a unary constraint the lift rejection-samples
+    from lllsample.projection import ProjectionScheme
+
+    csp = AtomicCSP(2, (3, 2), (AtomicConstraint((1,), (0,)),))
+    scheme = ProjectionScheme((((0,), (1, 2)), ((0, 1),)))
+    sampler = BatchSampler(csp, scheme, 0.1)
+    runs, rng = 3000, np.random.default_rng(6)
+    scalar = []
+    for _ in range(runs):
+        state, _ = glauber_run(ProjectedState.random(sampler, rng), rng, steps=0)
+        scalar.append(inv_sample(state, rng).assignment)
+    Y, _, _, _ = sampler.run_chains(runs, rng, steps=0)
+    X, errors = sampler.lift(Y, rng)
+    assert (errors == "").all() and (X[:, 1] == 1).all()
+    assert all(x[1] == 1 for x in scalar)
+    sigma = math.sqrt(runs * (1 / 3) * (2 / 3))
+    for values in (np.array([x[0] for x in scalar]), X[:, 0]):
+        assert np.abs(np.bincount(values, minlength=3) - runs / 3).max() < 4 * sigma
+
+
+def test_no_movable_variable_runs_no_step():
+    # without constraints nothing is movable: an explicit step count runs
+    # no step in either driver, and each chain keeps its start
+    from lllsample.projection import identity_scheme
+
+    csp = uniform_csp(3, 2, [])
+    sampler = BatchSampler(csp, identity_scheme(csp), 0.1)
+    Y, s1, s2, _ = sampler.run_chains(50, np.random.default_rng(1), steps=40)
+    assert (Y == sampler.start_states(50, np.random.default_rng(1))).all() and s1 == s2 == 0
+    rng = np.random.default_rng(2)
+    start = ProjectedState.random(sampler, rng)
+    before = list(start.y)
+    state, diag = glauber_run(start, rng, steps=40)
+    assert state.y == before and diag.steps == 0
 
 
 def test_mixed_scheme_chain_moves_uniform_both_drivers():

@@ -17,6 +17,7 @@ from lllsample.dynamics import (
     chain_length,
     component_threshold,
     components,
+    constrained_variables,
     explore,
     glauber_run,
     inv_sample,
@@ -148,7 +149,7 @@ def _reference_run(y, pcsp, csp, scheme, cfg, rng, steps, chunk):
     """glauber_run as a plain loop over the same chunked draws: each step's
     seeds and unsatisfied constraints are recomputed from the state."""
     y = list(y)
-    movable, (total,) = movable_steps(scheme, steps, 1, rng)
+    movable, (total,) = movable_steps(scheme, constrained_variables(csp), steps, 1, rng)
     s1 = s2 = 0
     hist = {}
     for start in range(0, total, chunk):
@@ -495,6 +496,21 @@ def test_glauber_no_constraints_uniform(rng):
     # each coordinate marginal stays uniform within 3 sigma
     sigma = math.sqrt(runs * 0.25)
     assert all(abs(c - runs / 2) < 3 * sigma for c in ones)
+
+
+def test_chain_runs_on_the_constrained_variables(rng):
+    # a colouring with free vertices and nothing collapsed: the schedule
+    # counts the n' = 5 vertices in some edge, every one of the T picks
+    # among them runs, and the free vertices keep their start
+    csp = build_coloring_csp([[0, 1, 2], [2, 3, 4]], 3, n=8)
+    sampler = Sampler(csp, identity_scheme(csp), 0.1, c_t=0.05)
+    assert sampler.constrained.tolist() == [True] * 5 + [False] * 3
+    cfg = sampler.cfg
+    assert cfg.n == 5 and cfg.T == chain_length(cfg.kappa, 5, cfg.delta_deg, 0.1, 0.05)
+    state = ProjectedState.random(sampler, rng)
+    free = state.y[5:]
+    state, diag = glauber_run(state, rng)
+    assert diag.steps == cfg.T and state.y[5:] == free
 
 
 def test_glauber_bookkeeping_check(rng):

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,13 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_version_matches_pyproject():
+    # a change to the random streams bumps both version strings together
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', text, flags=re.M)
+    assert lllsample.__version__ == version
 
 
 def test_public_surface():

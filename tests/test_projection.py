@@ -656,14 +656,14 @@ def _sampling_outputs():
     yield "count", json.dumps(approx_count(csp, scheme, 0.5, seed=3).to_dict(), sort_keys=True)
 
 
-# the sample parts are pinned since 0.6.0, the count parts since 0.7.0
+# the sample parts are pinned since 0.9.0, the count parts since 0.7.0
 SAMPLING_DIGESTS = {
     "schedule": {
-        "sample": "a7a25140e710740c4261460fc08595019d07c238a23fd2ce067007b37bc2c28b",
+        "sample": "7a2eae41fe0f6d7c142c33f6a9b311e5d5ab69f299e9f05041185a288f0e328c",
         "count": "f58bd5e5a715de6174031cbfc52c53fb16dc2d6b8675ae20359230724ec8c1ff",
     },
     "shrunk": {
-        "sample": "5eecb0bf1fb95d7c85f02a8a8f72883837493b602798fac1195f1dbd47f761e8",
+        "sample": "e389b2f3cea661ecdaaa6d0721b9ffa463693728fe5dfa3ec6bba5f73f87c398",
         "count": "9529f1960b89bd3214f23c0f2a6b3ae1013b6451e42ef56cda56a8a7036de53a",
     },
 }
