@@ -63,12 +63,15 @@ same random numbers as `update` in the same order, so it returns the same
 value for the same generator state, and its cost follows the component
 rather than the degree: it grows the component over groups, only through
 variables whose near count leaves room for a group of deficit 0, and tests
-each draw against the member constraints' draw entries, the size of the
-block holding each forbidden value and its position there, cached the first
-time a constraint enters a component (`Sampler._draw_entries`),
-without building a value.  A step whose component is empty, the common
-case, needs neither: the new projected value is the block of a uniform
-value of the variable.
+each draw, without building a value, against rejection tests compiled once
+per constraint the first time it enters a component
+(`Sampler._draw_entries`): the size of the block holding each forbidden
+value and its position there, and per variable of the constraint the test
+of a one-constraint component at it.  A busy step then costs about its
+random draws: one rng.random call where the first round succeeds, which
+also draws the fallback number `update` draws after its rounds.  A step
+whose component is empty, the common case, needs neither: the new
+projected value is the block of a uniform value of the variable.
 
 Failure paths are tagged, never raised: "S1"/"S2" for an oversized component
 or exhausted rejection budget during a chain update (the update falls back to
@@ -80,6 +83,7 @@ raises InternalError.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -204,7 +208,8 @@ class Groups(NamedTuple):
     members: list  # the constraints of each group
     max_mult: int  # the largest multiplicity
     by_forb: list  # per variable and projected value, the groups at it forbidding that value
-    entries: list  # per constraint, its draw entries once built (Sampler._draw_entries)
+    q: tuple  # per variable, its number of blocks
+    entries: list  # per constraint, its rejection test once built (Sampler._draw_entries)
 
 
 def group_constraints(csp: AtomicCSP, scheme: ProjectionScheme, forb: np.ndarray) -> Groups:
@@ -214,11 +219,12 @@ def group_constraints(csp: AtomicCSP, scheme: ProjectionScheme, forb: np.ndarray
         groups.setdefault((c.vars, tuple(row[: c.arity])), []).append(cid)
     members = list(groups.values())
     cons = [(*key, len(cids)) for key, cids in groups.items()]
-    by_forb = [[[] for _ in range(size)] for size in scheme.q_sizes()]
+    q = scheme.q_sizes()
+    by_forb = [[[] for _ in range(size)] for size in q]
     for g, (vars_, forb_g, _) in enumerate(cons):
         for v, f in zip(vars_, forb_g):
             by_forb[v][f].append(g)
-    return Groups(cons, members, max(map(len, members), default=1), by_forb, [None] * csp.m)
+    return Groups(cons, members, max(map(len, members), default=1), by_forb, q, [None] * csp.m)
 
 
 class Sampler:
@@ -262,21 +268,34 @@ class Sampler:
         return group_constraints(self.csp, self.scheme, self.forb)
 
     def _draw_entries(self, cid: int):
-        """(variables, tested) of constraint cid: its variables in increasing
-        order, and (i, u, size, position) for each u = variables[i] whose
-        forbidden value f lies in a block of more than one value: size is
-        that block's size and position the place of f in it.  Built the
-        first time the constraint enters a component, and kept."""
+        """(variables, tested, tests), the rejection test of constraint cid,
+        built the first time the constraint enters a component and kept:
+        - variables: its variables in increasing order;
+        - tested: (u, size, position) for each variable u whose forbidden
+          value f lies in a block of more than one value: size is that
+          block's size and position the place of f in it;
+        - tests: per variable v of the constraint, the test of a component
+          of this constraint alone with v unassigned: (column count, column
+          of v, |A_v|, the forbidden value at v, v's block map, and the
+          (column, size, position) of each tested variable, which the test
+          skips at v's column).
+        So the table holds one test per (constraint, variable), and the
+        tested triples once per constraint."""
         cache = self.groups.entries
         entries = cache[cid]
         if entries is None:
-            c, scheme, tested = self.csp.constraints[cid], self.scheme, []
+            c, scheme, tested, columns = self.csp.constraints[cid], self.scheme, [], []
             pairs = sorted(zip(c.vars, c.forbidden))
             for i, (u, f) in enumerate(pairs):
                 block = scheme.blocks[u][scheme.block_of[u][f]]
                 if len(block) > 1:
-                    tested.append((i, u, len(block), block.index(f)))
-            entries = cache[cid] = tuple(u for u, _ in pairs), tuple(tested)
+                    size, pos = len(block), block.index(f)
+                    tested.append((u, size, pos))
+                    columns.append((i, size, pos))
+            columns, block_of = tuple(columns), scheme.block_of
+            tests = {v: (len(pairs), i, len(block_of[v]), f, block_of[v], columns)
+                     for i, (v, f) in enumerate(pairs)}
+            entries = cache[cid] = tuple(sorted(c.vars)), tuple(tested), tests
         return entries
 
     def lift(self, Y: np.ndarray, rng: np.random.Generator):
@@ -332,7 +351,7 @@ class ProjectedState:
         if len(self.y) != sampler.csp.n:
             raise ValueError("state length mismatch")
         self.sampler = sampler
-        self._cons, _, _, self._by_forb, _ = sampler.groups
+        self._cons, self._by_forb = sampler.groups.cons, sampler.groups.by_forb
         y = self.y
         self.dev = [sum(y[v] != f for v, f in zip(vars_, forb)) for vars_, forb, _ in self._cons]
         self.near = [0] * len(y)
@@ -366,12 +385,21 @@ class ProjectedState:
 
     def _shift(self, g: int, v: int, d: int, k: int):
         """Add k to near[u] for each u != v that group g counts there when v
-        sits at its forbidden value and the deficit is d."""
-        near, y = self.near, self.y
+        sits at its forbidden value and the deficit is d: every u at d == 0,
+        and at d == 1 the one u off its forbidden value, where the scan
+        stops."""
+        near = self.near
         vars_, forb, _ = self._cons[g]
+        if d == 0:
+            for u in vars_:
+                if u != v:
+                    near[u] += k
+            return
+        y = self.y
         for u, f in zip(vars_, forb):
-            if u != v and (d == 0 or y[u] != f):
+            if y[u] != f and u != v:
                 near[u] += k
+                return
 
 
 def explore(csp: AtomicCSP, unsat: np.ndarray, comp: np.ndarray, theta: float = math.inf):
@@ -479,88 +507,126 @@ def _redraw(state: ProjectedState, rng: np.random.Generator, v: int):
 
     The component grows over groups, from those at v unsatisfied with v
     unassigned, a level at a time through the groups of deficit 0, and stops
-    growing once it holds more than cfg.theta_comp constraints (S1);
-    otherwise `_reject_at` draws inside its member constraints (S2 when its
-    budget runs out).  The members of a group share their variables and
-    deficit, so they join a component at the same level, and the component
-    is the one `update` grows over constraints.  The fallback value is
-    drawn on every step, as `update` draws it.
+    growing once it holds more than cfg.theta_comp constraints (S1, whose
+    fallback value is drawn here); otherwise `_reject_at` draws inside its
+    member constraints, and draws the fallback value too (S2 when its budget
+    runs out).  The members of a group share their variables and deficit,
+    so they join a component at the same level, and the component is the
+    one `update` grows over constraints.  The fallback value, a uniform
+    block of v (block counts from `Groups.q`), is drawn on every step, as
+    `update` draws it.
 
-    Growth visits the groups at a variable u of a frontier group only when
-    near[u] exceeds what that group adds there itself (its multiplicity at
-    deficit 0, else 0).  Every group of deficit 0 adds its multiplicity to
-    near at each of its variables, so otherwise none but the frontier group
-    can be found at u; and near rarely leaves room for one.  A group of
-    deficit 0 at u forbids y[u], so only those are visited.  While the
-    component holds at most theta / (largest multiplicity) groups, it holds
-    at most theta constraints, so its members are summed only past that."""
+    Growth visits the groups at a variable u != v of a frontier group only
+    when near[u] exceeds what that group adds there itself (its multiplicity
+    at deficit 0, else 0).  Every group of deficit 0 adds its multiplicity
+    to near at each of its variables, so otherwise none but the frontier
+    group can be found at u; and near rarely leaves room for one.  A group
+    of deficit 0 at u forbids y[u], so only those are visited; at v those
+    are seeds already.  While the component holds at most theta / (largest
+    multiplicity) groups, it holds at most theta constraints, so its members
+    are summed only past that."""
     sampler, dev, near, y = state.sampler, state.dev, state.near, state.y
-    cons, members, max_mult, by_forb, _ = sampler.groups
+    cons, members, max_mult, by_forb, q, _ = sampler.groups
     theta = sampler.cfg.theta_comp
-    y_v = y[v]
-    comp = {g for f, gs in enumerate(by_forb[v]) for g in gs if dev[g] == (y_v != f)}
-    frontier = comp
+    y_v, comp = y[v], []
+    for f, gs in enumerate(by_forb[v]):
+        d = y_v != f
+        for g in gs:
+            if dev[g] == d:
+                comp.append(g)
+    frontier, seen = comp, set(comp)
     while frontier and (len(comp) * max_mult <= theta
                         or sum(len(members[g]) for g in comp) <= theta):
-        frontier = {h for g in frontier for vars_, _, k in (cons[g],)
-                    for own in (k * (dev[g] == 0),) for u in vars_ if near[u] > own
-                    for h in by_forb[u][y[u]] if dev[h] == 0}
-        frontier -= comp
-        comp |= frontier
+        grown = []
+        for g in frontier:
+            vars_, _, k = cons[g]
+            own = k if dev[g] == 0 else 0
+            for u in vars_:
+                if near[u] > own and u != v:
+                    for h in by_forb[u][y[u]]:
+                        if dev[h] == 0 and h not in seen:
+                            seen.add(h)
+                            grown.append(h)
+        frontier = grown
+        comp += grown
     if max_mult > 1:  # else group g is constraint g (groups are numbered by first member)
         comp = [cid for g in comp for cid in members[g]]
-    s1 = len(comp) > theta
-    new_q = None if s1 else _reject_at(sampler, comp, v, rng)
-    fallback = int(rng.random() * len(sampler.scheme.blocks[v]))
-    if new_q is None:
-        return fallback, "S1" if s1 else "S2", len(comp)
-    return new_q, None, len(comp)
+    if len(comp) > theta:
+        return int(rng.random() * q[v]), "S1", len(comp)
+    new_q, flag = _reject_at(sampler, comp, v, rng)
+    return new_q, flag, len(comp)
 
 
 def _reject_at(sampler: Sampler, comp, v: int, rng: np.random.Generator):
-    """`reject` on one row, v unassigned: the block at v of the first draw
-    under which every constraint of comp holds, or None once the budget
-    cfg.S of draws have failed.  A draw sets the component's variables in
+    """`reject` on one row, v unassigned, then `update`'s fallback draw:
+    (the block at v of the first draw under which every constraint of comp
+    holds, None) or, once the budget cfg.S of draws have failed, (the
+    fallback value, "S2").  A draw sets the component's variables in
     increasing order, each to a uniform value of its block and v to a
     uniform value of its alphabet; draws come in rounds of doubling width,
-    at most 64.
+    at most 64.  Each round's numbers come from one rng.random call that
+    also draws the next number of the stream: the first of the next round,
+    or, after the last round, the fallback's, drawn whether it is used or
+    not.  So a step makes one call where the first round succeeds.
 
     No value is built but v's.  Every variable u != v of a constraint in
     comp sits in the block of its forbidden value, so a uniform r draws that
     value at u iff int(r * size) is its position in the block, and at v iff
     int(r * |A_v|) is the value itself.  A block of one value always draws
-    it and is not tested (`Sampler._draw_entries`).  A one-constraint
-    component takes its columns and tests from its entries as they are; a
-    larger one maps its entries onto the sorted union of its variables."""
-    csp, budget = sampler.csp, sampler.cfg.S
+    it and is not tested.  The tests come from `Sampler._draw_entries`: a
+    one-constraint component runs the constraint's test at v as it is; a
+    larger one maps the member constraints' tested variables onto the
+    sorted union of their variables, and splits them into the tests of the
+    constraints not at v, which every draw runs, and those of the
+    constraints at v, which run only where v draws their forbidden value."""
+    cache, budget = sampler.groups.entries, sampler.cfg.S
+    width, used, start = 1 if budget > 0 else 0, 0, 0
     if len(comp) == 1:
         (cid,) = comp
-        cols, tested = sampler._draw_entries(cid)
-        tests = [(csp.constraints[cid].forbidden_at(v), tested)]
-    else:
-        entries = [sampler._draw_entries(cid) for cid in comp]
-        cols = sorted({u for variables, _ in entries for u in variables})
-        at = {u: i for i, u in enumerate(cols)}
-        tests = []
-        for cid, (_, tested) in zip(comp, entries):
-            c = csp.constraints[cid]
-            tests.append((c.forbidden_at(v) if v in c.vars else None,
-                          [(at[u], u, size, pos) for _, u, size, pos in tested]))
-    i_v, q_v = cols.index(v), csp.domains[v]
-    used, width = 0, 1
-    while used < budget:
-        width = min(width, budget - used)
-        for row in rng.random((width, len(cols))).tolist():
-            x_v = int(row[i_v] * q_v)
-            for f_v, tested in tests:
-                if (f_v is None or x_v == f_v) and all(
-                        int(row[i] * size) == pos for i, u, size, pos in tested if u != v):
+        ncols, i_v, q_v, f_v, block_v, columns = (cache[cid] or sampler._draw_entries(cid))[2][v]
+        draws = rng.random(width * ncols + 1).tolist()
+        while True:
+            for row in range(start, start + width * ncols, ncols):
+                x_v = int(draws[row + i_v] * q_v)
+                if x_v != f_v:
+                    return block_v[x_v], None
+                for i, size, pos in columns:
+                    if i != i_v and int(draws[row + i] * size) != pos:
+                        return block_v[x_v], None
+            used, start = used + width, start + width * ncols
+            if used >= budget:
+                return int(draws[start] * sampler.groups.q[v]), "S2"
+            width = min(2 * width, 64, budget - used)
+            draws += rng.random(width * ncols).tolist()
+    union, free, bound = set(), [], {}  # the tests of constraints not at v; at v, by f_v
+    for cid in comp:
+        variables, tested, tests = cache[cid] or sampler._draw_entries(cid)
+        union.update(variables)
+        if v in tests:
+            bound.setdefault(tests[v][3], []).append(tested)
+        else:
+            free.append(tested)
+    for tests_f in bound.values():
+        tests_f += free
+    cols, block_v = sorted(union), sampler.scheme.block_of[v]
+    ncols, i_v, q_v = len(cols), bisect_left(cols, v), len(block_v)
+    draws = rng.random(width * ncols + 1).tolist()
+    while True:
+        for row in range(start, start + width * ncols, ncols):
+            x_v = int(draws[row + i_v] * q_v)
+            for tested in bound.get(x_v, free):
+                for u, size, pos in tested:
+                    if u != v and int(draws[row + bisect_left(cols, u)] * size) != pos:
+                        break
+                else:
                     break  # the draw violates this constraint
             else:
-                return sampler.scheme.block_of[v][x_v]
-        used += width
-        width = min(2 * width, 64)
-    return None
+                return block_v[x_v], None
+        used, start = used + width, start + width * ncols
+        if used >= budget:
+            return int(draws[start] * sampler.groups.q[v]), "S2"
+        width = min(2 * width, 64, budget - used)
+        draws += rng.random(width * ncols).tolist()
 
 
 @dataclass
@@ -569,14 +635,6 @@ class ChainDiagnostics:
     s1: int = 0
     s2: int = 0
     component_hist: dict[int, int] = field(default_factory=dict)
-
-    def record(self, flag: str | None, comp_size: int, times: int = 1):
-        self.steps += times
-        if flag == "S1":
-            self.s1 += times
-        elif flag == "S2":
-            self.s2 += times
-        self.component_hist[comp_size] = self.component_hist.get(comp_size, 0) + times
 
 
 def movable_steps(scheme: ProjectionScheme, constrained: np.ndarray, steps: int, n_chains: int,
@@ -618,14 +676,15 @@ def glauber_run(state: ProjectedState, rng: np.random.Generator, steps: int | No
 
     Steps are drawn STEP_CHUNK at a time (_draw_steps).  A step at v with
     near[v] == 0 has an empty component and sets its drawn value; any other
-    step drops that value and runs `_redraw`.  An empty step counts as
-    component size 0.  A move updates dev and near here, as
-    `ProjectedState.apply` does."""
+    step drops that value and runs `_redraw`.  Only the busy steps are
+    counted as they run, with their failures and component sizes; the
+    empty ones, total - busy, count as component size 0 at the end.  A move
+    updates dev and near here, as `ProjectedState.apply` does."""
     sampler = state.sampler
     csp, scheme = sampler.csp, sampler.scheme
     movable, (total,) = movable_steps(scheme, sampler.constrained,
                                       sampler.cfg.T if steps is None else steps, 1, rng)
-    total, diag = int(total), ChainDiagnostics()
+    total, busy, s1, s2, hist = int(total), 0, 0, 0, {}
     y, dev, near, cons, by_forb, shift = (state.y, state.dev, state.near, state._cons,
                                           state._by_forb, state._shift)
     for start in range(0, total, STEP_CHUNK):
@@ -633,7 +692,12 @@ def glauber_run(state: ProjectedState, rng: np.random.Generator, steps: int | No
         for v, new_q in zip(vs, qs):
             if near[v]:
                 new_q, flag, size = _redraw(state, rng, v)
-                diag.record(flag, size)
+                busy += 1
+                hist[size] = hist.get(size, 0) + 1
+                if flag == "S1":
+                    s1 += 1
+                elif flag:
+                    s2 += 1
             old = y[v]
             if new_q != old:
                 y[v] = new_q
@@ -648,9 +712,9 @@ def glauber_run(state: ProjectedState, rng: np.random.Generator, steps: int | No
                     dev[g] = d
                     if d <= 1:
                         shift(g, v, d, cons[g][2])
-    if total > diag.steps:
-        diag.record(None, 0, total - diag.steps)
-    return state, diag
+    if total > busy:
+        hist[0] = total - busy
+    return state, ChainDiagnostics(total, s1, s2, hist)
 
 
 def lift(sampler: Sampler, Y: np.ndarray, rng: np.random.Generator):

@@ -243,6 +243,7 @@ def test_chain_matches_reference_on_wide_constraints():
             ref = _reference_run(y, pcsp, csp, scheme, cfg, ref_rng, 3000, dynamics.STEP_CHUNK)
             assert (state.y, diag.steps, diag.s1, diag.s2, diag.component_hist) == ref
             assert run_rng.bit_generator.state == ref_rng.bit_generator.state
+            check_consistent(state)
             s1 += diag.s1
             for size, count in diag.component_hist.items():
                 hist[size] = hist.get(size, 0) + count
@@ -250,6 +251,40 @@ def test_chain_matches_reference_on_wide_constraints():
                 grouped_busy += diag.steps - diag.component_hist.get(0, 0)
     assert hist[1] > 500 and hist[2] > 100 and hist[3] > 10 and s1 > 100
     assert grouped_busy > 50
+
+
+def test_chain_matches_reference_when_the_budget_runs_out(monkeypatch):
+    # the same check at a budget of one draw, on the 12-CNF and 8-ary
+    # instances of `_wide_instances`: a step whose one draw violates its
+    # component ends in S2, and both of `_reject_at`'s paths, one constraint
+    # and several, must then draw the fallback where numpy `update` does.
+    # A 12-ary draw is rarely rejected, hence the long chains
+    exhausted = {}  # (arity, several constraints) -> S2 steps
+    reject_at = dynamics._reject_at
+
+    def spy(sampler, comp, v, rng):
+        new_q, flag = reject_at(sampler, comp, v, rng)
+        if flag == "S2":
+            key = (sampler.csp.constraints[comp[0]].arity, len(comp) > 1)
+            exhausted[key] = exhausted.get(key, 0) + 1
+        return new_q, flag
+
+    monkeypatch.setattr(dynamics, "_reject_at", spy)
+    gen = np.random.default_rng(12)
+    for case, (csp, scheme) in enumerate(list(_wide_instances(gen))[:4]):
+        pcsp = project_csp(csp, scheme)
+        y = [int(gen.integers(q)) for q in pcsp.domains]
+        sampler = Sampler(csp, scheme, 0.1)
+        object.__setattr__(sampler.cfg, "S", 1)
+        run_rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+        state, diag = glauber_run(ProjectedState(sampler, y), run_rng, steps=20000)
+        ref = _reference_run(y, pcsp, csp, scheme, sampler.cfg, ref_rng, 20000,
+                             dynamics.STEP_CHUNK)
+        assert (state.y, diag.steps, diag.s1, diag.s2, diag.component_hist) == ref
+        assert run_rng.bit_generator.state == ref_rng.bit_generator.state
+        check_consistent(state)
+    assert exhausted[12, False] >= 10 and exhausted[12, True] >= 4
+    assert exhausted[8, False] >= 10 and exhausted[8, True] >= 10
 
 
 def test_one_sampler_serves_many_samples(monkeypatch):
