@@ -8,70 +8,44 @@ lifting pass turns the projected state into a full satisfying assignment, one
 component at a time.
 
 The chain runs on the n' variables that lie in some constraint, and its
-schedule counts n' of them.  The uniform law factors over the connected
-components of the constraint hypergraph, so a variable in no constraint is
-an exact uniform draw: both drivers start from the projection of a uniform
-assignment, the block of a uniform value at every variable, and never step
-a free variable; the lift draws it uniformly inside its block.  A step at a
-collapsed variable (a single block) cannot change the projected state
-either, so both drivers run only the steps that land on a movable variable,
-one that has more than one block and lies in some constraint: of T uniform
-picks among the n' constrained variables, Binomial(T, n_movable/n') do,
-each at a uniform movable variable (`movable_steps`).  With every
-constrained variable movable that is one uniform pick per step and no
-other draw.
+schedule counts n' of them: a variable in no constraint keeps its start, the
+block of a uniform value, which is its exact law, and the lift draws it
+uniformly inside its block.  A step at a collapsed variable (a single block)
+cannot move the state either, so both drivers run only the steps that land
+on a movable variable (`movable_steps`).
 
-The single-chain driver `glauber_run` decides each step in O(1).
-`ProjectedState` keeps, per variable v, the number of constraints at v whose
-other variables all sit at their forbidden value; the step at v has an empty
-component iff that number is 0, and a move updates it by visiting only the
-constraints at v that forbid the old or the new value.  Constraints with
-the same variables and projected forbidden values share one group and one
-deficit, so a move visits each group once: a colouring's q constraints per
-edge project onto one group per colour block.  The steps' variables and the
-values an empty step would set are drawn ahead in chunks of STEP_CHUNK
-(`_draw_steps`); a busy step drops its drawn value and runs `_redraw`.  The
-step loop makes each move's bookkeeping update itself, as
-`ProjectedState.apply` makes it for one move, since a method call per step
-would cost an empty step most of its time.
+The single-chain driver `glauber_run` decides each step in O(1) from the
+near-violation counts that `ProjectedState` keeps per variable, one deficit
+per group of constraints with the same variables and projected forbidden
+values.  Its steps are drawn ahead in chunks (`_draw_steps`); a busy step
+runs `_redraw`, and the step loop makes each move's bookkeeping update
+itself, as `ProjectedState.apply` makes it for one move.
 
-The chain runs on the input's own tables.  Projecting keeps every
-constraint's variables and maps each forbidden value to its block, so the
-projected instance differs from the input only in its alphabets, the
-scheme's block counts, and its forbidden values, one table that
-`projected_forbidden` gathers; `project_csp` builds the projected instance
-itself only as the reference definition.
-
-What a chain or a lift reads besides its own state is set up once per
-(instance, scheme) pair, as a `Sampler`: `main_sample` builds one per sample,
-CLI `sample --count k` one for all k, and a BatchSampler is one.
+The chain runs on the input's own tables and the projected forbidden values
+(`projected_forbidden`); `project_csp` builds the projected instance only
+as the reference definition.  What a chain or a lift reads besides its own
+state is set up once per (instance, scheme) pair, as a `Sampler`.
 
 A chain update and a lift are the same operation.  The batch driver
 (BatchSampler in batch) runs its updates, and both drivers run their lifts,
 through three routines that read the padded tables of AtomicCSP.arrays and
-ProjectionScheme.arrays and are vectorised over rows, one row per chain or
-per draw:
-- `explore` grows components; a component is a boolean row over the m
+ProjectionScheme.arrays and are vectorised over chains.  Their tables are
+chains-last, one column per chain or draw: states (n, P), constraint masks
+(m, P), draws (columns drawn, P); so a test over a constraint's few
+variables reduces across the chains, not along a row 3 or 4 wide:
+- `explore` grows components; a component is a boolean column over the m
   constraints, closed under "shares a variable" within the unsatisfied set;
 - `reject` draws inside components until every constraint in them holds;
 - `lift` lifts projected states one component at a time and verifies them.
-`update` is one chain step of explore and reject.  The single chain runs the
-same step on one row as `_redraw`, over the lists of the sampler and state: a
-numpy call costs about the same for one row as for hundreds, and a single
-chain's components mostly hold one or two constraints.  `_redraw` draws the
-same random numbers as `update` in the same order, so it returns the same
-value for the same generator state, and its cost follows the component
-rather than the degree: it grows the component over groups, only through
-variables whose near count leaves room for a group of deficit 0, and tests
-each draw, without building a value, against rejection tests compiled once
-per constraint the first time it enters a component
-(`Sampler._draw_entries`): the size of the block holding each forbidden
-value and its position there, and per variable of the constraint the test
-of a one-constraint component at it.  A busy step then costs about its
-random draws: one rng.random call where the first round succeeds, which
-also draws the fallback number `update` draws after its rounds.  A step
-whose component is empty, the common case, needs neither: the new
-projected value is the block of a uniform value of the variable.
+`update` is one chain step of explore and reject.  States that callers pass
+in or get back (`Sampler.lift`, BatchSampler's `run_chains` and `sample`)
+stay one row per chain, (N, n), transposed once at that boundary.  The
+single chain runs the same step on its own lists as `_redraw`, drawing the
+same random numbers as `update` in the same order, at a cost that follows
+its component and its draws: a numpy call costs about as much for one chain
+as for hundreds, and a single chain's components mostly hold one or two
+constraints.  A step whose component is empty, the common case, sets the
+block of a uniform value of the variable.
 
 Failure paths are tagged, never raised: "S1"/"S2" for an oversized component
 or exhausted rejection budget during a chain update (the update falls back to
@@ -234,7 +208,7 @@ class Sampler:
     the first time they are read, as CSPArrays builds its own: which
     variables lie in some constraint, `constrained`, and the tables only
     one driver reads, the single chain's `groups` and the many-chain
-    driver's `inc_forb`."""
+    driver's `step_tables`."""
 
     def __init__(self, csp: AtomicCSP, scheme: ProjectionScheme, eps: float, eta: float = 0.25,
                  c_t: float = 1.0):
@@ -251,17 +225,21 @@ class Sampler:
         """(n_chains, n) projections of uniform assignments, the block of a
         uniform value at each variable, from one rng.random call.  This is
         the exact law of the variables in no constraint, which no chain
-        steps."""
+        steps.  Raises ValueError on a negative n_chains."""
+        if n_chains < 0:
+            raise ValueError(f"chain count n_chains must be non-negative, got {n_chains}")
         n = self.csp.n
         x = (rng.random((n_chains, n)) * self.csp.arrays.domains).astype(np.int64)
         return self.scheme.arrays.block_of[np.arange(n), x]
 
     @cached_property
-    def inc_forb(self) -> np.ndarray:
-        """(n + 1, d) the projected forbidden values by variable, as
-        csp.arrays.inc lists the constraints at it."""
+    def step_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The many-chain driver's (d, n + 1) tables by variable: the
+        constraints at it (csp.arrays.inc, transposed), their projected
+        forbidden values there, and their arity less one."""
         n, a = self.csp.n, self.csp.arrays
-        return self.scheme.arrays.project(np.arange(n + 1)[:, None], a.inc_forb)
+        forb = self.scheme.arrays.project(np.arange(n + 1)[:, None], a.inc_forb)
+        return tuple(np.ascontiguousarray(t.T) for t in (a.inc, forb, a.arity[a.inc] - 1))
 
     @cached_property
     def groups(self) -> Groups:
@@ -299,9 +277,10 @@ class Sampler:
         return entries
 
     def lift(self, Y: np.ndarray, rng: np.random.Generator):
-        """(assignments, errors) of `lift` on Y; an error row holds -1."""
-        X, errors, _, _ = lift(self, Y, rng)
-        return X, errors
+        """(assignments (N, n), errors (N,)) of `lift` on the rows of Y
+        (N, n); an error row holds -1."""
+        X, errors, _, _ = lift(self, Y.T, rng)
+        return X.T, errors
 
     def sample_one(self, seed=None, rng: np.random.Generator | None = None) -> "SampleResult":
         """One sample: the projection of a uniform assignment as the initial
@@ -403,100 +382,107 @@ class ProjectedState:
 
 
 def explore(csp: AtomicCSP, unsat: np.ndarray, comp: np.ndarray, theta: float = math.inf):
-    """Grow each row of comp (P, m) bool, seed constraints taken from the
-    same row of unsat (P, m) bool, to its closure under "shares a variable"
-    within unsat.  A row stops growing once it holds more than theta
-    constraints."""
-    adj = csp.arrays.adj
+    """Grow each column of comp (m, P) bool, seed constraints taken from the
+    same column of unsat (m, P) bool, to its closure under "shares a
+    variable" within unsat.  A column stops growing once it holds more than
+    theta constraints, a test that cannot bind, and is skipped, if theta >= m."""
+    adj, m = csp.arrays.adj, csp.m
     frontier, comp = comp, comp.copy()
-    while frontier.any():
-        rows, cids = np.nonzero(frontier & (comp.sum(axis=1) <= theta)[:, None])
-        touched = np.zeros((comp.shape[0], csp.m + 1), dtype=bool)
-        touched[rows[:, None], adj[cids]] = True
-        frontier = touched[:, :-1] & unsat & ~comp
+    while True:
+        cids, rows = np.nonzero(frontier if theta >= m else frontier & (comp.sum(axis=0) <= theta))
+        if not cids.size:
+            return comp
+        touched = np.zeros((m + 1, comp.shape[1]), dtype=bool)
+        touched[adj[cids], rows[:, None]] = True
+        frontier = touched[:-1] & unsat & ~comp
         comp |= frontier
-    return comp
 
 
 def components(csp: AtomicCSP, unsat: np.ndarray, theta: float = math.inf) -> list[np.ndarray]:
-    """The connected components of each row of unsat (P, m) bool, in order of
-    their lowest constraint: array j holds the j-th component of every row,
-    empty where a row has fewer.  A row ends at its first component of more
-    than theta constraints."""
+    """The connected components of each column of unsat (m, P) bool, in
+    order of their lowest constraint: array j holds the j-th component of
+    every column, empty where a column has fewer.  A column ends at its
+    first component of more than theta constraints."""
     rest, comps = unsat.copy(), []
     while rest.any():
-        rows = np.flatnonzero(rest.any(axis=1))
+        rows = np.flatnonzero(rest.any(axis=0))
         seed = np.zeros_like(rest)
-        seed[rows, rest[rows].argmax(axis=1)] = True
+        seed[rest.take(rows, axis=1).argmax(axis=0), rows] = True
         comp = explore(csp, rest, seed, theta)
         comps.append(comp)
         rest &= ~comp
-        rest[comp.sum(axis=1) > theta] = False
+        rest[:, comp.sum(axis=0) > theta] = False
     return comps
 
 
-def reject(csp, scheme, Y, comp, rng, budget):
-    """Rejection sampling inside components, all rows in lockstep.
+def reject(csp, scheme, Y, comp, rng, budget, free=None):
+    """Rejection sampling inside components, all columns in lockstep.
 
-    Y (P, n) holds projected states, -1 where a variable is unassigned, and
-    comp (P, m) bool the component of each row.  A round draws the
-    component's variables from their blocks under Y, an unassigned one from
-    its whole alphabet, and succeeds when every constraint of the component
-    holds.  Rounds run in batches of doubling width and the first success
-    counts; a row gets at most budget rounds.  Returns (draws (P, n), set on
-    the component's variables; success flags (P,); rounds used (P,)).
+    Y (n, P) holds projected states, -1 where a variable is unassigned, and
+    comp (m, P) bool the component of each column; free (P,), if given,
+    names one more unassigned variable per column.  A round draws the
+    components' variables from their blocks under Y, an unassigned one from
+    its whole alphabet, and succeeds when every constraint of the column's
+    component holds.  Rounds run in batches of doubling width and the first
+    success counts; a column gets at most budget rounds.  Returns (cols, the
+    variables drawn, those of every component; draws (cols.size, P); success
+    flags (P,); rounds used (P,)).  The numbers of a round come from
+    rng.random((pending columns, width, cols.size)), read transposed.
     """
     a = csp.arrays
-    P, n = Y.shape
-    cons = np.flatnonzero(comp.any(axis=0))
+    n, P = Y.shape
+    cons = np.flatnonzero(comp.any(axis=1))
     drawn = np.zeros(n + 1, dtype=bool)
     drawn[a.vc[cons]] = True
     cols = np.flatnonzero(drawn[:n])
-    # pad entries of a constraint read column 0, which never holds their
-    # pad forbidden value -2
+    # pad entries of a constraint read column 0 and count as matched (pad)
     local = np.zeros(n + 1, dtype=np.int64)
     local[cols] = np.arange(cols.size)
-    vcl, forb, arity, need = local[a.vc[cons]], a.forb[cons], a.arity[cons], comp[:, cons]
-    Yc = Y[:, cols]
-    X = np.zeros((P, n), dtype=np.int64)
-    ok = np.zeros(P, dtype=bool)
-    rounds = np.zeros(P, dtype=np.int64)
+    vcl, need, forb = local[a.vc[cons]], comp[cons], a.forb[cons][:, :, None, None]
+    pad = forb == -2
+    Yc = Y[cols]
+    if free is not None:
+        Yc[cols[:, None] == free] = -1
+    bounds = np.stack(scheme.arrays.bounds(cols[:, None], Yc))  # (2, cols.size, P)
+    X = np.zeros((cols.size, P), dtype=np.int64)
+    ok, rounds = np.zeros(P, dtype=bool), np.zeros(P, dtype=np.int64)
     pending, used, width = np.arange(P), 0, 1
     while pending.size and used < budget:
         width = min(width, budget - used)
-        p = pending.size
-        D = scheme.arrays.pick(cols, Yc[pending, None, :], rng.random((p, width, cols.size)))
-        violated = (D[:, :, vcl] == forb).sum(axis=3) == arity
-        good = ~(violated & need[pending, None, :]).any(axis=2)
-        has = good.any(axis=1)
-        first = good.argmax(axis=1)[has]
+        u = rng.random((pending.size, width, cols.size)).transpose(2, 1, 0)
+        D = scheme.arrays.pick(bounds[:, :, None], u)
+        violated = ((D.take(vcl, axis=0) == forb) | pad).all(axis=1)
+        has = ~(violated & need[:, None]).any(axis=0)
+        first = has.argmax(axis=0)
+        has = has.any(axis=0)
         acc = pending[has]
-        X[acc[:, None], cols] = D[has, first]
+        X[:, acc] = D[:, first[has], has]
         ok[acc] = True
-        rounds[acc] = used + first + 1
-        pending = pending[~has]
+        rounds[acc] = used + first[has] + 1
+        keep = ~has
+        pending, need = pending[keep], need.compress(keep, axis=1)
+        bounds = bounds.compress(keep, axis=2)
         used += width
         width = min(2 * width, 64)
     rounds[pending] = used
-    return X, ok, rounds
+    return cols, X, ok, rounds
 
 
 def update(csp, scheme, cfg, Y, unsat, seed, v, rng):
-    """Conditional redraw at v (P,) for every row of Y (P, n), given the
-    constraints unsatisfied with v unassigned, unsat (P, m) bool, and those
-    of them at v, seed (P, m) bool, not empty.  Returns (new projected
+    """Conditional redraw at v (P,) for every column of Y (n, P), given the
+    constraints unsatisfied with v unassigned, unsat (m, P) bool, and those
+    of them at v, seed (m, P) bool, not empty.  Returns (new projected
     values, S1 flags, S2 flags, component sizes), each (P,)."""
     comp = explore(csp, unsat, seed, cfg.theta_comp)
-    size = comp.sum(axis=1)
+    size = comp.sum(axis=0)
     s1 = size > cfg.theta_comp
-    comp[s1] = False  # an oversized component is not sampled
-    rows = np.arange(size.size)
-    Y = Y.copy()
-    Y[rows, v] = -1
-    X, ok, _ = reject(csp, scheme, Y, comp, rng, cfg.S)
+    comp[:, s1] = False  # an oversized component is not sampled
+    cols, X, ok, _ = reject(csp, scheme, Y, comp, rng, cfg.S, free=v)
     s2 = ~ok & ~s1
     fallback = (rng.random(size.size) * scheme.arrays.q[v]).astype(np.int64)
-    new_q = np.where(s1 | s2, fallback, scheme.arrays.block_of[v, X[rows, v]])
+    # v is among the drawn columns except where its component was dropped (S1)
+    x_v = np.where(cols[:, None] == v, X, 0).sum(axis=0)
+    new_q = np.where(s1 | s2, fallback, scheme.arrays.block_of[v, x_v])
     return new_q, s1, s2, size
 
 
@@ -648,7 +634,10 @@ def movable_steps(scheme: ProjectionScheme, constrained: np.ndarray, steps: int,
     chain that runs only those steps, each at a uniform movable variable, has
     the same law.  With every constrained variable movable, every chain runs
     all `steps` and no random draw is made, so its random stream is that of a
-    uniform pick per step; with no movable variable no chain runs a step."""
+    uniform pick per step; with no movable variable no chain runs a step.
+    Raises ValueError on a negative step count."""
+    if steps < 0:
+        raise ValueError(f"step count steps must be non-negative, got {steps}")
     movable = np.flatnonzero((scheme.arrays.q > 1) & constrained)
     n = int(constrained.sum())
     if movable.size == n:
@@ -718,43 +707,44 @@ def glauber_run(state: ProjectedState, rng: np.random.Generator, steps: int | No
 
 
 def lift(sampler: Sampler, Y: np.ndarray, rng: np.random.Generator):
-    """Lift every row of Y (P, n), a projected state of the sampler's
+    """Lift every column of Y (n, P), a projected state of the sampler's
     instance, to a full assignment.
 
-    Each variable is drawn from its block; then the components of the row's
-    unsatisfied projected constraints are rejection-sampled one at a time
-    until all their constraints hold.  A row with a component of more than
-    cfg.theta_comp constraints gets ERROR "I1", one that exhausts the budget
-    cfg.S gets "I2", and its assignment row holds -1.  Every other row is
-    checked: it projects back to Y and satisfies every constraint, or
-    InternalError is raised.  Returns (assignments (P, n), errors (P,) of
-    "", "I1", "I2", components (P,), rejection rounds (P,)).
+    Each variable is drawn from its block; then the components of the
+    column's unsatisfied projected constraints are rejection-sampled one at
+    a time until all their constraints hold.  A column with a component of
+    more than cfg.theta_comp constraints gets ERROR "I1", one that exhausts
+    the budget cfg.S gets "I2", and its assignment column holds -1.  Every
+    other column is checked: it projects back to Y and satisfies every
+    constraint, or InternalError is raised.  Returns (assignments (n, P),
+    errors (P,) of "", "I1", "I2", components (P,), rejection rounds (P,)).
     """
     csp, scheme, cfg = sampler.csp, sampler.scheme, sampler.cfg
-    P, n = Y.shape
-    a, cols = csp.arrays, np.arange(n)
-    comps = components(csp, a.matches(Y, sampler.forb) == a.arity[:-1], cfg.theta_comp)
+    n, P = Y.shape
+    a, var = csp.arrays, np.arange(n)[:, None]
+    comps = components(csp, a.matches(Y.T, sampler.forb).T == a.arity[:-1, None], cfg.theta_comp)
     errors = np.full(P, "", dtype="<U2")
     n_comps = np.zeros(P, dtype=np.int64)
     for comp in comps:
-        errors[comp.sum(axis=1) > cfg.theta_comp] = "I1"
-        n_comps += comp.any(axis=1)
-    X = scheme.arrays.pick(cols, Y, rng.random(Y.shape))
+        errors[comp.sum(axis=0) > cfg.theta_comp] = "I1"
+        n_comps += comp.any(axis=0)
+    X = scheme.arrays.pick(scheme.arrays.bounds(var, Y), rng.random((P, n)).T)
     rounds = np.zeros(P, dtype=np.int64)
     for comp in comps:
-        rows = np.flatnonzero(comp.any(axis=1) & (errors == ""))
-        D, ok, used = reject(csp, scheme, Y[rows], comp[rows], rng, cfg.S)
+        rows = np.flatnonzero(comp.any(axis=0) & (errors == ""))
+        comp = comp.take(rows, axis=1)
+        cols, D, ok, used = reject(csp, scheme, Y.take(rows, axis=1), comp, rng, cfg.S)
         rounds[rows] += used
-        inside = np.zeros((rows.size, n + 1), dtype=bool)
-        r, c = np.nonzero(comp[rows])
-        inside[r[:, None], a.vc[c]] = True
-        X[rows] = np.where(inside[:, :n] & ok[:, None], D, X[rows])
+        inside = np.zeros((n + 1, rows.size), dtype=bool)
+        c, r = np.nonzero(comp)
+        inside[a.vc[c], r[:, None]] = True
+        X[cols[:, None], rows] = np.where(inside[cols] & ok, D, X[cols[:, None], rows])
         errors[rows[~ok]] = "I2"
     good = errors == ""
-    X[~good] = -1
-    if (scheme.arrays.block_of[cols, X[good]] != Y[good]).any():
+    X[:, ~good] = -1
+    if (scheme.arrays.block_of[var, X[:, good]] != Y[:, good]).any():
         raise InternalError("lift returned an assignment that does not project to its state")
-    if (a.matches(X[good], a.forb) == a.arity[:-1]).any():
+    if (a.matches(X[:, good].T, a.forb) == a.arity[:-1]).any():
         raise InternalError("lift returned an assignment that violates a constraint")
     return X, errors, n_comps, rounds
 
@@ -774,10 +764,10 @@ def inv_sample(state: ProjectedState, rng: np.random.Generator) -> LiftResult:
     "I2".  A returned assignment always projects back to the state and
     satisfies the full instance.
     """
-    Y = np.array([state.y], dtype=np.int64)
+    Y = np.array([state.y], dtype=np.int64).T
     X, errors, n_comps, rounds = lift(state.sampler, Y, rng)
     error = str(errors[0]) or None
-    assignment = None if error else tuple(int(x) for x in X[0])
+    assignment = None if error else tuple(X[:, 0].tolist())
     return LiftResult(assignment, error, components=int(n_comps[0]), rounds=int(rounds[0]))
 
 

@@ -131,12 +131,12 @@ class ProjectionScheme:
 class BlockArrays:
     """Numpy tables of a ProjectionScheme, built once per scheme.
 
-    Block q of variable v is values[start[v, q] : start[v, q] + size[v, q]].
-    Block -1 is the whole alphabet of v, so the projected value -1 reads
-    "unassigned"."""
+    Block q of variable v is values[start[v, q + 1] : start[v, q + 1] +
+    size[v, q + 1]].  Block -1 is the whole alphabet of v, so the projected
+    value -1 reads "unassigned"."""
 
     values: np.ndarray  # per variable, its blocks' values, then its alphabet
-    start: np.ndarray  # (n, qmax + 1)
+    start: np.ndarray  # (n, qmax + 1), column 0 the alphabet and q + 1 block q
     size: np.ndarray  # (n, qmax + 1)
     block_of: np.ndarray  # (n, amax) block of each value
     q: np.ndarray  # (n,) block count of each variable
@@ -152,7 +152,7 @@ class BlockArrays:
         values: list[int] = []
         for v, var_blocks in enumerate(scheme.blocks):
             alphabet = tuple(range(len(scheme.block_of[v])))
-            for q, block in [*enumerate(var_blocks), (qmax, alphabet)]:
+            for q, block in [*enumerate(var_blocks, 1), (0, alphabet)]:
                 start[v, q], size[v, q] = len(values), len(block)
                 values.extend(block)
             block_of[v, : len(alphabet)] = scheme.block_of[v]
@@ -167,10 +167,15 @@ class BlockArrays:
         out[pad] = -2
         return out
 
-    def pick(self, cols: np.ndarray, Yc: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The value at uniform position u in block Yc of variable cols, with
-        cols (c,), and Yc and u broadcasting to (..., c)."""
-        return self.values[self.start[cols, Yc] + (u * self.size[cols, Yc]).astype(np.int64)]
+    def bounds(self, var: np.ndarray, Yc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(start, size) of block Yc of variable var, entrywise over both."""
+        at = var * self.start.shape[1] + Yc + 1
+        return self.start.ravel().take(at), self.size.ravel().take(at)
+
+    def pick(self, bounds, u: np.ndarray) -> np.ndarray:
+        """The value at uniform position u in each block (start, size) of bounds."""
+        start, size = bounds
+        return self.values[start + (u * size).astype(np.int64)]
 
 
 def identity_scheme(csp: AtomicCSP, **kw) -> ProjectionScheme:

@@ -37,13 +37,13 @@ def random_instance(gen):
 
 
 def rows_at(pcsp, y, v):
-    """(unsat, seed) rows of a step at v, from the definition: the
-    constraints unsatisfied with v unassigned, and those of them at v."""
+    """(unsat, seed) (m, 1) columns of a step at v, from the definition:
+    the constraints unsatisfied with v unassigned, and those of them at v."""
     free = list(y)
     free[v] = None
-    unsat = np.zeros((1, pcsp.m), dtype=bool)
-    unsat[0, violated_by_partial(pcsp, free)] = True
-    return unsat, unsat & np.array([[v in c.vars for c in pcsp.constraints]], dtype=bool)
+    unsat = np.zeros((pcsp.m, 1), dtype=bool)
+    unsat[violated_by_partial(pcsp, free), 0] = True
+    return unsat, unsat & np.array([v in c.vars for c in pcsp.constraints], dtype=bool)[:, None]
 
 
 def conditional_draws(csp, scheme, cfg, v, z, n_draws, seed):
@@ -59,7 +59,7 @@ def conditional_draws(csp, scheme, cfg, v, z, n_draws, seed):
     if not seeds.any():
         values = (rng.random(n_draws) * csp.domains[v]).astype(np.int64)
         return np.bincount(scheme.arrays.block_of[v, values], minlength=q), None, 0
-    Y, unsat, seeds = (np.repeat(a, n_draws, axis=0) for a in (np.array([z]), unsat, seeds))
+    Y, unsat, seeds = (np.repeat(a, n_draws, axis=1) for a in (np.array([z]).T, unsat, seeds))
     new_q, s1, s2, _ = update(csp, scheme, cfg, Y, unsat, seeds, np.full(n_draws, v), rng)
     if s1.any():
         return np.zeros(q, dtype=np.int64), "S1", 0
@@ -71,11 +71,11 @@ def lift_draws(csp, scheme, cfg, y, n_draws, seed):
     dynamics.lift: (dict assignment -> count over the draws without ERROR,
     whether any draw ended in I1, how many ended in I2)."""
     rng = np.random.default_rng(seed)
-    Y = np.repeat(np.array([y], dtype=np.int64), n_draws, axis=0)
+    Y = np.repeat(np.array([y], dtype=np.int64).T, n_draws, axis=1)
     sampler = Sampler(csp, scheme, cfg.eps, cfg.eta, cfg.c_t)
     sampler.cfg = cfg
     X, errors, _, _ = lift(sampler, Y, rng)
-    rows, counts = np.unique(X[errors == ""], axis=0, return_counts=True)
+    rows, counts = np.unique(X.T[errors == ""], axis=0, return_counts=True)
     found = dict(zip(map(tuple, rows.tolist()), counts.tolist()))
     return found, bool((errors == "I1").any()), int((errors == "I2").sum())
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -5,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from lllsample import dynamics
 from lllsample.batch import BatchSampler
 from lllsample.bundled import load_bundled
 from lllsample.csp import AtomicConstraint, AtomicCSP, evaluate
@@ -82,6 +85,34 @@ def test_batch_deterministic():
     _, c1, _ = _batch_counts("colork4", 2000, seed=9)
     _, c2, _ = _batch_counts("colork4", 2000, seed=9)
     assert c1 == c2
+
+
+# sha256 over BatchSampler.sample(500) on mark4 and colork4, the batch
+# workload's chain size, and the generator's next number: at N=500 these runs
+# reach components of three constraints and long rejection tails, which the
+# pinned sample(40) in test_projection.py seldom does.  "shrunk" cuts the
+# component threshold and the rejection budget as test_sampling_output_is_pinned
+# does, so S1, S2 and I2 run on thousands of rows.  Recorded at 0.9.0.
+BATCH_STREAM_DIGESTS = {
+    "schedule": "c9c98efafb8ee89880e515d4c394b1e2360d32299f9e5852884c3c10f4584b55",
+    "shrunk": "03d5d85f20577140693e79adfb888e976300fd92d4aa9717505f8dd2ac781042",
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(BATCH_STREAM_DIGESTS))
+def test_batch_stream_is_pinned_at_workload_scale(monkeypatch, schedule):
+    if schedule == "shrunk":
+        monkeypatch.setattr(dynamics, "component_threshold", lambda *args: 1.5)
+        monkeypatch.setattr(dynamics, "rejection_budget", lambda *args: 2)
+    digest = hashlib.sha256()
+    for name in ("mark4", "colork4"):
+        csp, scheme = load_bundled(name)
+        rng = np.random.default_rng([19, 500])
+        out = BatchSampler(csp, scheme, 0.1).sample(500, seed=rng)
+        digest.update(json.dumps([name, out.assignments.tolist(), out.errors.tolist(),
+                                  out.s1_steps, out.s2_steps, out.touched.tolist(),
+                                  rng.random()]).encode())
+    assert digest.hexdigest() == BATCH_STREAM_DIGESTS[schedule]
 
 
 def test_conditional_draws_match_oracle():
@@ -241,6 +272,26 @@ def test_no_movable_variable_runs_no_step():
     before = list(start.y)
     state, diag = glauber_run(start, rng, steps=40)
     assert state.y == before and diag.steps == 0
+
+
+@pytest.mark.parametrize("name", ["colork4", "mark4"])
+def test_negative_step_count_is_refused(name):
+    # every constrained variable of colork4 is movable, half of mark4's: each
+    # driver refuses the count by name, where before one ran no step, one
+    # reported steps=-5 and one failed inside numpy's binomial draw
+    csp, scheme = load_bundled(name)
+    sampler = BatchSampler(csp, scheme, 0.1)
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match="steps must be non-negative, got -5"):
+        sampler.run_chains(2, rng, steps=-5)
+    with pytest.raises(ValueError, match="steps must be non-negative, got -5"):
+        glauber_run(ProjectedState.random(sampler, rng), rng, steps=-5)
+
+
+def test_negative_chain_count_is_refused():
+    csp, scheme = load_bundled("colork4")
+    with pytest.raises(ValueError, match="n_chains must be non-negative, got -1"):
+        BatchSampler(csp, scheme, 0.1).sample(-1, seed=1)
 
 
 def test_mixed_scheme_chain_moves_uniform_both_drivers():

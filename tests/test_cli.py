@@ -102,8 +102,9 @@ def test_internal_error_is_not_a_usage_error(cnf_file, collapsed_scheme_file, mo
     from lllsample.csp import InternalError
 
     def accept_anything(csp, scheme, Y, comp, rng, budget):
-        P, n = Y.shape
-        return np.zeros((P, n), dtype=np.int64), np.ones(P, dtype=bool), np.ones(P, dtype=np.int64)
+        n, P = Y.shape
+        return (np.arange(n), np.zeros((n, P), dtype=np.int64), np.ones(P, dtype=bool),
+                np.ones(P, dtype=np.int64))
 
     monkeypatch.setattr(dynamics, "reject", accept_anything)
     with pytest.raises(InternalError):

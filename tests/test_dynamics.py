@@ -138,7 +138,7 @@ def test_bookkeeping_equals_recomputation(data):
             sum(y[u] != f for u, f in zip(c.vars, c.forbidden)) for c in pcsp.constraints]
         assert unsat(state) == set(evaluate(pcsp, y))
         for u in range(n):
-            seeds = np.flatnonzero(rows_at(pcsp, y, u)[1][0]).tolist()
+            seeds = np.flatnonzero(rows_at(pcsp, y, u)[1][:, 0]).tolist()
             assert state.near[u] == len(seeds)
             assert (state.near[u] == 0) == (not seeds)
             assert sorted(reference_seeds(state, u)) == seeds
@@ -158,7 +158,7 @@ def _reference_run(y, pcsp, csp, scheme, cfg, rng, steps, chunk):
             unsat, seed = rows_at(pcsp, y, v)
             size = 0
             if seed.any():
-                new_q, f1, f2, sizes = update(csp, scheme, cfg, np.array([y]), unsat, seed,
+                new_q, f1, f2, sizes = update(csp, scheme, cfg, np.array([y]).T, unsat, seed,
                                               np.array([v]), rng)
                 q, size = int(new_q[0]), int(sizes[0])
                 s1, s2 = s1 + bool(f1[0]), s2 + bool(f2[0])
@@ -343,13 +343,13 @@ def _component_at(pcsp, y, v, theta=math.inf):
     """explore's component around v in state y: the closure, within the
     constraints unsatisfied with v unassigned, of those of them at v.
     explore reads only the variable sets, which projecting keeps."""
-    return np.flatnonzero(explore(pcsp, *rows_at(pcsp, y, v), theta)[0]).tolist()
+    return np.flatnonzero(explore(pcsp, *rows_at(pcsp, y, v), theta)[:, 0]).tolist()
 
 
 def _all_components(pcsp, y):
-    unsat = np.zeros((1, pcsp.m), dtype=bool)
-    unsat[0, violated_by_partial(pcsp, y)] = True
-    return [np.flatnonzero(comp[0]).tolist() for comp in components(pcsp, unsat)]
+    unsat = np.zeros((pcsp.m, 1), dtype=bool)
+    unsat[violated_by_partial(pcsp, y), 0] = True
+    return [np.flatnonzero(comp[:, 0]).tolist() for comp in components(pcsp, unsat)]
 
 
 def test_component_examples():
@@ -420,8 +420,8 @@ def test_explorer_matches_brute_force_closure(data):
         for cid in unsat_without(y, v):
             unsat[row, cid] = True
             seed[row, cid] = v in csp.constraints[cid].vars
-    grown = explore(csp, unsat, seed)
-    assert [np.flatnonzero(r).tolist() for r in grown] == expect
+    grown = explore(csp, unsat.T, seed.T)
+    assert [np.flatnonzero(r).tolist() for r in grown.T] == expect
 
     # lift: the full decomposition of the unsatisfied constraints
     expect = []
@@ -435,9 +435,9 @@ def test_explorer_matches_brute_force_closure(data):
         assert _all_components(csp, y) == parts
     unsat = np.array([[cid in unsat_without(y, None) for cid in range(csp.m)] for y in ys],
                      dtype=bool)
-    split = components(csp, unsat)
+    split = components(csp, unsat.T)
     for row, parts in enumerate(expect):
-        got = [np.flatnonzero(c[row]).tolist() for c in split]
+        got = [np.flatnonzero(c[:, row]).tolist() for c in split]
         assert [part for part in got if part] == parts
 
 
@@ -487,7 +487,7 @@ def test_redraw_matches_update_on_grouped_components():
                 continue
             run_rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
             got = dynamics._redraw(ProjectedState(sampler, y), run_rng, v)
-            new_q, s1, s2, size = update(csp, scheme, cfg, np.array([y]), unsat, seed,
+            new_q, s1, s2, size = update(csp, scheme, cfg, np.array([y]).T, unsat, seed,
                                          np.array([v]), ref_rng)
             flag = "S1" if s1[0] else "S2" if s2[0] else None
             assert got == (int(new_q[0]), flag, int(size[0]))
@@ -653,8 +653,9 @@ def test_lift_verification_raises(monkeypatch, driver, value, why):
     scheme = identity_scheme(csp)
 
     def accept_unchecked(csp, scheme, Y, comp, rng, budget):
-        P, n = Y.shape
-        return np.full((P, n), value), np.ones(P, dtype=bool), np.ones(P, dtype=np.int64)
+        n, P = Y.shape
+        return (np.arange(n), np.full((n, P), value), np.ones(P, dtype=bool),
+                np.ones(P, dtype=np.int64))
 
     monkeypatch.setattr(dynamics, "reject", accept_unchecked)
     with pytest.raises(InternalError, match=why):
