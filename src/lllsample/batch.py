@@ -56,13 +56,13 @@ class BatchSampler(Sampler):
         loop runs max K_i steps and a chain past its K_i keeps its state."""
         N, cfg, csp = n_chains, self.cfg, self.csp
         ca, sa, (inc, inc_forb, need) = csp.arrays, self.scheme.arrays, self.step_tables
-        start = self.start_states(N, rng)
-        Y, touched = np.ascontiguousarray(start.T), np.zeros(N, dtype=bool)
+        Y = np.ascontiguousarray(self.start_states(N, rng).T)
+        touched = np.zeros(N, dtype=bool)
         s1_steps = s2_steps = 0
         movable, K = movable_steps(self.scheme, self.constrained, cfg.T if steps is None else steps,
                                    N, rng)
         # per-constraint projected forbidden matches, with a zero row for the pad
-        cnt = np.concatenate([ca.matches(start, self.forb).T, np.zeros((1, N), dtype=np.int64)])
+        cnt = np.concatenate([ca.matches(Y, self.forb), np.zeros((1, N), dtype=np.int64)])
         # a step reads and writes Y and cnt at flat positions (row * N + chain)
         Y_at, cnt_at = Y.ravel(), cnt.ravel()
         arity, chains, every = ca.arity[:-1, None], np.arange(N), K.min(initial=0)

@@ -2,7 +2,8 @@
 
 An atomic constraint forbids exactly one assignment to its variable set.
 Assignments are plain tuples of ints (value of variable v at index v);
-partial assignments use None for unassigned variables.
+partial assignments use None for unassigned variables.  CSPArrays holds
+their numpy tables, those by constraint laid out constraint-last, (k, m).
 """
 
 from __future__ import annotations
@@ -121,15 +122,16 @@ class AtomicCSP:
 @dataclass(frozen=True)
 class CSPArrays:
     """Padded numpy tables of an AtomicCSP; those by variable and by
-    neighbour are built on first use.
+    neighbour are built on first use.  Those by constraint are C-contiguous
+    (k, m): a test over a constraint's variables reduces across constraints.
 
     Tables pad with n for "no variable", m for "no constraint" and -2 for
     "no forbidden value", which no value equals; the arity of the pad
     constraint m is -1, which no count reaches."""
 
     domains: np.ndarray  # (n,) alphabet sizes
-    vc: np.ndarray  # (m, k) variables of each constraint
-    forb: np.ndarray  # (m, k) their forbidden values
+    vc: np.ndarray  # (k, m) variables of each constraint; gather with take(..., axis=1)
+    forb: np.ndarray  # (k, m) their forbidden values
     arity: np.ndarray  # (m + 1,)
     csp: AtomicCSP = field(repr=False, compare=False)
 
@@ -137,9 +139,16 @@ class CSPArrays:
     def build(cls, csp: AtomicCSP) -> "CSPArrays":
         cs = csp.constraints
         arity = np.array([c.arity for c in cs] + [-1], dtype=np.int64)
-        vc = _padded([c.vars for c in cs], csp.m, csp.n)
-        forb = _padded([c.forbidden for c in cs], csp.m, -2)
+        vc = _padded([c.vars for c in cs], csp.m, csp.n).T.copy()
+        forb = _padded([c.forbidden for c in cs], csp.m, -2).T.copy()
         return cls(np.array(csp.domains, dtype=np.int64), vc, forb, arity, csp)
+
+    @cached_property
+    def inc_flat(self) -> tuple[np.ndarray, np.ndarray]:  # Σ arity ids, n + 1 offsets
+        """The constraints at v, as in dep_index, are ids[offsets[v]:offsets[v + 1]]."""
+        order = np.argsort(self.vc.T.ravel(), kind="stable")  # constraint-major: ids ascend
+        offsets = np.searchsorted(np.sort(self.vc, axis=None), np.arange(self.csp.n + 1))
+        return order[: offsets[-1]] // len(self.vc), offsets
 
     @cached_property
     def inc(self) -> np.ndarray:  # (n + 1, d) constraints at each variable
@@ -167,11 +176,11 @@ class CSPArrays:
         return tuple(map(len, self._near()))
 
     def matches(self, Z: np.ndarray, forb: np.ndarray) -> np.ndarray:
-        """(..., m) count of variables at the value forb (m, k) lists for them
-        in each constraint, for rows Z (..., n): forb is self.forb for
-        assignments, the projected table for projected states."""
-        pad = np.full(Z.shape[:-1] + (1,), -1, dtype=Z.dtype)
-        return (np.concatenate([Z, pad], axis=-1)[..., self.vc] == forb).sum(axis=-1)
+        """(m,) or (m, P) count of variables at the value forb (k, m) lists for
+        them in each constraint, for an assignment Z (n,) or columns Z (n, P):
+        forb is self.forb for assignments, the projected table for projected states."""
+        Zp = np.concatenate([Z, np.full((1,) + Z.shape[1:], -1, dtype=Z.dtype)])
+        return (Zp.take(self.vc, axis=0) == (forb if Z.ndim == 1 else forb[..., None])).sum(axis=0)
 
 
 def _padded(rows, height: int, pad: int) -> np.ndarray:
@@ -206,7 +215,7 @@ def degree_stats(csp: AtomicCSP) -> tuple[int, int, list[int]]:
     arity.  An instance with no constraints reports (0, 0, []).
     """
     degrees = csp.arrays.degrees
-    return max(degrees, default=0), csp.arrays.vc.shape[1], list(degrees)
+    return max(degrees, default=0), len(csp.arrays.vc), list(degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +241,8 @@ def parse_dimacs(text) -> AtomicCSP:
     A clause is violated only by the complement of its literals, so the
     forbidden vector maps a positive literal to 0 and a negative one to 1.
     Duplicate literals are dropped; tautological clauses are skipped with a
-    warning.  The declared clause count must match the number of clauses read.
+    warning.  A line starting with "%" ends the formula, as in SATLIB's files.
+    The declared clause count must match the number of clauses read.
     """
     text = _decode(text)
     n = None
@@ -243,7 +253,9 @@ def parse_dimacs(text) -> AtomicCSP:
     current_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):  # SATLIB's end of formula, followed by a stray "0"
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if n is not None:

@@ -166,9 +166,9 @@ def project_csp(csp: AtomicCSP, scheme: ProjectionScheme) -> AtomicCSP:
 
 
 def projected_forbidden(csp: AtomicCSP, scheme: ProjectionScheme) -> np.ndarray:
-    """(m, k) the block of each constraint's forbidden value at its variable,
-    the forbidden values of project_csp(csp, scheme), padded with -2 as
-    csp.arrays.forb is."""
+    """(k, m) the block of each constraint's forbidden value at its variable,
+    the forbidden values of project_csp(csp, scheme), laid out and padded
+    with -2 as csp.arrays.forb is."""
     a = csp.arrays
     return scheme.arrays.project(a.vc, a.forb)
 
@@ -189,7 +189,7 @@ class Groups(NamedTuple):
 def group_constraints(csp: AtomicCSP, scheme: ProjectionScheme, forb: np.ndarray) -> Groups:
     """The groups of csp under scheme; forb is projected_forbidden(csp, scheme)."""
     groups = {}  # (variables, projected forbidden values) -> member constraints
-    for cid, (c, row) in enumerate(zip(csp.constraints, forb.tolist())):
+    for cid, (c, row) in enumerate(zip(csp.constraints, forb.T.tolist())):
         groups.setdefault((c.vars, tuple(row[: c.arity])), []).append(cid)
     members = list(groups.values())
     cons = [(*key, len(cids)) for key, cids in groups.items()]
@@ -433,12 +433,13 @@ def reject(csp, scheme, Y, comp, rng, budget, free=None):
     n, P = Y.shape
     cons = np.flatnonzero(comp.any(axis=1))
     drawn = np.zeros(n + 1, dtype=bool)
-    drawn[a.vc[cons]] = True
+    drawn[a.vc.take(cons, axis=1)] = True
     cols = np.flatnonzero(drawn[:n])
     # pad entries of a constraint read column 0 and count as matched (pad)
     local = np.zeros(n + 1, dtype=np.int64)
     local[cols] = np.arange(cols.size)
-    vcl, need, forb = local[a.vc[cons]], comp[cons], a.forb[cons][:, :, None, None]
+    vcl, need = local[a.vc.take(cons, axis=1)], comp[cons]
+    forb = a.forb.take(cons, axis=1)[:, :, None, None]
     pad = forb == -2
     Yc = Y[cols]
     if free is not None:
@@ -451,7 +452,7 @@ def reject(csp, scheme, Y, comp, rng, budget, free=None):
         width = min(width, budget - used)
         u = rng.random((pending.size, width, cols.size)).transpose(2, 1, 0)
         D = scheme.arrays.pick(bounds[:, :, None], u)
-        violated = ((D.take(vcl, axis=0) == forb) | pad).all(axis=1)
+        violated = ((D.take(vcl, axis=0) == forb) | pad).all(axis=0)
         has = ~(violated & need[:, None]).any(axis=0)
         first = has.argmax(axis=0)
         has = has.any(axis=0)
@@ -722,7 +723,7 @@ def lift(sampler: Sampler, Y: np.ndarray, rng: np.random.Generator):
     csp, scheme, cfg = sampler.csp, sampler.scheme, sampler.cfg
     n, P = Y.shape
     a, var = csp.arrays, np.arange(n)[:, None]
-    comps = components(csp, a.matches(Y.T, sampler.forb).T == a.arity[:-1, None], cfg.theta_comp)
+    comps = components(csp, a.matches(Y, sampler.forb) == a.arity[:-1, None], cfg.theta_comp)
     errors = np.full(P, "", dtype="<U2")
     n_comps = np.zeros(P, dtype=np.int64)
     for comp in comps:
@@ -737,14 +738,14 @@ def lift(sampler: Sampler, Y: np.ndarray, rng: np.random.Generator):
         rounds[rows] += used
         inside = np.zeros((n + 1, rows.size), dtype=bool)
         c, r = np.nonzero(comp)
-        inside[a.vc[c], r[:, None]] = True
+        inside[a.vc.take(c, axis=1), r] = True
         X[cols[:, None], rows] = np.where(inside[cols] & ok, D, X[cols[:, None], rows])
         errors[rows[~ok]] = "I2"
     good = errors == ""
     X[:, ~good] = -1
     if (scheme.arrays.block_of[var, X[:, good]] != Y[:, good]).any():
         raise InternalError("lift returned an assignment that does not project to its state")
-    if (a.matches(X[:, good].T, a.forb) == a.arity[:-1]).any():
+    if (a.matches(X[:, good], a.forb) == a.arity[:-1, None]).any():
         raise InternalError("lift returned an assignment that violates a constraint")
     return X, errors, n_comps, rounds
 

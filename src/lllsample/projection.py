@@ -541,6 +541,7 @@ def _build_random(csp: AtomicCSP, window: _Window, delta: float, rng):
     at least 4 other than 5 and 7 keep fixed buckets; Moser-Tardos draws
     the rest, each as a row of one table of every partition it can take."""
     n, m, a = csp.n, csp.m, csp.arrays
+    vc, forb = a.vc.T.copy(), a.forb.T.copy()  # (m, k): the window sums below add along rows
     sizes = sorted(set(csp.domains))
     drawn_sizes = [s for s in sizes if s < 4 or s in (5, 7)]
     fixed_sizes = [s for s in sizes if s not in drawn_sizes]
@@ -565,9 +566,9 @@ def _build_random(csp: AtomicCSP, window: _Window, delta: float, rng):
     pos[drawn] = np.arange(drawn.size)
     row = np.full(n + 1, len(parts))
     row[:n][~is_drawn] = first_fixed + np.searchsorted(fixed_sizes, a.domains[~is_drawn])
-    mvc, fcol = pos[a.vc], np.maximum(a.forb, 0)
-    base = logs[row[a.vc], fcol].sum(axis=1)  # S(C) over the fixed buckets
-    L = np.append(np.log(a.domains), 0.0)[a.vc].sum(axis=1)
+    mvc, fcol = pos[vc], np.maximum(forb, 0)
+    base = logs[row[vc], fcol].sum(axis=1)  # S(C) over the fixed buckets
+    L = np.append(np.log(a.domains), 0.0)[vc].sum(axis=1)
     scale = np.full(m, L.min(initial=math.inf)) if window.least else L
     low, high = window.gamma * scale, L - window.c * window.gamma * scale
 

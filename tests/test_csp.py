@@ -2,6 +2,7 @@ import contextlib
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from lllsample.csp import (
     parse_hypergraph,
     write_dimacs,
 )
+from lllsample.resample import find_assignment
 from conftest import star_instance, uniform_csp
 from reference import violated_by_partial
 
@@ -135,6 +137,21 @@ def test_degree_stats_on_stars():
     assert peak < 8 * 2**20  # (m, k * m) 32-bit neighbour ids would take 48 MB
 
 
+def test_find_assignment_memory_follows_the_input_on_a_hub():
+    # one variable in all 2,000 constraints: the constraints by variable take
+    # memory by the sum of arities, not n rows as wide as the hub's degree
+    hub = star_instance(2, 3, 2000, n_stars=1)
+    hub.arrays
+    tracemalloc.start()
+    try:
+        result = find_assignment(hub, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.success and result.resamples > 0
+    assert peak < 8 * 2**20  # a padded (n + 1, 2000) table of ids would take 62 MB
+
+
 def test_dimacs_round_trip():
     text = "p cnf 4 3\n1 -2 0\n-3 4 0\n2 3 4 0\n"
     csp = parse_dimacs(text)
@@ -143,6 +160,14 @@ def test_dimacs_round_trip():
     assert sorted((c.vars, c.forbidden) for c in again.constraints) == sorted(
         (c.vars, c.forbidden) for c in csp.constraints
     )
+
+
+def test_satlib_trailer_ends_the_formula():
+    # SATLIB's files end with a line "%" and then a line "0", which is no clause
+    body = "p cnf 3 2\n 1 -2 3 0\n-1 2 0\n"
+    assert parse_dimacs(body + "%\n0\n\n") == parse_dimacs(body)
+    with pytest.raises(ParseError, match="declares 3 clauses but 2 found"):
+        parse_dimacs(body.replace("p cnf 3 2", "p cnf 3 3") + "%\n0\n\n")
 
 
 @given(st.data())
@@ -294,3 +319,17 @@ def test_inc_forb_lists_each_variables_forbidden_value():
         expect = [csp.constraints[cid].forbidden_at(v) for cid in cids]
         assert a.inc_forb[v].tolist() == expect + [-2] * (a.inc.shape[1] - len(cids))
     assert (a.inc_forb[csp.n] == -2).all()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_flat_index_lists_each_variables_constraints(data):
+    # mixed arities, so padded columns, and variables in no constraint
+    n = data.draw(st.integers(1, 8))
+    cons = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 4),
+                                       unique=True), max_size=12))
+    csp = uniform_csp(n, 2, [(c, [0] * len(c)) for c in cons])
+    ids, offsets = csp.arrays.inc_flat
+    assert offsets.shape == (n + 1,) and ids.shape == (sum(map(len, cons)),)
+    assert [ids[offsets[v]:offsets[v + 1]].tolist() for v in range(n)] == list(
+        map(list, csp.dep_index))

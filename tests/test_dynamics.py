@@ -96,7 +96,7 @@ def test_projected_forbidden_matches_project_csp():
         pcsp = project_csp(csp, scheme)
         forb = projected_forbidden(csp, scheme)
         assert forb.shape == csp.arrays.forb.shape
-        assert [tuple(row[: c.arity]) for c, row in zip(csp.constraints, forb.tolist())] == [
+        assert [tuple(row[: c.arity]) for c, row in zip(csp.constraints, forb.T.tolist())] == [
             c.forbidden for c in pcsp.constraints
         ]
         assert (forb[csp.arrays.forb == -2] == -2).all()

@@ -1,10 +1,13 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lllsample.csp import degree_stats, evaluate, parse_dimacs
+from lllsample.csp import AtomicConstraint, AtomicCSP, degree_stats, evaluate, parse_dimacs
+from lllsample.projection import construct_projection
 from lllsample.resample import (
     ResampleResult,
     default_attempts,
@@ -62,7 +65,7 @@ def _rounds(csp, seed, delta=0.01):
         return rng.integers(a.domains[idx])
 
     violated = lambda x: a.matches(x, a.forb) == a.arity[:-1]
-    return moser_tardos(csp.n, a.vc, draw, violated, np.random.default_rng(seed), delta), trace
+    return moser_tardos(csp.n, a.vc.T, draw, violated, np.random.default_rng(seed), delta), trace
 
 
 def test_determinism_trace():
@@ -258,3 +261,40 @@ def test_redraw_set_is_an_independent_set_holding_the_lowest_violated(data):
     # exactly the violated events with no lower violated event beside them
     assert chosen == [e for e in bad.tolist()
                       if not any(set(cons[o]) & set(cons[e]) for o in bad.tolist() if o < e)]
+
+
+def _random_kcnf(seed, n, m, k):
+    """m clauses of k distinct, sorted variables with random signs, drawn
+    with numpy alone: a row with a repeated variable is drawn again."""
+    gen = np.random.default_rng(seed)
+    vc = gen.integers(n, size=(m, k))
+    while (redo := np.flatnonzero((np.diff(np.sort(vc), axis=1) == 0).any(axis=1))).size:
+        vc[redo] = gen.integers(n, size=(redo.size, k))
+    vc, forb = np.sort(vc).tolist(), gen.integers(2, size=(m, k)).tolist()
+    return AtomicCSP(n, (2,) * n, tuple(map(AtomicConstraint, vc, forb)))
+
+
+# sha256 over find_assignment on a random 4-CNF at the kcnf-solve operation's
+# size, at three seeds, and over the case2 scheme JSON of a random 8-CNF at its
+# set-up's size, at two seeds: 8-wide rows, whose float window sums must keep
+# their association.  Recorded at 0.9.0.
+WORKLOAD_DIGESTS = {
+    "construct": "be91905a714d45e6cc70afa6c11f85fe6218139975bfc8d6bc2fc49122e029a5",
+    "find": "c4ff4b63bacf26f4e5521c0d57bc6b28c9b36593d8d477a6aa439691726d1022",
+}
+
+
+@pytest.mark.parametrize("part", sorted(WORKLOAD_DIGESTS))
+def test_resampling_is_pinned_at_workload_scale(part):
+    digest = hashlib.sha256()
+    if part == "find":
+        csp = _random_kcnf(20, 5000, 10000, 4)
+        for seed in range(3):
+            r = find_assignment(csp, np.random.default_rng([20, seed]))
+            digest.update(json.dumps([r.values, r.resamples, r.attempts_used,
+                                      r.violated]).encode())
+    else:
+        csp = _random_kcnf(21, 5000, 2000, 8)
+        for seed in range(2):
+            digest.update(construct_projection(csp, seed=[21, seed]).to_json().encode())
+    assert digest.hexdigest() == WORKLOAD_DIGESTS[part]
