@@ -162,18 +162,19 @@ class CSPArrays:
                 forbidden[v].append(f)
         return _padded(forbidden, self.csp.n + 1, -2)
 
-    def _near(self):
-        """Per constraint, the set of constraints sharing a variable with it, itself included."""
-        dep = self.csp.dep_index
-        return (set().union(*(dep[v] for v in c.vars)) for c in self.csp.constraints)
+    def _near(self, vars_) -> set[int]:  # the constraints with a variable in vars_
+        return set().union(*map(self.csp.dep_index.__getitem__, vars_))
 
     @cached_property
     def adj(self) -> np.ndarray:  # (m, e) constraints sharing a variable with each, ascending
-        return _padded([sorted(near) for near in self._near()], self.csp.m, self.csp.m)
+        rows = [sorted(self._near(c.vars)) for c in self.csp.constraints]
+        return _padded(rows, self.csp.m, self.csp.m)
 
     @cached_property
-    def degrees(self) -> tuple[int, ...]:  # (m,) the row lengths of adj, without the table
-        return tuple(map(len, self._near()))
+    def degrees(self) -> tuple[int, ...]:  # (m,) adj's row lengths, per distinct variable tuple
+        vars_ = [c.vars for c in self.csp.constraints]
+        size = {t: len(self._near(t)) for t in set(vars_)}
+        return tuple(map(size.__getitem__, vars_))
 
     def matches(self, Z: np.ndarray, forb: np.ndarray) -> np.ndarray:
         """(m,) or (m, P) count of variables at the value forb (k, m) lists for
@@ -212,7 +213,8 @@ def degree_stats(csp: AtomicCSP) -> tuple[int, int, list[int]]:
 
     The degree of a constraint counts every constraint sharing at least one
     variable with it, itself included; Delta is the maximum, k the maximum
-    arity.  An instance with no constraints reports (0, 0, []).
+    arity.  An instance with no constraints reports (0, 0, []).  Degrees are
+    counted once per distinct variable tuple and cached on csp.arrays.
     """
     degrees = csp.arrays.degrees
     return max(degrees, default=0), len(csp.arrays.vc), list(degrees)

@@ -19,7 +19,7 @@ near-violation counts that `ProjectedState` keeps per variable, one deficit
 per group of constraints with the same variables and projected forbidden
 values.  Its steps are drawn ahead in chunks (`_draw_steps`); a busy step
 runs `_redraw`, and the step loop makes each move's bookkeeping update
-itself, as `ProjectedState.apply` makes it for one move.
+itself.
 
 The chain runs on the input's own tables and the projected forbidden values
 (`projected_forbidden`); `project_csp` builds the projected instance only
@@ -318,10 +318,10 @@ class ProjectedState:
     Group g adds its multiplicity (number of constraints) to near[u] for
     every u in g when dev[g] == 0, and for the one u off its value when
     dev[g] == 1.  A move of v from old to new changes only the deficits of
-    the groups at v that forbid old or new, so `apply` visits just those,
-    and touches near only where a deficit passes through 0 or 1.  The
-    sampler's group tables are bound here, so that `apply` reads them as
-    directly as tables of the state's own."""
+    the groups at v that forbid old or new, so `glauber_run` visits just
+    those, and touches near only where a deficit passes through 0 or 1
+    (`_shift`).  The sampler's group tables are bound here, so that the
+    step loop reads them as directly as tables of the state's own."""
 
     __slots__ = ("y", "dev", "near", "sampler", "_cons", "_by_forb")
 
@@ -343,24 +343,6 @@ class ProjectedState:
         """A chain's start: the projection of a uniform assignment
         (Sampler.start_states)."""
         return cls(sampler, sampler.start_states(1, rng)[0].tolist())
-
-    def apply(self, v: int, new_q: int):
-        """Move v to new_q; a move to v's own value changes nothing.
-        `glauber_run` makes the same update inline, step by step; this is
-        its per-move form, which the bookkeeping tests drive."""
-        y, dev, cons = self.y, self.dev, self._cons
-        old, y[v] = y[v], new_q
-        at = self._by_forb[v]
-        for g in at[old]:  # v leaves the value g forbids
-            d = dev[g]
-            dev[g] = d + 1
-            if d <= 1:
-                self._shift(g, v, d, -cons[g][2])
-        for g in at[new_q]:  # v takes it
-            d = dev[g] - 1
-            dev[g] = d
-            if d <= 1:
-                self._shift(g, v, d, cons[g][2])
 
     def _shift(self, g: int, v: int, d: int, k: int):
         """Add k to near[u] for each u != v that group g counts there when v
@@ -669,7 +651,8 @@ def glauber_run(state: ProjectedState, rng: np.random.Generator, steps: int | No
     step drops that value and runs `_redraw`.  Only the busy steps are
     counted as they run, with their failures and component sizes; the
     empty ones, total - busy, count as component size 0 at the end.  A move
-    updates dev and near here, as `ProjectedState.apply` does."""
+    updates dev and near here, at the groups at v that forbid the old or
+    the new value."""
     sampler = state.sampler
     csp, scheme = sampler.csp, sampler.scheme
     movable, (total,) = movable_steps(scheme, sampler.constrained,

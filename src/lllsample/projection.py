@@ -44,7 +44,8 @@ class AdmissibilityError(ValueError):
 @dataclass(frozen=True)
 class ProjectionScheme:
     """Per-variable partition of 0..size-1 into nonempty blocks; block j is
-    the preimage of projected value j."""
+    the preimage of projected value j, and block_of[v][x] is the block of
+    value x at v; variables with equal partitions share these tuples."""
 
     blocks: tuple[tuple[tuple[int, ...], ...], ...]
     case: str | None = None
@@ -53,25 +54,13 @@ class ProjectionScheme:
     block_of: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        canon = tuple(
-            tuple(tuple(sorted(block)) for block in var_blocks) for var_blocks in self.blocks
-        )
-        object.__setattr__(self, "blocks", canon)
-        lookup = []
-        for v, var_blocks in enumerate(canon):
-            union: dict[int, int] = {}
-            for j, block in enumerate(var_blocks):
-                if not block:
-                    raise CSPError(f"variable {v} has an empty block")
-                for value in block:
-                    if value in union:
-                        raise CSPError(f"variable {v}: value {value} in two blocks")
-                    union[value] = j
-            size = len(union)
-            if set(union) != set(range(size)):
-                raise CSPError(f"variable {v}: blocks do not partition 0..{size - 1}")
-            lookup.append(tuple(union[value] for value in range(size)))
-        object.__setattr__(self, "block_of", tuple(lookup))
+        done: dict[tuple, tuple] = {}  # each distinct partition, checked at its first variable
+        keys = (tuple(map(tuple, var_blocks)) for var_blocks in self.blocks)  # hashable forms
+        parts = [done[key] if key in done else done.setdefault(key, _partition(v, key))
+                 for v, key in enumerate(keys)]
+        blocks, block_of = zip(*parts) if parts else ((), ())
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "block_of", block_of)
 
     @property
     def n(self) -> int:
@@ -91,6 +80,11 @@ class ProjectionScheme:
 
     def block_size(self, v: int, q: int) -> int:
         return len(self.blocks[v][q])
+
+    @cached_property
+    def size_of(self) -> tuple[tuple[int, ...], ...]:  # size_of[v][x]: the size of x's block
+        return tuple(tuple(map(len, map(var_blocks.__getitem__, lookup)))
+                     for var_blocks, lookup in zip(self.blocks, self.block_of))
 
     @cached_property
     def arrays(self) -> "BlockArrays":
@@ -125,6 +119,24 @@ class ProjectionScheme:
             if value is not None and not (type(value) in (int, float) and 0 < value < math.inf):
                 raise ParseError(f"scheme {name} must be a positive number or null")
         return cls(blocks=blocks, case=case, kappa=kappa, eta=eta)
+
+
+def _partition(v: int, blocks: tuple) -> tuple[tuple, tuple[int, ...]]:
+    """(blocks, each sorted; the block of each value), or CSPError naming
+    variable v unless blocks partition 0..size-1 into nonempty blocks."""
+    canon = tuple(tuple(sorted(block)) for block in blocks)
+    union: dict[int, int] = {}
+    for j, block in enumerate(canon):
+        if not block:
+            raise CSPError(f"variable {v} has an empty block")
+        for value in block:
+            if value in union:
+                raise CSPError(f"variable {v}: value {value} in two blocks")
+            union[value] = j
+    size = len(union)
+    if set(union) != set(range(size)):
+        raise CSPError(f"variable {v}: blocks do not partition 0..{size - 1}")
+    return canon, tuple(union[value] for value in range(size))
 
 
 @dataclass(frozen=True)
@@ -201,32 +213,36 @@ def _check_match(csp: AtomicCSP, scheme: ProjectionScheme):
 
 def compute_b(csp: AtomicCSP, scheme: ProjectionScheme):
     """Exact per-constraint b(C) = prod of reciprocal preimage-block sizes at
-    the forbidden projected values, and the maximum b."""
+    the forbidden projected values, and the maximum b; each distinct b(C)
+    is computed once per shape (_shapes) and shared by its constraints."""
     _check_match(csp, scheme)
-    sizes = _forbidden_block_sizes(csp, scheme)
-    return _max_b(sizes), [Fraction(1, math.prod(s)) for s in sizes]
+    shapes, of = _shapes(csp, scheme)
+    per_shape = [Fraction(1, math.prod(sizes)) for _, sizes, _ in shapes]
+    return _max_b(shapes), [per_shape[s] for s in of]
 
 
-def _max_b(sizes: list[list[int]]) -> Fraction:
+def _max_b(shapes: list[tuple]) -> Fraction:
     """The largest b(C), the reciprocal of the product of C's forbidden
     block sizes; 0 without constraints."""
-    return Fraction(1, min(map(math.prod, sizes))) if sizes else Fraction(0)
+    return Fraction(1, min(math.prod(sizes) for _, sizes, _ in shapes)) if shapes else Fraction(0)
 
 
-def _forbidden_block_sizes(csp: AtomicCSP, scheme: ProjectionScheme) -> list[list[int]]:
-    """Per constraint, per variable of it, the size of the block holding its
-    forbidden value."""
-    size_at = [[len(var_blocks[j]) for j in lookup]
-               for var_blocks, lookup in zip(scheme.blocks, scheme.block_of)]
-    return [[size_at[v][f] for v, f in zip(c.vars, c.forbidden)] for c in csp.constraints]
-
-
-def _overlap_marginals(csp: AtomicCSP, scheme: ProjectionScheme, sizes) -> list[list[float]]:
-    """Per constraint, the product-measure probability of the forbidden
-    block, as a float, at each of its variables with more than one block
-    (written vbl-bar); sizes are the forbidden block sizes."""
-    return [[size / csp.domains[v] for v, size in zip(c.vars, sz) if len(scheme.blocks[v]) > 1]
-            for c, sz in zip(csp.constraints, sizes)]
+def _shapes(csp: AtomicCSP, scheme: ProjectionScheme) -> tuple[list[tuple], list[int]]:
+    """The distinct shapes (variables, sizes, overlap) of csp's constraints
+    under scheme, in order of first appearance, and each constraint's shape
+    index: sizes are those of the blocks holding the forbidden values, and
+    overlap their product-measure probabilities, as floats, at the variables
+    with more than one block (vbl-bar).  b(C), zeta(C), the A2 lhs and the A3
+    ratios depend on C only through its shape, so they are computed once per
+    shape: a colouring's q constraints per edge have one per block size."""
+    size_of, index = scheme.size_of.__getitem__, {}
+    of = [index.setdefault((c.vars, tuple(map(tuple.__getitem__, map(size_of, c.vars),
+                                              c.forbidden))), len(index))
+          for c in csp.constraints]
+    domains, blocks = csp.domains, scheme.blocks
+    return [(vars_, sizes, [size / domains[v] for v, size in zip(vars_, sizes)
+                            if len(blocks[v]) > 1])
+            for vars_, sizes in index], of
 
 
 def kappa_for(case: str | None, delta: int, a_max: int, k_max: int) -> float:
@@ -260,23 +276,16 @@ def zeta_values(csp: AtomicCSP, scheme: ProjectionScheme, b: Fraction | None = N
     max over multi-block variables of max(1, min((1-3b)^Delta / P, 2*Delta)).
     Returns math.inf entries when b >= 1/3 makes the factor meaningless."""
     _check_match(csp, scheme)
-    sizes = _forbidden_block_sizes(csp, scheme)
-    if b is None:
-        b = _max_b(sizes)
-    return _zetas(_overlap_marginals(csp, scheme, sizes), b, degree_stats(csp)[0])
+    shapes, of = _shapes(csp, scheme)
+    zetas = _zetas(shapes, _max_b(shapes) if b is None else b, degree_stats(csp)[0])
+    return [zetas[s] for s in of]
 
 
-def _zetas(marginals: list[list[float]], b: Fraction, delta: int) -> list[float]:
-    """zeta(C) of each constraint from its overlap marginals."""
+def _zetas(shapes: list[tuple], b: Fraction, delta: int) -> list[float]:
+    """zeta(C) of each shape, from its overlap marginals."""
     shrink = (1.0 - 3.0 * float(b)) ** delta if float(b) < 1.0 / 3.0 else 0.0
-    out = []
-    for ov in marginals:
-        best = 1.0
-        for p in ov:
-            inner = shrink / p if shrink > 0.0 else math.inf
-            best = max(best, min(inner, 2.0 * delta))
-        out.append(best)
-    return out
+    return [max([1.0] + [min(shrink / p if shrink > 0.0 else math.inf, 2.0 * delta) for p in ov])
+            for _, _, ov in shapes]
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +347,16 @@ def check_admissibility(
     the instance lies in the e*b*Delta <= 1 regime.
 
     Failures are report entries, never exceptions.  With no constraints every
-    condition passes vacuously.  The forbidden block sizes are gathered once
-    and serve b, zeta, A2 and A3 alike.
+    condition passes vacuously.  b, zeta, the A2 lhs and the A3 extremes are
+    computed once per shape (_shapes), the constraints' distinct (variables,
+    forbidden block sizes), in log space and with math.fsum as for one
+    constraint; zeta is then given per constraint, and the worst A2
+    constraint is the lowest id of the first shape that reaches the largest lhs.
     """
     _check_match(csp, scheme)
     delta, _, _ = degree_stats(csp)
-    sizes = _forbidden_block_sizes(csp, scheme)
-    b_frac = _max_b(sizes)
+    shapes, of = _shapes(csp, scheme)
+    b_frac = _max_b(shapes)
     b = float(b_frac)
     notes: list[str] = []
     kappa = scheme_kappa(csp, scheme)
@@ -371,33 +383,29 @@ def check_admissibility(
     # Delta: log(inflate*P + tail) = log_inflate + log(P + tail/inflate),
     # where tail/inflate <= 1 cannot overflow; a lhs past the float range
     # reads inf and fails
-    marginals = _overlap_marginals(csp, scheme, sizes)
-    zetas = _zetas(marginals, b_frac, delta)
+    zetas = _zetas(shapes, b_frac, delta)
     log_inflate = -delta * math.log1p(-3.0 * b) if b < 1.0 / 3.0 else math.inf
     tail_over_inflate = math.exp(-kappa / 3.0 - log_inflate)
     a2_rhs = (60000.0 * delta) ** -2
-    worst_lhs, worst_cid = 0.0, None
-    for cid, ov in enumerate(marginals):
-        if not ov:
-            lhs = 0.0
-        else:
-            logs = [math.log(len(ov) ** 2 * kappa**2 * zetas[cid])]
-            for p in ov:
-                logs.append(log_inflate + math.log(p + tail_over_inflate))
+    worst_lhs, worst = 0.0, None  # a shape without overlap has lhs 0
+    for s, ((_, _, ov), zeta) in enumerate(zip(shapes, zetas)):
+        if ov:
+            logs = [math.log(len(ov) ** 2 * kappa**2 * zeta)]
+            logs += [log_inflate + math.log(p + tail_over_inflate) for p in ov]
             try:
                 lhs = math.exp(math.fsum(logs))  # compensated log-space product
             except OverflowError:
                 lhs = math.inf
-        if lhs > worst_lhs:
-            worst_lhs, worst_cid = lhs, cid
+            if lhs > worst_lhs:
+                worst_lhs, worst = lhs, s
     a2_pass = worst_lhs <= a2_rhs
 
     # A3: marginal comparability within a factor of 2 at every shared
     # variable; the marginals there share the denominator |A_v|, so the
     # ratio is that of the largest and smallest forbidden block
     low, high = [math.inf] * csp.n, [0] * csp.n
-    for c, sz in zip(csp.constraints, sizes):
-        for v, size in zip(c.vars, sz):
+    for vars_, sizes, _ in shapes:
+        for v, size in zip(vars_, sizes):
             low[v], high[v] = min(low[v], size), max(high[v], size)
     worst_ratio = max([1.0] + [hi / lo for lo, hi in zip(low, high) if hi])
     a3_pass = worst_ratio <= 2.0
@@ -407,9 +415,9 @@ def check_admissibility(
     return AdmissibilityReport(
         eta=eta, kappa=kappa, delta_deg=delta, b=b, regime=regime, a1_bound=a1_bound,
         a1_pass=bool(a1_pass), a2_rhs=a2_rhs, a2_worst_lhs=worst_lhs,
-        a2_worst_constraint=worst_cid, a2_pass=bool(a2_pass),
+        a2_worst_constraint=None if worst is None else of.index(worst), a2_pass=bool(a2_pass),
         a3_worst_ratio=worst_ratio, a3_pass=bool(a3_pass), a4_pass=True,
-        zeta=[float(z) if math.isfinite(z) else math.inf for z in zetas], notes=notes,
+        zeta=[zetas[s] for s in of], notes=notes,
     )
 
 
@@ -587,7 +595,7 @@ def _build_random(csp: AtomicCSP, window: _Window, delta: float, rng):
         raise ConstructionError(f"{window.what} construction exhausted its resampling budget: "
                                 f"{result.attempts_used} attempts, {result.resamples} resamples, "
                                 f"{result.violated} of {m} windows still violated")
-    row[drawn] = result.values
+    row[drawn] = result.array
     blocks = tuple(parts[r] for r in row[:n].tolist())
     size = {p: {x: len(block) for block in p for x in block} for p in set(blocks)}
     for cid, c in enumerate(csp.constraints):  # re-check from the block sizes alone

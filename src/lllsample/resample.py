@@ -15,7 +15,7 @@ enforces budgets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,6 +30,12 @@ class ResampleResult:
     resamples: int  # events redrawn, over every attempt
     attempts_used: int
     violated: int = 0  # events still violated at the end of a failed run
+    # values as the engine's own array, which the library reads; from the list if not given
+    array: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.array is None and self.values is not None:
+            self.array = np.asarray(self.values, dtype=np.int64)
 
 
 def default_attempts(delta: float) -> int:
@@ -77,7 +83,7 @@ def moser_tardos(
             idx = idx[idx < n]
             values[idx] = draw(idx, rng)
         if not bad.size:
-            return ResampleResult(True, values.tolist(), resamples, attempt)
+            return ResampleResult(True, values.tolist(), resamples, attempt, array=values)
     return ResampleResult(False, None, resamples, attempts, int(bad.size))
 
 
@@ -114,7 +120,7 @@ def find_assignment(
     result = moser_tardos(csp.n, a.vc.T, lambda idx, r: r.integers(a.domains[idx]), violated, rng,
                           delta=delta)
     if result.success:
-        x = np.asarray(result.values, dtype=np.int64)
+        x = result.array
         if x.shape != a.domains.shape or ((x < 0) | (x >= a.domains)).any():
             raise InternalError("resampling returned a value outside its variable's alphabet")
         if (a.matches(x, a.forb) == a.arity[:-1]).any():

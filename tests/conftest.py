@@ -94,6 +94,16 @@ def star_instance(alphabet, k, delta, n_stars=6):
     return uniform_csp(n, alphabet, cons)
 
 
+def pinned_hypergraphs():
+    """Edge lists that tests 16-colour: "colouring", a random 6-uniform
+    hypergraph on 60 vertices, vertices unsorted, its first edge repeated
+    last; "tie", two disjoint triples, so the worst A2 lhs is reached by a
+    shape of each edge."""
+    gen = np.random.default_rng(41)
+    edges = [tuple(int(v) for v in gen.choice(60, size=6, replace=False)) for _ in range(20)]
+    return {"colouring": edges + [edges[0]], "tie": [(0, 1, 2), (3, 4, 5)]}
+
+
 def random_graph(n, p, rng):
     adj = {u: set() for u in range(n)}
     for u in range(n):

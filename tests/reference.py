@@ -1,7 +1,10 @@
 """Exact references the tests check the library against: projected and
 conditional laws, the conditional-marginal bound, the chain state's
 bookkeeping, and 2-tree counts.  All are exact (integer counts, Fractions),
-guarded to desk scale, and share no code path with the sampler they check."""
+guarded to desk scale, and share no code path with the sampler they check.
+`apply`, which moves a chain state one variable at a time for the
+bookkeeping tests, is the exception: it is the step loop's update, through
+the state's own `_shift`."""
 
 from __future__ import annotations
 
@@ -51,6 +54,25 @@ def seeds(state: ProjectedState, v: int) -> list[int]:
     y_v, dev, groups = state.y[v], state.dev, state.sampler.groups
     return [cid for f, gs in enumerate(groups.by_forb[v]) for g in gs
             for cid in groups.members[g] if dev[g] == (y_v != f)]
+
+
+def apply(state: ProjectedState, v: int, new_q: int) -> None:
+    """Move v to new_q, updating the state's deficits and near counts as
+    glauber_run's step loop does for each move; a move to v's own value
+    changes nothing."""
+    y, dev, cons = state.y, state.dev, state._cons
+    old, y[v] = y[v], new_q
+    at = state._by_forb[v]
+    for g in at[old]:  # v leaves the value g forbids
+        d = dev[g]
+        dev[g] = d + 1
+        if d <= 1:
+            state._shift(g, v, d, -cons[g][2])
+    for g in at[new_q]:  # v takes it
+        d = dev[g] - 1
+        dev[g] = d
+        if d <= 1:
+            state._shift(g, v, d, cons[g][2])
 
 
 def check_consistent(state: ProjectedState) -> None:

@@ -1,12 +1,16 @@
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
+import lllsample.cli as cli
 from lllsample.cli import dispatch
-from lllsample.csp import parse_dimacs
+from lllsample.csp import AtomicConstraint, AtomicCSP, parse_dimacs
 from lllsample.dynamics import main_sample
 from lllsample.projection import ProjectionScheme, construct_projection
+from conftest import pinned_hypergraphs
 
 
 @pytest.fixture
@@ -231,6 +235,52 @@ def test_check_projection_a2_past_float_range(capsys, tmp_path):
     assert code == 0
     a2 = payload["report"]["a2"]
     assert a2["pass"] is False and a2["worst_lhs"] is None
+
+
+def _check_projection_inputs():
+    """name -> (input text, or an AtomicCSP the CLI is handed in place of a
+    parsed file, the arguments after the input)."""
+    sixteen_colours = ["--format", "hypergraph", "--q", "16"]
+    hyp = {name: "".join(" ".join(map(str, e)) + "\n" for e in edges)
+           for name, edges in pinned_hypergraphs().items()}
+    gen = np.random.default_rng(43)
+    clauses = [(gen.choice(60, size=6, replace=False) + 1) * gen.choice([-1, 1], size=6)
+               for _ in range(25)]
+    cnf = "p cnf 60 25\n" + "".join(" ".join(map(str, c.tolist())) + " 0\n" for c in clauses)
+    domains = [int(a) for a in gen.choice([2, 3, 5, 7, 9, 16], 30)]
+    cons = []
+    for _ in range(12):
+        vs = sorted(int(v) for v in gen.choice(30, size=int(gen.integers(4, 7)), replace=False))
+        cons.append(AtomicConstraint(tuple(vs), tuple(int(gen.integers(domains[v])) for v in vs)))
+    mixed = AtomicCSP(n=30, domains=tuple(domains), constraints=tuple(cons))
+    return {
+        "colouring": (hyp["colouring"], sixteen_colours),
+        "case2": (cnf, []),
+        "case5": (mixed, []),
+        "tie": (hyp["tie"], sixteen_colours),
+    }
+
+
+# sha256 of check-projection's stdout: the report, the scheme and the manifest
+CHECK_PROJECTION_DIGESTS = {
+    "case2": "1d95508ec06423b90bbb80b0a558999bf1dbfee8c5d7ceefe22d4620534423b2",
+    "case5": "626849a43e50e743bc5d9660205fac5d6d6bdb3ee30d01de99e61044f2ad1a62",
+    "colouring": "4cb39d90404f55b6c5b3f9578b59979b17866819ab7ce6cff1144e1b5b4580b7",
+    "tie": "53f89e4e65d0a2cec672cf015c99c837c1e9f62fbf49fe68d82a8740a403094a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_PROJECTION_DIGESTS))
+def test_check_projection_output_is_pinned(capsys, monkeypatch, tmp_path, name):
+    source, argv = _check_projection_inputs()[name]
+    monkeypatch.chdir(tmp_path)  # the manifest names the input as given
+    if isinstance(source, AtomicCSP):
+        monkeypatch.setattr(cli, "_load_csp", lambda args: source)
+    else:
+        (tmp_path / name).write_text(source)
+    assert dispatch(["check-projection", "--input", name, "--seed", "3", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_PROJECTION_DIGESTS[name]
 
 
 @pytest.mark.parametrize("argv", [

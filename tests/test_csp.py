@@ -103,14 +103,17 @@ def test_degree_stats_examples():
 def test_degree_matches_quadratic_scan(data):
     n = data.draw(st.integers(2, 8))
     m = data.draw(st.integers(0, 24))
+    q = data.draw(st.sampled_from([None, 2, 3]))  # None: random clauses, else a q-colouring
     cons = []
-    for _ in range(m):
+    for _ in range(m if q is None else m // 3):
         k = data.draw(st.integers(1, min(3, n)))
         vars_ = tuple(sorted(data.draw(
             st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))))
-        forb = tuple(data.draw(st.integers(0, 1)) for _ in vars_)
-        cons.append((vars_, forb))
-    csp = uniform_csp(n, 2, cons)
+        if q is None:
+            cons.append((vars_, tuple(data.draw(st.integers(0, 1)) for _ in vars_)))
+        else:  # q constraints on the edge, each listing its variables in a shuffled order
+            cons += [(data.draw(st.permutations(vars_)), (color,) * k) for color in range(q)]
+    csp = uniform_csp(n, q or 2, cons)
     delta, _, degrees = degree_stats(csp)
     brute = [
         sum(1 for other in csp.constraints if set(c.vars) & set(other.vars))

@@ -37,6 +37,7 @@ from lllsample.projection import (
 )
 from conftest import random_instance, rows_at, uniform_csp
 from reference import (
+    apply,
     check_consistent,
     exact_lift_conditional,
     exact_mu_pi,
@@ -83,7 +84,7 @@ def test_state_bookkeeping_random_walk(rng):
     check_consistent(state)
     for _ in range(300):
         v = int(rng.integers(csp.n))
-        state.apply(v, int(rng.integers(scheme.q_sizes()[v])))
+        apply(state, v, int(rng.integers(scheme.q_sizes()[v])))
     check_consistent(state)
 
 
@@ -131,7 +132,7 @@ def test_bookkeeping_equals_recomputation(data):
     moves = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3)), max_size=40))
     for v, q in [(0, y[0])] + moves:
         q %= domains[v]
-        state.apply(v, q)
+        apply(state, v, q)
         y[v] = q
         assert state.y == y
         assert [state.dev[g] for g in group_of(state)] == [

@@ -40,10 +40,9 @@ from lllsample.projection import (
     _SHAPES,
     _WINDOWS,
     _floor_pow_2_3,
-    _overlap_marginals,
     _partitions,
 )
-from conftest import random_instance, star_instance, uniform_csp
+from conftest import pinned_hypergraphs, random_instance, star_instance, uniform_csp
 
 
 def test_scheme_validation():
@@ -54,6 +53,40 @@ def test_scheme_validation():
         ProjectionScheme((((0,), (2,)),))  # gap
     with pytest.raises(CSPError):
         ProjectionScheme((((0,), ()),))  # empty block
+
+
+def test_scheme_from_lists_and_repeats():
+    # partitions are checked once each, keyed on a hashable form: blocks given
+    # as lists, as unsorted tuples, or repeated over variables build the same
+    # scheme as tuples of sorted tuples, equal and of equal hash
+    part = ((0, 3), (1,), (2, 4))
+    expect = ProjectionScheme((part, ((0,), (1,), (2,), (3,), (4,)), part, part))
+    assert expect.block_of == ((0, 1, 2, 0, 2), (0, 1, 2, 3, 4), (0, 1, 2, 0, 2), (0, 1, 2, 0, 2))
+    assert expect.size_of == ((2, 1, 2, 2, 2), (1,) * 5, (2, 1, 2, 2, 2), (2, 1, 2, 2, 2))
+    as_lists = ProjectionScheme([[[3, 0], [1], [4, 2]], [[0], [1], [2], [3], [4]],
+                                 [[0, 3], [1], [2, 4]], [list(b) for b in part]])
+    reversed_blocks = ProjectionScheme(tuple(tuple(b[::-1] for b in p) for p in expect.blocks))
+    for scheme in (as_lists, reversed_blocks):
+        assert scheme.blocks == expect.blocks and scheme.block_of == expect.block_of
+        assert scheme.size_of == expect.size_of
+        assert scheme == expect and hash(scheme) == hash(expect)
+    many = ProjectionScheme([[list(b) for b in part] for _ in range(50)])
+    assert many == ProjectionScheme((part,) * 50) and many.block_of == (expect.block_of[0],) * 50
+
+
+@pytest.mark.parametrize("bad, message", [
+    (((0,), (0, 1)), "variable 3: value 0 in two blocks"),
+    (((0,), (2,)), "variable 3: blocks do not partition 0..1"),
+    (((0, 1), ()), "variable 3 has an empty block"),
+])
+def test_scheme_error_names_the_first_bad_variable(bad, message):
+    # a malformed partition repeated at variables 3 and 7 is reported at 3,
+    # given as tuples or as lists
+    for form in (tuple, list):
+        blocks = [((0,), (1,))] * 10
+        blocks[3] = blocks[7] = form(form(b) for b in bad)
+        with pytest.raises(CSPError, match=f"^{message}$"):
+            ProjectionScheme(tuple(blocks))
 
 
 def test_project_and_preimage():
@@ -237,6 +270,9 @@ def test_admissibility_report_matches_fraction_reference():
     case4 = star_instance(4, 3, 2, n_stars=2)
     cases += [(case1, construct_projection(case1, case_hint="case1", seed=0)),
               (case4, construct_projection(case4, case_hint="case4", seed=1))]
+    for edges in pinned_hypergraphs().values():  # q constraints per edge, blocks of 2 and 3
+        colouring = build_coloring_csp(edges, 16)
+        cases.append((colouring, construct_projection(colouring, seed=0)))
     ratios = set()
     for csp, scheme in cases:
         report = check_admissibility(csp, scheme, 0.25)
@@ -261,10 +297,10 @@ def _random_construction(gen, domains, m):
 
 
 def test_admissibility_report_matches_the_public_quantities():
-    # check_admissibility gathers the forbidden block sizes once; its b,
-    # zeta, A2 worst lhs and A3 worst ratio equal what compute_b,
-    # zeta_values and _overlap_marginals give, and the block sizes read
-    # from the scheme one constraint at a time
+    # check_admissibility computes once per shape; its b, zeta, A2 worst
+    # lhs and A3 worst ratio equal what compute_b and zeta_values give, and
+    # the block sizes and overlap marginals read from the scheme one
+    # constraint at a time
     gen = np.random.default_rng(31)
     cases = [load_bundled(name) for name in sorted(BUNDLED)]
     for a in (2, 3, 5, 7):
@@ -283,9 +319,10 @@ def test_admissibility_report_matches_the_public_quantities():
         log_inflate = -delta * math.log1p(-3.0 * float(b)) if b < Fraction(1, 3) else math.inf
         tail_over_inflate = math.exp(-kappa / 3.0 - log_inflate)
         size_at = lambda v, f: scheme.block_size(v, scheme.project_value(v, f))
-        sizes = [list(map(size_at, c.vars, c.forbidden)) for c in csp.constraints]
         worst_lhs, worst_ratio = 0.0, 1.0
-        for ov, zeta in zip(_overlap_marginals(csp, scheme, sizes), zetas):
+        for c, zeta in zip(csp.constraints, zetas):
+            ov = [size_at(v, f) / csp.domains[v] for v, f in zip(c.vars, c.forbidden)
+                  if len(scheme.blocks[v]) > 1]
             if ov:
                 logs = [math.log(len(ov) ** 2 * kappa**2 * zeta)]
                 logs += [log_inflate + math.log(p + tail_over_inflate) for p in ov]
