@@ -4,6 +4,13 @@ An atomic constraint forbids exactly one assignment to its variable set.
 Assignments are plain tuples of ints (value of variable v at index v);
 partial assignments use None for unassigned variables.  CSPArrays holds
 their numpy tables, those by constraint laid out constraint-last, (k, m).
+
+An AtomicCSP checks its constraints in one pass at construction.  The
+parsers, build_coloring_csp and project_csp hand it constraint tuples that
+are valid by construction, which skip the per-constraint checks.
+parse_dimacs assembles long inputs with numpy, hands over their numpy tables
+as well, and leaves any irregular input to its clause-by-clause reader, the
+one source of its errors and warnings.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -68,11 +76,24 @@ class AtomicConstraint:
         return self.forbidden[self.vars.index(v)]
 
 
+def _constraint(vars_: tuple, forbidden: tuple) -> AtomicConstraint:
+    """The constraint of two tuples known to form one (equal, nonzero
+    lengths and distinct variables), without __post_init__'s checks."""
+    c = object.__new__(AtomicConstraint)
+    object.__setattr__(c, "vars", vars_)
+    object.__setattr__(c, "forbidden", forbidden)
+    return c
+
+
 @dataclass(frozen=True)
 class AtomicCSP:
     """Immutable atomic CSP: per-variable alphabet sizes (values 0..size-1)
-    plus atomic constraints, with a variable -> incident-constraints index.
+    plus atomic constraints.  dep_index, each variable's incident
+    constraint ids in ascending order, is derived when first read.
 
+    Construction checks, in one pass, the alphabets and then each
+    (constraint, position) in order: the variable in 0..n-1 and its value
+    inside its alphabet; CSPError names the first bad one.
     allow_unit_domains exists for projected instances, whose alphabets may
     collapse to a single value; ordinary instances require size >= 2.
     """
@@ -81,28 +102,50 @@ class AtomicCSP:
     domains: tuple[int, ...]
     constraints: tuple[AtomicConstraint, ...]
     allow_unit_domains: bool = False
-    dep_index: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "domains", tuple(self.domains))
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.n != len(self.domains):
-            raise CSPError(f"n={self.n} but {len(self.domains)} domains given")
+        self._check()
+
+    @classmethod
+    def _of_tables(cls, n, domains, vars_, forbidden, allow_unit_domains=False, arrays=()):
+        """The instance whose constraint i is (vars_[i], forbidden[i]),
+        tuples that already form a constraint, so each skips its own checks;
+        the instance's are those of __post_init__.  arrays, when given, is
+        CSPArrays' (domains, vc, forb, arity), already built."""
+        csp = object.__new__(cls)
+        csp.__dict__.update(n=n, domains=tuple(domains), allow_unit_domains=allow_unit_domains,
+                            constraints=tuple(map(_constraint, vars_, forbidden)))
+        csp._check()
+        if arrays:
+            csp.__dict__["arrays"] = CSPArrays(*arrays, csp)
+        return csp
+
+    def _check(self):
+        n, domains = self.n, self.domains
+        if n != len(domains):
+            raise CSPError(f"n={n} but {len(domains)} domains given")
         min_size = 1 if self.allow_unit_domains else 2
-        for v, size in enumerate(self.domains):
-            if size < min_size:
-                raise CSPError(f"variable {v} has alphabet size {size} < {min_size}")
-        index: list[list[int]] = [[] for _ in range(self.n)]
+        if min(domains, default=min_size) < min_size:
+            v = next(v for v, size in enumerate(domains) if size < min_size)
+            raise CSPError(f"variable {v} has alphabet size {domains[v]} < {min_size}")
         for cid, c in enumerate(self.constraints):
             for v, value in zip(c.vars, c.forbidden):
-                if not 0 <= v < self.n:
+                if not 0 <= v < n:
                     raise CSPError(f"constraint {cid} references variable {v} out of range")
-                if not 0 <= value < self.domains[v]:
+                if not 0 <= value < domains[v]:
                     raise CSPError(
                         f"constraint {cid} forbids value {value} outside alphabet of variable {v}"
                     )
+
+    @cached_property
+    def dep_index(self) -> tuple[tuple[int, ...], ...]:
+        index: list[list[int]] = [[] for _ in range(self.n)]
+        for cid, c in enumerate(self.constraints):
+            for v in c.vars:
                 index[v].append(cid)
-        object.__setattr__(self, "dep_index", tuple(tuple(ids) for ids in index))
+        return tuple(map(tuple, index))
 
     @property
     def m(self) -> int:
@@ -124,6 +167,8 @@ class CSPArrays:
     """Padded numpy tables of an AtomicCSP; those by variable and by
     neighbour are built on first use.  Those by constraint are C-contiguous
     (k, m): a test over a constraint's variables reduces across constraints.
+    parse_dimacs hands over those of a long input ready; build fills them
+    from the constraints in one conversion per table.
 
     Tables pad with n for "no variable", m for "no constraint" and -2 for
     "no forbidden value", which no value equals; the arity of the pad
@@ -138,7 +183,7 @@ class CSPArrays:
     @classmethod
     def build(cls, csp: AtomicCSP) -> "CSPArrays":
         cs = csp.constraints
-        arity = np.array([c.arity for c in cs] + [-1], dtype=np.int64)
+        arity = np.array([len(c.vars) for c in cs] + [-1], dtype=np.int64)
         vc = _padded([c.vars for c in cs], csp.m, csp.n).T.copy()
         forb = _padded([c.forbidden for c in cs], csp.m, -2).T.copy()
         return cls(np.array(csp.domains, dtype=np.int64), vc, forb, arity, csp)
@@ -185,11 +230,12 @@ class CSPArrays:
 
 
 def _padded(rows, height: int, pad: int) -> np.ndarray:
-    """(height, longest row) int64 table holding each row as a prefix, the rest pad."""
-    out = np.full((height, max(map(len, rows), default=0)), pad, dtype=np.int64)
-    for i, row in enumerate(rows):
-        out[i, : len(row)] = row
-    return out
+    """(height, longest row) int64 table holding each row as a prefix, the
+    rest pad: the rows are padded as tuples and converted in one call."""
+    width = max(map(len, rows), default=0)
+    fill = [(pad,) * (width - k) for k in range(width + 1)]  # the padding of a row of length k
+    table = [tuple(row) + fill[len(row)] for row in rows] + [fill[0]] * (height - len(rows))
+    return np.array(table, dtype=np.int64).reshape(height, width)
 
 
 def evaluate(csp: AtomicCSP, x) -> list[int]:
@@ -237,6 +283,11 @@ def _decode(text) -> str:
         raise ParseError("input is not UTF-8 text", lineno) from None
 
 
+# Inputs this long or longer are first assembled with numpy (_dimacs_tables);
+# shorter ones cost less clause by clause.
+_TABLES_FROM_CHARS = 1000
+
+
 def parse_dimacs(text) -> AtomicCSP:
     """Parse DIMACS CNF into an atomic CSP over binary alphabets.
 
@@ -245,36 +296,63 @@ def parse_dimacs(text) -> AtomicCSP:
     Duplicate literals are dropped; tautological clauses are skipped with a
     warning.  A line starting with "%" ends the formula, as in SATLIB's files.
     The declared clause count must match the number of clauses read.
+
+    Inputs of at least _TABLES_FROM_CHARS characters convert their literals
+    in one numpy call and assemble the clauses as tables; one with anything
+    irregular (a bad token or header, a literal out of range, an empty or
+    unterminated clause, a count mismatch, a tautology) is parsed again
+    clause by clause, which alone raises ParseError and warns.
     """
     text = _decode(text)
-    n = None
-    declared_m = None
-    clauses: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    seen_clauses = 0
-    current: list[int] = []
-    current_line = 0
+    if len(text) >= _TABLES_FROM_CHARS:
+        csp = _dimacs_tables(text)
+        if csp is not None:
+            return csp
+    return _dimacs_clauses(text)
+
+
+def _header(line: str, lineno: int) -> tuple[int, int]:
+    """(n, m) of a 'p cnf n m' line."""
+    parts = line.split()
+    if len(parts) != 4 or parts[1] != "cnf":
+        raise ParseError(f"malformed header {line!r}", lineno)
+    try:
+        n, declared_m = int(parts[2]), int(parts[3])
+    except ValueError:
+        raise ParseError(f"malformed header {line!r}", lineno) from None
+    if n < 0 or declared_m < 0:
+        raise ParseError(f"negative counts in header {line!r}", lineno)
+    if n > MAX_VARIABLES:
+        raise ParseError(
+            f"header declares {n} variables, past the limit of {MAX_VARIABLES}", lineno
+        )
+    return n, declared_m
+
+
+def _dimacs_lines(text: str):
+    """(number, stripped text) of each line that is neither blank nor a
+    comment, up to a line starting with "%"."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("%"):  # SATLIB's end of formula, followed by a stray "0"
-            break
-        if not line or line.startswith("c"):
-            continue
+            return
+        if line and not line.startswith("c"):
+            yield lineno, line
+
+
+def _dimacs_clauses(text: str) -> AtomicCSP:
+    n = None
+    declared_m = None
+    vars_: list[tuple[int, ...]] = []
+    forbidden: list[tuple[int, ...]] = []
+    seen_clauses = 0
+    current: list[int] = []
+    current_line = 0
+    for lineno, line in _dimacs_lines(text):
         if line.startswith("p"):
             if n is not None:
                 raise ParseError("duplicate problem line", lineno)
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"malformed header {line!r}", lineno)
-            try:
-                n, declared_m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"malformed header {line!r}", lineno) from None
-            if n < 0 or declared_m < 0:
-                raise ParseError(f"negative counts in header {line!r}", lineno)
-            if n > MAX_VARIABLES:
-                raise ParseError(
-                    f"header declares {n} variables, past the limit of {MAX_VARIABLES}", lineno
-                )
+            n, declared_m = _header(line, lineno)
             continue
         if n is None:
             raise ParseError("clause before 'p cnf' header", lineno)
@@ -287,7 +365,8 @@ def parse_dimacs(text) -> AtomicCSP:
                 seen_clauses += 1
                 clause = _clause_to_constraint(current, current_line or lineno)
                 if clause is not None:
-                    clauses.append(clause)
+                    vars_.append(clause[0])
+                    forbidden.append(clause[1])
                 current = []
                 current_line = 0
                 continue
@@ -302,8 +381,7 @@ def parse_dimacs(text) -> AtomicCSP:
         raise ParseError("missing 'p cnf' header")
     if seen_clauses != declared_m:
         raise ParseError(f"header declares {declared_m} clauses but {seen_clauses} found")
-    constraints = [AtomicConstraint(vars, forb) for vars, forb in clauses]
-    return AtomicCSP(n=n, domains=(2,) * n, constraints=tuple(constraints))
+    return AtomicCSP._of_tables(n, (2,) * n, vars_, forbidden)
 
 
 def _clause_to_constraint(lits: list[int], lineno: int):
@@ -316,13 +394,106 @@ def _clause_to_constraint(lits: list[int], lineno: int):
         if v in by_var:
             if by_var[v] != value:
                 warnings.warn(
-                    f"line {lineno}: tautological clause dropped", ParserWarning, stacklevel=3
+                    f"line {lineno}: tautological clause dropped", ParserWarning, stacklevel=4
                 )
                 return None
         else:
             by_var[v] = value
     vars_sorted = tuple(sorted(by_var))
     return vars_sorted, tuple(by_var[v] for v in vars_sorted)
+
+
+def _dimacs_tables(text: str) -> AtomicCSP | None:
+    """parse_dimacs(text) with the clauses assembled by numpy, or None if the
+    input holds anything that the clause-by-clause parser reports or warns
+    of, or a token that the two might read differently."""
+    header, lines = None, []
+    for _, line in _dimacs_lines(text):
+        if line.startswith("p"):
+            if header is not None:
+                return None
+            header = line
+        elif header is None:
+            return None
+        else:
+            lines.append(line)
+    if header is None:
+        return None
+    try:
+        n, m = _header(header, 0)
+    except ParseError:
+        return None
+    # each temporary is dropped once read: the instance's objects dominate
+    # the peak, and the text's lines and numpy's tables would add to it
+    literals = _literals(" ".join(lines))
+    del lines
+    clauses = None if literals is None else _clauses(literals, n, m)
+    del literals
+    if clauses is None:
+        return None
+    var, forb, arity = clauses
+    del clauses
+    present = np.arange(arity.max(initial=0)) < arity[:, None]  # (m, k): position k of clause m
+    vc, forb_table = np.full(present.shape, n, np.int64), np.full(present.shape, -2, np.int64)
+    vc[present], forb_table[present] = var, forb
+    tables = (np.full(n, 2, dtype=np.int64), vc.T.copy(), forb_table.T.copy(), np.append(arity, -1))
+    arity = arity.tolist()
+    var = list(map(list(range(n)).__getitem__, var.tolist()))  # one int per variable, shared
+    return AtomicCSP._of_tables(n, (2,) * n, _split(var, arity), _split(forb.tolist(), arity, True),
+                                arrays=tables)
+
+
+def _literals(body: str) -> np.ndarray | None:
+    """The integers of body, stripped lines joined by spaces, as int() reads
+    its tokens, or None if numpy might read them otherwise.  numpy reads
+    "+5" as int() does, but a sign before no digit as 0 or as the sign of
+    the next number, and it clamps past int64, which the range check
+    catches; it refuses what int() alone reads, such as "1_000"."""
+    try:
+        chars = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+        literals = np.fromstring(body, dtype=np.int64, sep=" ")
+    except (UnicodeEncodeError, ValueError):
+        return None
+    after = np.append(chars[1:], 32)  # each character's successor; a space ends the body
+    lone_sign = ((chars == 43) | (chars == 45)) & ((after < 48) | (after > 57))
+    return None if lone_sign.any() else literals
+
+
+def _clauses(literals: np.ndarray, n: int, m: int):
+    """(variables, forbidden values, arity per clause) of the 0-terminated
+    clauses in literals, each clause's variables ascending and repeated
+    literals dropped; or None if a literal is out of range, a clause is
+    empty, unterminated or tautological, or there are not m clauses."""
+    ends = np.flatnonzero(literals == 0)
+    if ends.size != m or (literals.size and (
+            literals[-1] != 0 or literals.min() < -n or literals.max() > n
+            or ends[0] == 0 or (np.diff(ends) == 1).any())):
+        return None
+    is_lit = literals != 0
+    key = np.cumsum(~is_lit)[is_lit] * (2 * n)  # the clause, variable and value in one key
+    literals = literals[is_lit]
+    key += 2 * np.abs(literals) - 2
+    key += literals < 0
+    key.sort()
+    key = key[np.diff(key, prepend=-1) != 0]  # repeated literals dropped
+    if ((key[1:] >> 1) == (key[:-1] >> 1)).any():  # a variable under both signs
+        return None
+    clause, key = np.divmod(key, 2 * n)
+    return key >> 1, key & 1, np.bincount(clause, minlength=m)
+
+
+def _split(flat: list, lengths: list[int], shared: bool = False) -> list[tuple]:
+    """flat cut into consecutive tuples of the given lengths; with shared,
+    equal tuples are one object, as a table of few patterns wants."""
+    if lengths and min(lengths) == max(lengths):
+        rows = zip(*[iter(flat)] * lengths[0])
+    else:
+        it = iter(flat)
+        rows = (tuple(islice(it, k)) for k in lengths)
+    if shared:
+        patterns: dict[tuple, tuple] = {}
+        return [patterns.setdefault(row, row) for row in rows]
+    return list(rows)
 
 
 def write_dimacs(csp: AtomicCSP) -> str:
@@ -379,10 +550,8 @@ def build_coloring_csp(edges, q: int, n: int | None = None) -> AtomicCSP:
         raise CSPError(f"{n} vertices, past the limit of {MAX_VARIABLES} variables")
     elif max_v >= n:
         raise CSPError(f"edge vertex {max_v} out of range for n={n}")
-    constraints = [
-        AtomicConstraint(tuple(sorted(e)), (color,) * len(e))
-        for e in edges
-        for color in range(q)
-    ]
-    return AtomicCSP(n=n, domains=(q,) * n, constraints=tuple(constraints))
+    vars_ = [tuple(sorted(e)) for e in edges]  # each shared by the edge's q constraints
+    colours = {len(e): [(color,) * len(e) for color in range(q)] for e in vars_}
+    return AtomicCSP._of_tables(n, (q,) * n, [e for e in vars_ for _ in range(q)],
+                                [c for e in vars_ for c in colours[len(e)]])
 

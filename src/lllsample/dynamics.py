@@ -60,11 +60,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .csp import AtomicCSP, InternalError, degree_stats
+from .csp import AtomicCSP, InternalError, _split, degree_stats
 from .projection import ProjectionScheme, RegimeError, _check_match, scheme_kappa
 
 
@@ -153,16 +154,17 @@ class SamplerConfig:
 def project_csp(csp: AtomicCSP, scheme: ProjectionScheme) -> AtomicCSP:
     """The projected instance: same variable sets, forbidden vectors pushed
     through the per-variable block maps, alphabets = block counts.  The
-    chain does not build it: it reads the input's tables, the block counts
-    and `projected_forbidden`."""
+    input's forbidden values are looked up, flattened, in scheme.block_of,
+    and the constraints share the input's variable tuples.  The chain does
+    not build it: it reads the input's tables, the block counts and
+    `projected_forbidden`."""
     _check_match(csp, scheme)
-    constraints = tuple(
-        type(c)(c.vars, tuple(scheme.project_value(v, f) for v, f in zip(c.vars, c.forbidden)))
-        for c in csp.constraints
-    )
-    return AtomicCSP(
-        n=csp.n, domains=scheme.q_sizes(), constraints=constraints, allow_unit_domains=True
-    )
+    vars_ = [c.vars for c in csp.constraints]
+    blocks = map(tuple.__getitem__, map(scheme.block_of.__getitem__, chain.from_iterable(vars_)),
+                 chain.from_iterable(c.forbidden for c in csp.constraints))
+    return AtomicCSP._of_tables(csp.n, scheme.q_sizes(), vars_,
+                                _split(list(blocks), list(map(len, vars_)), True),
+                                allow_unit_domains=True)
 
 
 def projected_forbidden(csp: AtomicCSP, scheme: ProjectionScheme) -> np.ndarray:

@@ -67,10 +67,10 @@ class ProjectionScheme:
         return len(self.blocks)
 
     def domain_sizes(self) -> tuple[int, ...]:
-        return tuple(len(lookup) for lookup in self.block_of)
+        return tuple(map(len, self.block_of))
 
     def q_sizes(self) -> tuple[int, ...]:
-        return tuple(len(var_blocks) for var_blocks in self.blocks)
+        return tuple(map(len, self.blocks))
 
     def project_value(self, v: int, value: int) -> int:
         return self.block_of[v][value]
@@ -460,10 +460,11 @@ def bucket_count(a: int) -> int:
 
 
 def _uniform_case_params(csp: AtomicCSP):
-    sizes = set(csp.domains)
-    arities = {c.arity for c in csp.constraints}
+    """(a, k): the alphabet size and the arity shared by the whole instance,
+    each None where they differ."""
+    sizes, arity = set(csp.domains), csp.arrays.arity[:-1]
     a = sizes.pop() if len(sizes) == 1 else None
-    k = arities.pop() if len(arities) == 1 else None
+    k = int(arity[0]) if arity.size and (arity == arity[0]).all() else None
     return a, k
 
 
@@ -471,7 +472,10 @@ def choose_case(csp: AtomicCSP) -> str:
     """Instance-shape dispatch.  Uniform alphabets route to their dedicated
     case; mixed alphabets use the combined construction.  The large-alphabet
     cutoff for the cube-root bucketing is 8 (uniform arity required)."""
-    a, k = _uniform_case_params(csp)
+    return _case_of(*_uniform_case_params(csp))
+
+
+def _case_of(a: int | None, k: int | None) -> str:
     if a is None:
         return "case5"
     if a == 2:
@@ -624,8 +628,8 @@ def construct_projection(
     if 1 in csp.domains:
         raise RegimeError("projection construction requires alphabets of size at least 2")
     rng = np.random.default_rng(seed)
-    case = case_hint or choose_case(csp)
-    a, _ = _uniform_case_params(csp)
+    a, k = _uniform_case_params(csp)
+    case = case_hint or _case_of(a, k)
     if case == "case1":
         if a is None or a < 4:
             raise RegimeError("case1 requires a uniform alphabet of size >= 4")

@@ -1,15 +1,20 @@
 import contextlib
+import hashlib
+import json
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lllsample import csp as csp_module
 from lllsample.csp import (
     MAX_VARIABLES,
     AtomicConstraint,
     AtomicCSP,
+    CSPArrays,
     CSPError,
     ParseError,
     ParserWarning,
@@ -20,6 +25,8 @@ from lllsample.csp import (
     parse_hypergraph,
     write_dimacs,
 )
+from lllsample.dynamics import project_csp
+from lllsample.projection import construct_projection
 from lllsample.resample import find_assignment
 from conftest import star_instance, uniform_csp
 from reference import violated_by_partial
@@ -153,6 +160,173 @@ def test_find_assignment_memory_follows_the_input_on_a_hub():
         tracemalloc.stop()
     assert result.success and result.resamples > 0
     assert peak < 8 * 2**20  # a padded (n + 1, 2000) table of ids would take 62 MB
+
+
+def test_parse_memory_follows_the_input(workload_cnfs):
+    # the kcnf-solve operation's 4-CNF, 231 kB of text: clause by clause,
+    # parsing peaked at 5.7 MB and kept 4.4 MB at 0.9.0; the numpy path
+    # drops its temporaries as it goes
+    parse_dimacs(_random_kcnf_text([22, 5], 100, 400, 4))  # numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        csp = parse_dimacs(workload_cnfs["4-cnf"])
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert csp.m == 10000
+    assert peak < 6.0 * 2**20 and kept < 4.6 * 2**20
+
+
+def _random_kcnf_text(seed, n, m, k):
+    """m clauses over n variables, each on k distinct variables with random
+    signs, as DIMACS CNF: the benchmark's generator (bench/gen.random_kcnf)."""
+    rng = np.random.default_rng(seed)
+    lines = [f"p cnf {n} {m}"]
+    for _ in range(m):
+        variables = rng.choice(n, size=k, replace=False) + 1
+        signs = rng.integers(2, size=k)
+        lines.append(" ".join(str(int(v)) if s else str(-int(v))
+                              for v, s in zip(variables, signs)) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def _table_digest(csp):
+    digest = hashlib.sha256()
+    a = csp.arrays
+    for table in (a.domains, a.vc, a.forb, a.arity):
+        digest.update(repr(table.shape).encode() + np.ascontiguousarray(table, np.int64).tobytes())
+    digest.update(json.dumps(csp.dep_index).encode())
+    return digest.hexdigest()
+
+
+# sha256 over the tables and dep_index of parse_dimacs on random CNFs of the
+# kcnf-solve benchmark's sizes, and for the 8-CNF over those of project_csp
+# under a case2 scheme.  Recorded at 0.9.0, before parsing built its tables
+# with numpy.
+PARSE_DIGESTS = {
+    "4-cnf": "0c18471787b7536a725ca63281eae2abce8993965bd56dd4fb2fb5f46d3a9236",
+    "8-cnf": "501aa6b11d6af54538fbe01b789ff78eacb69293b6ae15af8635bc1148fe886f",
+    "8-cnf projected": "ac3b0ceb7bca5563ebe228cfbb6c44233b3cbae884378f28497942820ed61b71",
+}
+
+
+@pytest.fixture(scope="module")
+def workload_cnfs():
+    return {"4-cnf": _random_kcnf_text([22, 4], 5000, 10000, 4),
+            "8-cnf": _random_kcnf_text([22, 8], 5000, 2000, 8)}
+
+
+@pytest.mark.parametrize("part", sorted(PARSE_DIGESTS))
+def test_parsing_is_pinned_at_workload_scale(part, workload_cnfs):
+    csp = parse_dimacs(workload_cnfs[part.split()[0]])
+    if part.endswith("projected"):
+        csp = project_csp(csp, construct_projection(csp, seed=[22, 1]))
+    assert _table_digest(csp) == PARSE_DIGESTS[part]
+
+
+def _parse_outcome(text, tables_from):
+    """What parse_dimacs makes of text when inputs of tables_from characters
+    or more try the numpy path first: the instance, its dep_index and tables,
+    or the ParseError's message and line; and the warnings, in order."""
+    with mock.patch.object(csp_module, "_TABLES_FROM_CHARS", tables_from), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            csp = parse_dimacs(text)
+        except ParseError as exc:
+            result = ("ParseError", str(exc), exc.line)
+        else:
+            a = csp.arrays
+            result = (csp, csp.dep_index, [t.tolist() for t in (a.domains, a.vc, a.forb, a.arity)])
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_paths_agree(text):
+    by_clause = _parse_outcome(text, float("inf"))
+    assert _parse_outcome(text, 0) == by_clause
+    assert _parse_outcome(text, csp_module._TABLES_FROM_CHARS) == by_clause
+    return by_clause
+
+
+# tokens that int() and numpy read differently, or that make a document
+# malformed; "{n+1}" is a literal just out of range
+_DIMACS_TRAPS = ["x", "-", "+", "--1", "+5", "1_000", "\u0663", "99999999999999999999",
+                 "-99999999999999999999", "0", "1", "5-", "1.5", "0x1", "\u00a0", "\x1f", "%",
+                 "c", "p", "p cnf 3 1", "{n+1}", "-{n+1}"]
+
+
+@st.composite
+def _dimacs_documents(draw):
+    """(text, regular): a random DIMACS document, regular when it has no
+    inserted trap and its header counts its clauses."""
+    n = draw(st.integers(1, 12))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=5), max_size=30))
+    tokens = [str(lit) for clause in clauses for lit in clause + [0]]
+    traps = draw(st.lists(st.tuples(st.integers(0, len(tokens)), st.sampled_from(_DIMACS_TRAPS)),
+                          max_size=2))
+    for at, trap in traps:
+        tokens.insert(at, trap.replace("{n+1}", str(n + 1)))
+    seps = draw(st.lists(st.sampled_from([" ", "  ", "\t", "\n", " \n", "\r\n", "\nc note\n"]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    extra = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    text = (draw(st.sampled_from(["", "c " + "x" * csp_module._TABLES_FROM_CHARS + "\n"]))
+            + f"p cnf {n} {len(clauses) + extra}\n" + "".join(map(str.__add__, tokens, seps))
+            + draw(st.sampled_from(["", "\n%\n0\n"])))
+    return text, not traps and extra == 0
+
+
+@given(_dimacs_documents())
+@settings(max_examples=300, deadline=None)
+def test_table_and_clause_parsers_agree(document):
+    # the numpy path gives the clause-by-clause parser's instance, or leaves
+    # the input to it: same tables, dep_index, errors and warnings
+    text, regular = document
+    result, caught = _assert_paths_agree(text)
+    if regular and not caught:
+        assert csp_module._dimacs_tables(text) == result[0]
+
+
+_FILLER = "1 -2 3 0\n" * 400  # past _TABLES_FROM_CHARS
+
+
+@pytest.mark.parametrize("text, expect", [
+    # lines of whitespace alone: numpy reads "  " as [0]
+    ("p cnf 3 0\n" + "  \t \n" * 1000, 0),
+    ("p cnf 3 1\n" + "  \t \n" * 1000, ("header declares 1 clauses but 0 found", None)),
+    ("p cnf 3 401\n" + _FILLER + "1 \x1f 2 0\n", 401),
+    # numpy clamps past int64
+    ("p cnf 3 401\n" + _FILLER + "99999999999999999999 0\n",
+     ("line 402: literal 99999999999999999999 out of range (n=3)", 402)),
+    ("p cnf 3 401\n" + _FILLER + "-99999999999999999999 0\n",
+     ("line 402: literal -99999999999999999999 out of range (n=3)", 402)),
+    # int() reads these, numpy only "+5"
+    ("p cnf 1000 401\n" + _FILLER + "1_000 0\n", 401),
+    ("p cnf 5 401\n" + _FILLER + "+5 -1 0\n", 401),
+    ("p cnf 5 401\n" + _FILLER + "\u0663 -\u0661 0\n", 401),
+    # a lone sign: numpy reads it as 0 or as the next number's sign
+    ("p cnf 5 401\n" + _FILLER + "- 5 0\n", ("line 402: bad token '-'", 402)),
+    ("p cnf 5 401\n" + _FILLER + "5 0 -\n", ("line 402: bad token '-'", 402)),
+    # the clause-by-clause reader's errors, among many clauses
+    ("p cnf 3 401\n" + _FILLER + "1 x 0\n", ("line 402: bad token 'x'", 402)),
+    ("p cnf 3 401\n" + _FILLER + "1 4 0\n", ("line 402: literal 4 out of range (n=3)", 402)),
+    ("p cnf 3 402\n" + _FILLER + "1 0 0\n", ("line 402: empty clause", 402)),
+    ("p cnf 3 401\n" + _FILLER + "1 0 2\n", ("line 402: unterminated clause at end of input", 402)),
+    ("p cnf 3 400\n" + _FILLER + "p cnf 3 400\n", ("line 402: duplicate problem line", 402)),
+    # SATLIB's trailer
+    ("p cnf 3 400\n" + _FILLER + "%\n0\n\n", 400),
+    ("p cnf 3 401\n" + _FILLER + "%\n0\n\n", ("header declares 401 clauses but 400 found", None)),
+    # a tautology among many clauses: dropped with a warning naming its line
+    ("p cnf 3 801\n" + _FILLER + "2 -2 0\n" + _FILLER, 800),
+], ids=["blank", "blank-miscounted", "unit-separator", "past-int64", "past-int64-negative",
+        "underscore", "plus-sign", "non-ascii-digits", "lone-sign", "trailing-sign", "bad-token",
+        "out-of-range", "empty-clause", "unterminated", "duplicate-header", "trailer",
+        "trailer-miscounted", "tautology"])
+def test_parser_traps_at_scale(text, expect):
+    result, caught = _assert_paths_agree(text)
+    assert result[0].m == expect if isinstance(expect, int) else result[1:] == expect
+    assert caught == ([(ParserWarning, "line 402: tautological clause dropped")]
+                      if "2 -2" in text else [])
 
 
 def test_dimacs_round_trip():
@@ -291,6 +465,24 @@ def test_coloring_builder():
         build_coloring_csp([(0,)], q=2)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_coloring_tables_match_its_constraints(data):
+    # mixed edge sizes, so padded columns, and vertices in any order
+    n, q = data.draw(st.integers(2, 8)), data.draw(st.integers(2, 4))
+    edges = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=4,
+                                        unique=True), max_size=6))
+    csp = build_coloring_csp(edges, q, n=n)
+    expect = AtomicCSP(n, (q,) * n, [AtomicConstraint(tuple(sorted(e)), (color,) * len(e))
+                                     for e in edges for color in range(q)])
+    assert csp == expect and csp.dep_index == expect.dep_index
+    built = CSPArrays.build(expect)
+    for name in ("domains", "vc", "forb", "arity"):
+        table, want = getattr(csp.arrays, name), getattr(built, name)
+        assert table.dtype == want.dtype and table.flags.c_contiguous
+        assert table.tolist() == want.tolist()
+
+
 def test_hypergraph_parser():
     edges = parse_hypergraph("# comment\n0 1 2\n2 3 4  # trailing\n\n")
     assert edges == [(0, 1, 2), (2, 3, 4)]
@@ -311,6 +503,64 @@ def test_constraint_validation():
         uniform_csp(2, 2, [((0, 5), (0, 0))])
     with pytest.raises(CSPError):
         uniform_csp(2, 2, [((0, 1), (0, 2))])
+
+
+def _first_problem(n, domains, constraints, min_size):
+    """The first problem of an instance in the order it is checked: each
+    alphabet, then each (constraint, position) in turn, as 0.9.0 did."""
+    if n != len(domains):
+        return f"n={n} but {len(domains)} domains given"
+    for v, size in enumerate(domains):
+        if size < min_size:
+            return f"variable {v} has alphabet size {size} < {min_size}"
+    for cid, (vars_, forbidden) in enumerate(constraints):
+        for v, value in zip(vars_, forbidden):
+            if not 0 <= v < n:
+                return f"constraint {cid} references variable {v} out of range"
+            if not 0 <= value < domains[v]:
+                return f"constraint {cid} forbids value {value} outside alphabet of variable {v}"
+    return None
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_instance_check_names_the_first_bad_position(data):
+    n = data.draw(st.integers(0, 5))
+    unit = data.draw(st.booleans())
+    # mostly valid entries, so that one bad entry is often the only one
+    size = st.one_of(st.integers(2, 4), st.integers(2, 4), st.integers(0, 4))
+    domains = tuple(data.draw(st.lists(size, min_size=n, max_size=n + (n < 3))))
+    var = st.integers(0, n - 1) if n else st.nothing()
+    var = st.one_of(var, var, var, st.sampled_from([-1, n]))
+    value = st.one_of(st.integers(0, 1), st.integers(0, 1), st.integers(-1, 3))
+    cons = [(tuple(vs), tuple(data.draw(value) for _ in vs))
+            for vs in data.draw(st.lists(st.lists(var, min_size=1, max_size=3, unique=True),
+                                         max_size=6))]
+    expect = _first_problem(n, domains, cons, 1 if unit else 2)
+    for build in (lambda: AtomicCSP(n, domains, [AtomicConstraint(*c) for c in cons], unit),
+                  lambda: AtomicCSP._of_tables(n, domains, *zip(*cons) if cons else ((), ()),
+                                               allow_unit_domains=unit)):
+        if expect is None:
+            csp = build()
+            assert csp.dep_index == tuple(tuple(cid for cid, (vs, _) in enumerate(cons) if v in vs)
+                                          for v in range(n))
+        else:
+            with pytest.raises(CSPError) as caught:
+                build()
+            assert str(caught.value) == expect
+
+
+@pytest.mark.parametrize("domains, cons, message", [
+    ((2, 4), [((1,), (3,)), ((0,), (3,))], "constraint 1 forbids value 3 outside alphabet of variable 0"),
+    ((2, 2), [((0, 2), (0, 0))], "constraint 0 references variable 2 out of range"),
+    ((2, 2), [((0,), (0,)), ((-1, 1), (0, 0))], "constraint 1 references variable -1 out of range"),
+    ((2, 2), [((1, 0), (0, -1))], "constraint 0 forbids value -1 outside alphabet of variable 0"),
+    ((2, 3), [((1, 0), (2, 2)), ((0,), (5,))], "constraint 0 forbids value 2 outside alphabet of variable 0"),
+    ((2, 1), [], "variable 1 has alphabet size 1 < 2"),
+])
+def test_instance_check_messages(domains, cons, message):
+    with pytest.raises(CSPError, match=f"^{message}$"):
+        AtomicCSP(len(domains), domains, [AtomicConstraint(*c) for c in cons])
 
 
 def test_inc_forb_lists_each_variables_forbidden_value():
