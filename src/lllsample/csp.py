@@ -8,9 +8,8 @@ their numpy tables, those by constraint laid out constraint-last, (k, m).
 An AtomicCSP checks its constraints in one pass at construction.  The
 parsers, build_coloring_csp and project_csp hand it constraint tuples that
 are valid by construction, which skip the per-constraint checks.
-parse_dimacs assembles long inputs with numpy, hands over their numpy tables
-as well, and leaves any irregular input to its clause-by-clause reader, the
-one source of its errors and warnings.
+parse_dimacs assembles long inputs with numpy and leaves any irregular input
+to its clause-by-clause reader, the one source of its errors and warnings.
 """
 
 from __future__ import annotations
@@ -109,17 +108,14 @@ class AtomicCSP:
         self._check()
 
     @classmethod
-    def _of_tables(cls, n, domains, vars_, forbidden, allow_unit_domains=False, arrays=()):
+    def _of_tables(cls, n, domains, vars_, forbidden, allow_unit_domains=False):
         """The instance whose constraint i is (vars_[i], forbidden[i]),
         tuples that already form a constraint, so each skips its own checks;
-        the instance's are those of __post_init__.  arrays, when given, is
-        CSPArrays' (domains, vc, forb, arity), already built."""
+        the instance's are those of __post_init__."""
         csp = object.__new__(cls)
         csp.__dict__.update(n=n, domains=tuple(domains), allow_unit_domains=allow_unit_domains,
                             constraints=tuple(map(_constraint, vars_, forbidden)))
         csp._check()
-        if arrays:
-            csp.__dict__["arrays"] = CSPArrays(*arrays, csp)
         return csp
 
     def _check(self):
@@ -167,8 +163,7 @@ class CSPArrays:
     """Padded numpy tables of an AtomicCSP; those by variable and by
     neighbour are built on first use.  Those by constraint are C-contiguous
     (k, m): a test over a constraint's variables reduces across constraints.
-    parse_dimacs hands over those of a long input ready; build fills them
-    from the constraints in one conversion per table.
+    build fills them from the constraints in one conversion per table.
 
     Tables pad with n for "no variable", m for "no constraint" and -2 for
     "no forbidden value", which no value equals; the arity of the pad
@@ -184,8 +179,8 @@ class CSPArrays:
     def build(cls, csp: AtomicCSP) -> "CSPArrays":
         cs = csp.constraints
         arity = np.array([len(c.vars) for c in cs] + [-1], dtype=np.int64)
-        vc = _padded([c.vars for c in cs], csp.m, csp.n).T.copy()
-        forb = _padded([c.forbidden for c in cs], csp.m, -2).T.copy()
+        vc = _short_rows([c.vars for c in cs], csp.n).T.copy()
+        forb = _short_rows([c.forbidden for c in cs], -2).T.copy()
         return cls(np.array(csp.domains, dtype=np.int64), vc, forb, arity, csp)
 
     @cached_property
@@ -230,12 +225,20 @@ class CSPArrays:
 
 
 def _padded(rows, height: int, pad: int) -> np.ndarray:
-    """(height, longest row) int64 table holding each row as a prefix, the
-    rest pad: the rows are padded as tuples and converted in one call."""
+    """(height, longest row) int64 table holding each row as a prefix, the rest pad."""
+    out = np.full((height, max(map(len, rows), default=0)), pad, dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+def _short_rows(rows: list[tuple], pad: int) -> np.ndarray:
+    """_padded(rows, len(rows), pad) for rows as short as a constraint's: the
+    rows are padded as tuples and converted in one call, which holds a second
+    copy of the table meanwhile, so it is kept from rows as long as a degree."""
     width = max(map(len, rows), default=0)
     fill = [(pad,) * (width - k) for k in range(width + 1)]  # the padding of a row of length k
-    table = [tuple(row) + fill[len(row)] for row in rows] + [fill[0]] * (height - len(rows))
-    return np.array(table, dtype=np.int64).reshape(height, width)
+    return np.array([row + fill[len(row)] for row in rows], dtype=np.int64).reshape(len(rows), width)
 
 
 def evaluate(csp: AtomicCSP, x) -> list[int]:
@@ -424,7 +427,7 @@ def _dimacs_tables(text: str) -> AtomicCSP | None:
     except ParseError:
         return None
     # each temporary is dropped once read: the instance's objects dominate
-    # the peak, and the text's lines and numpy's tables would add to it
+    # the peak, and the text's lines and numpy's arrays would add to it
     literals = _literals(" ".join(lines))
     del lines
     clauses = None if literals is None else _clauses(literals, n, m)
@@ -433,14 +436,10 @@ def _dimacs_tables(text: str) -> AtomicCSP | None:
         return None
     var, forb, arity = clauses
     del clauses
-    present = np.arange(arity.max(initial=0)) < arity[:, None]  # (m, k): position k of clause m
-    vc, forb_table = np.full(present.shape, n, np.int64), np.full(present.shape, -2, np.int64)
-    vc[present], forb_table[present] = var, forb
-    tables = (np.full(n, 2, dtype=np.int64), vc.T.copy(), forb_table.T.copy(), np.append(arity, -1))
     arity = arity.tolist()
-    var = list(map(list(range(n)).__getitem__, var.tolist()))  # one int per variable, shared
-    return AtomicCSP._of_tables(n, (2,) * n, _split(var, arity), _split(forb.tolist(), arity, True),
-                                arrays=tables)
+    ints = list(range(var.max(initial=-1) + 1))  # one int object per variable, shared
+    var = list(map(ints.__getitem__, var.tolist()))
+    return AtomicCSP._of_tables(n, (2,) * n, _split(var, arity), _split(forb.tolist(), arity, True))
 
 
 def _literals(body: str) -> np.ndarray | None:
@@ -451,8 +450,12 @@ def _literals(body: str) -> np.ndarray | None:
     catches; it refuses what int() alone reads, such as "1_000"."""
     try:
         chars = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-        literals = np.fromstring(body, dtype=np.int64, sep=" ")
-    except (UnicodeEncodeError, ValueError):
+        with warnings.catch_warnings():
+            # numpy before 2.0 only warns of a token it cannot read, and
+            # returns the numbers before it
+            warnings.simplefilter("error", DeprecationWarning)
+            literals = np.fromstring(body, dtype=np.int64, sep=" ")
+    except (UnicodeEncodeError, ValueError, DeprecationWarning):
         return None
     after = np.append(chars[1:], 32)  # each character's successor; a space ends the body
     lone_sign = ((chars == 43) | (chars == 45)) & ((after < 48) | (after > 57))
