@@ -14,7 +14,7 @@ instance of the earlier blocks.
 Condition.  Let p_C = prod_{v in C} 1/|A_v|, the probability that C is
 violated under the product law, and Delta the largest constraint degree,
 which counts the constraint itself.  Stages are sampled only in the regime
-e * b * Delta <= 1, checked once on the input (check_admissibility).  The
+e * b * Delta <= 1 alone, checked once on the input (_in_regime).  The
 scheme's blocks partition each alphabet, so b(C) = prod 1/|forbidden block|
 is at least p_C and the regime gives e * p_max * Delta <= 1.  Then the
 asymmetric local lemma holds with x_C = e * p_C: each of the at most
@@ -65,7 +65,7 @@ from .batch import BatchSampler
 from .csp import AtomicCSP
 from .dynamics import SamplerConfig
 from .oracle import ENUM_GUARD, count_satisfying
-from .projection import ProjectionScheme, RegimeError, _check_match, check_admissibility
+from .projection import ProjectionScheme, RegimeError, _check_match, _in_regime
 
 
 class CountingError(RuntimeError):
@@ -206,7 +206,7 @@ def _count(
     eps_stage = counting_eps(len(cut.spans), delta, theta_const) if cut.spans else None
     est = CountEstimate(estimate=1.0, log_estimate=0.0, delta=delta, eps_stage=eps_stage)
 
-    if not check_admissibility(csp, scheme, eta).regime:
+    if not _in_regime(csp, scheme):
         if csp.state_space_size() <= ENUM_GUARD:
             count = count_satisfying(csp)
             if count == 0:

@@ -776,5 +776,9 @@ def main_sample(csp: AtomicCSP, scheme: ProjectionScheme, eps: float, seed=None,
     The distributional guarantee presumes an admissible scheme; the returned
     assignment, when not an ERROR, is always an exactly verified satisfying
     assignment regardless.
+
+    Each call pays the Sampler's set-up again, about a tenth of a sample on
+    the color-chain benchmark input (18.7 against 16.6 ms with one shared
+    Sampler); repeat with Sampler(...).sample_one or CLI sample --count.
     """
     return Sampler(csp, scheme, eps, eta=eta, c_t=c_t).sample_one(seed, rng)

@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, combinations
 from typing import NamedTuple
 
@@ -27,6 +27,7 @@ from .resample import moser_tardos
 logger = logging.getLogger(__name__)
 
 E = math.e
+_LOG_MAX = float(np.log(np.finfo(float).max))  # math.exp overflows past it
 
 
 class RegimeError(ValueError):
@@ -45,22 +46,25 @@ class AdmissibilityError(ValueError):
 class ProjectionScheme:
     """Per-variable partition of 0..size-1 into nonempty blocks; block j is
     the preimage of projected value j, and block_of[v][x] is the block of
-    value x at v; variables with equal partitions share these tuples."""
+    value x at v.  Variables with equal partitions share these tuples and
+    their number part[v], counted in order of first appearance."""
 
     blocks: tuple[tuple[tuple[int, ...], ...], ...]
     case: str | None = None
     kappa: float | None = None
     eta: float | None = None
     block_of: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    part: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        done: dict[tuple, tuple] = {}  # each distinct partition, checked at its first variable
+        done: dict = {}  # each partition's index and tuples, checked at its first variable
         keys = (tuple(map(tuple, var_blocks)) for var_blocks in self.blocks)  # hashable forms
-        parts = [done[key] if key in done else done.setdefault(key, _partition(v, key))
+        parts = [done.get(key) or done.setdefault(key, (len(done), *_partition(v, key)))
                  for v, key in enumerate(keys)]
-        blocks, block_of = zip(*parts) if parts else ((), ())
+        part, blocks, block_of = zip(*parts) if parts else ((), (), ())
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "block_of", block_of)
+        object.__setattr__(self, "part", part)
 
     @property
     def n(self) -> int:
@@ -82,9 +86,14 @@ class ProjectionScheme:
         return len(self.blocks[v][q])
 
     @cached_property
-    def size_of(self) -> tuple[tuple[int, ...], ...]:  # size_of[v][x]: the size of x's block
-        return tuple(tuple(map(len, map(var_blocks.__getitem__, lookup)))
-                     for var_blocks, lookup in zip(self.blocks, self.block_of))
+    def size_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(part, sizes): self.part and a last, pad partition; each value's block
+        size per distinct partition, 1 past its alphabet and in the pad's row."""
+        first = dict(zip(self.part[::-1], range(self.n - 1, -1, -1)))  # partition: first variable
+        sizes = np.ones((len(first) + 1, max(self.domain_sizes(), default=1)), dtype=np.int64)
+        for p, v in first.items():
+            sizes[p, : len(self.block_of[v])] = [len(self.blocks[v][j]) for j in self.block_of[v]]
+        return np.array(self.part + (len(first),), dtype=np.int64), sizes
 
     @cached_property
     def arrays(self) -> "BlockArrays":
@@ -211,38 +220,36 @@ def _check_match(csp: AtomicCSP, scheme: ProjectionScheme):
 # Derived quantities
 
 
+def _tables(csp: AtomicCSP, scheme: ProjectionScheme) -> tuple:
+    """(b, products, sizes, p, multi).  sizes, p and multi are (k, m) as
+    csp.arrays.vc: each forbidden value's block size, 1 at padding; its
+    probability size / |A_v|; whether its variable has more than one block
+    (vbl-bar: the block is not the whole alphabet).  products are the exact
+    column products, Python ints past 2^62; b = 1 / their least, else 0."""
+    _check_match(csp, scheme)
+    a = csp.arrays
+    part, table = scheme.size_table
+    sizes, alphabet = table[part[a.vc], np.maximum(a.forb, 0)], np.append(a.domains, 1)[a.vc]
+    products = sizes.prod(axis=0).tolist()
+    for c in np.flatnonzero(np.log2(sizes).sum(axis=0) >= 62).tolist():
+        products[c] = math.prod(sizes[:, c].tolist())
+    b = Fraction(1, min(products)) if products else Fraction(0)
+    return b, products, sizes, sizes / alphabet, sizes < alphabet
+
+
+def _zeta(p: np.ndarray, multi: np.ndarray, b: Fraction, delta: int) -> np.ndarray:
+    """(m,) zeta(C) from the overlap marginals."""
+    shrink = (1.0 - 3.0 * float(b)) ** delta if float(b) < 1.0 / 3.0 else 0.0
+    ratio = np.minimum(shrink / p, 2.0 * delta) if shrink > 0.0 else 2.0 * delta
+    return np.where(multi, ratio, 1.0).max(axis=0, initial=1.0)
+
+
 def compute_b(csp: AtomicCSP, scheme: ProjectionScheme):
     """Exact per-constraint b(C) = prod of reciprocal preimage-block sizes at
-    the forbidden projected values, and the maximum b; each distinct b(C)
-    is computed once per shape (_shapes) and shared by its constraints."""
-    _check_match(csp, scheme)
-    shapes, of = _shapes(csp, scheme)
-    per_shape = [Fraction(1, math.prod(sizes)) for _, sizes, _ in shapes]
-    return _max_b(shapes), [per_shape[s] for s in of]
-
-
-def _max_b(shapes: list[tuple]) -> Fraction:
-    """The largest b(C), the reciprocal of the product of C's forbidden
-    block sizes; 0 without constraints."""
-    return Fraction(1, min(math.prod(sizes) for _, sizes, _ in shapes)) if shapes else Fraction(0)
-
-
-def _shapes(csp: AtomicCSP, scheme: ProjectionScheme) -> tuple[list[tuple], list[int]]:
-    """The distinct shapes (variables, sizes, overlap) of csp's constraints
-    under scheme, in order of first appearance, and each constraint's shape
-    index: sizes are those of the blocks holding the forbidden values, and
-    overlap their product-measure probabilities, as floats, at the variables
-    with more than one block (vbl-bar).  b(C), zeta(C), the A2 lhs and the A3
-    ratios depend on C only through its shape, so they are computed once per
-    shape: a colouring's q constraints per edge have one per block size."""
-    size_of, index = scheme.size_of.__getitem__, {}
-    of = [index.setdefault((c.vars, tuple(map(tuple.__getitem__, map(size_of, c.vars),
-                                              c.forbidden))), len(index))
-          for c in csp.constraints]
-    domains, blocks = csp.domains, scheme.blocks
-    return [(vars_, sizes, [size / domains[v] for v, size in zip(vars_, sizes)
-                            if len(blocks[v]) > 1])
-            for vars_, sizes in index], of
+    the forbidden projected values, and the maximum b, 0 without constraints,
+    from the (k, m) table of those sizes; exact past the int64 range too."""
+    b, products, _, _, _ = _tables(csp, scheme)
+    return b, [Fraction(1, product) for product in products]
 
 
 def kappa_for(case: str | None, delta: int, a_max: int, k_max: int) -> float:
@@ -273,19 +280,15 @@ def scheme_kappa(csp: AtomicCSP, scheme: ProjectionScheme) -> float:
 
 def zeta_values(csp: AtomicCSP, scheme: ProjectionScheme, b: Fraction | None = None):
     """zeta(C) with the conservative substitute 1 for the worst-case TV term:
-    max over multi-block variables of max(1, min((1-3b)^Delta / P, 2*Delta)).
-    Returns math.inf entries when b >= 1/3 makes the factor meaningless."""
-    _check_match(csp, scheme)
-    shapes, of = _shapes(csp, scheme)
-    zetas = _zetas(shapes, _max_b(shapes) if b is None else b, degree_stats(csp)[0])
-    return [zetas[s] for s in of]
+    max over multi-block variables of max(1, min((1-3b)^Delta / P, 2*Delta)),
+    which is 2*Delta when b >= 1/3 makes the factor meaningless, never inf."""
+    b_max, _, _, p, multi = _tables(csp, scheme)
+    return _zeta(p, multi, b_max if b is None else b, degree_stats(csp)[0]).tolist()
 
 
-def _zetas(shapes: list[tuple], b: Fraction, delta: int) -> list[float]:
-    """zeta(C) of each shape, from its overlap marginals."""
-    shrink = (1.0 - 3.0 * float(b)) ** delta if float(b) < 1.0 / 3.0 else 0.0
-    return [max([1.0] + [min(shrink / p if shrink > 0.0 else math.inf, 2.0 * delta) for p in ov])
-            for _, _, ov in shapes]
+def _in_regime(csp: AtomicCSP, scheme: ProjectionScheme) -> bool:
+    """check_admissibility(csp, scheme, eta).regime, without the rest of the report."""
+    return E * float(_tables(csp, scheme)[0]) * degree_stats(csp)[0] <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +351,15 @@ def check_admissibility(
 
     Failures are report entries, never exceptions.  With no constraints every
     condition passes vacuously.  b, zeta, the A2 lhs and the A3 extremes are
-    computed once per shape (_shapes), the constraints' distinct (variables,
-    forbidden block sizes), in log space and with math.fsum as for one
-    constraint; zeta is then given per constraint, and the worst A2
-    constraint is the lowest id of the first shape that reaches the largest lhs.
+    read from one (k, m) table of forbidden block sizes; b is exact.  The A2
+    lhs is estimated in numpy, then computed in log space with math.fsum for
+    every constraint near the largest estimate, once per distinct zeta and
+    marginals; the worst A2 constraint is the lowest id that reaches the
+    largest lhs.
     """
-    _check_match(csp, scheme)
-    delta, _, _ = degree_stats(csp)
-    shapes, of = _shapes(csp, scheme)
-    b_frac = _max_b(shapes)
+    b_frac, _, sizes, p, multi = _tables(csp, scheme)  # raises unless scheme matches csp
     b = float(b_frac)
+    delta, _, _ = degree_stats(csp)
     notes: list[str] = []
     kappa = scheme_kappa(csp, scheme)
 
@@ -383,31 +385,40 @@ def check_admissibility(
     # Delta: log(inflate*P + tail) = log_inflate + log(P + tail/inflate),
     # where tail/inflate <= 1 cannot overflow; a lhs past the float range
     # reads inf and fails
-    zetas = _zetas(shapes, b_frac, delta)
+    zeta = _zeta(p, multi, b_frac, delta)
     log_inflate = -delta * math.log1p(-3.0 * b) if b < 1.0 / 3.0 else math.inf
     tail_over_inflate = math.exp(-kappa / 3.0 - log_inflate)
     a2_rhs = (60000.0 * delta) ** -2
-    worst_lhs, worst = 0.0, None  # a shape without overlap has lhs 0
-    for s, ((_, _, ov), zeta) in enumerate(zip(shapes, zetas)):
-        if ov:
-            logs = [math.log(len(ov) ** 2 * kappa**2 * zeta)]
-            logs += [log_inflate + math.log(p + tail_over_inflate) for p in ov]
+    # estimated in numpy, within far less than 1e-9 of its terms' magnitude,
+    # then exact at the constraints that near the top or the float range's end
+    count = multi.sum(axis=0)  # a constraint without overlap has lhs 0
+    logs = np.where(multi, log_inflate + np.log(p + tail_over_inflate), 0.0)
+    head = 2.0 * np.log(np.maximum(count, 1) * kappa) + np.log(zeta)
+    estimate = np.where(count > 0, head + logs.sum(axis=0), -np.inf)
+    err = 1e-9 * (1.0 + (np.abs(head) + np.abs(logs).sum(axis=0)).max(where=count > 0, initial=0))
+    near = np.flatnonzero((count > 0) & (estimate >= min(estimate.max(), _LOG_MAX) - err))
+    marginals = np.sort(np.where(multi[:, near], p[:, near], np.inf), axis=0).T.tolist()
+    worst_lhs, worst, lhs_of = 0.0, None, {}
+    for c, z, n_ov, ov in zip(near.tolist(), zeta[near].tolist(), count[near].tolist(), marginals):
+        key = (z, tuple(ov[:n_ov]))
+        if key not in lhs_of:
+            terms = [math.log(n_ov**2 * kappa**2 * z)]
+            terms += [log_inflate + math.log(x + tail_over_inflate) for x in key[1]]
             try:
-                lhs = math.exp(math.fsum(logs))  # compensated log-space product
+                lhs_of[key] = math.exp(math.fsum(terms))  # compensated log-space product
             except OverflowError:
-                lhs = math.inf
-            if lhs > worst_lhs:
-                worst_lhs, worst = lhs, s
+                lhs_of[key] = math.inf
+        if lhs_of[key] > worst_lhs:
+            worst_lhs, worst = lhs_of[key], c
     a2_pass = worst_lhs <= a2_rhs
 
     # A3: marginal comparability within a factor of 2 at every shared
     # variable; the marginals there share the denominator |A_v|, so the
-    # ratio is that of the largest and smallest forbidden block
-    low, high = [math.inf] * csp.n, [0] * csp.n
-    for vars_, sizes, _ in shapes:
-        for v, size in zip(vars_, sizes):
-            low[v], high[v] = min(low[v], size), max(high[v], size)
-    worst_ratio = max([1.0] + [hi / lo for lo, hi in zip(low, high) if hi])
+    # ratio is that of the largest and smallest forbidden block, 0 off them
+    low, high = np.full(csp.n + 1, np.iinfo(np.int64).max), np.zeros(csp.n + 1, dtype=np.int64)
+    np.minimum.at(low, csp.arrays.vc.ravel(), sizes.ravel())
+    np.maximum.at(high, csp.arrays.vc.ravel(), sizes.ravel())
+    worst_ratio = float((high / low).max(initial=1.0))
     a3_pass = worst_ratio <= 2.0
 
     # A4: block-backed lookup projects and samples preimages in O(1) after
@@ -415,9 +426,9 @@ def check_admissibility(
     return AdmissibilityReport(
         eta=eta, kappa=kappa, delta_deg=delta, b=b, regime=regime, a1_bound=a1_bound,
         a1_pass=bool(a1_pass), a2_rhs=a2_rhs, a2_worst_lhs=worst_lhs,
-        a2_worst_constraint=None if worst is None else of.index(worst), a2_pass=bool(a2_pass),
+        a2_worst_constraint=worst, a2_pass=bool(a2_pass),
         a3_worst_ratio=worst_ratio, a3_pass=bool(a3_pass), a4_pass=True,
-        zeta=[zetas[s] for s in of], notes=notes,
+        zeta=zeta.tolist(), notes=notes,
     )
 
 
@@ -548,10 +559,10 @@ def _partitions(a: int, window: _Window) -> list[tuple[tuple, Fraction]]:
     return [(p, w) for p, w in table if w]
 
 
-def _build_random(csp: AtomicCSP, window: _Window, delta: float, rng):
-    """Partitions inside every constraint's window.  Variables of alphabet
-    at least 4 other than 5 and 7 keep fixed buckets; Moser-Tardos draws
-    the rest, each as a row of one table of every partition it can take."""
+def _build_random(csp: AtomicCSP, window: _Window, delta: float, rng, make) -> ProjectionScheme:
+    """make(blocks) for partitions inside every constraint's window.  Variables
+    of alphabet at least 4 other than 5 and 7 keep fixed buckets; Moser-Tardos
+    draws the rest, each as a row of one table of every partition it can take."""
     n, m, a = csp.n, csp.m, csp.arrays
     vc, forb = a.vc.T.copy(), a.forb.T.copy()  # (m, k): the window sums below add along rows
     sizes = sorted(set(csp.domains))
@@ -600,13 +611,16 @@ def _build_random(csp: AtomicCSP, window: _Window, delta: float, rng):
                                 f"{result.attempts_used} attempts, {result.resamples} resamples, "
                                 f"{result.violated} of {m} windows still violated")
     row[drawn] = result.array
-    blocks = tuple(parts[r] for r in row[:n].tolist())
-    size = {p: {x: len(block) for block in p for x in block} for p in set(blocks)}
-    for cid, c in enumerate(csp.constraints):  # re-check from the block sizes alone
-        S = sum(math.log(size[blocks[v]][f]) for v, f in zip(c.vars, c.forbidden))
-        if not low[cid] <= S <= high[cid]:
-            raise InternalError(f"constructed blocks miss the window of constraint {cid}")
-    return blocks
+    scheme = make(tuple(parts[r] for r in row[:n].tolist()))
+    # re-check from the scheme's block sizes alone; sum adds the rows in turn,
+    # so each constraint's logs add left to right in its variables' order
+    forbidden = _tables(csp, scheme)[2]
+    log_of = np.array([0.0] + [math.log(s) for s in range(1, int(forbidden.max(initial=1)) + 1)])
+    S = sum(log_of[forbidden], np.zeros(m))
+    missed = (S < low) | (S > high)
+    if missed.any():
+        raise InternalError(f"constructed blocks miss the window of constraint {missed.argmax()}")
+    return scheme
 
 
 def construct_projection(
@@ -630,33 +644,33 @@ def construct_projection(
     rng = np.random.default_rng(seed)
     a, k = _uniform_case_params(csp)
     case = case_hint or _case_of(a, k)
+    delta_deg, k_max, _ = degree_stats(csp)
+    kappa = kappa_for(case, delta_deg, max(csp.domains, default=2), k_max)
+    make = partial(ProjectionScheme, case=case, kappa=kappa, eta=eta)
     if case == "case1":
         if a is None or a < 4:
             raise RegimeError("case1 requires a uniform alphabet of size >= 4")
-        blocks = (_contiguous_blocks(a, _floor_pow_2_3(a)),) * csp.n
+        scheme = make((_contiguous_blocks(a, _floor_pow_2_3(a)),) * csp.n)
     elif case == "case2":
         if a != 2:
             raise RegimeError("case2 requires a uniform binary alphabet")
-        blocks = _build_random(csp, _WINDOWS[case], delta, rng)
+        scheme = _build_random(csp, _WINDOWS[case], delta, rng, make)
     elif case == "case3":
         if a != 3:
             raise RegimeError("case3 requires a uniform ternary alphabet")
-        blocks = _build_random(csp, _WINDOWS[case], delta, rng)
+        scheme = _build_random(csp, _WINDOWS[case], delta, rng, make)
     elif case == "case4":
         if a is None or a < 4:
             raise RegimeError("case4 requires a uniform alphabet of size >= 4")
         if a in (5, 7):
-            blocks = _build_random(csp, _WINDOWS[f"case4-{a}"], delta, rng)
+            scheme = _build_random(csp, _WINDOWS[f"case4-{a}"], delta, rng, make)
         else:
-            blocks = (_contiguous_blocks(a, bucket_count(a)),) * csp.n
+            scheme = make((_contiguous_blocks(a, bucket_count(a)),) * csp.n)
     elif case == "case5":
-        blocks = _build_random(csp, _WINDOWS[case], delta, rng)
+        scheme = _build_random(csp, _WINDOWS[case], delta, rng, make)
     else:
         raise RegimeError(f"unknown construction case {case!r}")
 
-    delta_deg, k_max, _ = degree_stats(csp)
-    kappa = kappa_for(case, delta_deg, max(csp.domains, default=2), k_max)
-    scheme = ProjectionScheme(blocks=blocks, case=case, kappa=kappa, eta=eta)
     report = check_admissibility(csp, scheme, eta)
     if not report.all_pass:
         fails = [

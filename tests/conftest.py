@@ -80,6 +80,19 @@ def lift_draws(csp, scheme, cfg, y, n_draws, seed):
     return found, bool((errors == "I1").any()), int((errors == "I2").sum())
 
 
+def random_kcnf_text(seed, n, m, k):
+    """m clauses over n variables, each on k distinct variables with random
+    signs, as DIMACS CNF: the benchmark's generator (bench/gen.random_kcnf)."""
+    rng = np.random.default_rng(seed)
+    lines = [f"p cnf {n} {m}"]
+    for _ in range(m):
+        variables = rng.choice(n, size=k, replace=False) + 1
+        signs = rng.integers(2, size=k)
+        lines.append(" ".join(str(int(v)) if s else str(-int(v))
+                              for v, s in zip(variables, signs)) + " 0")
+    return "\n".join(lines) + "\n"
+
+
 def star_instance(alphabet, k, delta, n_stars=6):
     """Uniform-alphabet instance with degree exactly delta: disjoint stars of
     delta constraints sharing one hub variable."""

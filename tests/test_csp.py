@@ -30,7 +30,7 @@ from lllsample.csp import (
 from lllsample.dynamics import project_csp
 from lllsample.projection import construct_projection
 from lllsample.resample import find_assignment
-from conftest import star_instance, uniform_csp
+from conftest import random_kcnf_text, star_instance, uniform_csp
 from reference import violated_by_partial
 
 
@@ -184,7 +184,7 @@ def test_parse_memory_follows_the_input(workload_cnfs):
     # the kcnf-solve operation's 4-CNF, 231 kB of text: clause by clause,
     # parsing peaked at 5.7 MB and kept 4.4 MB at 0.9.0; the numpy path
     # drops its temporaries as it goes
-    parse_dimacs(_random_kcnf_text([22, 5], 100, 400, 4))  # numpy's first-call set-up
+    parse_dimacs(random_kcnf_text([22, 5], 100, 400, 4))  # numpy's first-call set-up
     tracemalloc.start()
     try:
         csp = parse_dimacs(workload_cnfs["4-cnf"])
@@ -193,19 +193,6 @@ def test_parse_memory_follows_the_input(workload_cnfs):
         tracemalloc.stop()
     assert csp.m == 10000
     assert peak < 6.0 * 2**20 and kept < 4.6 * 2**20
-
-
-def _random_kcnf_text(seed, n, m, k):
-    """m clauses over n variables, each on k distinct variables with random
-    signs, as DIMACS CNF: the benchmark's generator (bench/gen.random_kcnf)."""
-    rng = np.random.default_rng(seed)
-    lines = [f"p cnf {n} {m}"]
-    for _ in range(m):
-        variables = rng.choice(n, size=k, replace=False) + 1
-        signs = rng.integers(2, size=k)
-        lines.append(" ".join(str(int(v)) if s else str(-int(v))
-                              for v, s in zip(variables, signs)) + " 0")
-    return "\n".join(lines) + "\n"
 
 
 def _table_digest(csp):
@@ -230,8 +217,8 @@ PARSE_DIGESTS = {
 
 @pytest.fixture(scope="module")
 def workload_cnfs():
-    return {"4-cnf": _random_kcnf_text([22, 4], 5000, 10000, 4),
-            "8-cnf": _random_kcnf_text([22, 8], 5000, 2000, 8)}
+    return {"4-cnf": random_kcnf_text([22, 4], 5000, 10000, 4),
+            "8-cnf": random_kcnf_text([22, 8], 5000, 2000, 8)}
 
 
 @pytest.mark.parametrize("part", sorted(PARSE_DIGESTS))

@@ -16,6 +16,7 @@ from lllsample.csp import (
     build_coloring_csp,
     degree_stats,
     evaluate,
+    parse_dimacs,
 )
 import lllsample.dynamics as dynamics
 from lllsample.batch import BatchSampler
@@ -40,9 +41,16 @@ from lllsample.projection import (
     _SHAPES,
     _WINDOWS,
     _floor_pow_2_3,
+    _in_regime,
     _partitions,
 )
-from conftest import pinned_hypergraphs, random_instance, star_instance, uniform_csp
+from conftest import (
+    pinned_hypergraphs,
+    random_instance,
+    random_kcnf_text,
+    star_instance,
+    uniform_csp,
+)
 
 
 def test_scheme_validation():
@@ -62,13 +70,19 @@ def test_scheme_from_lists_and_repeats():
     part = ((0, 3), (1,), (2, 4))
     expect = ProjectionScheme((part, ((0,), (1,), (2,), (3,), (4,)), part, part))
     assert expect.block_of == ((0, 1, 2, 0, 2), (0, 1, 2, 3, 4), (0, 1, 2, 0, 2), (0, 1, 2, 0, 2))
-    assert expect.size_of == ((2, 1, 2, 2, 2), (1,) * 5, (2, 1, 2, 2, 2), (2, 1, 2, 2, 2))
+
+    def size_of(scheme):  # the block size of each value at each variable
+        index, sizes = scheme.size_table
+        return sizes[index[:-1]].tolist()
+
+    assert expect.size_table[0].tolist() == [0, 1, 0, 0, 2]  # then the pad partition
+    assert size_of(expect) == [[2, 1, 2, 2, 2], [1] * 5, [2, 1, 2, 2, 2], [2, 1, 2, 2, 2]]
     as_lists = ProjectionScheme([[[3, 0], [1], [4, 2]], [[0], [1], [2], [3], [4]],
                                  [[0, 3], [1], [2, 4]], [list(b) for b in part]])
     reversed_blocks = ProjectionScheme(tuple(tuple(b[::-1] for b in p) for p in expect.blocks))
     for scheme in (as_lists, reversed_blocks):
         assert scheme.blocks == expect.blocks and scheme.block_of == expect.block_of
-        assert scheme.size_of == expect.size_of
+        assert size_of(scheme) == size_of(expect)
         assert scheme == expect and hash(scheme) == hash(expect)
     many = ProjectionScheme([[list(b) for b in part] for _ in range(50)])
     assert many == ProjectionScheme((part,) * 50) and many.block_of == (expect.block_of[0],) * 50
@@ -115,6 +129,25 @@ def test_compute_b_examples():
         compute_b(uniform_csp(2, 2, []), ProjectionScheme((((0, 1),),)))
 
 
+def test_b_stays_exact_past_int64():
+    # under full marking every forbidden block is the whole alphabet: the
+    # products 16^20 = 2^80 and 2^63 leave the int64 range, 16^15 = 2^60
+    # does not, and b is the reciprocal of the least of them
+    wide = uniform_csp(20, 16, [(range(20), (0,) * 20)])
+    assert compute_b(wide, full_marking_scheme(wide)) == (Fraction(1, 16**20), [Fraction(1, 16**20)])
+    report = check_admissibility(wide, full_marking_scheme(wide), 0.25)
+    assert report.b == float(Fraction(1, 16**20)) == 2.0**-80 and report.a1_pass
+    mixed = AtomicCSP(83, (16,) * 20 + (2,) * 63, (
+        AtomicConstraint(tuple(range(20)), (3,) * 20),
+        AtomicConstraint(tuple(range(20, 83)), (1,) * 63),
+        AtomicConstraint(tuple(range(5, 20)), (0,) * 15),
+    ))
+    b, per = compute_b(mixed, full_marking_scheme(mixed))
+    assert per == [Fraction(1, 16**20), Fraction(1, 2**63), Fraction(1, 16**15)]
+    assert b == Fraction(1, 2**60)
+    assert check_admissibility(mixed, full_marking_scheme(mixed), 0.25).b == 2.0**-60
+
+
 def test_b_consistency_property():
     csp = star_instance(4, 3, 2, n_stars=2)
     scheme = construct_projection(csp, case_hint="case4", seed=1)
@@ -132,6 +165,10 @@ def test_zeta_kappa():
     # the generic formula at Delta=1, A=2, k=3
     csp = uniform_csp(3, 2, [((0, 1, 2), (0, 0, 0))])
     assert zeta_values(csp, full_marking_scheme(csp)) == [1.0]
+    # b = 1 >= 1/3: no inf, the cap 2*Delta at every constraint with a
+    # multi-block variable
+    cnf = parse_dimacs("p cnf 3 2\n1 2 0\n-2 3 0\n")
+    assert zeta_values(cnf, identity_scheme(cnf)) == [4.0, 4.0]
     assert scheme_kappa(csp, full_marking_scheme(csp)) == kappa_for(None, 1, 2, 3)
     # ceiling 2*Delta binds on the case-1 example
     case1 = star_instance(64, 3, 5)
@@ -336,6 +373,28 @@ def test_admissibility_report_matches_the_public_quantities():
                 worst_ratio = max(worst_ratio, max(at_v) / min(at_v))
         assert report.a2_worst_lhs == worst_lhs
         assert report.a3_worst_ratio == worst_ratio
+
+
+# sha256 over the report JSON of the kcnf-solve set-up's 8-CNF (n=5,000,
+# m=2,000) under case2, and of a 16-colouring of a random 6-uniform
+# hypergraph under case1, whose q constraints per edge tie in A2 wherever
+# their blocks have equal sizes.  Recorded at 0.9.0.
+ADMISSIBILITY_DIGESTS = {
+    "8-cnf": "c8ea7822d05a59cf95a173093f49ed799744ef29125ad323ec00d38b98d5e384",
+    "colouring": "efc9eb735c8a8769a9fc948b1490319731079d5a3d0099b045ec73cfbc739dfb",
+}
+
+
+def test_admissibility_report_is_pinned_at_workload_scale():
+    kcnf = parse_dimacs(random_kcnf_text([23, 8], 5000, 2000, 8))
+    colouring = _coloring(np.random.default_rng(23), 600, 150, 6, 16)
+    digests = {}
+    for name, csp, seed in [("8-cnf", kcnf, [23, 1]), ("colouring", colouring, 0)]:
+        scheme = construct_projection(csp, seed=seed)
+        report = check_admissibility(csp, scheme, 0.25).to_dict()
+        assert report == _admissibility_reference(csp, scheme, 0.25)
+        digests[name] = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digests == ADMISSIBILITY_DIGESTS
 
 
 def test_no_constraint_report_vacuous():
@@ -590,6 +649,26 @@ def test_regime_ok():
     csp = uniform_csp(3, 2, [((0, 1, 2), (0, 0, 0))])
     assert check_admissibility(csp, full_marking_scheme(csp), eta=0.25).regime  # e/8 < 1
     assert not check_admissibility(csp, identity_scheme(csp), eta=0.25).regime
+
+
+def test_counting_gate_is_the_report_regime():
+    # approx_count reads e*b*Delta <= 1 alone, through _in_regime, which must
+    # equal the report's regime on every kind of instance and scheme
+    gen = np.random.default_rng(43)
+    cases = [load_bundled(name) for name in sorted(BUNDLED)]
+    cases += [random_instance(gen) for _ in range(40)]
+    for a in (2, 3, 5, 7):
+        cases += [_random_construction(gen, (a,) * 40, 12) for _ in range(2)]
+    cases.append(_random_construction(gen, [int(a) for a in gen.choice([2, 3, 5, 7, 9], 40)], 12))
+    cases.append((star_instance(64, 3, 5), construct_projection(star_instance(64, 3, 5), seed=0)))
+    k5 = uniform_csp(5, 2, [((0, 1, 2, 3, 4), (0,) * 5)])
+    cases += [(k5, full_marking_scheme(k5)), (k5, identity_scheme(k5))]
+    empty = uniform_csp(3, 2, [])
+    cases.append((empty, identity_scheme(empty)))
+    assert {scheme.case for _, scheme in cases} >= {"case1", "case2", "case3", "case4", "case5"}
+    regimes = [check_admissibility(csp, scheme, 0.25).regime for csp, scheme in cases]
+    assert [_in_regime(csp, scheme) for csp, scheme in cases] == regimes
+    assert True in regimes and False in regimes
 
 
 def _random_constraints(rng, domains, m, widths):
