@@ -6,10 +6,14 @@ partial assignments use None for unassigned variables.  CSPArrays holds
 their numpy tables, those by constraint laid out constraint-last, (k, m).
 
 An AtomicCSP checks its constraints in one pass at construction.  The
-parsers, build_coloring_csp and project_csp hand it constraint tuples that
-are valid by construction, which skip the per-constraint checks.
-parse_dimacs assembles long inputs with numpy and leaves any irregular input
-to its clause-by-clause reader, the one source of its errors and warnings.
+clause-by-clause DIMACS reader and build_coloring_csp hand it constraint
+tuples that are valid by construction, which skip the per-constraint checks.
+parse_dimacs assembles long inputs with numpy into the tables of CSPArrays,
+and dynamics.project_csp gathers its tables from the input's; both hand
+those to AtomicCSP._of_arrays, which checks them with numpy and builds the
+constraint objects only when `constraints` is first read.  parse_dimacs
+leaves any irregular input to its clause-by-clause reader, the one source
+of its errors and warnings.
 """
 
 from __future__ import annotations
@@ -95,6 +99,11 @@ class AtomicCSP:
     inside its alphabet; CSPError names the first bad one.
     allow_unit_domains exists for projected instances, whose alphabets may
     collapse to a single value; ordinary instances require size >= 2.
+
+    An instance is built from its constraints, or from the tables of
+    CSPArrays (_of_arrays), which it keeps as `arrays`; such an instance
+    builds `constraints` from them when first read, and compares, hashes,
+    prints and pickles as the same instance built from its constraints.
     """
 
     n: int
@@ -118,7 +127,46 @@ class AtomicCSP:
         csp._check()
         return csp
 
-    def _check(self):
+    @classmethod
+    def _of_arrays(cls, n, domains, vc, forb, arity, allow_unit_domains=False):
+        """The instance whose tables are vc, forb (k, m) and arity (m + 1,),
+        laid out and padded as in CSPArrays, each column already a
+        constraint's (at least one variable, none repeated); checked as
+        __post_init__ checks, with numpy.  Its constraints are built only
+        when read."""
+        csp = object.__new__(cls)
+        csp.__dict__.update(n=n, domains=tuple(domains), allow_unit_domains=allow_unit_domains)
+        csp._check_domains()
+        a = CSPArrays(np.array(csp.domains, dtype=np.int64), vc, forb, arity, csp)
+        live = np.arange(len(vc))[:, None] < arity[:-1]  # (k, m): the entries within each arity
+        bad_var = live & ((vc < 0) | (vc >= n))
+        size = np.append(a.domains, 0)[np.where(live & ~bad_var, vc, n)]
+        bad = bad_var | (live & ((forb < 0) | (forb >= size)))
+        if bad.any():  # name the first in (constraint, position) order
+            cid, at = divmod(int(bad.T.argmax()), len(vc))
+            raise _entry_error(cid, int(vc[at, cid]), int(forb[at, cid]), n)
+        csp.__dict__["arrays"] = a
+        return csp
+
+    def __getattr__(self, name):
+        # only an instance built from its tables lacks constraints, until
+        # they are first read; pickle and copy look up other names on an
+        # instance not yet filled in, which has no tables to read
+        a = self.__dict__.get("arrays")
+        if name != "constraints" or a is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vars_ = a.tuples(a.vc, ints=list(range(self.n)))  # one int object per variable
+        cs = tuple(map(_constraint, vars_, a.tuples(a.forb, shared=True)))
+        self.__dict__["constraints"] = cs
+        return cs
+
+    def _var_tuples(self) -> list[tuple[int, ...]]:
+        """Each constraint's variables, read from the constraints where they
+        have been built, else from the tables."""
+        cs = self.__dict__.get("constraints")
+        return [c.vars for c in cs] if cs is not None else self.arrays.tuples(self.arrays.vc)
+
+    def _check_domains(self):
         n, domains = self.n, self.domains
         if n != len(domains):
             raise CSPError(f"n={n} but {len(domains)} domains given")
@@ -126,26 +174,27 @@ class AtomicCSP:
         if min(domains, default=min_size) < min_size:
             v = next(v for v, size in enumerate(domains) if size < min_size)
             raise CSPError(f"variable {v} has alphabet size {domains[v]} < {min_size}")
+
+    def _check(self):
+        self._check_domains()
+        n, domains = self.n, self.domains
         for cid, c in enumerate(self.constraints):
             for v, value in zip(c.vars, c.forbidden):
-                if not 0 <= v < n:
-                    raise CSPError(f"constraint {cid} references variable {v} out of range")
-                if not 0 <= value < domains[v]:
-                    raise CSPError(
-                        f"constraint {cid} forbids value {value} outside alphabet of variable {v}"
-                    )
+                if not (0 <= v < n and 0 <= value < domains[v]):
+                    raise _entry_error(cid, v, value, n)
 
     @cached_property
     def dep_index(self) -> tuple[tuple[int, ...], ...]:
         index: list[list[int]] = [[] for _ in range(self.n)]
-        for cid, c in enumerate(self.constraints):
-            for v in c.vars:
+        for cid, vars_ in enumerate(self._var_tuples()):
+            for v in vars_:
                 index[v].append(cid)
         return tuple(map(tuple, index))
 
     @property
     def m(self) -> int:
-        return len(self.constraints)
+        cs = self.__dict__.get("constraints")
+        return len(cs) if cs is not None else len(self.arrays.arity) - 1
 
     def state_space_size(self) -> int:
         total = 1
@@ -158,12 +207,21 @@ class AtomicCSP:
         return CSPArrays.build(self)
 
 
+def _entry_error(cid: int, v: int, value: int, n: int) -> CSPError:
+    """The error of constraint cid at a bad position: variable v, value value."""
+    if not 0 <= v < n:
+        return CSPError(f"constraint {cid} references variable {v} out of range")
+    return CSPError(f"constraint {cid} forbids value {value} outside alphabet of variable {v}")
+
+
 @dataclass(frozen=True)
 class CSPArrays:
     """Padded numpy tables of an AtomicCSP; those by variable and by
     neighbour are built on first use.  Those by constraint are C-contiguous
     (k, m): a test over a constraint's variables reduces across constraints.
-    build fills them from the constraints in one conversion per table.
+    build fills them from the constraints in one conversion per table; an
+    instance built from its tables (AtomicCSP._of_arrays) holds those, and
+    tuples reads them back.
 
     Tables pad with n for "no variable", m for "no constraint" and -2 for
     "no forbidden value", which no value equals; the arity of the pad
@@ -182,6 +240,16 @@ class CSPArrays:
         vc = _short_rows([c.vars for c in cs], csp.n).T.copy()
         forb = _short_rows([c.forbidden for c in cs], -2).T.copy()
         return cls(np.array(csp.domains, dtype=np.int64), vc, forb, arity, csp)
+
+    def tuples(self, table: np.ndarray, ints: list | None = None,
+               shared: bool = False) -> list[tuple]:
+        """table, vc or forb, as one tuple per constraint, as long as its
+        arity: entries x read as ints[x] where given; with shared, equal
+        tuples are one object, as a table of few patterns wants."""
+        flat = table.T[self.vc.T < len(self.domains)].tolist()  # vc pads with n
+        if ints is not None:
+            flat = list(map(ints.__getitem__, flat))
+        return _split(flat, self.arity[:-1].tolist(), shared)
 
     @cached_property
     def inc_flat(self) -> tuple[np.ndarray, np.ndarray]:  # Σ arity ids, n + 1 offsets
@@ -207,12 +275,12 @@ class CSPArrays:
 
     @cached_property
     def adj(self) -> np.ndarray:  # (m, e) constraints sharing a variable with each, ascending
-        rows = [sorted(self._near(c.vars)) for c in self.csp.constraints]
+        rows = [sorted(self._near(t)) for t in self.csp._var_tuples()]
         return _padded(rows, self.csp.m, self.csp.m)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:  # (m,) adj's row lengths, per distinct variable tuple
-        vars_ = [c.vars for c in self.csp.constraints]
+        vars_ = self.csp._var_tuples()
         size = {t: len(self._near(t)) for t in set(vars_)}
         return tuple(map(size.__getitem__, vars_))
 
@@ -426,20 +494,13 @@ def _dimacs_tables(text: str) -> AtomicCSP | None:
         n, m = _header(header, 0)
     except ParseError:
         return None
-    # each temporary is dropped once read: the instance's objects dominate
-    # the peak, and the text's lines and numpy's arrays would add to it
+    # each temporary is dropped once read: the text's lines and numpy's
+    # arrays would otherwise add to the peak
     literals = _literals(" ".join(lines))
     del lines
-    clauses = None if literals is None else _clauses(literals, n, m)
+    tables = None if literals is None else _clauses(literals, n, m)
     del literals
-    if clauses is None:
-        return None
-    var, forb, arity = clauses
-    del clauses
-    arity = arity.tolist()
-    ints = list(range(var.max(initial=-1) + 1))  # one int object per variable, shared
-    var = list(map(ints.__getitem__, var.tolist()))
-    return AtomicCSP._of_tables(n, (2,) * n, _split(var, arity), _split(forb.tolist(), arity, True))
+    return None if tables is None else AtomicCSP._of_arrays(n, (2,) * n, *tables)
 
 
 def _literals(body: str) -> np.ndarray | None:
@@ -463,7 +524,7 @@ def _literals(body: str) -> np.ndarray | None:
 
 
 def _clauses(literals: np.ndarray, n: int, m: int):
-    """(variables, forbidden values, arity per clause) of the 0-terminated
+    """(vc, forb, arity), the tables of CSPArrays, of the 0-terminated
     clauses in literals, each clause's variables ascending and repeated
     literals dropped; or None if a literal is out of range, a clause is
     empty, unterminated or tautological, or there are not m clauses."""
@@ -482,7 +543,12 @@ def _clauses(literals: np.ndarray, n: int, m: int):
     if ((key[1:] >> 1) == (key[:-1] >> 1)).any():  # a variable under both signs
         return None
     clause, key = np.divmod(key, 2 * n)
-    return key >> 1, key & 1, np.bincount(clause, minlength=m)
+    arity = np.bincount(clause, minlength=m)
+    at = np.arange(clause.size) - (np.cumsum(arity) - arity)[clause]  # the position in its clause
+    vc = np.full((arity.max(initial=0), m), n, dtype=np.int64)
+    forb = np.full(vc.shape, -2, dtype=np.int64)
+    vc[at, clause], forb[at, clause] = key >> 1, key & 1
+    return vc, forb, np.append(arity, -1)
 
 
 def _split(flat: list, lengths: list[int], shared: bool = False) -> list[tuple]:

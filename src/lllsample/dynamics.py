@@ -22,9 +22,10 @@ runs `_redraw`, and the step loop makes each move's bookkeeping update
 itself.
 
 The chain runs on the input's own tables and the projected forbidden values
-(`projected_forbidden`); `project_csp` builds the projected instance only
-as the reference definition.  What a chain or a lift reads besides its own
-state is set up once per (instance, scheme) pair, as a `Sampler`.
+(`projected_forbidden`); `project_csp` builds the projected instance, from
+the same tables, only as the reference definition.  What a chain or a lift
+reads besides its own state is set up once per (instance, scheme) pair, as
+a `Sampler`.
 
 A chain update and a lift are the same operation.  The batch driver
 (BatchSampler in batch) runs its updates, and both drivers run their lifts,
@@ -60,12 +61,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .csp import AtomicCSP, InternalError, _split, degree_stats
+from .csp import AtomicCSP, InternalError, degree_stats
 from .projection import ProjectionScheme, RegimeError, _check_match, scheme_kappa
 
 
@@ -153,26 +153,24 @@ class SamplerConfig:
 
 def project_csp(csp: AtomicCSP, scheme: ProjectionScheme) -> AtomicCSP:
     """The projected instance: same variable sets, forbidden vectors pushed
-    through the per-variable block maps, alphabets = block counts.  The
-    input's forbidden values are looked up, flattened, in scheme.block_of,
-    and the constraints share the input's variable tuples.  The chain does
-    not build it: it reads the input's tables, the block counts and
-    `projected_forbidden`."""
+    through the per-variable block maps, alphabets = block counts.  It is
+    built from the input's tables, sharing its variables and arities, and
+    `projected_forbidden`, and builds its constraints only when they are
+    read.  The chain does not build it: it reads the input's tables, the
+    block counts and `projected_forbidden`."""
     _check_match(csp, scheme)
-    vars_ = [c.vars for c in csp.constraints]
-    blocks = map(tuple.__getitem__, map(scheme.block_of.__getitem__, chain.from_iterable(vars_)),
-                 chain.from_iterable(c.forbidden for c in csp.constraints))
-    return AtomicCSP._of_tables(csp.n, scheme.q_sizes(), vars_,
-                                _split(list(blocks), list(map(len, vars_)), True),
-                                allow_unit_domains=True)
+    a = csp.arrays
+    return AtomicCSP._of_arrays(csp.n, scheme.q_sizes(), a.vc, projected_forbidden(csp, scheme),
+                                a.arity, allow_unit_domains=True)
 
 
 def projected_forbidden(csp: AtomicCSP, scheme: ProjectionScheme) -> np.ndarray:
     """(k, m) the block of each constraint's forbidden value at its variable,
     the forbidden values of project_csp(csp, scheme), laid out and padded
-    with -2 as csp.arrays.forb is."""
+    with -2 as csp.arrays.forb is; gathered through scheme.block_table, so
+    that the scheme's BlockArrays are not built for it."""
     a = csp.arrays
-    return scheme.arrays.project(a.vc, a.forb)
+    return scheme.project_values(a.vc, a.forb)
 
 
 class Groups(NamedTuple):
@@ -240,7 +238,7 @@ class Sampler:
         constraints at it (csp.arrays.inc, transposed), their projected
         forbidden values there, and their arity less one."""
         n, a = self.csp.n, self.csp.arrays
-        forb = self.scheme.arrays.project(np.arange(n + 1)[:, None], a.inc_forb)
+        forb = self.scheme.project_values(np.arange(n + 1)[:, None], a.inc_forb)
         return tuple(np.ascontiguousarray(t.T) for t in (a.inc, forb, a.arity[a.inc] - 1))
 
     @cached_property

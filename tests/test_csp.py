@@ -1,7 +1,9 @@
 import contextlib
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -27,8 +29,8 @@ from lllsample.csp import (
     parse_hypergraph,
     write_dimacs,
 )
-from lllsample.dynamics import project_csp
-from lllsample.projection import construct_projection
+from lllsample.dynamics import Sampler, project_csp
+from lllsample.projection import check_admissibility, construct_projection
 from lllsample.resample import find_assignment
 from conftest import random_kcnf_text, star_instance, uniform_csp
 from reference import violated_by_partial
@@ -229,6 +231,92 @@ def test_parsing_is_pinned_at_workload_scale(part, workload_cnfs):
     assert _table_digest(csp) == PARSE_DIGESTS[part]
 
 
+def _tables(csp):
+    a = csp.arrays
+    return [t.tolist() for t in (a.domains, a.vc, a.forb, a.arity)]
+
+
+def _projected(csp, scheme):
+    """project_csp(csp, scheme) from its definition, built from its constraints."""
+    return AtomicCSP(csp.n, scheme.q_sizes(), [
+        AtomicConstraint(c.vars, tuple(map(scheme.project_value, c.vars, c.forbidden)))
+        for c in csp.constraints], allow_unit_domains=True)
+
+
+def test_setup_path_builds_no_constraint_objects(workload_cnfs):
+    # the kcnf-solve set-up and operation read the tables alone; the
+    # constraints, built when first read, are those of the clause-by-clause
+    # reader and the definition of the projection
+    built = []
+    make, check = csp_module._constraint, AtomicConstraint.__post_init__
+
+    def spy_make(*args):
+        built.append(args)
+        return make(*args)
+
+    def spy_check(self):
+        built.append(self)
+        check(self)
+
+    with mock.patch.object(csp_module, "_constraint", spy_make), \
+            mock.patch.object(AtomicConstraint, "__post_init__", spy_check):
+        csp8 = parse_dimacs(workload_cnfs["8-cnf"])
+        scheme = construct_projection(csp8, seed=[22, 1])
+        check_admissibility(csp8, scheme, 0.25)
+        pcsp = project_csp(csp8, scheme)
+        csp4 = parse_dimacs(workload_cnfs["4-cnf"])
+        assert find_assignment(csp4, np.random.default_rng(5)).success
+        assert not built
+    expect8 = csp_module._dimacs_clauses(workload_cnfs["8-cnf"])
+    for csp, expect in ((csp8, expect8), (pcsp, _projected(expect8, scheme)),
+                        (csp4, csp_module._dimacs_clauses(workload_cnfs["4-cnf"]))):
+        assert csp.dep_index == expect.dep_index and _tables(csp) == _tables(expect)
+        assert "constraints" not in csp.__dict__
+        assert csp.constraints == expect.constraints and csp == expect
+        assert csp.arrays.degrees == expect.arrays.degrees
+
+
+def _table_built():
+    """(instance, the same built from its constraints) of each kind the
+    library builds from tables: a DIMACS input past _TABLES_FROM_CHARS, and
+    its projection."""
+    text = random_kcnf_text([7], 120, 50, 8)
+    assert len(text) >= csp_module._TABLES_FROM_CHARS
+    expect = csp_module._dimacs_clauses(text)
+    scheme = construct_projection(expect, seed=3)
+    return [(lambda: parse_dimacs(text), expect),
+            (lambda: project_csp(parse_dimacs(text), scheme), _projected(expect, scheme))]
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["parsed", "projected"])
+def test_table_built_instances_behave_like_any_other(kind):
+    build, expect = _table_built()[kind]
+    for read in (False, True):
+        csp = build()
+        if read:
+            csp.constraints
+        copies = [pickle.loads(pickle.dumps(csp)), copy.deepcopy(csp)]
+        for got in (csp, *copies):
+            assert ("constraints" in got.__dict__) == read and got.m == expect.m
+            assert got.arrays.csp is got and _tables(got) == _tables(expect)
+            assert got == expect and hash(got) == hash(expect) and repr(got) == repr(expect)
+            assert got.dep_index == expect.dep_index
+            assert evaluate(got, [0] * got.n) == evaluate(expect, [0] * got.n)
+            assert not hasattr(got, "vars")
+
+
+def test_sampler_on_a_table_built_instance_pickles():
+    # CLI sample --workers ships the sampler to its workers
+    build, expect = _table_built()[0]
+    csp = build()
+    scheme = construct_projection(expect, seed=4)
+    sampler = Sampler(csp, scheme, 0.25, c_t=0.02)
+    shipped = pickle.loads(pickle.dumps(sampler))
+    assert "constraints" not in shipped.csp.__dict__ and shipped.csp == expect
+    outcome = [s.sample_one(seed=9).assignment for s in (sampler, shipped)]
+    assert outcome == [Sampler(expect, scheme, 0.25, c_t=0.02).sample_one(seed=9).assignment] * 2
+
+
 def _parse_outcome(text, tables_from):
     """What parse_dimacs makes of text when inputs of tables_from characters
     or more try the numpy path first: the instance, its dep_index and tables,
@@ -241,8 +329,7 @@ def _parse_outcome(text, tables_from):
         except ParseError as exc:
             result = ("ParseError", str(exc), exc.line)
         else:
-            a = csp.arrays
-            result = (csp, csp.dep_index, [t.tolist() for t in (a.domains, a.vc, a.forb, a.arity)])
+            result = (csp, csp.dep_index, _tables(csp))
     return result, [(w.category, str(w.message)) for w in caught]
 
 
@@ -570,13 +657,21 @@ def test_instance_check_names_the_first_bad_position(data):
             for vs in data.draw(st.lists(st.lists(var, min_size=1, max_size=3, unique=True),
                                          max_size=6))]
     expect = _first_problem(n, domains, cons, 1 if unit else 2)
+    vc = np.full((max((len(vs) for vs, _ in cons), default=0), len(cons)), n, dtype=np.int64)
+    forb = np.full(vc.shape, -2, dtype=np.int64)
+    for cid, (vs, fs) in enumerate(cons):
+        vc[: len(vs), cid], forb[: len(fs), cid] = vs, fs
+    arity = np.array([len(vs) for vs, _ in cons] + [-1], dtype=np.int64)
     for build in (lambda: AtomicCSP(n, domains, [AtomicConstraint(*c) for c in cons], unit),
                   lambda: AtomicCSP._of_tables(n, domains, *zip(*cons) if cons else ((), ()),
+                                               allow_unit_domains=unit),
+                  lambda: AtomicCSP._of_arrays(n, domains, vc, forb, arity,
                                                allow_unit_domains=unit)):
         if expect is None:
             csp = build()
             assert csp.dep_index == tuple(tuple(cid for cid, (vs, _) in enumerate(cons) if v in vs)
                                           for v in range(n))
+            assert csp == AtomicCSP(n, domains, [AtomicConstraint(*c) for c in cons], unit)
         else:
             with pytest.raises(CSPError) as caught:
                 build()

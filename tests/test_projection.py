@@ -1,8 +1,10 @@
 import hashlib
 import json
+import logging
 import math
 from fractions import Fraction
 from itertools import permutations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from lllsample.csp import (
     parse_dimacs,
 )
 import lllsample.dynamics as dynamics
+import lllsample.projection as projection
 from lllsample.batch import BatchSampler
 from lllsample.bundled import BUNDLED, load_bundled
 from lllsample.counting import approx_count
@@ -82,6 +85,8 @@ def test_scheme_from_lists_and_repeats():
     reversed_blocks = ProjectionScheme(tuple(tuple(b[::-1] for b in p) for p in expect.blocks))
     for scheme in (as_lists, reversed_blocks):
         assert scheme.blocks == expect.blocks and scheme.block_of == expect.block_of
+        assert scheme.part == expect.part  # numbered by partition, however written
+        assert len(scheme.size_table[1]) == len(set(scheme.blocks)) + 1  # and the pad's row
         assert size_of(scheme) == size_of(expect)
         assert scheme == expect and hash(scheme) == hash(expect)
     many = ProjectionScheme([[list(b) for b in part] for _ in range(50)])
@@ -582,6 +587,24 @@ def test_unit_alphabet_is_a_regime_error():
 def test_strict_mode_rejects_desk_scale():
     csp = star_instance(64, 3, 5)
     with pytest.raises(AdmissibilityError):
+        construct_projection(csp, case_hint="case1", seed=0, strict=True)
+
+
+def test_construction_reports_only_when_read(caplog):
+    # the report is built for strict=True or an INFO log, and the scheme is
+    # the same either way
+    csp = star_instance(64, 3, 5)
+    with caplog.at_level(logging.INFO, logger="lllsample.projection"):
+        scheme = construct_projection(csp, case_hint="case1", seed=0)
+    assert not check_admissibility(csp, scheme, 0.25).all_pass
+    assert "constructed case1 scheme fails ['A1', 'A2'] numerically (desk scale)" in caplog.text
+    unread = mock.patch.object(projection, "check_admissibility", side_effect=AssertionError)
+    with caplog.at_level(logging.WARNING, logger="lllsample.projection"), unread:
+        assert construct_projection(csp, case_hint="case1", seed=0) == scheme
+        with pytest.raises(AssertionError):
+            construct_projection(csp, case_hint="case1", seed=0, strict=True)
+    with caplog.at_level(logging.WARNING, logger="lllsample.projection"), \
+            pytest.raises(AdmissibilityError):
         construct_projection(csp, case_hint="case1", seed=0, strict=True)
 
 
