@@ -9,9 +9,10 @@ with more than one block that lie in some constraint
 which is already its exact law.
 BatchSampler is a dynamics.Sampler, the set-up built once per (instance,
 scheme) that the scalar driver runs on too, whose step tables by variable
-(Sampler.step_tables) run_chains builds on first use.  run_chains decides
-which constraints seed a step from per-constraint match counts, the scalar
-driver from its near-violation counts; every update goes through
+(Sampler.step_tables, gathered from the flat index CSPArrays.inc_flat)
+run_chains builds on first use.  run_chains decides which constraints seed
+a step from per-constraint match counts, the scalar driver from its
+near-violation counts; every update goes through
 dynamics.update (explore, then reject), which the scalar driver's busy step
 repeats draw for draw, and every lift through dynamics.lift, so the
 component rule, thresholds and fallback draws are the same.  The random
@@ -55,7 +56,7 @@ class BatchSampler(Sampler):
         a uniform movable variable (dynamics.movable_steps); the lockstep
         loop runs max K_i steps and a chain past its K_i keeps its state."""
         N, cfg, csp = n_chains, self.cfg, self.csp
-        ca, sa, (inc, inc_forb, need) = csp.arrays, self.scheme.arrays, self.step_tables
+        ca, sa, (cids_at, forb_at, need) = csp.arrays, self.scheme.arrays, self.step_tables
         Y = np.ascontiguousarray(self.start_states(N, rng).T)
         touched = np.zeros(N, dtype=bool)
         s1_steps = s2_steps = 0
@@ -69,8 +70,8 @@ class BatchSampler(Sampler):
         for t in range(K.max(initial=0)):
             rows = chains if t < every else np.flatnonzero(K > t)  # chains with a step left
             v = movable[rng.integers(movable.size, size=rows.size)]
-            at, cids = v * N + rows, inc.take(v, axis=1)
-            forb, at_cids = inc_forb.take(v, axis=1), cids * N + rows
+            at, cids = v * N + rows, cids_at.take(v, axis=1)
+            forb, at_cids = forb_at.take(v, axis=1), cids * N + rows
             hit = Y_at[at] == forb
             seed_at = cnt_at[at_cids] - hit == need.take(v, axis=1)
             # empty component: the block of a uniform value of v

@@ -216,16 +216,17 @@ def _entry_error(cid: int, v: int, value: int, n: int) -> CSPError:
 
 @dataclass(frozen=True)
 class CSPArrays:
-    """Padded numpy tables of an AtomicCSP; those by variable and by
-    neighbour are built on first use.  Those by constraint are C-contiguous
-    (k, m): a test over a constraint's variables reduces across constraints.
-    build fills them from the constraints in one conversion per table; an
-    instance built from its tables (AtomicCSP._of_arrays) holds those, and
-    tuples reads them back.
+    """Padded numpy tables of an AtomicCSP.  Those by constraint are
+    C-contiguous (k, m): a test over a constraint's variables reduces across
+    constraints.  build fills them from the constraints in one conversion per
+    table; an instance built from its tables (AtomicCSP._of_arrays) holds
+    those, and tuples reads them back.  The only tables by variable or by
+    neighbour, built on first use, are the flat index inc_flat, whose memory
+    follows the sum of the arities, and degrees.
 
-    Tables pad with n for "no variable", m for "no constraint" and -2 for
-    "no forbidden value", which no value equals; the arity of the pad
-    constraint m is -1, which no count reaches."""
+    Tables pad with n for "no variable" and -2 for "no forbidden value",
+    which no value equals; the arity of the pad constraint m is -1, which no
+    count reaches."""
 
     domains: np.ndarray  # (n,) alphabet sizes
     vc: np.ndarray  # (k, m) variables of each constraint; gather with take(..., axis=1)
@@ -259,29 +260,9 @@ class CSPArrays:
         return order[: offsets[-1]] // len(self.vc), offsets
 
     @cached_property
-    def inc(self) -> np.ndarray:  # (n + 1, d) constraints at each variable
-        return _padded(self.csp.dep_index, self.csp.n + 1, self.csp.m)
-
-    @cached_property
-    def inc_forb(self) -> np.ndarray:  # (n + 1, d) the variable's forbidden value in each of them
-        forbidden: list[list[int]] = [[] for _ in range(self.csp.n)]
-        for c in self.csp.constraints:
-            for v, f in zip(c.vars, c.forbidden):
-                forbidden[v].append(f)
-        return _padded(forbidden, self.csp.n + 1, -2)
-
-    def _near(self, vars_) -> set[int]:  # the constraints with a variable in vars_
-        return set().union(*map(self.csp.dep_index.__getitem__, vars_))
-
-    @cached_property
-    def adj(self) -> np.ndarray:  # (m, e) constraints sharing a variable with each, ascending
-        rows = [sorted(self._near(t)) for t in self.csp._var_tuples()]
-        return _padded(rows, self.csp.m, self.csp.m)
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:  # (m,) adj's row lengths, per distinct variable tuple
-        vars_ = self.csp._var_tuples()
-        size = {t: len(self._near(t)) for t in set(vars_)}
+    def degrees(self) -> tuple[int, ...]:  # (m,) constraints sharing a variable with each
+        near, vars_ = self.csp.dep_index.__getitem__, self.csp._var_tuples()
+        size = {t: len(set().union(*map(near, t))) for t in set(vars_)}  # once per distinct tuple
         return tuple(map(size.__getitem__, vars_))
 
     def matches(self, Z: np.ndarray, forb: np.ndarray) -> np.ndarray:
@@ -292,18 +273,11 @@ class CSPArrays:
         return (Zp.take(self.vc, axis=0) == (forb if Z.ndim == 1 else forb[..., None])).sum(axis=0)
 
 
-def _padded(rows, height: int, pad: int) -> np.ndarray:
-    """(height, longest row) int64 table holding each row as a prefix, the rest pad."""
-    out = np.full((height, max(map(len, rows), default=0)), pad, dtype=np.int64)
-    for i, row in enumerate(rows):
-        out[i, : len(row)] = row
-    return out
-
-
 def _short_rows(rows: list[tuple], pad: int) -> np.ndarray:
-    """_padded(rows, len(rows), pad) for rows as short as a constraint's: the
-    rows are padded as tuples and converted in one call, which holds a second
-    copy of the table meanwhile, so it is kept from rows as long as a degree."""
+    """(len(rows), longest row) int64 table holding each row as a prefix, the
+    rest pad.  The rows are padded as tuples and converted in one call, which
+    holds a second copy of the table meanwhile: rows as short as a
+    constraint's only."""
     width = max(map(len, rows), default=0)
     fill = [(pad,) * (width - k) for k in range(width + 1)]  # the padding of a row of length k
     return np.array([row + fill[len(row)] for row in rows], dtype=np.int64).reshape(len(rows), width)

@@ -35,7 +35,8 @@ chains-last, one column per chain or draw: states (n, P), constraint masks
 (m, P), draws (columns drawn, P); so a test over a constraint's few
 variables reduces across the chains, not along a row 3 or 4 wide:
 - `explore` grows components; a component is a boolean column over the m
-  constraints, closed under "shares a variable" within the unsatisfied set;
+  constraints, closed under "shares a variable" within the unsatisfied set,
+  grown through the variables of its constraints (CSPArrays.vc);
 - `reject` draws inside components until every constraint in them holds;
 - `lift` lifts projected states one component at a time and verifies them.
 `update` is one chain step of explore and reject.  States that callers pass
@@ -208,7 +209,8 @@ class Sampler:
     the first time they are read, as CSPArrays builds its own: which
     variables lie in some constraint, `constrained`, and the tables only
     one driver reads, the single chain's `groups` and the many-chain
-    driver's `step_tables`."""
+    driver's `step_tables`, gathered from the flat index
+    CSPArrays.inc_flat and `forb` without reading constraint objects."""
 
     def __init__(self, csp: AtomicCSP, scheme: ProjectionScheme, eps: float, eta: float = 0.25,
                  c_t: float = 1.0):
@@ -234,12 +236,21 @@ class Sampler:
 
     @cached_property
     def step_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The many-chain driver's (d, n + 1) tables by variable: the
-        constraints at it (csp.arrays.inc, transposed), their projected
-        forbidden values there, and their arity less one."""
+        """The many-chain driver's (d, n + 1) tables by variable, d the
+        largest degree: column v lists the constraints at v in ascending id
+        (csp.arrays.inc_flat), their projected forbidden values at v and
+        their arity less one, then the pads m, -2 and -2; column n is all
+        pads.  Filled in place from the flat index and `forb`."""
         n, a = self.csp.n, self.csp.arrays
-        forb = self.scheme.project_values(np.arange(n + 1)[:, None], a.inc_forb)
-        return tuple(np.ascontiguousarray(t.T) for t in (a.inc, forb, a.arity[a.inc] - 1))
+        ids, offsets = a.inc_flat
+        deg = np.diff(offsets)
+        v = np.repeat(np.arange(n), deg)  # the variable of each entry of ids
+        at = np.arange(ids.size) - np.repeat(offsets[:-1], deg)  # its place in v's column
+        forb = self.forb.T[ids][a.vc.T[ids] == v[:, None]]  # one position of each row holds v
+        tables = np.full((3, deg.max(initial=0), n + 1), [[[self.csp.m]], [[-2]], [[-2]]],
+                         dtype=np.int64)
+        tables[:, at, v] = ids, forb, a.arity[ids] - 1
+        return tuple(tables)
 
     @cached_property
     def groups(self) -> Groups:
@@ -367,16 +378,19 @@ def explore(csp: AtomicCSP, unsat: np.ndarray, comp: np.ndarray, theta: float = 
     """Grow each column of comp (m, P) bool, seed constraints taken from the
     same column of unsat (m, P) bool, to its closure under "shares a
     variable" within unsat.  A column stops growing once it holds more than
-    theta constraints, a test that cannot bind, and is skipped, if theta >= m."""
-    adj, m = csp.arrays.adj, csp.m
+    theta constraints, a test that cannot bind, and is skipped, if theta >= m.
+    A round marks the frontier's variables (n + 1, P), the pad row n cleared,
+    and adds the constraints of unsat with a marked one in csp.arrays.vc."""
+    vc, n, m = csp.arrays.vc, csp.n, csp.m
     frontier, comp = comp, comp.copy()
     while True:
         cids, rows = np.nonzero(frontier if theta >= m else frontier & (comp.sum(axis=0) <= theta))
         if not cids.size:
             return comp
-        touched = np.zeros((m + 1, comp.shape[1]), dtype=bool)
-        touched[adj[cids], rows[:, None]] = True
-        frontier = touched[:-1] & unsat & ~comp
+        marked = np.zeros((n + 1, comp.shape[1]), dtype=bool)
+        marked[vc[:, cids], rows] = True
+        marked[n] = False
+        frontier = marked.take(vc, axis=0).any(axis=0) & unsat & ~comp
         comp |= frontier
 
 

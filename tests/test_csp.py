@@ -29,8 +29,9 @@ from lllsample.csp import (
     parse_hypergraph,
     write_dimacs,
 )
-from lllsample.dynamics import Sampler, project_csp
-from lllsample.projection import check_admissibility, construct_projection
+from lllsample.batch import BatchSampler
+from lllsample.dynamics import Sampler, explore, project_csp
+from lllsample.projection import ProjectionScheme, check_admissibility, construct_projection
 from lllsample.resample import find_assignment
 from conftest import random_kcnf_text, star_instance, uniform_csp
 from reference import violated_by_partial
@@ -166,20 +167,43 @@ def test_find_assignment_memory_follows_the_input_on_a_hub():
     assert peak < 8 * 2**20  # a padded (n + 1, 2000) table of ids would take 62 MB
 
 
-def test_tables_by_variable_are_filled_in_place_on_a_hub():
-    # rows as wide as the hub's degree are written into the table, not first
-    # padded as tuples, which held a second copy of it
+def _hub_sampler():
+    """A Sampler on a star of 1,000 constraints at one hub variable, under a
+    scheme of singletons, with dep_index and inc_flat already built."""
     hub = star_instance(2, 3, 1000, n_stars=1)
-    hub.dep_index
-    for name in ("inc", "inc_forb"):
-        tracemalloc.start()
-        try:
-            table = getattr(hub.arrays, name)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert table.shape == (hub.n + 1, 1000)
-        assert peak < 1.25 * table.nbytes  # 2.27 times when padded as tuples
+    hub.dep_index, hub.arrays.inc_flat
+    return Sampler(hub, ProjectionScheme((((0,), (1,)),) * hub.n), 0.1)
+
+
+def test_step_tables_are_filled_in_place_on_a_hub():
+    # the batch driver's tables by variable are as wide as the hub's degree;
+    # they are written once, from the flat index, with no second padded copy
+    sampler = _hub_sampler()
+    tracemalloc.start()
+    try:
+        tables = sampler.step_tables
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(t.shape == (1000, sampler.csp.n + 1) for t in tables)
+    assert peak < 1.25 * sum(t.nbytes for t in tables)  # 2.3 times from padded incidence tables
+
+
+def test_explore_memory_follows_the_input_on_a_hub():
+    # a component grows through the variables of its constraints, with no
+    # padded (m, degree) table of neighbours
+    sampler = _hub_sampler()
+    m, P = sampler.csp.m, 10
+    seed = np.zeros((m, P), dtype=bool)
+    seed[np.arange(P), np.arange(P)] = True
+    tracemalloc.start()
+    try:
+        comp = explore(sampler.csp, np.ones((m, P), dtype=bool), seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comp.all()  # every constraint holds the hub
+    assert peak < 8 * 2**20  # the (m, 1000) table of neighbours alone takes 8 MB
 
 
 def test_parse_memory_follows_the_input(workload_cnfs):
@@ -274,6 +298,16 @@ def test_setup_path_builds_no_constraint_objects(workload_cnfs):
         assert "constraints" not in csp.__dict__
         assert csp.constraints == expect.constraints and csp == expect
         assert csp.arrays.degrees == expect.arrays.degrees
+
+
+def test_batch_driver_builds_no_constraint_objects():
+    # the batch driver reads a table-built instance's tables alone
+    csp = parse_dimacs(random_kcnf_text(3, 300, 30, 10))
+    assert "arrays" in csp.__dict__  # built from its tables
+    sampler = BatchSampler(csp, construct_projection(csp, seed=1), 0.1)
+    sampler.step_tables
+    assert sampler.sample(20, seed=1).ok.all()
+    assert "constraints" not in csp.__dict__
 
 
 def _table_built():
@@ -691,26 +725,31 @@ def test_instance_check_messages(domains, cons, message):
         AtomicCSP(len(domains), domains, [AtomicConstraint(*c) for c in cons])
 
 
-def test_inc_forb_lists_each_variables_forbidden_value():
-    csp = parse_dimacs("p cnf 4 3\n1 -2 0\n-2 3 4 0\n-1 -4 0\n")
-    a = csp.arrays
-    for v in range(csp.n):
-        cids = [cid for cid in a.inc[v].tolist() if cid < csp.m]
-        assert cids == list(csp.dep_index[v])
-        expect = [csp.constraints[cid].forbidden_at(v) for cid in cids]
-        assert a.inc_forb[v].tolist() == expect + [-2] * (a.inc.shape[1] - len(cids))
-    assert (a.inc_forb[csp.n] == -2).all()
-
-
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_flat_index_lists_each_variables_constraints(data):
-    # mixed arities, so padded columns, and variables in no constraint
+    # mixed arities, so padded columns, and variables in no constraint; the
+    # batch driver's step tables, gathered from the flat index, under a
+    # scheme with blocks of two and three values, so that they hold
+    # projected forbidden values
     n = data.draw(st.integers(1, 8))
     cons = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 4),
                                        unique=True), max_size=12))
-    csp = uniform_csp(n, 2, [(c, [0] * len(c)) for c in cons])
+    forbidden = [data.draw(st.lists(st.integers(0, 2), min_size=len(c), max_size=len(c)))
+                 for c in cons]
+    csp = uniform_csp(n, 3, list(zip(cons, forbidden)))
     ids, offsets = csp.arrays.inc_flat
     assert offsets.shape == (n + 1,) and ids.shape == (sum(map(len, cons)),)
     assert [ids[offsets[v]:offsets[v + 1]].tolist() for v in range(n)] == list(
         map(list, csp.dep_index))
+    partitions = [((0, 1), (2,)), ((0,), (1, 2)), ((0, 1, 2),), ((0,), (1,), (2,))]
+    scheme = ProjectionScheme(tuple(data.draw(st.sampled_from(partitions)) for _ in range(n)))
+    tables = Sampler(csp, scheme, 0.1).step_tables
+    d = max(map(len, csp.dep_index))
+    assert [t.shape for t in tables] == [(d, n + 1)] * 3
+    for v, at in enumerate(csp.dep_index + ((),)):
+        cs, pad = [csp.constraints[cid] for cid in at], [-2] * (d - len(at))
+        assert tables[0][:, v].tolist() == list(at) + [csp.m] * len(pad)
+        assert tables[1][:, v].tolist() == [scheme.project_value(v, c.forbidden_at(v))
+                                            for c in cs] + pad
+        assert tables[2][:, v].tolist() == [c.arity - 1 for c in cs] + pad
