@@ -725,6 +725,19 @@ def test_instance_check_messages(domains, cons, message):
         AtomicCSP(len(domains), domains, [AtomicConstraint(*c) for c in cons])
 
 
+def test_inc_forb_lists_each_variables_forbidden_value():
+    # under a scheme of singletons the step tables list each variable's
+    # constraints and the value each forbids there, unprojected
+    csp = parse_dimacs("p cnf 4 3\n1 -2 0\n-2 3 4 0\n-1 -4 0\n")
+    inc, inc_forb, _ = Sampler(csp, ProjectionScheme((((0,), (1,)),) * csp.n), 0.1).step_tables
+    for v in range(csp.n):
+        cids = [cid for cid in inc[:, v].tolist() if cid < csp.m]
+        assert cids == list(csp.dep_index[v])
+        expect = [csp.constraints[cid].forbidden_at(v) for cid in cids]
+        assert inc_forb[:, v].tolist() == expect + [-2] * (inc.shape[0] - len(cids))
+    assert (inc_forb[:, csp.n] == -2).all()
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_flat_index_lists_each_variables_constraints(data):
