@@ -56,7 +56,7 @@ class BatchSampler(Sampler):
         a uniform movable variable (dynamics.movable_steps); the lockstep
         loop runs max K_i steps and a chain past its K_i keeps its state."""
         N, cfg, csp = n_chains, self.cfg, self.csp
-        ca, sa, (cids_at, forb_at, need) = csp.arrays, self.scheme.arrays, self.step_tables
+        ca, st, (cids_at, forb_at, need) = csp.arrays, self.scheme.tables, self.step_tables
         Y = np.ascontiguousarray(self.start_states(N, rng).T)
         touched = np.zeros(N, dtype=bool)
         s1_steps = s2_steps = 0
@@ -75,7 +75,7 @@ class BatchSampler(Sampler):
             hit = Y_at[at] == forb
             seed_at = cnt_at[at_cids] - hit == need.take(v, axis=1)
             # empty component: the block of a uniform value of v
-            new_q = sa.block_of[v, (rng.random(rows.size) * ca.domains[v]).astype(np.int64)]
+            new_q = st.block(v, (rng.random(rows.size) * ca.domains[v]).astype(np.int64))
             busy = np.flatnonzero(seed_at.any(axis=0))
             if busy.size:
                 busy_rows = rows[busy]

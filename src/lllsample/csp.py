@@ -92,7 +92,8 @@ def _constraint(vars_: tuple, forbidden: tuple) -> AtomicConstraint:
 class AtomicCSP:
     """Immutable atomic CSP: per-variable alphabet sizes (values 0..size-1)
     plus atomic constraints.  dep_index, each variable's incident
-    constraint ids in ascending order, is derived when first read.
+    constraint ids in ascending order, is split from the flat index
+    CSPArrays.inc_flat when first read.
 
     Construction checks, in one pass, the alphabets and then each
     (constraint, position) in order: the variable in 0..n-1 and its value
@@ -185,11 +186,10 @@ class AtomicCSP:
 
     @cached_property
     def dep_index(self) -> tuple[tuple[int, ...], ...]:
-        index: list[list[int]] = [[] for _ in range(self.n)]
-        for cid, vars_ in enumerate(self._var_tuples()):
-            for v in vars_:
-                index[v].append(cid)
-        return tuple(map(tuple, index))
+        ids, offsets = self.arrays.inc_flat
+        cids = list(range(self.m))  # one int object per constraint, shared by its variables
+        flat, at = list(map(cids.__getitem__, ids.tolist())), offsets.tolist()
+        return tuple(tuple(flat[i:j]) for i, j in zip(at, at[1:]))
 
     @property
     def m(self) -> int:
@@ -255,8 +255,10 @@ class CSPArrays:
     @cached_property
     def inc_flat(self) -> tuple[np.ndarray, np.ndarray]:  # Σ arity ids, n + 1 offsets
         """The constraints at v, as in dep_index, are ids[offsets[v]:offsets[v + 1]]."""
-        order = np.argsort(self.vc.T.ravel(), kind="stable")  # constraint-major: ids ascend
-        offsets = np.searchsorted(np.sort(self.vc, axis=None), np.arange(self.csp.n + 1))
+        flat = self.vc.T.ravel()  # constraint-major: ids ascend along it
+        order = np.argsort(flat * flat.size + np.arange(flat.size))  # by variable, then place
+        counts = np.bincount(flat, minlength=self.csp.n + 1)
+        offsets = counts.cumsum() - counts  # entries before each variable; the pads n come last
         return order[: offsets[-1]] // len(self.vc), offsets
 
     @cached_property

@@ -29,8 +29,9 @@ a `Sampler`.
 
 A chain update and a lift are the same operation.  The batch driver
 (BatchSampler in batch) runs its updates, and both drivers run their lifts,
-through three routines that read the padded tables of AtomicCSP.arrays and
-ProjectionScheme.arrays and are vectorised over chains.  Their tables are
+through three routines that read the tables of AtomicCSP.arrays, by
+constraint, and ProjectionScheme.tables, by partition, and are vectorised
+over chains.  Their tables are
 chains-last, one column per chain or draw: states (n, P), constraint masks
 (m, P), draws (columns drawn, P); so a test over a constraint's few
 variables reduces across the chains, not along a row 3 or 4 wide:
@@ -168,10 +169,10 @@ def project_csp(csp: AtomicCSP, scheme: ProjectionScheme) -> AtomicCSP:
 def projected_forbidden(csp: AtomicCSP, scheme: ProjectionScheme) -> np.ndarray:
     """(k, m) the block of each constraint's forbidden value at its variable,
     the forbidden values of project_csp(csp, scheme), laid out and padded
-    with -2 as csp.arrays.forb is; gathered through scheme.block_table, so
-    that the scheme's BlockArrays are not built for it."""
+    with -2 as csp.arrays.forb is: gathered through scheme.tables, whose
+    pad row, that of the pad variable n, holds -2."""
     a = csp.arrays
-    return scheme.project_values(a.vc, a.forb)
+    return scheme.tables.block(a.vc, np.maximum(a.forb, 0))
 
 
 class Groups(NamedTuple):
@@ -232,7 +233,7 @@ class Sampler:
             raise ValueError(f"chain count n_chains must be non-negative, got {n_chains}")
         n = self.csp.n
         x = (rng.random((n_chains, n)) * self.csp.arrays.domains).astype(np.int64)
-        return self.scheme.arrays.block_of[np.arange(n), x]
+        return self.scheme.tables.block(np.arange(n), x)
 
     @cached_property
     def step_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -440,14 +441,14 @@ def reject(csp, scheme, Y, comp, rng, budget, free=None):
     Yc = Y[cols]
     if free is not None:
         Yc[cols[:, None] == free] = -1
-    bounds = np.stack(scheme.arrays.bounds(cols[:, None], Yc))  # (2, cols.size, P)
+    bounds = np.stack(scheme.tables.bounds(cols[:, None], Yc))  # (2, cols.size, P)
     X = np.zeros((cols.size, P), dtype=np.int64)
     ok, rounds = np.zeros(P, dtype=bool), np.zeros(P, dtype=np.int64)
     pending, used, width = np.arange(P), 0, 1
     while pending.size and used < budget:
         width = min(width, budget - used)
         u = rng.random((pending.size, width, cols.size)).transpose(2, 1, 0)
-        D = scheme.arrays.pick(bounds[:, :, None], u)
+        D = scheme.tables.pick(bounds[:, :, None], u)
         violated = ((D.take(vcl, axis=0) == forb) | pad).all(axis=0)
         has = ~(violated & need[:, None]).any(axis=0)
         first = has.argmax(axis=0)
@@ -476,10 +477,11 @@ def update(csp, scheme, cfg, Y, unsat, seed, v, rng):
     comp[:, s1] = False  # an oversized component is not sampled
     cols, X, ok, _ = reject(csp, scheme, Y, comp, rng, cfg.S, free=v)
     s2 = ~ok & ~s1
-    fallback = (rng.random(size.size) * scheme.arrays.q[v]).astype(np.int64)
+    t = scheme.tables
+    fallback = (rng.random(size.size) * t.q[t.part[v]]).astype(np.int64)
     # v is among the drawn columns except where its component was dropped (S1)
     x_v = np.where(cols[:, None] == v, X, 0).sum(axis=0)
-    new_q = np.where(s1 | s2, fallback, scheme.arrays.block_of[v, x_v])
+    new_q = np.where(s1 | s2, fallback, t.block(v, x_v))
     return new_q, s1, s2, size
 
 
@@ -635,7 +637,8 @@ def movable_steps(scheme: ProjectionScheme, constrained: np.ndarray, steps: int,
     Raises ValueError on a negative step count."""
     if steps < 0:
         raise ValueError(f"step count steps must be non-negative, got {steps}")
-    movable = np.flatnonzero((scheme.arrays.q > 1) & constrained)
+    t = scheme.tables
+    movable = np.flatnonzero((t.q[t.part[:-1]] > 1) & constrained)
     n = int(constrained.sum())
     if movable.size == n:
         return movable, np.full(n_chains, steps if n else 0)
@@ -651,7 +654,7 @@ def _draw_steps(movable, csp: AtomicCSP, scheme: ProjectionScheme, count: int, r
     of a uniform value of that variable."""
     v = movable[rng.integers(movable.size, size=count)]
     x = (rng.random(count) * csp.arrays.domains[v]).astype(np.int64)
-    return v.tolist(), scheme.arrays.block_of[v, x].tolist()
+    return v.tolist(), scheme.tables.block(v, x).tolist()
 
 
 def glauber_run(state: ProjectedState, rng: np.random.Generator, steps: int | None = None):
@@ -719,14 +722,14 @@ def lift(sampler: Sampler, Y: np.ndarray, rng: np.random.Generator):
     """
     csp, scheme, cfg = sampler.csp, sampler.scheme, sampler.cfg
     n, P = Y.shape
-    a, var = csp.arrays, np.arange(n)[:, None]
+    a, t, var = csp.arrays, scheme.tables, np.arange(n)[:, None]
     comps = components(csp, a.matches(Y, sampler.forb) == a.arity[:-1, None], cfg.theta_comp)
     errors = np.full(P, "", dtype="<U2")
     n_comps = np.zeros(P, dtype=np.int64)
     for comp in comps:
         errors[comp.sum(axis=0) > cfg.theta_comp] = "I1"
         n_comps += comp.any(axis=0)
-    X = scheme.arrays.pick(scheme.arrays.bounds(var, Y), rng.random((P, n)).T)
+    X = t.pick(t.bounds(var, Y), rng.random((P, n)).T)
     rounds = np.zeros(P, dtype=np.int64)
     for comp in comps:
         rows = np.flatnonzero(comp.any(axis=0) & (errors == ""))
@@ -740,7 +743,7 @@ def lift(sampler: Sampler, Y: np.ndarray, rng: np.random.Generator):
         errors[rows[~ok]] = "I2"
     good = errors == ""
     X[:, ~good] = -1
-    if (scheme.arrays.block_of[var, X[:, good]] != Y[:, good]).any():
+    if (t.block(var, X[:, good]) != Y[:, good]).any():
         raise InternalError("lift returned an assignment that does not project to its state")
     if (a.matches(X[:, good], a.forb) == a.arity[:-1, None]).any():
         raise InternalError("lift returned an assignment that violates a constraint")

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +48,9 @@ class ProjectionScheme:
     the preimage of projected value j, and block_of[v][x] is the block of
     value x at v.  Variables with equal partitions, however their blocks are
     written, share these tuples and their number part[v], counted in order
-    of first appearance."""
+    of first appearance; partitions[p] is (blocks, block_of) of partition
+    p.  Its numpy tables (SchemeTables) are built the first time they are
+    read."""
 
     blocks: tuple[tuple[tuple[int, ...], ...], ...]
     case: str | None = None
@@ -56,6 +58,7 @@ class ProjectionScheme:
     eta: float | None = None
     block_of: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     part: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    partitions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         forms: dict = {}  # each written form's partition, checked at its first variable
@@ -72,6 +75,7 @@ class ProjectionScheme:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "block_of", block_of)
         object.__setattr__(self, "part", part)
+        object.__setattr__(self, "partitions", tuple((b, of) for _, b, of in canon.values()))
 
     @property
     def n(self) -> int:
@@ -92,40 +96,9 @@ class ProjectionScheme:
     def block_size(self, v: int, q: int) -> int:
         return len(self.blocks[v][q])
 
-    def project_values(self, var: np.ndarray, value: np.ndarray) -> np.ndarray:
-        """The block of each value at its variable, entrywise over var (n for
-        no variable) and value, which broadcast together; -2 where value is
-        the pad -2.  Gathered through block_table."""
-        part, blocks = self.block_table
-        return np.where(value < 0, -2, blocks[part[var], np.maximum(value, 0)])
-
     @cached_property
-    def _part_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(part, sizes, blocks): self.part and a last, pad partition, that of
-        the pad variable n; per distinct partition, each value's block size
-        (1 past its alphabet and in the pad's row) and block (-2 there)."""
-        first = dict(zip(self.part[::-1], range(self.n - 1, -1, -1)))  # partition: first variable
-        shape = (len(first) + 1, max(self.domain_sizes(), default=1))
-        sizes, blocks = np.ones(shape, dtype=np.int64), np.full(shape, -2, dtype=np.int64)
-        for p, v in first.items():
-            of = self.block_of[v]
-            sizes[p, : len(of)] = [len(self.blocks[v][j]) for j in of]
-            blocks[p, : len(of)] = of
-        return np.array(self.part + (len(first),), dtype=np.int64), sizes, blocks
-
-    @property
-    def size_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(part, sizes) of _part_tables: gather sizes[part[v], x]."""
-        return self._part_tables[:2]
-
-    @property
-    def block_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(part, blocks) of _part_tables: gather blocks[part[v], x]."""
-        return self._part_tables[::2]
-
-    @cached_property
-    def arrays(self) -> "BlockArrays":
-        return BlockArrays.build(self)
+    def tables(self) -> "SchemeTables":
+        return SchemeTables.build(self)
 
     def to_json(self) -> str:
         payload = {
@@ -177,40 +150,52 @@ def _partition(v: int, blocks: tuple) -> tuple[tuple, tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class BlockArrays:
-    """Numpy tables of a ProjectionScheme, built once per scheme.
+class SchemeTables:
+    """Numpy tables of a ProjectionScheme, built once per scheme: one row
+    per distinct partition and a last, pad row, that of the pad variable n,
+    each read through part[v], so that they grow with the partitions, not n.
 
-    Block q of variable v is values[start[v, q + 1] : start[v, q + 1] +
-    size[v, q + 1]].  Block -1 is the whole alphabet of v, so the projected
+    Block q of partition p is values[start[p, q + 1] : start[p, q + 1] +
+    size[p, q + 1]].  Block -1 is the whole alphabet, so the projected
     value -1 reads "unassigned"."""
 
-    values: np.ndarray  # per variable, its blocks' values, then its alphabet
-    start: np.ndarray  # (n, qmax + 1), column 0 the alphabet and q + 1 block q
-    size: np.ndarray  # (n, qmax + 1)
-    block_of: np.ndarray  # (n, amax) block of each value
-    q: np.ndarray  # (n,) block count of each variable
+    part: np.ndarray  # (n + 1,) the partition of each variable, then the pad's
+    block_of: np.ndarray  # (parts + 1, amax) block of each value; -2 past the alphabet, at the pad
+    size_of: np.ndarray  # (parts + 1, amax) size of that block; 1 past the alphabet, at the pad
+    values: np.ndarray  # per partition, its alphabet, then its blocks' values
+    start: np.ndarray  # (parts + 1, qmax + 1), column 0 the alphabet and q + 1 block q
+    size: np.ndarray  # (parts + 1, qmax + 1)
+    q: np.ndarray  # (parts + 1,) block count of each partition, 0 at the pad
 
     @classmethod
-    def build(cls, scheme: "ProjectionScheme") -> "BlockArrays":
-        n = scheme.n
-        qmax = max(scheme.q_sizes(), default=0)
-        amax = max(scheme.domain_sizes(), default=1)
-        start = np.zeros((n, qmax + 1), dtype=np.int64)
-        size = np.zeros((n, qmax + 1), dtype=np.int64)
-        block_of = np.zeros((n, amax), dtype=np.int64)
-        values: list[int] = []
-        for v, var_blocks in enumerate(scheme.blocks):
-            alphabet = tuple(range(len(scheme.block_of[v])))
-            for q, block in [*enumerate(var_blocks, 1), (0, alphabet)]:
-                start[v, q], size[v, q] = len(values), len(block)
-                values.extend(block)
-            block_of[v, : len(alphabet)] = scheme.block_of[v]
-        q = np.array(scheme.q_sizes(), dtype=np.int64)
-        return cls(np.array(values, dtype=np.int64), start, size, block_of, q)
+    def build(cls, scheme: ProjectionScheme) -> "SchemeTables":
+        parts = scheme.partitions
+        amax = max((len(of) for _, of in parts), default=1)
+        width = max((len(blocks) for blocks, _ in parts), default=0) + 1
+        # one table, a row per partition and then the pad's, converted at once; its
+        # columns are q, then amax of block_of and of size_of, then width of start and of size
+        rows, values = [], []
+        for blocks, of in parts:
+            pad = amax - len(of)
+            sizes = (len(of), *map(len, blocks)) + (0,) * (width - 1 - len(blocks))
+            starts = accumulate(sizes[:-1], initial=len(values))  # values holds them in this order
+            rows.append((len(blocks), *of, *(-2,) * pad, *(len(blocks[j]) for j in of), *(1,) * pad,
+                         *starts, *sizes))
+            values += chain(range(len(of)), *blocks)
+        rows.append((0, *(-2,) * amax, *(1,) * amax, *(0,) * (2 * width)))
+        t, a, b = np.array(rows, dtype=np.int64), 1 + amax, 1 + 2 * amax
+        start, size = t[:, b : b + width].copy(), t[:, b + width :].copy()  # bounds ravels them
+        return cls(np.array(scheme.part + (len(parts),), dtype=np.int64), t[:, 1:a], t[:, a:b],
+                   np.array(values, dtype=np.int64), start, size, t[:, 0])
+
+    def block(self, var: np.ndarray, value: np.ndarray) -> np.ndarray:
+        """The block of each value at its variable, entrywise over var and
+        value, which broadcast together."""
+        return self.block_of[self.part[var], value]
 
     def bounds(self, var: np.ndarray, Yc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(start, size) of block Yc of variable var, entrywise over both."""
-        at = var * self.start.shape[1] + Yc + 1
+        at = self.part[var] * self.start.shape[1] + Yc + 1
         return self.start.ravel().take(at), self.size.ravel().take(at)
 
     def pick(self, bounds, u: np.ndarray) -> np.ndarray:
@@ -247,9 +232,8 @@ def _tables(csp: AtomicCSP, scheme: ProjectionScheme) -> tuple:
     (vbl-bar: the block is not the whole alphabet).  products are the exact
     column products, Python ints past 2^62; b = 1 / their least, else 0."""
     _check_match(csp, scheme)
-    a = csp.arrays
-    part, table = scheme.size_table
-    sizes, alphabet = table[part[a.vc], np.maximum(a.forb, 0)], np.append(a.domains, 1)[a.vc]
+    a, t = csp.arrays, scheme.tables
+    sizes, alphabet = t.size_of[t.part[a.vc], np.maximum(a.forb, 0)], np.append(a.domains, 1)[a.vc]
     products = sizes.prod(axis=0).tolist()
     for c in np.flatnonzero(np.log2(sizes).sum(axis=0) >= 62).tolist():
         products[c] = math.prod(sizes[:, c].tolist())

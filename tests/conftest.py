@@ -54,11 +54,12 @@ def conditional_draws(csp, scheme, cfg, v, z, n_draws, seed):
     flag, S2 count): draws that end in S2 are not counted, and an oversized
     component (S1) gives flag "S1" and no counts."""
     rng = np.random.default_rng(seed)
-    q = scheme.arrays.q[v]
+    t = scheme.tables
+    q = t.q[t.part[v]]
     unsat, seeds = rows_at(project_csp(csp, scheme), z, v)
     if not seeds.any():
         values = (rng.random(n_draws) * csp.domains[v]).astype(np.int64)
-        return np.bincount(scheme.arrays.block_of[v, values], minlength=q), None, 0
+        return np.bincount(t.block(v, values), minlength=q), None, 0
     Y, unsat, seeds = (np.repeat(a, n_draws, axis=1) for a in (np.array([z]).T, unsat, seeds))
     new_q, s1, s2, _ = update(csp, scheme, cfg, Y, unsat, seeds, np.full(n_draws, v), rng)
     if s1.any():

@@ -304,7 +304,7 @@ def test_batch_driver_builds_no_constraint_objects():
     # the batch driver reads a table-built instance's tables alone
     csp = parse_dimacs(random_kcnf_text(3, 300, 30, 10))
     assert "arrays" in csp.__dict__  # built from its tables
-    sampler = BatchSampler(csp, construct_projection(csp, seed=1), 0.1)
+    sampler = BatchSampler(csp, construct_projection(csp, seed=1), 0.1, c_t=0.01)
     sampler.step_tables
     assert sampler.sample(20, seed=1).ok.all()
     assert "constraints" not in csp.__dict__

@@ -101,7 +101,7 @@ def test_projected_forbidden_matches_project_csp():
             c.forbidden for c in pcsp.constraints
         ]
         assert (forb[csp.arrays.forb == -2] == -2).all()
-        assert pcsp.domains == tuple(scheme.arrays.q.tolist())
+        assert pcsp.domains == tuple(scheme.tables.q[scheme.tables.part[:-1]].tolist())
 
 
 @given(st.data())

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 from unittest import mock
@@ -25,7 +26,7 @@ import lllsample.projection as projection
 from lllsample.batch import BatchSampler
 from lllsample.bundled import BUNDLED, load_bundled
 from lllsample.counting import approx_count
-from lllsample.dynamics import main_sample, project_csp
+from lllsample.dynamics import Sampler, main_sample, project_csp
 from lllsample.projection import (
     AdmissibilityError,
     ConstructionError,
@@ -75,10 +76,10 @@ def test_scheme_from_lists_and_repeats():
     assert expect.block_of == ((0, 1, 2, 0, 2), (0, 1, 2, 3, 4), (0, 1, 2, 0, 2), (0, 1, 2, 0, 2))
 
     def size_of(scheme):  # the block size of each value at each variable
-        index, sizes = scheme.size_table
-        return sizes[index[:-1]].tolist()
+        t = scheme.tables
+        return t.size_of[t.part[:-1]].tolist()
 
-    assert expect.size_table[0].tolist() == [0, 1, 0, 0, 2]  # then the pad partition
+    assert expect.tables.part.tolist() == [0, 1, 0, 0, 2]  # then the pad partition
     assert size_of(expect) == [[2, 1, 2, 2, 2], [1] * 5, [2, 1, 2, 2, 2], [2, 1, 2, 2, 2]]
     as_lists = ProjectionScheme([[[3, 0], [1], [4, 2]], [[0], [1], [2], [3], [4]],
                                  [[0, 3], [1], [2, 4]], [list(b) for b in part]])
@@ -86,11 +87,66 @@ def test_scheme_from_lists_and_repeats():
     for scheme in (as_lists, reversed_blocks):
         assert scheme.blocks == expect.blocks and scheme.block_of == expect.block_of
         assert scheme.part == expect.part  # numbered by partition, however written
-        assert len(scheme.size_table[1]) == len(set(scheme.blocks)) + 1  # and the pad's row
+        assert len(scheme.tables.size_of) == len(set(scheme.blocks)) + 1  # and the pad's row
         assert size_of(scheme) == size_of(expect)
         assert scheme == expect and hash(scheme) == hash(expect)
     many = ProjectionScheme([[list(b) for b in part] for _ in range(50)])
     assert many == ProjectionScheme((part,) * 50) and many.block_of == (expect.block_of[0],) * 50
+
+
+_PART = ((0, 3), (1,), (2, 4))
+
+
+@pytest.mark.parametrize("blocks", [
+    (((0, 2), (1,)), ((0,), (1,), (2, 3, 4)), ((0, 1),), ((0,), (1,), (2, 3, 4))),
+    (_PART, ((4, 2), (1,), (3, 0)), [[3, 0], [1], [2, 4]], ((1, 0),)),
+    (),
+], ids=["mixed-alphabets", "one-partition-written-two-ways", "n=0"])
+def test_tables_agree_with_the_scheme(blocks):
+    # the per-partition tables, read through part[v], give the block and
+    # block size of every value and the values of every block, in the
+    # scheme's order, that the scheme's tuples give
+    scheme = ProjectionScheme(blocks)
+    t = scheme.tables
+    assert t.part.tolist() == [*scheme.part, len(t.q) - 1]  # the pad variable n has its own row
+    assert len(t.q) == len(set(scheme.blocks)) + 1
+    for v, (var_blocks, block_of) in enumerate(zip(scheme.blocks, scheme.block_of)):
+        p = t.part[v]
+        for x, j in enumerate(block_of):
+            assert t.block(v, x) == j and t.size_of[p, x] == len(var_blocks[j])
+        past = slice(len(block_of), None)  # past the alphabet
+        assert (t.block_of[p, past] == -2).all() and (t.size_of[p, past] == 1).all()
+        assert t.q[p] == len(var_blocks)
+        read = [t.values[s : s + size].tolist() for s, size in zip(t.start[p], t.size[p])]
+        assert read[0] == list(range(len(block_of)))  # column 0: the whole alphabet
+        assert read[1 : len(var_blocks) + 1] == [list(b) for b in var_blocks]
+        for j, block in enumerate(var_blocks):  # pick draws position floor(u * size) of block j
+            u, at = (np.arange(len(block)) + 0.5) / len(block), np.full(len(block), v)
+            assert t.pick(t.bounds(at, np.full(len(block), j)), u).tolist() == list(block)
+    assert (t.block_of[-1] == -2).all() and (t.size_of[-1] == 1).all() and t.q[-1] == 0
+
+
+def test_scheme_tables_follow_the_partitions_not_n():
+    # start states and a lift over 10^5 binary variables under two partitions
+    # read the scheme's tables through part[v]: one row per partition, none
+    # per variable
+    n, k = 10**5, 20
+    gen = np.random.default_rng(1)
+    csp = AtomicCSP(n, (2,) * n, [AtomicConstraint(tuple(range(i, i + k)),
+                                                   tuple(gen.integers(2, size=k).tolist()))
+                                  for i in range(0, n, k)])
+    sampler = Sampler(csp, ProjectionScheme((((0,), (1,)), ((0, 1),)) * (n // 2)), 0.1)
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        X, errors = sampler.lift(sampler.start_states(1, rng), rng)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert errors.tolist() == [""] and X.shape == (1, n)
+    # (n, 3) start and size tables by variable kept 10.7 MB and peaked at 15.3 MB
+    assert kept < X.nbytes + 2**20 and peak < 8 * 2**20
+    assert sampler.scheme.tables.start.shape == (3, 3)  # two partitions and the pad
 
 
 @pytest.mark.parametrize("bad, message", [
