@@ -44,7 +44,9 @@ and one that broke its block would end the count.
 
 A sub-instance keeps every variable and alphabet and drops constraints, so
 neither Delta nor b grows and the input's scheme serves every stage; its
-chain runs only on the variables the earlier blocks constrain.
+chain runs only on the variables the earlier blocks constrain.  It is the
+first columns of the input's tables (AtomicCSP.arrays), trimmed to their
+largest arity; no stage reads or builds a constraint object.
 Outside the regime the instance is counted exactly by enumeration when the
 oracle's guard allows.  Above the guard, a count of one block still runs,
 since its one stage is exact and needs no chain, and a count of more blocks
@@ -107,7 +109,9 @@ def blocks(csp: AtomicCSP) -> Blocks:
     """The telescope's blocks: consecutive runs of constraints, each closed
     before its sum of e * p_C would pass BLOCK_MASS.  Each stage ratio is at
     least 1/2 when e * p_max * Delta <= 1, which the sampling regime implies."""
-    mass = [math.e * math.prod(1.0 / csp.domains[v] for v in c.vars) for c in csp.constraints]
+    a = csp.arrays
+    # 1/|A_v| multiplied position by position, as math.prod would; pads at 1.0
+    mass = (math.e * np.append(1.0 / a.domains, 1.0)[a.vc].prod(axis=0)).tolist()
     spans, sigma, start, total = [], [], 0, 0.0
     for i, x in enumerate(mass):
         if i > start and total + x > BLOCK_MASS:
@@ -200,7 +204,8 @@ def _count(
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     _check_match(csp, scheme)
     # every assignment violates a constraint whose alphabets have one value each
-    if any(all(csp.domains[v] == 1 for v in c.vars) for c in csp.constraints):
+    a = csp.arrays
+    if np.append(a.domains == 1, True)[a.vc].all(axis=0).any():
         raise CountingError(0, "instance is unsatisfiable")
     cut = blocks(csp)
     eps_stage = counting_eps(len(cut.spans), delta, theta_const) if cut.spans else None
@@ -238,16 +243,19 @@ def _count(
             rows, n_errors, sampler = _product_draws(csp, draws, [seed, j]), 0, "exact"
         else:
             draws = n_draws
-            earlier = csp.constraints[: span.start]
-            prefix = AtomicCSP(csp.n, csp.domains, earlier, csp.allow_unit_domains)
+            start, k = span.start, a.arity[: span.start].max()  # trimmed to the prefix's arity
+            prefix = AtomicCSP._of_arrays(csp.n, csp.domains, a.vc[:k, :start].copy(),
+                                          a.forb[:k, :start].copy(),
+                                          np.append(a.arity[:start], -1), csp.allow_unit_domains)
             rows, n_errors = chain_draws(prefix, scheme, eps_stage, draws, [seed, j], eta, c_t)
             sampler = "chain"
         est.samples_total += draws
         if n_errors > 0.1 * draws:
             raise CountingError(j, f"{n_errors}/{draws} draws returned ERROR")
         held = np.ones(rows.shape[0], dtype=bool)
-        for constraint in csp.constraints[span.start : span.stop]:
-            held &= np.any(rows[:, list(constraint.vars)] != constraint.forbidden, axis=1)
+        for cid in span:
+            k = a.arity[cid]
+            held &= np.any(rows[:, a.vc[:k, cid]] != a.forb[:k, cid], axis=1)
         successes = int(held.sum())
         if successes == 0:
             # the regime makes the instance satisfiable: too few draws for r_j

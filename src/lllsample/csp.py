@@ -3,17 +3,18 @@
 An atomic constraint forbids exactly one assignment to its variable set.
 Assignments are plain tuples of ints (value of variable v at index v);
 partial assignments use None for unassigned variables.  CSPArrays holds
-their numpy tables, those by constraint laid out constraint-last, (k, m).
+their numpy tables, those by constraint laid out constraint-last, (k, m);
+the library reads an instance through these tables alone.
 
 An AtomicCSP checks its constraints in one pass at construction.  The
-clause-by-clause DIMACS reader and build_coloring_csp hand it constraint
-tuples that are valid by construction, which skip the per-constraint checks.
-parse_dimacs assembles long inputs with numpy into the tables of CSPArrays,
-and dynamics.project_csp gathers its tables from the input's; both hand
-those to AtomicCSP._of_arrays, which checks them with numpy and builds the
-constraint objects only when `constraints` is first read.  parse_dimacs
-leaves any irregular input to its clause-by-clause reader, the one source
-of its errors and warnings.
+clause-by-clause DIMACS reader hands it constraints that are valid by
+construction, which skip their own checks.  parse_dimacs assembles long
+inputs, and build_coloring_csp every colouring, with numpy into the tables
+of CSPArrays; dynamics.project_csp and each counting stage's prefix gather
+theirs from the input's.  All hand them to AtomicCSP._of_arrays, which
+checks them with numpy and builds the constraint objects only when
+`constraints` is first read.  parse_dimacs leaves any irregular input to
+its clause-by-clause reader, the one source of its errors and warnings.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ class ParserWarning(UserWarning):
     pass
 
 
-# Most variables an input may declare.  The parsers refuse more before
-# building any per-variable table, so a huge declared size is an input error
-# rather than a MemoryError.
+# Most variables an input may declare, and most constraints (edges times
+# colours) a colouring may have.  Past either, the parsers and build_coloring_csp
+# raise before building any table: an input error rather than a MemoryError.
 MAX_VARIABLES = 10**7
 
 
@@ -103,8 +104,9 @@ class AtomicCSP:
 
     An instance is built from its constraints, or from the tables of
     CSPArrays (_of_arrays), which it keeps as `arrays`; such an instance
-    builds `constraints` from them when first read, and compares, hashes,
-    prints and pickles as the same instance built from its constraints.
+    builds `constraints`, a view that no algorithm of the library reads,
+    when first read, and compares, hashes, prints and pickles as the same
+    instance built from its constraints.
     """
 
     n: int
@@ -116,17 +118,6 @@ class AtomicCSP:
         object.__setattr__(self, "domains", tuple(self.domains))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         self._check()
-
-    @classmethod
-    def _of_tables(cls, n, domains, vars_, forbidden, allow_unit_domains=False):
-        """The instance whose constraint i is (vars_[i], forbidden[i]),
-        tuples that already form a constraint, so each skips its own checks;
-        the instance's are those of __post_init__."""
-        csp = object.__new__(cls)
-        csp.__dict__.update(n=n, domains=tuple(domains), allow_unit_domains=allow_unit_domains,
-                            constraints=tuple(map(_constraint, vars_, forbidden)))
-        csp._check()
-        return csp
 
     @classmethod
     def _of_arrays(cls, n, domains, vc, forb, arity, allow_unit_domains=False):
@@ -161,12 +152,6 @@ class AtomicCSP:
         self.__dict__["constraints"] = cs
         return cs
 
-    def _var_tuples(self) -> list[tuple[int, ...]]:
-        """Each constraint's variables, read from the constraints where they
-        have been built, else from the tables."""
-        cs = self.__dict__.get("constraints")
-        return [c.vars for c in cs] if cs is not None else self.arrays.tuples(self.arrays.vc)
-
     def _check_domains(self):
         n, domains = self.n, self.domains
         if n != len(domains):
@@ -193,8 +178,7 @@ class AtomicCSP:
 
     @property
     def m(self) -> int:
-        cs = self.__dict__.get("constraints")
-        return len(cs) if cs is not None else len(self.arrays.arity) - 1
+        return len(self.arrays.arity) - 1
 
     def state_space_size(self) -> int:
         total = 1
@@ -263,7 +247,7 @@ class CSPArrays:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:  # (m,) constraints sharing a variable with each
-        near, vars_ = self.csp.dep_index.__getitem__, self.csp._var_tuples()
+        near, vars_ = self.csp.dep_index.__getitem__, self.tuples(self.vc)
         size = {t: len(set().union(*map(near, t))) for t in set(vars_)}  # once per distinct tuple
         return tuple(map(size.__getitem__, vars_))
 
@@ -294,11 +278,10 @@ def evaluate(csp: AtomicCSP, x) -> list[int]:
             raise CSPError(f"variable {v} unassigned; evaluate requires a full assignment")
         if not 0 <= value < csp.domains[v]:
             raise CSPError(f"value {value} outside alphabet of variable {v}")
-    return [
-        cid
-        for cid, c in enumerate(csp.constraints)
-        if all(x[v] == f for v, f in zip(c.vars, c.forbidden))
-    ]
+    a = csp.arrays
+    pairs = zip(a.tuples(a.vc), a.tuples(a.forb))
+    return [cid for cid, (vars_, forbidden) in enumerate(pairs)
+            if all(x[v] == f for v, f in zip(vars_, forbidden))]
 
 
 def degree_stats(csp: AtomicCSP) -> tuple[int, int, list[int]]:
@@ -390,8 +373,7 @@ def _dimacs_lines(text: str):
 def _dimacs_clauses(text: str) -> AtomicCSP:
     n = None
     declared_m = None
-    vars_: list[tuple[int, ...]] = []
-    forbidden: list[tuple[int, ...]] = []
+    constraints: list[AtomicConstraint] = []
     seen_clauses = 0
     current: list[int] = []
     current_line = 0
@@ -410,10 +392,9 @@ def _dimacs_clauses(text: str) -> AtomicCSP:
                 raise ParseError(f"bad token {tok!r}", lineno) from None
             if lit == 0:
                 seen_clauses += 1
-                clause = _clause_to_constraint(current, current_line or lineno)
-                if clause is not None:
-                    vars_.append(clause[0])
-                    forbidden.append(clause[1])
+                constraint = _clause_to_constraint(current, current_line or lineno)
+                if constraint is not None:
+                    constraints.append(constraint)
                 current = []
                 current_line = 0
                 continue
@@ -428,7 +409,7 @@ def _dimacs_clauses(text: str) -> AtomicCSP:
         raise ParseError("missing 'p cnf' header")
     if seen_clauses != declared_m:
         raise ParseError(f"header declares {declared_m} clauses but {seen_clauses} found")
-    return AtomicCSP._of_tables(n, (2,) * n, vars_, forbidden)
+    return AtomicCSP(n, (2,) * n, constraints)
 
 
 def _clause_to_constraint(lits: list[int], lineno: int):
@@ -447,7 +428,7 @@ def _clause_to_constraint(lits: list[int], lineno: int):
         else:
             by_var[v] = value
     vars_sorted = tuple(sorted(by_var))
-    return vars_sorted, tuple(by_var[v] for v in vars_sorted)
+    return _constraint(vars_sorted, tuple(by_var[v] for v in vars_sorted))
 
 
 def _dimacs_tables(text: str) -> AtomicCSP | None:
@@ -546,9 +527,9 @@ def write_dimacs(csp: AtomicCSP) -> str:
     literal, forbidden 1 -> negative)."""
     if any(size != 2 for size in csp.domains):
         raise CSPError("DIMACS output requires binary alphabets")
-    lines = [f"p cnf {csp.n} {csp.m}"]
-    for c in csp.constraints:
-        lits = [(v + 1) if f == 0 else -(v + 1) for v, f in zip(c.vars, c.forbidden)]
+    lines, a = [f"p cnf {csp.n} {csp.m}"], csp.arrays
+    for vars_, forbidden in zip(a.tuples(a.vc), a.tuples(a.forb)):
+        lits = [(v + 1) if f == 0 else -(v + 1) for v, f in zip(vars_, forbidden)]
         lines.append(" ".join(str(l) for l in lits) + " 0")
     return "\n".join(lines) + "\n"
 
@@ -577,9 +558,11 @@ def parse_hypergraph(text) -> list[tuple[int, ...]]:
 
 def build_coloring_csp(edges, q: int, n: int | None = None) -> AtomicCSP:
     """q coloring constraints per edge: constraint i for edge e is violated
-    exactly when every vertex of e has color i."""
-    if q < 2:
-        raise CSPError(f"need at least 2 colors, got {q}")
+    exactly when every vertex of e has color i.  The instance is built from
+    its tables: column e * q + i holds edge e's vertices, ascending, each
+    forbidding colour i."""
+    if not 2 <= q < 2**63:  # the tables hold colours as int64
+        raise CSPError(f"need at least 2 colors and fewer than 2**63, got {q}")
     edges = [tuple(e) for e in edges]
     for e in edges:
         if len(e) == 0:
@@ -595,8 +578,10 @@ def build_coloring_csp(edges, q: int, n: int | None = None) -> AtomicCSP:
         raise CSPError(f"{n} vertices, past the limit of {MAX_VARIABLES} variables")
     elif max_v >= n:
         raise CSPError(f"edge vertex {max_v} out of range for n={n}")
-    vars_ = [tuple(sorted(e)) for e in edges]  # each shared by the edge's q constraints
-    colours = {len(e): [(color,) * len(e) for color in range(q)] for e in vars_}
-    return AtomicCSP._of_tables(n, (q,) * n, [e for e in vars_ for _ in range(q)],
-                                [c for e in vars_ for c in colours[len(e)]])
+    if len(edges) * q > MAX_VARIABLES:
+        raise CSPError(f"{len(edges) * q} constraints, past the limit of {MAX_VARIABLES}")
+    vc = np.repeat(_short_rows([tuple(sorted(e)) for e in edges], n).T, q, axis=1)
+    forb = np.where(vc < n, np.arange(vc.shape[1], dtype=np.int64) % q, -2)  # colour i of e
+    arity = np.append(np.repeat(np.array(list(map(len, edges)), dtype=np.int64), q), -1)
+    return AtomicCSP._of_arrays(n, (q,) * n, vc, forb, arity)
 

@@ -190,9 +190,11 @@ class Groups(NamedTuple):
 
 def group_constraints(csp: AtomicCSP, scheme: ProjectionScheme, forb: np.ndarray) -> Groups:
     """The groups of csp under scheme; forb is projected_forbidden(csp, scheme)."""
+    a = csp.arrays
     groups = {}  # (variables, projected forbidden values) -> member constraints
-    for cid, (c, row) in enumerate(zip(csp.constraints, forb.T.tolist())):
-        groups.setdefault((c.vars, tuple(row[: c.arity])), []).append(cid)
+    vars_ = a.tuples(a.vc, ints=list(range(csp.n)))  # one int object per variable
+    for cid, key in enumerate(zip(vars_, a.tuples(forb, shared=True))):
+        groups.setdefault(key, []).append(cid)
     members = list(groups.values())
     cons = [(*key, len(cids)) for key, cids in groups.items()]
     q = scheme.q_sizes()
@@ -274,8 +276,9 @@ class Sampler:
         cache = self.groups.entries
         entries = cache[cid]
         if entries is None:
-            c, scheme, tested, columns = self.csp.constraints[cid], self.scheme, [], []
-            pairs = sorted(zip(c.vars, c.forbidden))
+            a, scheme, tested, columns = self.csp.arrays, self.scheme, [], []
+            # the pads, variable n, sort last
+            pairs = sorted(zip(a.vc[:, cid].tolist(), a.forb[:, cid].tolist()))[: a.arity[cid]]
             for i, (u, f) in enumerate(pairs):
                 block = scheme.blocks[u][scheme.block_of[u][f]]
                 if len(block) > 1:
@@ -285,7 +288,7 @@ class Sampler:
             columns, block_of = tuple(columns), scheme.block_of
             tests = {v: (len(pairs), i, len(block_of[v]), f, block_of[v], columns)
                      for i, (v, f) in enumerate(pairs)}
-            entries = cache[cid] = tuple(sorted(c.vars)), tuple(tested), tests
+            entries = cache[cid] = tuple(u for u, _ in pairs), tuple(tested), tests
         return entries
 
     def lift(self, Y: np.ndarray, rng: np.random.Generator):
@@ -792,8 +795,7 @@ def main_sample(csp: AtomicCSP, scheme: ProjectionScheme, eps: float, seed=None,
     assignment, when not an ERROR, is always an exactly verified satisfying
     assignment regardless.
 
-    Each call pays the Sampler's set-up again, about a tenth of a sample on
-    the color-chain benchmark input (18.7 against 16.6 ms with one shared
-    Sampler); repeat with Sampler(...).sample_one or CLI sample --count.
+    Each call pays the Sampler's set-up again (README measures it); repeat
+    with Sampler(...).sample_one or CLI sample --count.
     """
     return Sampler(csp, scheme, eps, eta=eta, c_t=c_t).sample_one(seed, rng)

@@ -3,7 +3,9 @@
 and the bound on 2-trees that component sizes are compared against.
 
 Enumeration is exact (integer counts) and guarded to desk scale; nothing
-here reuses the sampling code paths it is meant to check.
+here reuses the sampling code paths it is meant to check: it reads each
+constraint from the instance's tables and tests it itself, not through
+CSPArrays.matches, which the lift's verification uses.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ def _satisfying_rows(csp: AtomicCSP):
     total = csp.state_space_size()
     if total > ENUM_GUARD:
         raise EnumerationGuard(f"state space {total} exceeds guard {ENUM_GUARD}")
+    a = csp.arrays
     for start in range(0, total, _CHUNK):
         rows = _decode_chunk(start, min(start + _CHUNK, total), csp.domains)
         ok = np.ones(rows.shape[0], dtype=bool)
-        for c in csp.constraints:
-            ok &= ~np.all(rows[:, list(c.vars)] == np.array(c.forbidden), axis=1)
+        for vars_, forbidden in zip(a.tuples(a.vc), a.tuples(a.forb)):
+            ok &= ~np.all(rows[:, list(vars_)] == forbidden, axis=1)
         yield rows[ok]
 
 

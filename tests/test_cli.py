@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,24 @@ def test_too_many_variables_is_a_usage_error(capsys, tmp_path, name, data, extra
     path.write_text(data)
     assert dispatch(["count", "--input", str(path), "--delta", "0.5", *extra]) == 2
     assert "past the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q, message", [("10000000000000", "past the limit"),
+                                        (str(2**64), "fewer than 2**63")])
+def test_colour_count_past_the_limit_is_a_usage_error(capsys, tmp_path, q, message):
+    # refused before any per-constraint table is built
+    path = tmp_path / "edges.hyp"
+    path.write_text("0 1\n1 2\n")
+    tracemalloc.start()
+    try:
+        code = dispatch(["sample", "--input", str(path), "--format", "hypergraph", "--q", q,
+                         "--eps", "0.1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and message in captured.err
+    assert peak < 4 * 2**20
 
 
 def test_scheme_file_errors_are_usage_errors(capsys, tmp_path, cnf_file):

@@ -8,7 +8,7 @@ from scipy.stats import chisquare
 import lllsample.counting as counting
 from lllsample.bundled import load_bundled
 from lllsample.counting import CountingError, approx_count, blocks, counting_eps, stage_samples
-from lllsample.csp import AtomicConstraint, AtomicCSP, parse_dimacs
+from lllsample.csp import AtomicConstraint, AtomicCSP, degree_stats, parse_dimacs
 from lllsample.oracle import ENUM_GUARD
 from lllsample.projection import (
     ProjectionScheme,
@@ -206,6 +206,10 @@ def test_blocks_partition_the_constraints(instance):
     mass, lll = _lll_mass(csp)
     assert [i for span in cut.spans for i in span] == list(range(csp.m))
     assert all(len(span) >= 1 for span in cut.spans) and len(cut.sigma) == len(cut.spans)
+    # the masses multiply 1/|A_v| position by position, so the sums are those
+    # of this loop bit for bit
+    exact = [math.e * math.prod(1.0 / csp.domains[v] for v in c.vars) for c in csp.constraints]
+    assert cut.sigma == [sum(exact[i] for i in span) for span in cut.spans]
     for j, (span, sigma) in enumerate(zip(cut.spans, cut.sigma)):
         assert sigma == pytest.approx(math.fsum(mass[i] for i in span))
         if len(span) > 1:
@@ -244,6 +248,38 @@ def test_one_block_runs_no_chain():
     (stage,) = est.stages[1:]
     assert stage["sampler"] == "exact" and stage["draws"] == math.ceil(64 / 0.25)
     assert est.samples_total == stage["draws"] and est.eps_stage == counting_eps(1, 0.5)
+
+
+def test_stage_prefixes_are_the_earlier_constraints():
+    # disjoint constraints of arities 2 to 5, so Delta = 1, over alphabets of
+    # 2 values but one of 3, and a one-value variable in none: the blocks are
+    # [0], [1], [2], [3, 4], [5, 6], so the chain stages' prefixes widen from
+    # k = 2 to k = 4 while the instance's k is 5
+    arities, cons, n = (2, 3, 3, 4, 4, 4, 5), [], 0
+    for k in arities:
+        vars_ = tuple(range(n + k - 1, n - 1, -1))  # descending
+        cons.append(AtomicConstraint(vars_, tuple(v % 2 for v in vars_)))
+        n += k
+    csp = AtomicCSP(n + 1, (2,) * (n - 1) + (3, 1), cons, allow_unit_domains=True)
+    prefixes = []
+
+    def record(prefix, scheme, eps, n_draws, seed, eta, c_t):
+        prefixes.append(prefix)
+        return counting._product_draws(prefix, n_draws, seed), 0
+
+    est = counting._count(csp, full_marking_scheme(csp), 0.5, seed=1, chain_draws=record)
+    starts = [stage["constraint"] - 1 for stage in est.stages[2:]]
+    assert starts == [1, 2, 3, 5] and [len(p.arrays.vc) for p in prefixes] == [2, 3, 3, 4]
+    assert len(csp.arrays.vc) == 5 and all("constraints" not in p.__dict__ for p in prefixes)
+    for prefix, start in zip(prefixes, starts):
+        expect = AtomicCSP(csp.n, csp.domains, csp.constraints[:start], csp.allow_unit_domains)
+        assert prefix == expect
+        for name in ("domains", "vc", "forb", "arity"):
+            got, want = getattr(prefix.arrays, name), getattr(expect.arrays, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous and want.flags.c_contiguous
+            assert np.array_equal(got, want)
+        assert degree_stats(prefix) == degree_stats(expect)
 
 
 def test_stage_health_fields():

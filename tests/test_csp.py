@@ -30,8 +30,10 @@ from lllsample.csp import (
     write_dimacs,
 )
 from lllsample.batch import BatchSampler
+from lllsample.counting import approx_count
 from lllsample.dynamics import Sampler, explore, project_csp
 from lllsample.projection import ProjectionScheme, check_admissibility, construct_projection
+from lllsample.oracle import count_satisfying
 from lllsample.resample import find_assignment
 from conftest import random_kcnf_text, star_instance, uniform_csp
 from reference import violated_by_partial
@@ -267,10 +269,25 @@ def _projected(csp, scheme):
         for c in csp.constraints], allow_unit_domains=True)
 
 
+def _count_instance():
+    """6 disjoint 5-clauses at n=30, built from their tables, and a scheme
+    that keeps two variables of each clause movable: a count of blocks 5 + 1,
+    whose second stage runs the chain."""
+    rng = np.random.default_rng(0)
+    lines = ["p cnf 30 6"] + [" ".join(str((5 * j + i + 1) * (1 if rng.integers(2) else -1))
+                                       for i in range(5)) + " 0" for j in range(6)]
+    a = parse_dimacs("\n".join(lines) + "\n").arrays
+    csp = AtomicCSP._of_arrays(30, (2,) * 30, a.vc, a.forb, a.arity)
+    return csp, ProjectionScheme(tuple(((0, 1),) if ch == "c" else ((0,), (1,))
+                                       for ch in "iiccc" * 6))
+
+
 def test_setup_path_builds_no_constraint_objects(workload_cnfs):
-    # the kcnf-solve set-up and operation read the tables alone; the
-    # constraints, built when first read, are those of the clause-by-clause
-    # reader and the definition of the projection
+    # the kcnf-solve set-up and operation, a colouring's set-up, a single
+    # chain with busy steps, a count through a chain stage and the readers
+    # of an instance read the tables alone; the constraints, built when
+    # first read, are those of the clause-by-clause reader and the
+    # definitions of the projection and of a colouring
     built = []
     make, check = csp_module._constraint, AtomicConstraint.__post_init__
 
@@ -282,6 +299,9 @@ def test_setup_path_builds_no_constraint_objects(workload_cnfs):
         built.append(self)
         check(self)
 
+    edges = [(0, 1, 2), (2, 3, 4), (4, 5, 0)]
+    counted, count_scheme = _count_instance()
+    text12 = random_kcnf_text(1, 200, 60, 12)
     with mock.patch.object(csp_module, "_constraint", spy_make), \
             mock.patch.object(AtomicConstraint, "__post_init__", spy_check):
         csp8 = parse_dimacs(workload_cnfs["8-cnf"])
@@ -290,10 +310,26 @@ def test_setup_path_builds_no_constraint_objects(workload_cnfs):
         pcsp = project_csp(csp8, scheme)
         csp4 = parse_dimacs(workload_cnfs["4-cnf"])
         assert find_assignment(csp4, np.random.default_rng(5)).success
+        coloring = build_coloring_csp(edges, 4)
+        construct_projection(coloring, seed=[22, 1])
+        csp12 = parse_dimacs(text12)
+        sampler = Sampler(csp12, construct_projection(csp12, seed=[1, 1]), 0.1, c_t=0.05)
+        x = sampler.sample_one(seed=1).assignment
+        assert any(entry is not None for entry in sampler.groups.entries)  # _draw_entries ran
+        est = approx_count(counted, count_scheme, 0.5, seed=0, c_t=0.01)
+        assert [stage["sampler"] for stage in est.stages[1:]] == ["exact", "chain"]
+        readers = (count_satisfying(coloring), evaluate(coloring, [0] * 6), evaluate(csp12, x),
+                   write_dimacs(csp12), degree_stats(csp12))
         assert not built
     expect8 = csp_module._dimacs_clauses(workload_cnfs["8-cnf"])
+    expect12 = csp_module._dimacs_clauses(text12)
+    expect_coloring = AtomicCSP(6, (4,) * 6, [AtomicConstraint(sorted(e), (color,) * 3)
+                                              for e in edges for color in range(4)])
+    assert readers == (count_satisfying(expect_coloring), [0, 4, 8], [], write_dimacs(expect12),
+                       degree_stats(expect12))
     for csp, expect in ((csp8, expect8), (pcsp, _projected(expect8, scheme)),
-                        (csp4, csp_module._dimacs_clauses(workload_cnfs["4-cnf"]))):
+                        (csp4, csp_module._dimacs_clauses(workload_cnfs["4-cnf"])),
+                        (coloring, expect_coloring), (csp12, expect12)):
         assert csp.dep_index == expect.dep_index and _tables(csp) == _tables(expect)
         assert "constraints" not in csp.__dict__
         assert csp.constraints == expect.constraints and csp == expect
@@ -550,6 +586,26 @@ def test_variable_count_past_the_limit_is_refused_before_allocating():
     assert peak < 2**20
 
 
+def test_colour_count_past_the_limit_is_refused_before_allocating():
+    # edges times colours is the constraint count: past MAX_VARIABLES, or a
+    # colour count past int64, is refused before any per-constraint table
+    edges = [(0, 1), (1, 2, 3)]
+    tracemalloc.start()
+    try:
+        for q, message in ((10**13, "20000000000000 constraints, past the limit of 10000000"),
+                           (MAX_VARIABLES // 2 + 1, "10000002 constraints, past the limit"),
+                           (2**63, f"need at least 2 colors and fewer than 2**63, got {2**63}")):
+            with pytest.raises(CSPError, match=re.escape(message)):
+                build_coloring_csp(edges, q)
+        with pytest.raises(CSPError, match=re.escape("fewer than 2**63")):
+            build_coloring_csp([], 2**64, n=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert build_coloring_csp([], 10**13, n=2).domains == (10**13, 10**13)
+
+
 # Fuzz inputs are parser words, small integers, random bytes and whitespace,
 # or a valid document with a few short edits that insert no ASCII digit.  So
 # every integer in them stays small, and so does every parsed instance.
@@ -697,8 +753,6 @@ def test_instance_check_names_the_first_bad_position(data):
         vc[: len(vs), cid], forb[: len(fs), cid] = vs, fs
     arity = np.array([len(vs) for vs, _ in cons] + [-1], dtype=np.int64)
     for build in (lambda: AtomicCSP(n, domains, [AtomicConstraint(*c) for c in cons], unit),
-                  lambda: AtomicCSP._of_tables(n, domains, *zip(*cons) if cons else ((), ()),
-                                               allow_unit_domains=unit),
                   lambda: AtomicCSP._of_arrays(n, domains, vc, forb, arity,
                                                allow_unit_domains=unit)):
         if expect is None:
