@@ -60,7 +60,7 @@ class BatchSampler(Sampler):
         Y = np.ascontiguousarray(self.start_states(N, rng).T)
         touched = np.zeros(N, dtype=bool)
         s1_steps = s2_steps = 0
-        movable, K = movable_steps(self.scheme, self.constrained, cfg.T if steps is None else steps,
+        movable, K = movable_steps(self.scheme, ca.constrained, cfg.T if steps is None else steps,
                                    N, rng)
         # per-constraint projected forbidden matches, with a zero row for the pad
         cnt = np.concatenate([ca.matches(Y, self.forb), np.zeros((1, N), dtype=np.int64)])

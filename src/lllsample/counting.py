@@ -182,24 +182,9 @@ def approx_count(
 
     Stage 0 is exact: the product of the alphabet sizes or, outside the
     sampling regime, the enumerated count.  Stage j = 1..s records the
-    estimated ratio r_j of block j as its marginal.  A count past the float
-    range has estimate inf; log_estimate holds it."""
-    return _count(csp, scheme, delta, seed, theta_const, c_n, eta, c_t)
-
-
-def _count(
-    csp: AtomicCSP,
-    scheme: ProjectionScheme,
-    delta: float,
-    seed=None,
-    theta_const: float = 0.125,
-    c_n: float = 64.0,
-    eta: float = 0.25,
-    c_t: float = 1.0,
-    chain_draws=_stage_draws,
-) -> CountEstimate:
-    """approx_count, with chain_draws (signature of _stage_draws) drawing
-    the stages after the first."""
+    estimated ratio r_j of block j as its marginal; the stages after the
+    first draw through _stage_draws.  A count past the float range has
+    estimate inf; log_estimate holds it."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     _check_match(csp, scheme)
@@ -247,7 +232,7 @@ def _count(
             prefix = AtomicCSP._of_arrays(csp.n, csp.domains, a.vc[:k, :start].copy(),
                                           a.forb[:k, :start].copy(),
                                           np.append(a.arity[:start], -1), csp.allow_unit_domains)
-            rows, n_errors = chain_draws(prefix, scheme, eps_stage, draws, [seed, j], eta, c_t)
+            rows, n_errors = _stage_draws(prefix, scheme, eps_stage, draws, [seed, j], eta, c_t)
             sampler = "chain"
         est.samples_total += draws
         if n_errors > 0.1 * draws:

@@ -3,8 +3,9 @@
 An atomic constraint forbids exactly one assignment to its variable set.
 Assignments are plain tuples of ints (value of variable v at index v);
 partial assignments use None for unassigned variables.  CSPArrays holds
-their numpy tables, those by constraint laid out constraint-last, (k, m);
-the library reads an instance through these tables alone.
+their numpy tables, those by constraint laid out constraint-last, (k, m),
+and one index by variable, the flat inc_flat; the library reads an
+instance through these tables alone.
 
 An AtomicCSP checks its constraints in one pass at construction.  The
 clause-by-clause DIMACS reader hands it constraints that are valid by
@@ -20,7 +21,7 @@ its clause-by-clause reader, the one source of its errors and warnings.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
@@ -92,9 +93,7 @@ def _constraint(vars_: tuple, forbidden: tuple) -> AtomicConstraint:
 @dataclass(frozen=True)
 class AtomicCSP:
     """Immutable atomic CSP: per-variable alphabet sizes (values 0..size-1)
-    plus atomic constraints.  dep_index, each variable's incident
-    constraint ids in ascending order, is split from the flat index
-    CSPArrays.inc_flat when first read.
+    plus atomic constraints.
 
     Construction checks, in one pass, the alphabets and then each
     (constraint, position) in order: the variable in 0..n-1 and its value
@@ -129,7 +128,7 @@ class AtomicCSP:
         csp = object.__new__(cls)
         csp.__dict__.update(n=n, domains=tuple(domains), allow_unit_domains=allow_unit_domains)
         csp._check_domains()
-        a = CSPArrays(np.array(csp.domains, dtype=np.int64), vc, forb, arity, csp)
+        a = CSPArrays(np.array(csp.domains, dtype=np.int64), vc, forb, arity)
         live = np.arange(len(vc))[:, None] < arity[:-1]  # (k, m): the entries within each arity
         bad_var = live & ((vc < 0) | (vc >= n))
         size = np.append(a.domains, 0)[np.where(live & ~bad_var, vc, n)]
@@ -169,13 +168,6 @@ class AtomicCSP:
                 if not (0 <= v < n and 0 <= value < domains[v]):
                     raise _entry_error(cid, v, value, n)
 
-    @cached_property
-    def dep_index(self) -> tuple[tuple[int, ...], ...]:
-        ids, offsets = self.arrays.inc_flat
-        cids = list(range(self.m))  # one int object per constraint, shared by its variables
-        flat, at = list(map(cids.__getitem__, ids.tolist())), offsets.tolist()
-        return tuple(tuple(flat[i:j]) for i, j in zip(at, at[1:]))
-
     @property
     def m(self) -> int:
         return len(self.arrays.arity) - 1
@@ -200,13 +192,14 @@ def _entry_error(cid: int, v: int, value: int, n: int) -> CSPError:
 
 @dataclass(frozen=True)
 class CSPArrays:
-    """Padded numpy tables of an AtomicCSP.  Those by constraint are
-    C-contiguous (k, m): a test over a constraint's variables reduces across
-    constraints.  build fills them from the constraints in one conversion per
-    table; an instance built from its tables (AtomicCSP._of_arrays) holds
-    those, and tuples reads them back.  The only tables by variable or by
-    neighbour, built on first use, are the flat index inc_flat, whose memory
-    follows the sum of the arities, and degrees.
+    """Padded numpy tables of an AtomicCSP, plain data with no reference
+    back to it.  Those by constraint are C-contiguous (k, m): a test over a
+    constraint's variables reduces across constraints.  build fills them
+    from the constraints in one conversion per table; an instance built from
+    its tables (AtomicCSP._of_arrays) holds those, and tuples reads them
+    back.  The one index by variable is the flat inc_flat, whose memory
+    follows the sum of the arities; constrained and degrees, the only other
+    tables by variable or by neighbour, are derived from it on first use.
 
     Tables pad with n for "no variable" and -2 for "no forbidden value",
     which no value equals; the arity of the pad constraint m is -1, which no
@@ -216,7 +209,6 @@ class CSPArrays:
     vc: np.ndarray  # (k, m) variables of each constraint; gather with take(..., axis=1)
     forb: np.ndarray  # (k, m) their forbidden values
     arity: np.ndarray  # (m + 1,)
-    csp: AtomicCSP = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, csp: AtomicCSP) -> "CSPArrays":
@@ -224,7 +216,7 @@ class CSPArrays:
         arity = np.array([len(c.vars) for c in cs] + [-1], dtype=np.int64)
         vc = _short_rows([c.vars for c in cs], csp.n).T.copy()
         forb = _short_rows([c.forbidden for c in cs], -2).T.copy()
-        return cls(np.array(csp.domains, dtype=np.int64), vc, forb, arity, csp)
+        return cls(np.array(csp.domains, dtype=np.int64), vc, forb, arity)
 
     def tuples(self, table: np.ndarray, ints: list | None = None,
                shared: bool = False) -> list[tuple]:
@@ -238,16 +230,25 @@ class CSPArrays:
 
     @cached_property
     def inc_flat(self) -> tuple[np.ndarray, np.ndarray]:  # Σ arity ids, n + 1 offsets
-        """The constraints at v, as in dep_index, are ids[offsets[v]:offsets[v + 1]]."""
+        """The constraints at v, in ascending id, are ids[offsets[v]:offsets[v + 1]]."""
         flat = self.vc.T.ravel()  # constraint-major: ids ascend along it
         order = np.argsort(flat * flat.size + np.arange(flat.size))  # by variable, then place
-        counts = np.bincount(flat, minlength=self.csp.n + 1)
+        counts = np.bincount(flat, minlength=len(self.domains) + 1)
         offsets = counts.cumsum() - counts  # entries before each variable; the pads n come last
         return order[: offsets[-1]] // len(self.vc), offsets
 
     @cached_property
+    def constrained(self) -> np.ndarray:  # (n,) bool: whether each variable is in a constraint
+        return np.diff(self.inc_flat[1]) > 0
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:  # (m,) constraints sharing a variable with each
-        near, vars_ = self.csp.dep_index.__getitem__, self.tuples(self.vc)
+        ids, offsets = self.inc_flat
+        cids = list(range(len(self.arity) - 1))  # one int object per constraint, shared
+        flat, at = list(map(cids.__getitem__, ids.tolist())), offsets.tolist()
+        near = [tuple(flat[i:j]) for i, j in zip(at, at[1:])].__getitem__  # dropped on return
+        del flat, at  # before vars_ is built: the peak holds one flat list at a time
+        vars_ = self.tuples(self.vc)
         size = {t: len(set().union(*map(near, t))) for t in set(vars_)}  # once per distinct tuple
         return tuple(map(size.__getitem__, vars_))
 

@@ -106,13 +106,6 @@ def component_threshold(delta_deg: int, n: int, kappa: float, eps: float) -> flo
     return 20.0 * delta_deg * math.log(n * kappa / eps)
 
 
-def constrained_variables(csp: AtomicCSP) -> np.ndarray:
-    """(n,) bool: whether each variable lies in some constraint."""
-    mask = np.zeros(csp.n + 1, dtype=bool)
-    mask[csp.arrays.vc] = True
-    return mask[: csp.n]
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     """Schedule constants derived from (eps, eta, kappa, n, Delta, C_T); n
@@ -142,7 +135,7 @@ class SamplerConfig:
                c_t: float = 1.0) -> "SamplerConfig":
         kappa = scheme_kappa(csp, scheme)
         delta_deg, _, _ = degree_stats(csp)
-        n = int(np.count_nonzero(constrained_variables(csp)))
+        n = int(np.count_nonzero(csp.arrays.constrained))
         return cls(eps=eps, eta=eta, kappa=kappa, n=n, delta_deg=delta_deg, c_t=c_t)
 
     def to_dict(self) -> dict:
@@ -178,13 +171,13 @@ def projected_forbidden(csp: AtomicCSP, scheme: ProjectionScheme) -> np.ndarray:
 class Groups(NamedTuple):
     """The single chain's tables.  The constraints with the same variables
     and projected forbidden values, in the same order, form one group, and
-    the groups are numbered in order of their first member."""
+    the groups are numbered in order of their first member.  by_forb[v]
+    holds one list per block of v, so its length is v's block count."""
 
     cons: list  # (variables, projected forbidden values, multiplicity) of each group
     members: list  # the constraints of each group
     max_mult: int  # the largest multiplicity
     by_forb: list  # per variable and projected value, the groups at it forbidding that value
-    q: tuple  # per variable, its number of blocks
     entries: list  # per constraint, its rejection test once built (Sampler._draw_entries)
 
 
@@ -197,23 +190,23 @@ def group_constraints(csp: AtomicCSP, scheme: ProjectionScheme, forb: np.ndarray
         groups.setdefault(key, []).append(cid)
     members = list(groups.values())
     cons = [(*key, len(cids)) for key, cids in groups.items()]
-    q = scheme.q_sizes()
-    by_forb = [[[] for _ in range(size)] for size in q]
+    by_forb = [[[] for _ in range(size)] for size in scheme.q_sizes()]
     for g, (vars_, forb_g, _) in enumerate(cons):
         for v, f in zip(vars_, forb_g):
             by_forb[v][f].append(g)
-    return Groups(cons, members, max(map(len, members), default=1), by_forb, q, [None] * csp.m)
+    return Groups(cons, members, max(map(len, members), default=1), by_forb, [None] * csp.m)
 
 
 class Sampler:
     """The set-up of one (instance, scheme) pair, built once and shared by
     every chain and lift run on it: the schedule `cfg` and the projected
-    forbidden values by constraint, `forb`.  Tables by variable are built
-    the first time they are read, as CSPArrays builds its own: which
-    variables lie in some constraint, `constrained`, and the tables only
-    one driver reads, the single chain's `groups` and the many-chain
-    driver's `step_tables`, gathered from the flat index
-    CSPArrays.inc_flat and `forb` without reading constraint objects."""
+    forbidden values by constraint, `forb`.  The tables only one driver
+    reads, the single chain's `groups` and the many-chain driver's
+    `step_tables`, are built the first time they are read, gathered from
+    the flat index CSPArrays.inc_flat and `forb` without reading constraint
+    objects.  The instance's own facts by variable, such as which variables
+    lie in some constraint (CSPArrays.constrained), are read from its
+    tables, not copied here."""
 
     def __init__(self, csp: AtomicCSP, scheme: ProjectionScheme, eps: float, eta: float = 0.25,
                  c_t: float = 1.0):
@@ -221,10 +214,6 @@ class Sampler:
         self.csp, self.scheme = csp, scheme
         self.cfg = SamplerConfig.derive(csp, scheme, eps, eta=eta, c_t=c_t)
         self.forb = projected_forbidden(csp, scheme)
-
-    @cached_property
-    def constrained(self) -> np.ndarray:
-        return constrained_variables(self.csp)
 
     def start_states(self, n_chains: int, rng: np.random.Generator) -> np.ndarray:
         """(n_chains, n) projections of uniform assignments, the block of a
@@ -501,7 +490,7 @@ def _redraw(state: ProjectedState, rng: np.random.Generator, v: int):
     runs out).  The members of a group share their variables and deficit,
     so they join a component at the same level, and the component is the
     one `update` grows over constraints.  The fallback value, a uniform
-    block of v (block counts from `Groups.q`), is drawn on every step, as
+    block of v (len(by_forb[v]) blocks), is drawn on every step, as
     `update` draws it.
 
     Growth visits the groups at a variable u != v of a frontier group only
@@ -514,7 +503,7 @@ def _redraw(state: ProjectedState, rng: np.random.Generator, v: int):
     multiplicity) groups, it holds at most theta constraints, so its members
     are summed only past that."""
     sampler, dev, near, y = state.sampler, state.dev, state.near, state.y
-    cons, members, max_mult, by_forb, q, _ = sampler.groups
+    cons, members, max_mult, by_forb, _ = sampler.groups
     theta = sampler.cfg.theta_comp
     y_v, comp = y[v], []
     for f, gs in enumerate(by_forb[v]):
@@ -540,7 +529,7 @@ def _redraw(state: ProjectedState, rng: np.random.Generator, v: int):
     if max_mult > 1:  # else group g is constraint g (groups are numbered by first member)
         comp = [cid for g in comp for cid in members[g]]
     if len(comp) > theta:
-        return int(rng.random() * q[v]), "S1", len(comp)
+        return int(rng.random() * len(by_forb[v])), "S1", len(comp)
     new_q, flag = _reject_at(sampler, comp, v, rng)
     return new_q, flag, len(comp)
 
@@ -583,7 +572,7 @@ def _reject_at(sampler: Sampler, comp, v: int, rng: np.random.Generator):
                         return block_v[x_v], None
             used, start = used + width, start + width * ncols
             if used >= budget:
-                return int(draws[start] * sampler.groups.q[v]), "S2"
+                return int(draws[start] * len(sampler.groups.by_forb[v])), "S2"
             width = min(2 * width, 64, budget - used)
             draws += rng.random(width * ncols).tolist()
     union, free, bound = set(), [], {}  # the tests of constraints not at v; at v, by f_v
@@ -612,7 +601,7 @@ def _reject_at(sampler: Sampler, comp, v: int, rng: np.random.Generator):
                 return block_v[x_v], None
         used, start = used + width, start + width * ncols
         if used >= budget:
-            return int(draws[start] * sampler.groups.q[v]), "S2"
+            return int(draws[start] * len(sampler.groups.by_forb[v])), "S2"
         width = min(2 * width, 64, budget - used)
         draws += rng.random(width * ncols).tolist()
 
@@ -675,7 +664,7 @@ def glauber_run(state: ProjectedState, rng: np.random.Generator, steps: int | No
     the new value."""
     sampler = state.sampler
     csp, scheme = sampler.csp, sampler.scheme
-    movable, (total,) = movable_steps(scheme, sampler.constrained,
+    movable, (total,) = movable_steps(scheme, csp.arrays.constrained,
                                       sampler.cfg.T if steps is None else steps, 1, rng)
     total, busy, s1, s2, hist = int(total), 0, 0, 0, {}
     y, dev, near, cons, by_forb, shift = (state.y, state.dev, state.near, state._cons,

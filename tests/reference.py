@@ -1,7 +1,8 @@
-"""Exact references the tests check the library against: projected and
-conditional laws, the conditional-marginal bound, the chain state's
-bookkeeping, and 2-tree counts.  All are exact (integer counts, Fractions),
-guarded to desk scale, and share no code path with the sampler they check.
+"""Exact references the tests check the library against: each variable's
+constraints, projected and conditional laws, the conditional-marginal
+bound, the chain state's bookkeeping, and 2-tree counts.  All are exact
+(integer counts, Fractions), guarded to desk scale, and share no code path
+with the sampler they check.
 `apply`, which moves a chain state one variable at a time for the
 bookkeeping tests, is the exception: it is the step loop's update, through
 the state's own `_shift`."""
@@ -16,6 +17,16 @@ from lllsample.csp import AtomicCSP, CSPError, degree_stats
 from lllsample.dynamics import ProjectedState, project_csp
 from lllsample.oracle import _satisfying_rows
 from lllsample.projection import ProjectionScheme, compute_b
+
+
+def incidence(csp: AtomicCSP) -> list[list[int]]:
+    """Each variable's constraint ids in ascending order, read from the
+    constraint objects: the lists CSPArrays.inc_flat indexes."""
+    out = [[] for _ in range(csp.n)]
+    for cid, c in enumerate(csp.constraints):
+        for v in c.vars:
+            out[v].append(cid)
+    return out
 
 
 def violated_by_partial(csp: AtomicCSP, y) -> list[int]:

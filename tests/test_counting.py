@@ -95,7 +95,7 @@ def _exact_disjoint_clause_draws(csp, scheme, eps, n_draws, seed, eta, c_t):
     return columns.T, 0
 
 
-def test_count_unbiased_at_n200():
+def test_count_unbiased_at_n200(monkeypatch):
     # 50 disjoint 4-clauses with mixed signs: Z = 15^50.  With an exact
     # sampler in place of the chain, the telescope's mean ratio must sit
     # within delta/4 of 1.
@@ -104,9 +104,9 @@ def test_count_unbiased_at_n200():
     csp = uniform_csp(200, 2, clauses)
     delta, log_z = 0.5, 50 * math.log(15)
     ratios = []
+    monkeypatch.setattr(counting, "_stage_draws", _exact_disjoint_clause_draws)
     for seed in range(20):
-        est = counting._count(csp, full_marking_scheme(csp), delta, seed=seed,
-                              chain_draws=_exact_disjoint_clause_draws)
+        est = counting.approx_count(csp, full_marking_scheme(csp), delta, seed=seed)
         assert est.stages[0]["method"] == "unconstrained-tail"
         ratios.append(math.exp(est.log_estimate - log_z))
     assert abs(np.mean(ratios) - 1) <= delta / 4
@@ -237,20 +237,21 @@ def test_first_stage_draws_from_the_product_law():
     assert rows.min() == 0 and (rows.max(axis=0) == np.array(csp.domains) - 1).all()
 
 
-def test_one_block_runs_no_chain():
+def test_one_block_runs_no_chain(monkeypatch):
     # a single 4-clause is one block: the count is the exact first stage alone
     csp = uniform_csp(4, 2, [((0, 1, 2, 3), (0, 1, 0, 1))])
 
     def no_chain(*args):
         raise AssertionError("a chain stage ran")
 
-    est = counting._count(csp, full_marking_scheme(csp), 0.5, seed=3, chain_draws=no_chain)
+    monkeypatch.setattr(counting, "_stage_draws", no_chain)
+    est = counting.approx_count(csp, full_marking_scheme(csp), 0.5, seed=3)
     (stage,) = est.stages[1:]
     assert stage["sampler"] == "exact" and stage["draws"] == math.ceil(64 / 0.25)
     assert est.samples_total == stage["draws"] and est.eps_stage == counting_eps(1, 0.5)
 
 
-def test_stage_prefixes_are_the_earlier_constraints():
+def test_stage_prefixes_are_the_earlier_constraints(monkeypatch):
     # disjoint constraints of arities 2 to 5, so Delta = 1, over alphabets of
     # 2 values but one of 3, and a one-value variable in none: the blocks are
     # [0], [1], [2], [3, 4], [5, 6], so the chain stages' prefixes widen from
@@ -267,7 +268,8 @@ def test_stage_prefixes_are_the_earlier_constraints():
         prefixes.append(prefix)
         return counting._product_draws(prefix, n_draws, seed), 0
 
-    est = counting._count(csp, full_marking_scheme(csp), 0.5, seed=1, chain_draws=record)
+    monkeypatch.setattr(counting, "_stage_draws", record)
+    est = counting.approx_count(csp, full_marking_scheme(csp), 0.5, seed=1)
     starts = [stage["constraint"] - 1 for stage in est.stages[2:]]
     assert starts == [1, 2, 3, 5] and [len(p.arrays.vc) for p in prefixes] == [2, 3, 3, 4]
     assert len(csp.arrays.vc) == 5 and all("constraints" not in p.__dict__ for p in prefixes)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import hashlib
 import itertools
 import json
@@ -7,6 +8,7 @@ import pickle
 import re
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -36,7 +38,7 @@ from lllsample.projection import ProjectionScheme, check_admissibility, construc
 from lllsample.oracle import count_satisfying
 from lllsample.resample import find_assignment
 from conftest import random_kcnf_text, star_instance, uniform_csp
-from reference import violated_by_partial
+from reference import incidence, violated_by_partial
 
 
 def test_parse_basic_clause():
@@ -171,9 +173,9 @@ def test_find_assignment_memory_follows_the_input_on_a_hub():
 
 def _hub_sampler():
     """A Sampler on a star of 1,000 constraints at one hub variable, under a
-    scheme of singletons, with dep_index and inc_flat already built."""
+    scheme of singletons, with inc_flat already built."""
     hub = star_instance(2, 3, 1000, n_stars=1)
-    hub.dep_index, hub.arrays.inc_flat
+    assert _by_variable(hub) == incidence(hub)
     return Sampler(hub, ProjectionScheme((((0,), (1,)),) * hub.n), 0.1)
 
 
@@ -223,18 +225,24 @@ def test_parse_memory_follows_the_input(workload_cnfs):
     assert peak < 6.0 * 2**20 and kept < 4.6 * 2**20
 
 
+def _by_variable(csp):
+    """Each variable's constraint ids, as lists, read from CSPArrays.inc_flat."""
+    ids, offsets = csp.arrays.inc_flat
+    return [ids[i:j].tolist() for i, j in zip(offsets[:-1], offsets[1:])]
+
+
 def _table_digest(csp):
     digest = hashlib.sha256()
     a = csp.arrays
     for table in (a.domains, a.vc, a.forb, a.arity):
         digest.update(repr(table.shape).encode() + np.ascontiguousarray(table, np.int64).tobytes())
-    digest.update(json.dumps(csp.dep_index).encode())
+    digest.update(json.dumps(_by_variable(csp)).encode())
     return digest.hexdigest()
 
 
-# sha256 over the tables and dep_index of parse_dimacs on random CNFs of the
-# kcnf-solve benchmark's sizes, and for the 8-CNF over those of project_csp
-# under a case2 scheme.  Recorded at 0.9.0, before parsing built its tables
+# sha256 over the tables and each variable's constraint ids of parse_dimacs
+# on random CNFs of the kcnf-solve benchmark's sizes, and for the 8-CNF over
+# those of project_csp under a case2 scheme.  Recorded at 0.9.0, before parsing built its tables
 # with numpy.
 PARSE_DIGESTS = {
     "4-cnf": "0c18471787b7536a725ca63281eae2abce8993965bd56dd4fb2fb5f46d3a9236",
@@ -330,7 +338,7 @@ def test_setup_path_builds_no_constraint_objects(workload_cnfs):
     for csp, expect in ((csp8, expect8), (pcsp, _projected(expect8, scheme)),
                         (csp4, csp_module._dimacs_clauses(workload_cnfs["4-cnf"])),
                         (coloring, expect_coloring), (csp12, expect12)):
-        assert csp.dep_index == expect.dep_index and _tables(csp) == _tables(expect)
+        assert _by_variable(csp) == incidence(expect) and _tables(csp) == _tables(expect)
         assert "constraints" not in csp.__dict__
         assert csp.constraints == expect.constraints and csp == expect
         assert csp.arrays.degrees == expect.arrays.degrees
@@ -368,11 +376,36 @@ def test_table_built_instances_behave_like_any_other(kind):
         copies = [pickle.loads(pickle.dumps(csp)), copy.deepcopy(csp)]
         for got in (csp, *copies):
             assert ("constraints" in got.__dict__) == read and got.m == expect.m
-            assert got.arrays.csp is got and _tables(got) == _tables(expect)
+            assert (got.arrays is csp.arrays) == (got is csp) and _tables(got) == _tables(expect)
             assert got == expect and hash(got) == hash(expect) and repr(got) == repr(expect)
-            assert got.dep_index == expect.dep_index
+            assert _by_variable(got) == incidence(expect)
             assert evaluate(got, [0] * got.n) == evaluate(expect, [0] * got.n)
             assert not hasattr(got, "vars")
+
+
+def test_tables_do_not_keep_their_instance_alive():
+    # CSPArrays is plain data with no reference back to its instance: with
+    # the cycle collector off, an instance dies once dropped, built from its
+    # constraints or from its tables, while its tables and the index by
+    # variable, degrees and mask derived from them stay in use
+    text = random_kcnf_text([7], 120, 50, 8)
+    builds = [lambda: csp_module._dimacs_clauses(text), lambda: parse_dimacs(text)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for build in builds:
+            csp = build()
+            a, stats = csp.arrays, degree_stats(csp)
+            assert "inc_flat" in a.__dict__
+            instance = weakref.ref(csp)
+            del csp
+            assert instance() is None
+            expect = build()
+            assert stats == degree_stats(expect) and a.degrees == expect.arrays.degrees
+            assert a.constrained.tolist() == [len(at) > 0 for at in incidence(expect)]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_sampler_on_a_table_built_instance_pickles():
@@ -389,7 +422,7 @@ def test_sampler_on_a_table_built_instance_pickles():
 
 def _parse_outcome(text, tables_from):
     """What parse_dimacs makes of text when inputs of tables_from characters
-    or more try the numpy path first: the instance, its dep_index and tables,
+    or more try the numpy path first: the instance, its index by variable and tables,
     or the ParseError's message and line; and the warnings, in order."""
     with mock.patch.object(csp_module, "_TABLES_FROM_CHARS", tables_from), \
             warnings.catch_warnings(record=True) as caught:
@@ -399,7 +432,7 @@ def _parse_outcome(text, tables_from):
         except ParseError as exc:
             result = ("ParseError", str(exc), exc.line)
         else:
-            result = (csp, csp.dep_index, _tables(csp))
+            result = (csp, _by_variable(csp), _tables(csp))
     return result, [(w.category, str(w.message)) for w in caught]
 
 
@@ -442,7 +475,7 @@ def _dimacs_documents(draw):
 @settings(max_examples=300, deadline=None)
 def test_table_and_clause_parsers_agree(document):
     # the numpy path gives the clause-by-clause parser's instance, or leaves
-    # the input to it: same tables, dep_index, errors and warnings
+    # the input to it: same tables, index by variable, errors and warnings
     text, regular = document
     result, caught = _assert_paths_agree(text)
     if regular and not caught:
@@ -685,7 +718,7 @@ def test_coloring_tables_match_its_constraints(data):
     csp = build_coloring_csp(edges, q, n=n)
     expect = AtomicCSP(n, (q,) * n, [AtomicConstraint(tuple(sorted(e)), (color,) * len(e))
                                      for e in edges for color in range(q)])
-    assert csp == expect and csp.dep_index == expect.dep_index
+    assert csp == expect and _by_variable(csp) == incidence(expect)
     built = CSPArrays.build(expect)
     for name in ("domains", "vc", "forb", "arity"):
         table, want = getattr(csp.arrays, name), getattr(built, name)
@@ -757,9 +790,8 @@ def test_instance_check_names_the_first_bad_position(data):
                                                allow_unit_domains=unit)):
         if expect is None:
             csp = build()
-            assert csp.dep_index == tuple(tuple(cid for cid, (vs, _) in enumerate(cons) if v in vs)
-                                          for v in range(n))
-            assert csp == AtomicCSP(n, domains, [AtomicConstraint(*c) for c in cons], unit)
+            by_objects = AtomicCSP(n, domains, [AtomicConstraint(*c) for c in cons], unit)
+            assert csp == by_objects and _by_variable(csp) == incidence(by_objects)
         else:
             with pytest.raises(CSPError) as caught:
                 build()
@@ -784,9 +816,9 @@ def test_inc_forb_lists_each_variables_forbidden_value():
     # constraints and the value each forbids there, unprojected
     csp = parse_dimacs("p cnf 4 3\n1 -2 0\n-2 3 4 0\n-1 -4 0\n")
     inc, inc_forb, _ = Sampler(csp, ProjectionScheme((((0,), (1,)),) * csp.n), 0.1).step_tables
-    for v in range(csp.n):
+    for v, at in enumerate(incidence(csp)):
         cids = [cid for cid in inc[:, v].tolist() if cid < csp.m]
-        assert cids == list(csp.dep_index[v])
+        assert cids == at
         expect = [csp.constraints[cid].forbidden_at(v) for cid in cids]
         assert inc_forb[:, v].tolist() == expect + [-2] * (inc.shape[0] - len(cids))
     assert (inc_forb[:, csp.n] == -2).all()
@@ -806,15 +838,15 @@ def test_flat_index_lists_each_variables_constraints(data):
                  for c in cons]
     csp = uniform_csp(n, 3, list(zip(cons, forbidden)))
     ids, offsets = csp.arrays.inc_flat
+    by_var = incidence(csp)
     assert offsets.shape == (n + 1,) and ids.shape == (sum(map(len, cons)),)
-    assert [ids[offsets[v]:offsets[v + 1]].tolist() for v in range(n)] == list(
-        map(list, csp.dep_index))
+    assert [ids[offsets[v]:offsets[v + 1]].tolist() for v in range(n)] == by_var
     partitions = [((0, 1), (2,)), ((0,), (1, 2)), ((0, 1, 2),), ((0,), (1,), (2,))]
     scheme = ProjectionScheme(tuple(data.draw(st.sampled_from(partitions)) for _ in range(n)))
     tables = Sampler(csp, scheme, 0.1).step_tables
-    d = max(map(len, csp.dep_index))
+    d = max(map(len, by_var))
     assert [t.shape for t in tables] == [(d, n + 1)] * 3
-    for v, at in enumerate(csp.dep_index + ((),)):
+    for v, at in enumerate(by_var + [[]]):
         cs, pad = [csp.constraints[cid] for cid in at], [-2] * (d - len(at))
         assert tables[0][:, v].tolist() == list(at) + [csp.m] * len(pad)
         assert tables[1][:, v].tolist() == [scheme.project_value(v, c.forbidden_at(v))

@@ -17,7 +17,6 @@ from lllsample.dynamics import (
     chain_length,
     component_threshold,
     components,
-    constrained_variables,
     explore,
     glauber_run,
     inv_sample,
@@ -43,6 +42,7 @@ from reference import (
     exact_mu_pi,
     exact_projected_conditional,
     group_of,
+    incidence,
     seeds as reference_seeds,
     unsat,
     violated_by_partial,
@@ -150,7 +150,8 @@ def _reference_run(y, pcsp, csp, scheme, cfg, rng, steps, chunk):
     """glauber_run as a plain loop over the same chunked draws: each step's
     seeds and unsatisfied constraints are recomputed from the state."""
     y = list(y)
-    movable, (total,) = movable_steps(scheme, constrained_variables(csp), steps, 1, rng)
+    constrained = np.array([len(at) > 0 for at in incidence(csp)], dtype=bool)
+    movable, (total,) = movable_steps(scheme, constrained, steps, 1, rng)
     s1 = s2 = 0
     hist = {}
     for start in range(0, total, chunk):
@@ -540,7 +541,7 @@ def test_chain_runs_on_the_constrained_variables(rng):
     # among them runs, and the free vertices keep their start
     csp = build_coloring_csp([[0, 1, 2], [2, 3, 4]], 3, n=8)
     sampler = Sampler(csp, identity_scheme(csp), 0.1, c_t=0.05)
-    assert sampler.constrained.tolist() == [True] * 5 + [False] * 3
+    assert csp.arrays.constrained.tolist() == [True] * 5 + [False] * 3
     cfg = sampler.cfg
     assert cfg.n == 5 and cfg.T == chain_length(cfg.kappa, 5, cfg.delta_deg, 0.1, 0.05)
     state = ProjectedState.random(sampler, rng)

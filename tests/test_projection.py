@@ -55,6 +55,7 @@ from conftest import (
     star_instance,
     uniform_csp,
 )
+from reference import incidence
 
 
 def test_scheme_validation():
@@ -339,8 +340,8 @@ def _admissibility_reference(csp, scheme, eta):
             lhs.append(math.inf)
     worst = max(lhs)
     ratios = [1.0]
-    for v in range(csp.n):
-        probs = {prob(v, csp.constraints[cid]) for cid in csp.dep_index[v]}
+    for v, at in enumerate(incidence(csp)):
+        probs = {prob(v, csp.constraints[cid]) for cid in at}
         if probs:
             ratios.append(float(max(probs) / min(probs)))
     a1 = b_frac <= Fraction(eta) / (300 * delta)
@@ -428,8 +429,8 @@ def test_admissibility_report_matches_the_public_quantities():
                     worst_lhs = max(worst_lhs, math.exp(math.fsum(logs)))
                 except OverflowError:
                     worst_lhs = math.inf
-        for v in range(csp.n):
-            at_v = [size_at(v, csp.constraints[cid].forbidden_at(v)) for cid in csp.dep_index[v]]
+        for v, at in enumerate(incidence(csp)):
+            at_v = [size_at(v, csp.constraints[cid].forbidden_at(v)) for cid in at]
             if at_v:
                 worst_ratio = max(worst_ratio, max(at_v) / min(at_v))
         assert report.a2_worst_lhs == worst_lhs
