@@ -17,7 +17,6 @@ from .csp import (
     write_dimacs,
 )
 from .projection import (
-    AdmissibilityError,
     AdmissibilityReport,
     ConstructionError,
     ProjectionScheme,

@@ -26,7 +26,6 @@ from .counting import CountingError, approx_count
 from .csp import AtomicCSP, CSPError, build_coloring_csp, parse_dimacs, parse_hypergraph
 from .dynamics import Sampler
 from .projection import (
-    AdmissibilityError,
     ConstructionError,
     ProjectionScheme,
     RegimeError,
@@ -52,6 +51,8 @@ def _fail(message: str, code: int) -> int:
 
 
 def _load_csp(args) -> AtomicCSP:
+    if args.format == "cnf" and args.q is not None:
+        raise CSPError("--q applies to hypergraph input only")
     try:
         with open(args.input, "rb") as fh:
             text = fh.read()
@@ -78,24 +79,22 @@ def _scheme_for(args, csp: AtomicCSP, seed: int):
         except OSError as exc:
             raise CSPError(f"cannot read {args.scheme}: {exc}") from exc
         return ProjectionScheme.from_json(text), f"file:{args.scheme}"
-    scheme = construct_projection(
-        csp,
-        eta=args.eta,
-        delta=args.construction_delta,
-        case_hint=args.case_hint,
-        seed=[seed, 0],
-    )
+    # without --construction-delta the library's default holds
+    kw = {} if args.construction_delta is None else {"delta": args.construction_delta}
+    scheme = construct_projection(csp, eta=args.eta, case_hint=args.case_hint, seed=[seed, 0],
+                                  **kw)
     return scheme, f"auto:{scheme.case}"
 
 
-def _overrides(args) -> dict:
-    """The schedule constants the user set; the library's defaults hold for
-    the rest."""
-    out = {}
-    for name in ("c_t", "theta_const", "c_n"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            out[name] = getattr(args, name)
-    return out
+_SCHEDULE = ("c_t", "theta_const", "c_n")
+
+
+def _overrides(args, names=_SCHEDULE) -> dict:
+    """The constants among names that the user set; the library's defaults
+    hold for the rest.  By default the schedule's, which the sampler and the
+    counter take; the manifest records --construction-delta beside them, so
+    that a run with it replays."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
 def _manifest(args, command: str, seed: int, scheme_source: str | None) -> dict:
@@ -107,7 +106,7 @@ def _manifest(args, command: str, seed: int, scheme_source: str | None) -> dict:
         "eta": getattr(args, "eta", None),
         "seed": seed,
         "scheme_source": scheme_source,
-        "overrides": _overrides(args),
+        "overrides": _overrides(args, (*_SCHEDULE, "construction_delta")),
         "version": __version__,
     }
     if hasattr(args, "eps"):
@@ -233,13 +232,13 @@ def _add_common(p, scheme_opts=True):
     p.add_argument("--format", choices=("cnf", "hypergraph"), default="cnf")
     p.add_argument("--q", type=int, default=None, help="colors for hypergraph input")
     p.add_argument("--seed", type=_int_from(0), default=None)
-    p.add_argument("--eta", type=_POSITIVE, default=0.25)
     p.add_argument("--pretty", action="store_true")
     if scheme_opts:
+        p.add_argument("--eta", type=_POSITIVE, default=0.25)
         p.add_argument("--scheme", default=None, help="projection scheme JSON file")
         p.add_argument("--case-hint", default=None,
                        choices=("case1", "case2", "case3", "case4", "case5"))
-        p.add_argument("--construction-delta", type=_PROBABILITY, default=0.01)
+        p.add_argument("--construction-delta", type=_PROBABILITY, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +283,7 @@ def dispatch(argv=None) -> int:
         return USAGE_ERROR if exc.code else 0
     try:
         return args.func(args)
-    except (CSPError, RegimeError, AdmissibilityError) as exc:
+    except (CSPError, RegimeError) as exc:
         return _fail(str(exc), USAGE_ERROR)
     except ConstructionError as exc:
         return _fail(str(exc), RESULT_ERROR)

@@ -1,6 +1,7 @@
 """Projection schemes: per-variable partitions of the alphabet into preimage
 blocks, the quantities b, zeta, kappa derived from them, the admissibility
-report, and the five-case constructor.
+report (check_admissibility, the one check of a scheme), and the five-case
+constructor, which constructs and checks only its own windows.
 
 A scheme maps each original value to the index of its block; the projected
 alphabet of variable v has one symbol per block.  Collapsing a variable to a
@@ -11,7 +12,6 @@ fully visible.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,8 +24,6 @@ import numpy as np
 from .csp import AtomicCSP, CSPError, InternalError, ParseError, degree_stats
 from .resample import moser_tardos
 
-logger = logging.getLogger(__name__)
-
 E = math.e
 _LOG_MAX = float(np.log(np.finfo(float).max))  # math.exp overflows past it
 
@@ -36,10 +34,6 @@ class RegimeError(ValueError):
 
 class ConstructionError(RuntimeError):
     """Randomized construction exhausted its resampling budget."""
-
-
-class AdmissibilityError(ValueError):
-    """Strict construction rejected a scheme that fails the numeric checks."""
 
 
 @dataclass(frozen=True)
@@ -282,14 +276,6 @@ def scheme_kappa(csp: AtomicCSP, scheme: ProjectionScheme) -> float:
     return kappa_for(scheme.case, delta, max(csp.domains, default=2), k)
 
 
-def zeta_values(csp: AtomicCSP, scheme: ProjectionScheme, b: Fraction | None = None):
-    """zeta(C) with the conservative substitute 1 for the worst-case TV term:
-    max over multi-block variables of max(1, min((1-3b)^Delta / P, 2*Delta)),
-    which is 2*Delta when b >= 1/3 makes the factor meaningless, never inf."""
-    b_max, _, _, p, multi = _tables(csp, scheme)
-    return _zeta(p, multi, b_max if b is None else b, degree_stats(csp)[0]).tolist()
-
-
 def _in_regime(csp: AtomicCSP, scheme: ProjectionScheme) -> bool:
     """check_admissibility(csp, scheme, eta).regime, without the rest of the report."""
     return E * float(_tables(csp, scheme)[0]) * degree_stats(csp)[0] <= 1.0
@@ -483,14 +469,11 @@ def _uniform_case_params(csp: AtomicCSP):
     return a, k
 
 
-def choose_case(csp: AtomicCSP) -> str:
-    """Instance-shape dispatch.  Uniform alphabets route to their dedicated
-    case; mixed alphabets use the combined construction.  The large-alphabet
-    cutoff for the cube-root bucketing is 8 (uniform arity required)."""
-    return _case_of(*_uniform_case_params(csp))
-
-
 def _case_of(a: int | None, k: int | None) -> str:
+    """Instance-shape dispatch on _uniform_case_params: uniform alphabets
+    route to their dedicated case; mixed alphabets use the combined
+    construction.  The large-alphabet cutoff for the cube-root bucketing is
+    8 (uniform arity required)."""
     if a is None:
         return "case5"
     if a == 2:
@@ -633,17 +616,14 @@ def construct_projection(
     delta: float = 0.01,
     case_hint: str | None = None,
     seed=None,
-    strict: bool = False,
 ) -> ProjectionScheme:
-    """Build a projection scheme by the case matching the instance shape.
+    """Build a projection scheme by case_hint, else by the case _case_of
+    gives the instance's shape.
 
     The randomized cases re-check every constraint's window on the scheme
-    they return.  With strict=True the scheme is then checked by
-    check_admissibility and one failing A1-A3 is rejected
-    (AdmissibilityError); otherwise the report is built only when this
-    module's logger logs INFO, which it logs a failure at, since the numeric
-    conditions are asymptotic and desk-scale instances routinely sit outside
-    them while the sampler remains exact.  The scheme is the same either way.
+    they return.  Nothing here checks the numeric admissibility conditions:
+    check_admissibility reports them.  They are asymptotic, so desk-scale
+    schemes routinely fail them while the sampler remains exact.
     """
     if 1 in csp.domains:
         raise RegimeError("projection construction requires alphabets of size at least 2")
@@ -656,42 +636,21 @@ def construct_projection(
     if case == "case1":
         if a is None or a < 4:
             raise RegimeError("case1 requires a uniform alphabet of size >= 4")
-        scheme = make((_contiguous_blocks(a, _floor_pow_2_3(a)),) * csp.n)
-    elif case == "case2":
+        return make((_contiguous_blocks(a, _floor_pow_2_3(a)),) * csp.n)
+    if case == "case2":
         if a != 2:
             raise RegimeError("case2 requires a uniform binary alphabet")
-        scheme = _build_random(csp, _WINDOWS[case], delta, rng, make)
-    elif case == "case3":
+        return _build_random(csp, _WINDOWS[case], delta, rng, make)
+    if case == "case3":
         if a != 3:
             raise RegimeError("case3 requires a uniform ternary alphabet")
-        scheme = _build_random(csp, _WINDOWS[case], delta, rng, make)
-    elif case == "case4":
+        return _build_random(csp, _WINDOWS[case], delta, rng, make)
+    if case == "case4":
         if a is None or a < 4:
             raise RegimeError("case4 requires a uniform alphabet of size >= 4")
         if a in (5, 7):
-            scheme = _build_random(csp, _WINDOWS[f"case4-{a}"], delta, rng, make)
-        else:
-            scheme = make((_contiguous_blocks(a, bucket_count(a)),) * csp.n)
-    elif case == "case5":
-        scheme = _build_random(csp, _WINDOWS[case], delta, rng, make)
-    else:
-        raise RegimeError(f"unknown construction case {case!r}")
-
-    if not (strict or logger.isEnabledFor(logging.INFO)):
-        return scheme
-    report = check_admissibility(csp, scheme, eta)
-    if not report.all_pass:
-        fails = [
-            name
-            for name, ok in [
-                ("A1", report.a1_pass), ("A2", report.a2_pass),
-                ("A3", report.a3_pass), ("A4", report.a4_pass),
-            ]
-            if not ok
-        ]
-        if strict:
-            raise AdmissibilityError(
-                f"constructed {case} scheme fails {'/'.join(fails)} numerically"
-            )
-        logger.info("constructed %s scheme fails %s numerically (desk scale)", case, fails)
-    return scheme
+            return _build_random(csp, _WINDOWS[f"case4-{a}"], delta, rng, make)
+        return make((_contiguous_blocks(a, bucket_count(a)),) * csp.n)
+    if case == "case5":
+        return _build_random(csp, _WINDOWS[case], delta, rng, make)
+    raise RegimeError(f"unknown construction case {case!r}")

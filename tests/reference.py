@@ -3,9 +3,11 @@ constraints, projected and conditional laws, the conditional-marginal
 bound, the chain state's bookkeeping, and 2-tree counts.  All are exact
 (integer counts, Fractions), guarded to desk scale, and share no code path
 with the sampler they check.
-`apply`, which moves a chain state one variable at a time for the
-bookkeeping tests, is the exception: it is the step loop's update, through
-the state's own `_shift`."""
+`zeta`, each constraint's zeta read from the constraint objects, is in
+floats like the admissibility report's, and takes b and Delta from
+`compute_b` and `degree_stats`.  `apply`, which moves a chain state one
+variable at a time for the bookkeeping tests, is the other exception: it is
+the step loop's update, through the state's own `_shift`."""
 
 from __future__ import annotations
 
@@ -26,6 +28,26 @@ def incidence(csp: AtomicCSP) -> list[list[int]]:
     for cid, c in enumerate(csp.constraints):
         for v in c.vars:
             out[v].append(cid)
+    return out
+
+
+def zeta(csp: AtomicCSP, scheme: ProjectionScheme) -> list[float]:
+    """zeta(C) of each constraint, read from the constraint objects: 1, or
+    the largest min((1 - 3b)^Delta / P, 2 Delta) over C's variables with
+    more than one block, P the share of the alphabet in the block of C's
+    forbidden value; 2 Delta where b >= 1/3 makes the first term
+    meaningless."""
+    b, _ = compute_b(csp, scheme)
+    delta = degree_stats(csp)[0]
+    shrink = (1.0 - 3.0 * float(b)) ** delta if b < Fraction(1, 3) else 0.0
+    out = []
+    for c in csp.constraints:
+        z = 1.0
+        for v, f in zip(c.vars, c.forbidden):
+            if len(scheme.blocks[v]) > 1:
+                p = scheme.block_size(v, scheme.project_value(v, f)) / csp.domains[v]
+                z = max(z, min(shrink / p, 2.0 * delta) if shrink > 0.0 else 2.0 * delta)
+        out.append(z)
     return out
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ from lllsample.cli import dispatch
 from lllsample.csp import AtomicConstraint, AtomicCSP, parse_dimacs
 from lllsample.dynamics import main_sample
 from lllsample.projection import ProjectionScheme, construct_projection
-from conftest import pinned_hypergraphs
+from conftest import pinned_hypergraphs, random_kcnf_text
 
 
 @pytest.fixture
@@ -321,6 +322,20 @@ def test_usage_errors(capsys, tmp_path):
                      "--eps", "0.1"]) == 2  # missing --q
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["find", "--eta", "0.3"], "unrecognized arguments: --eta 0.3"),
+    (["sample", "--eps", "0.1", "--q", "5"], "--q applies to hypergraph input only"),
+    (["count", "--delta", "0.5", "--format", "cnf", "--q", "5"],
+     "--q applies to hypergraph input only"),
+], ids=["find-eta", "sample-cnf-q", "count-cnf-q"])
+def test_options_the_run_would_not_read_are_usage_errors(capsys, cnf_file, argv, message):
+    # find constructs no scheme, so it takes no --eta, and CNF input has no
+    # colours; neither value may be accepted and written into the manifest
+    code = dispatch([*argv, "--input", cnf_file, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and message in captured.err
+
+
 @pytest.mark.parametrize("name, data, extra", [
     ("bad.cnf", b"p cnf 2 1\n1 \xff 0\n", []),
     ("bad.hyp", b"0 1\n\xfe 2\n", ["--format", "hypergraph", "--q", "3"]),
@@ -443,3 +458,50 @@ def test_env_override_ct(capsys, cnf_file):
     assert code == 0
     assert payload["manifest"]["overrides"]["c_t"] == 0.5
     assert payload["diagnostics"]["c_t"] == 0.5
+
+
+def _replay_argv(manifest: dict) -> list[str]:
+    """The command line that the manifest records."""
+    argv = [manifest["command"], "--input", manifest["input"], "--format", manifest["format"],
+            "--seed", str(manifest["seed"])]
+    for name in ("q", "eta", "epsilon", "delta"):
+        if manifest.get(name) is not None:
+            argv += [f"--{'eps' if name == 'epsilon' else name}", repr(manifest[name])]
+    for name, value in manifest["overrides"].items():
+        argv += [f"--{name.replace('_', '-')}", repr(value)]
+    return argv
+
+
+def test_manifest_replays_a_construction_delta(capsys, monkeypatch, tmp_path):
+    # --construction-delta sets the construction's attempt count: here the
+    # case2 construction succeeds on its 10th attempt, and fails after the 5
+    # of the default; the manifest records the value, so the run replays
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.cnf").write_text(random_kcnf_text([0, 110], 200, 110, 12))
+    argv = ["check-projection", "--input", "k.cnf", "--seed", "3"]
+    assert dispatch(argv) == 1 and capsys.readouterr().out == ""
+    assert dispatch([*argv, "--construction-delta", "1e-9"]) == 0
+    out = capsys.readouterr().out
+    manifest = json.loads(out)["manifest"]
+    assert manifest["overrides"] == {"construction_delta": 1e-9}
+    assert dispatch(_replay_argv(manifest)) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_every_option_is_recorded_in_the_manifest():
+    # an option the manifest leaves out can change a run that the manifest
+    # then does not replay; these change no output, or scheme_source names them
+    neutral = {"help", "pretty", "workers", "count", "scheme", "case_hint"}
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    required = {"sample": ["--eps", "0.1"], "count": ["--delta", "0.5"]}
+    for command, p in sub.choices.items():
+        args = parser.parse_args([command, "--input", "x.cnf", "--seed", "1",
+                                  *required.get(command, [])])
+        base = cli._manifest(args, command, cli._resolve_seed(args), None)
+        for action in p._actions:
+            if action.dest in neutral:
+                continue
+            changed = argparse.Namespace(**{**vars(args), action.dest: object()})
+            manifest = cli._manifest(changed, command, cli._resolve_seed(changed), None)
+            assert manifest != base, f"{command}: the manifest leaves out {action.dest}"

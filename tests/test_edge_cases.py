@@ -202,7 +202,7 @@ def test_public_surface():
     from lllsample.cli import build_parser
 
     assert set(lllsample.__all__) == {
-        "AdmissibilityError", "AdmissibilityReport", "AtomicCSP", "AtomicConstraint",
+        "AdmissibilityReport", "AtomicCSP", "AtomicConstraint",
         "BatchSampler", "CSPError", "ConstructionError", "CountEstimate", "CountingError",
         "InternalError", "ParseError", "ProjectionScheme", "RegimeError", "SampleResult",
         "SamplerConfig", "approx_count", "build_coloring_csp", "chain_length",

@@ -28,25 +28,24 @@ from lllsample.bundled import BUNDLED, load_bundled
 from lllsample.counting import approx_count
 from lllsample.dynamics import Sampler, main_sample, project_csp
 from lllsample.projection import (
-    AdmissibilityError,
     ConstructionError,
     ProjectionScheme,
     RegimeError,
     bucket_count,
     check_admissibility,
-    choose_case,
     compute_b,
     construct_projection,
     full_marking_scheme,
     identity_scheme,
     kappa_for,
     scheme_kappa,
-    zeta_values,
     _SHAPES,
     _WINDOWS,
+    _case_of,
     _floor_pow_2_3,
     _in_regime,
     _partitions,
+    _uniform_case_params,
 )
 from conftest import (
     pinned_hypergraphs,
@@ -55,7 +54,7 @@ from conftest import (
     star_instance,
     uniform_csp,
 )
-from reference import incidence
+from reference import incidence, zeta
 
 
 def test_scheme_validation():
@@ -226,16 +225,16 @@ def test_zeta_kappa():
     # empty multi-block set floors zeta at 1; a scheme without kappa takes
     # the generic formula at Delta=1, A=2, k=3
     csp = uniform_csp(3, 2, [((0, 1, 2), (0, 0, 0))])
-    assert zeta_values(csp, full_marking_scheme(csp)) == [1.0]
+    assert check_admissibility(csp, full_marking_scheme(csp), 0.25).zeta == [1.0]
     # b = 1 >= 1/3: no inf, the cap 2*Delta at every constraint with a
     # multi-block variable
     cnf = parse_dimacs("p cnf 3 2\n1 2 0\n-2 3 0\n")
-    assert zeta_values(cnf, identity_scheme(cnf)) == [4.0, 4.0]
+    assert check_admissibility(cnf, identity_scheme(cnf), 0.25).zeta == [4.0, 4.0]
     assert scheme_kappa(csp, full_marking_scheme(csp)) == kappa_for(None, 1, 2, 3)
     # ceiling 2*Delta binds on the case-1 example
     case1 = star_instance(64, 3, 5)
     scheme = construct_projection(case1, case_hint="case1", seed=0)
-    zetas = zeta_values(case1, scheme)
+    zetas = check_admissibility(case1, scheme, 0.25).zeta
     assert all(z <= min(1.5 * 64 ** (2 / 3), 10.0) for z in zetas)
     # kappa arithmetic: case 1 with Delta=100, A=64
     assert kappa_for("case1", 100, 64, 3) == pytest.approx(12 * math.log(3000 * 164))
@@ -283,9 +282,8 @@ def test_check_admissibility_a2_past_float_range(delta):
     if delta == 5:
         # direct evaluation: both variables of every constraint have two
         # blocks and sit in the forbidden one with probability 1/2
-        zeta = zeta_values(csp, scheme)[0]
         term = 4.0**delta * 0.5 + math.exp(-report.kappa / 3)
-        expect = 2**2 * report.kappa**2 * zeta * term**2
+        expect = 2**2 * report.kappa**2 * report.zeta[0] * term**2
         assert report.a2_worst_lhs == pytest.approx(expect, rel=1e-12)
     else:
         assert report.a2_worst_lhs == math.inf
@@ -396,10 +394,10 @@ def _random_construction(gen, domains, m):
 
 
 def test_admissibility_report_matches_the_public_quantities():
-    # check_admissibility computes once per shape; its b, zeta, A2 worst
-    # lhs and A3 worst ratio equal what compute_b and zeta_values give, and
-    # the block sizes and overlap marginals read from the scheme one
-    # constraint at a time
+    # check_admissibility computes once per shape; its b equals what
+    # compute_b gives, and its zeta, A2 worst lhs and A3 worst ratio what the
+    # constraint objects and the block sizes and overlap marginals read from
+    # the scheme give one constraint at a time
     gen = np.random.default_rng(31)
     cases = [load_bundled(name) for name in sorted(BUNDLED)]
     for a in (2, 3, 5, 7):
@@ -411,7 +409,7 @@ def test_admissibility_report_matches_the_public_quantities():
     for csp, scheme in cases:
         report = check_admissibility(csp, scheme, 0.25)
         b, _ = compute_b(csp, scheme)
-        zetas = zeta_values(csp, scheme)
+        zetas = zeta(csp, scheme)
         assert report.b == float(b)
         assert report.zeta == zetas
         delta, kappa = report.delta_deg, report.kappa
@@ -419,11 +417,11 @@ def test_admissibility_report_matches_the_public_quantities():
         tail_over_inflate = math.exp(-kappa / 3.0 - log_inflate)
         size_at = lambda v, f: scheme.block_size(v, scheme.project_value(v, f))
         worst_lhs, worst_ratio = 0.0, 1.0
-        for c, zeta in zip(csp.constraints, zetas):
+        for c, z in zip(csp.constraints, zetas):
             ov = [size_at(v, f) / csp.domains[v] for v, f in zip(c.vars, c.forbidden)
                   if len(scheme.blocks[v]) > 1]
             if ov:
-                logs = [math.log(len(ov) ** 2 * kappa**2 * zeta)]
+                logs = [math.log(len(ov) ** 2 * kappa**2 * z)]
                 logs += [log_inflate + math.log(p + tail_over_inflate) for p in ov]
                 try:
                     worst_lhs = max(worst_lhs, math.exp(math.fsum(logs)))
@@ -641,28 +639,23 @@ def test_unit_alphabet_is_a_regime_error():
             construct_projection(csp, case_hint=hint, seed=0)
 
 
-def test_strict_mode_rejects_desk_scale():
+def test_desk_scale_case1_scheme_fails_admissibility():
     csp = star_instance(64, 3, 5)
-    with pytest.raises(AdmissibilityError):
-        construct_projection(csp, case_hint="case1", seed=0, strict=True)
+    scheme = construct_projection(csp, case_hint="case1", seed=0)
+    assert check_admissibility(csp, scheme, 0.25).all_pass is False
 
 
-def test_construction_reports_only_when_read(caplog):
-    # the report is built for strict=True or an INFO log, and the scheme is
-    # the same either way
-    csp = star_instance(64, 3, 5)
-    with caplog.at_level(logging.INFO, logger="lllsample.projection"):
-        scheme = construct_projection(csp, case_hint="case1", seed=0)
-    assert not check_admissibility(csp, scheme, 0.25).all_pass
-    assert "constructed case1 scheme fails ['A1', 'A2'] numerically (desk scale)" in caplog.text
+def test_construction_never_checks_admissibility(caplog):
+    # check_admissibility is the one check of a scheme: construction builds
+    # no report and logs nothing, also when the process logs at INFO
+    star, cnf = star_instance(64, 3, 5), parse_dimacs(random_kcnf_text([0, 110], 200, 110, 12))
+    built = [construct_projection(star, case_hint="case1", seed=0),
+             construct_projection(cnf, seed=[3, 0], delta=1e-9)]
     unread = mock.patch.object(projection, "check_admissibility", side_effect=AssertionError)
-    with caplog.at_level(logging.WARNING, logger="lllsample.projection"), unread:
-        assert construct_projection(csp, case_hint="case1", seed=0) == scheme
-        with pytest.raises(AssertionError):
-            construct_projection(csp, case_hint="case1", seed=0, strict=True)
-    with caplog.at_level(logging.WARNING, logger="lllsample.projection"), \
-            pytest.raises(AdmissibilityError):
-        construct_projection(csp, case_hint="case1", seed=0, strict=True)
+    with caplog.at_level(logging.INFO), unread:
+        assert construct_projection(star, case_hint="case1", seed=0) == built[0]
+        assert construct_projection(cnf, seed=[3, 0], delta=1e-9) == built[1]
+    assert built[1].case == "case2" and caplog.records == []
 
 
 def test_case_dispatch_errors():
@@ -831,7 +824,7 @@ GOLDEN_DIGESTS = {
 def test_construction_output_is_pinned(case):
     # sha256 over the scheme JSON (or error text) of every instance and seed
     csps = _golden_instances()[case]
-    assert all(choose_case(csp) == case for csp in csps)
+    assert all(_case_of(*_uniform_case_params(csp)) == case for csp in csps)
     text = "\n".join(_construction_outputs(csps, range(10)))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[case]
 
