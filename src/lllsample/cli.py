@@ -73,6 +73,12 @@ def _resolve_seed(args) -> int:
 
 def _scheme_for(args, csp: AtomicCSP, seed: int):
     if args.scheme:
+        # a scheme read from a file is not constructed, so the construction's
+        # options would go unread
+        for flag, value in (("--case-hint", args.case_hint),
+                            ("--construction-delta", args.construction_delta)):
+            if value is not None:
+                raise CSPError(f"{flag} applies to a constructed scheme, not with --scheme")
         try:
             with open(args.scheme, "rb") as fh:
                 text = fh.read()

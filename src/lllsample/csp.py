@@ -4,8 +4,9 @@ An atomic constraint forbids exactly one assignment to its variable set.
 Assignments are plain tuples of ints (value of variable v at index v);
 partial assignments use None for unassigned variables.  CSPArrays holds
 their numpy tables, those by constraint laid out constraint-last, (k, m),
-and one index by variable, the flat inc_flat; the library reads an
-instance through these tables alone.
+and one index by variable, the flat inc_flat, which only the many-chain
+driver and the resampling solver build; the library reads an instance
+through these tables alone.
 
 An AtomicCSP checks its constraints in one pass at construction.  The
 clause-by-clause DIMACS reader hands it constraints that are valid by
@@ -21,6 +22,7 @@ its clause-by-clause reader, the one source of its errors and warnings.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -198,8 +200,10 @@ class CSPArrays:
     from the constraints in one conversion per table; an instance built from
     its tables (AtomicCSP._of_arrays) holds those, and tuples reads them
     back.  The one index by variable is the flat inc_flat, whose memory
-    follows the sum of the arities; constrained and degrees, the only other
-    tables by variable or by neighbour, are derived from it on first use.
+    follows the sum of the arities; only Sampler.step_tables and
+    find_assignment read it.  constrained and degrees, the only other tables
+    by variable or by neighbour, are derived from vc on first use, without it:
+    degrees once per distinct variable tuple.
 
     Tables pad with n for "no variable" and -2 for "no forbidden value",
     which no value equals; the arity of the pad constraint m is -1, which no
@@ -239,18 +243,26 @@ class CSPArrays:
 
     @cached_property
     def constrained(self) -> np.ndarray:  # (n,) bool: whether each variable is in a constraint
-        return np.diff(self.inc_flat[1]) > 0
+        n = len(self.domains)
+        return np.bincount(self.vc.ravel(), minlength=n + 1)[:n] > 0  # vc pads with n
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:  # (m,) constraints sharing a variable with each
-        ids, offsets = self.inc_flat
-        cids = list(range(len(self.arity) - 1))  # one int object per constraint, shared
-        flat, at = list(map(cids.__getitem__, ids.tolist())), offsets.tolist()
-        near = [tuple(flat[i:j]) for i, j in zip(at, at[1:])].__getitem__  # dropped on return
-        del flat, at  # before vars_ is built: the peak holds one flat list at a time
-        vars_ = self.tuples(self.vc)
-        size = {t: len(set().union(*map(near, t))) for t in set(vars_)}  # once per distinct tuple
-        return tuple(map(size.__getitem__, vars_))
+        n = len(self.domains)
+        ids: dict = {}  # each distinct variable tuple's number, in order of first appearance
+        # a column of vc, pads n included, stands for its tuple
+        of = [ids.setdefault(t, len(ids)) for t in map(tuple, self.vc.T.tolist())]
+        at = [[] for _ in range(n + 1)]  # per variable, the distinct tuples at it
+        for i, t in enumerate(ids):
+            for v in t:
+                at[v].append(i)
+        at[n].clear()  # the pad n is no variable
+        if len(ids) == len(of):  # no tuple repeats: a tuple's degree is its union's length
+            size = [len(set().union(*map(at.__getitem__, t))) for t in ids]
+        else:  # the summed multiplicity of its union
+            mult = Counter(of).__getitem__
+            size = [sum(map(mult, set().union(*map(at.__getitem__, t)))) for t in ids]
+        return tuple(map(size.__getitem__, of))
 
     def matches(self, Z: np.ndarray, forb: np.ndarray) -> np.ndarray:
         """(m,) or (m, P) count of variables at the value forb (k, m) lists for
@@ -291,7 +303,9 @@ def degree_stats(csp: AtomicCSP) -> tuple[int, int, list[int]]:
     The degree of a constraint counts every constraint sharing at least one
     variable with it, itself included; Delta is the maximum, k the maximum
     arity.  An instance with no constraints reports (0, 0, []).  Degrees are
-    counted once per distinct variable tuple and cached on csp.arrays.
+    counted once per distinct variable tuple, from the variable table alone,
+    and cached on csp.arrays: a distinct tuple's degree is the summed
+    multiplicity of the distinct tuples at any of its variables.
     """
     degrees = csp.arrays.degrees
     return max(degrees, default=0), len(csp.arrays.vc), list(degrees)

@@ -202,11 +202,11 @@ class Sampler:
     every chain and lift run on it: the schedule `cfg` and the projected
     forbidden values by constraint, `forb`.  The tables only one driver
     reads, the single chain's `groups` and the many-chain driver's
-    `step_tables`, are built the first time they are read, gathered from
-    the flat index CSPArrays.inc_flat and `forb` without reading constraint
-    objects.  The instance's own facts by variable, such as which variables
-    lie in some constraint (CSPArrays.constrained), are read from its
-    tables, not copied here."""
+    `step_tables`, are built the first time they are read, from the
+    instance's tables and `forb` without reading constraint objects; only
+    `step_tables` reads the flat index CSPArrays.inc_flat.  The instance's
+    own facts by variable, such as which variables lie in some constraint
+    (CSPArrays.constrained), are read from its tables, not copied here."""
 
     def __init__(self, csp: AtomicCSP, scheme: ProjectionScheme, eps: float, eta: float = 0.25,
                  c_t: float = 1.0):

@@ -55,15 +55,21 @@ class ProjectionScheme:
     partitions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        written = tuple(self.blocks)  # holds each object, so that no id below is reused
+        objects: dict = {}  # each object's partition, by id; construct_projection
+        # passes one object per partition, so it reads the blocks once per partition
         forms: dict = {}  # each written form's partition, checked at its first variable
         canon: dict = {}  # each partition's (number, blocks, block_of), by its sorted blocks
         parts = []
-        for v, var_blocks in enumerate(self.blocks):
-            key = tuple(map(tuple, var_blocks))  # hashable
-            p = forms.get(key)
+        for v, var_blocks in enumerate(written):
+            p = objects.get(id(var_blocks))
             if p is None:
-                blocks, block_of = _partition(v, key)
-                p = forms[key] = canon.setdefault(blocks, (len(canon), blocks, block_of))
+                key = tuple(map(tuple, var_blocks))  # hashable
+                p = forms.get(key)
+                if p is None:
+                    blocks, block_of = _partition(v, key)
+                    p = forms[key] = canon.setdefault(blocks, (len(canon), blocks, block_of))
+                objects[id(var_blocks)] = p
             parts.append(p)
         part, blocks, block_of = zip(*parts) if parts else ((), (), ())
         object.__setattr__(self, "blocks", blocks)
@@ -546,10 +552,11 @@ def _partitions(a: int, window: _Window) -> list[tuple[tuple, Fraction]]:
     return [(p, w) for p, w in table if w]
 
 
-def _build_random(csp: AtomicCSP, window: _Window, delta: float, rng, make) -> ProjectionScheme:
+def _build_random(csp: AtomicCSP, window: _Window, delta: float, seed, make) -> ProjectionScheme:
     """make(blocks) for partitions inside every constraint's window.  Variables
     of alphabet at least 4 other than 5 and 7 keep fixed buckets; Moser-Tardos
-    draws the rest, each as a row of one table of every partition it can take."""
+    draws the rest, each as a row of one table of every partition it can take,
+    from np.random.default_rng(seed)."""
     n, m, a = csp.n, csp.m, csp.arrays
     vc, forb = a.vc.T.copy(), a.forb.T.copy()  # (m, k): the window sums below add along rows
     sizes = sorted(set(csp.domains))
@@ -576,14 +583,15 @@ def _build_random(csp: AtomicCSP, window: _Window, delta: float, rng, make) -> P
     pos[drawn] = np.arange(drawn.size)
     row = np.full(n + 1, len(parts))
     row[:n][~is_drawn] = first_fixed + np.searchsorted(fixed_sizes, a.domains[~is_drawn])
-    mvc, fcol = pos[vc], np.maximum(forb, 0)
-    base = logs[row[vc], fcol].sum(axis=1)  # S(C) over the fixed buckets
+    # logs is read flat, at row * width + value: one take per window test
+    mvc, fcol, flat, width = pos[vc], np.maximum(forb, 0), logs.ravel(), logs.shape[1]
+    base = flat.take(row[vc] * width + fcol).sum(axis=1)  # S(C) over the fixed buckets
     L = np.append(np.log(a.domains), 0.0)[vc].sum(axis=1)
     scale = np.full(m, L.min(initial=math.inf)) if window.least else L
     low, high = window.gamma * scale, L - window.c * window.gamma * scale
 
     def violated(rows):  # S(C) outside its window
-        S = base + logs[np.append(rows, len(parts))[mvc], fcol].sum(axis=1)
+        S = base + flat.take(np.append(rows, len(parts)).take(mvc) * width + fcol).sum(axis=1)
         return (S < low) | (S > high)
 
     def draw(idx, r):
@@ -592,7 +600,7 @@ def _build_random(csp: AtomicCSP, window: _Window, delta: float, rng, make) -> P
 
     if (violated(np.full(drawn.size, len(parts))) & (mvc == drawn.size).all(axis=1)).any():
         raise ConstructionError("deterministic large-alphabet blocks already violate a threshold")
-    result = moser_tardos(drawn.size, mvc, draw, violated, rng, delta=delta)
+    result = moser_tardos(drawn.size, mvc, draw, violated, np.random.default_rng(seed), delta=delta)
     if not result.success:
         raise ConstructionError(f"{window.what} construction exhausted its resampling budget: "
                                 f"{result.attempts_used} attempts, {result.resamples} resamples, "
@@ -620,14 +628,14 @@ def construct_projection(
     """Build a projection scheme by case_hint, else by the case _case_of
     gives the instance's shape.
 
-    The randomized cases re-check every constraint's window on the scheme
-    they return.  Nothing here checks the numeric admissibility conditions:
+    The randomized cases draw from np.random.default_rng(seed) and re-check
+    every constraint's window on the scheme they return; the others read no
+    seed.  Nothing here checks the numeric admissibility conditions:
     check_admissibility reports them.  They are asymptotic, so desk-scale
     schemes routinely fail them while the sampler remains exact.
     """
     if 1 in csp.domains:
         raise RegimeError("projection construction requires alphabets of size at least 2")
-    rng = np.random.default_rng(seed)
     a, k = _uniform_case_params(csp)
     case = case_hint or _case_of(a, k)
     delta_deg, k_max, _ = degree_stats(csp)
@@ -640,17 +648,17 @@ def construct_projection(
     if case == "case2":
         if a != 2:
             raise RegimeError("case2 requires a uniform binary alphabet")
-        return _build_random(csp, _WINDOWS[case], delta, rng, make)
+        return _build_random(csp, _WINDOWS[case], delta, seed, make)
     if case == "case3":
         if a != 3:
             raise RegimeError("case3 requires a uniform ternary alphabet")
-        return _build_random(csp, _WINDOWS[case], delta, rng, make)
+        return _build_random(csp, _WINDOWS[case], delta, seed, make)
     if case == "case4":
         if a is None or a < 4:
             raise RegimeError("case4 requires a uniform alphabet of size >= 4")
         if a in (5, 7):
-            return _build_random(csp, _WINDOWS[f"case4-{a}"], delta, rng, make)
+            return _build_random(csp, _WINDOWS[f"case4-{a}"], delta, seed, make)
         return make((_contiguous_blocks(a, bucket_count(a)),) * csp.n)
     if case == "case5":
-        return _build_random(csp, _WINDOWS[case], delta, rng, make)
+        return _build_random(csp, _WINDOWS[case], delta, seed, make)
     raise RegimeError(f"unknown construction case {case!r}")

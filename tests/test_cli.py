@@ -336,6 +336,21 @@ def test_options_the_run_would_not_read_are_usage_errors(capsys, cnf_file, argv,
     assert code == 2 and captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("command", [["sample", "--eps", "0.1"], ["count", "--delta", "0.5"],
+                                     ["check-projection"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("option", [["--case-hint", "case3"], ["--construction-delta", "0.1"]],
+                         ids=lambda argv: argv[0])
+def test_construction_options_with_a_scheme_file_are_usage_errors(
+        capsys, cnf_file, collapsed_scheme_file, command, option):
+    # a scheme read from a file is not constructed: the hint or delta would be
+    # dropped while the run exits 0
+    code = dispatch([*command, *option, "--input", cnf_file, "--scheme", collapsed_scheme_file,
+                     "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{option[0]} applies to a constructed scheme" in captured.err
+
+
 @pytest.mark.parametrize("name, data, extra", [
     ("bad.cnf", b"p cnf 2 1\n1 \xff 0\n", []),
     ("bad.hyp", b"0 1\n\xfe 2\n", ["--format", "hypergraph", "--q", "3"]),

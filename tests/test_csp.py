@@ -129,6 +129,9 @@ def test_degree_matches_quadratic_scan(data):
             cons.append((vars_, tuple(data.draw(st.integers(0, 1)) for _ in vars_)))
         else:  # q constraints on the edge, each listing its variables in a shuffled order
             cons += [(data.draw(st.permutations(vars_)), (color,) * k) for color in range(q)]
+    if cons:  # constraints repeated verbatim, anywhere in the order
+        cons = data.draw(st.permutations(cons + data.draw(st.lists(st.sampled_from(cons),
+                                                                   max_size=6))))
     csp = uniform_csp(n, q or 2, cons)
     delta, _, degrees = degree_stats(csp)
     brute = [
@@ -387,7 +390,8 @@ def test_tables_do_not_keep_their_instance_alive():
     # CSPArrays is plain data with no reference back to its instance: with
     # the cycle collector off, an instance dies once dropped, built from its
     # constraints or from its tables, while its tables and the index by
-    # variable, degrees and mask derived from them stay in use
+    # variable, degrees and mask derived from them stay in use; degree_stats
+    # builds no index by variable, so the test reads inc_flat itself
     text = random_kcnf_text([7], 120, 50, 8)
     builds = [lambda: csp_module._dimacs_clauses(text), lambda: parse_dimacs(text)]
     enabled = gc.isenabled()
@@ -396,16 +400,35 @@ def test_tables_do_not_keep_their_instance_alive():
         for build in builds:
             csp = build()
             a, stats = csp.arrays, degree_stats(csp)
-            assert "inc_flat" in a.__dict__
+            ids, offsets = a.inc_flat
             instance = weakref.ref(csp)
             del csp
             assert instance() is None
             expect = build()
             assert stats == degree_stats(expect) and a.degrees == expect.arrays.degrees
             assert a.constrained.tolist() == [len(at) > 0 for at in incidence(expect)]
+            assert [ids[i:j].tolist() for i, j in zip(offsets, offsets[1:])] == incidence(expect)
     finally:
         if enabled:
             gc.enable()
+
+
+def test_set_up_builds_no_index_by_variable():
+    # parse, construct, check, project and a single chain read the (k, m)
+    # tables alone; only the many-chain driver's step tables and the
+    # resampling solver build the flat index inc_flat
+    text = random_kcnf_text([7], 120, 50, 8)
+    csp = parse_dimacs(text)
+    scheme = construct_projection(csp, seed=3)
+    check_admissibility(csp, scheme, 0.25)
+    pcsp = project_csp(csp, scheme)
+    assert Sampler(csp, scheme, 0.25, c_t=0.02).sample_one(seed=1).ok
+    assert "inc_flat" not in csp.arrays.__dict__ and "inc_flat" not in pcsp.arrays.__dict__
+    BatchSampler(csp, scheme, 0.25, c_t=0.02).sample(2, seed=1)
+    assert "inc_flat" in csp.arrays.__dict__
+    again = parse_dimacs(text)
+    assert find_assignment(again, np.random.default_rng(1)).success
+    assert "inc_flat" in again.arrays.__dict__
 
 
 def test_sampler_on_a_table_built_instance_pickles():
