@@ -53,6 +53,13 @@ def _fail(message: str, code: int) -> int:
 def _load_csp(args) -> AtomicCSP:
     if args.format == "cnf" and args.q is not None:
         raise CSPError("--q applies to hypergraph input only")
+    if getattr(args, "scheme", None):
+        # a scheme read from a file is not constructed, so the construction's
+        # options would go unread
+        for flag, value in (("--case-hint", args.case_hint),
+                            ("--construction-delta", args.construction_delta)):
+            if value is not None:
+                raise CSPError(f"{flag} applies to a constructed scheme, not with --scheme")
     try:
         with open(args.input, "rb") as fh:
             text = fh.read()
@@ -72,13 +79,7 @@ def _resolve_seed(args) -> int:
 
 
 def _scheme_for(args, csp: AtomicCSP, seed: int):
-    if args.scheme:
-        # a scheme read from a file is not constructed, so the construction's
-        # options would go unread
-        for flag, value in (("--case-hint", args.case_hint),
-                            ("--construction-delta", args.construction_delta)):
-            if value is not None:
-                raise CSPError(f"{flag} applies to a constructed scheme, not with --scheme")
+    if args.scheme:  # _load_csp has refused the construction's options beside it
         try:
             with open(args.scheme, "rb") as fh:
                 text = fh.read()

@@ -55,21 +55,15 @@ class ProjectionScheme:
     partitions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        written = tuple(self.blocks)  # holds each object, so that no id below is reused
-        objects: dict = {}  # each object's partition, by id; construct_projection
-        # passes one object per partition, so it reads the blocks once per partition
         forms: dict = {}  # each written form's partition, checked at its first variable
         canon: dict = {}  # each partition's (number, blocks, block_of), by its sorted blocks
         parts = []
-        for v, var_blocks in enumerate(written):
-            p = objects.get(id(var_blocks))
+        for v, var_blocks in enumerate(self.blocks):
+            key = tuple(map(tuple, var_blocks))  # hashable
+            p = forms.get(key)
             if p is None:
-                key = tuple(map(tuple, var_blocks))  # hashable
-                p = forms.get(key)
-                if p is None:
-                    blocks, block_of = _partition(v, key)
-                    p = forms[key] = canon.setdefault(blocks, (len(canon), blocks, block_of))
-                objects[id(var_blocks)] = p
+                blocks, block_of = _partition(v, key)
+                p = forms[key] = canon.setdefault(blocks, (len(canon), blocks, block_of))
             parts.append(p)
         part, blocks, block_of = zip(*parts) if parts else ((), (), ())
         object.__setattr__(self, "blocks", blocks)

@@ -351,6 +351,17 @@ def test_construction_options_with_a_scheme_file_are_usage_errors(
     assert f"{option[0]} applies to a constructed scheme" in captured.err
 
 
+def test_construction_options_with_a_scheme_file_are_refused_before_the_input_is_read(
+        capsys, tmp_path, collapsed_scheme_file):
+    # the usage error comes first, as for --q, not a parse error of the input
+    bad = tmp_path / "bad.cnf"
+    bad.write_bytes(b"p cnf 2 1\n1 \xff 0\n")
+    assert dispatch(["sample", "--eps", "0.1", "--case-hint", "case3", "--input", str(bad),
+                     "--scheme", collapsed_scheme_file]) == 2
+    err = capsys.readouterr().err
+    assert "--case-hint applies to a constructed scheme" in err and "UTF-8" not in err
+
+
 @pytest.mark.parametrize("name, data, extra", [
     ("bad.cnf", b"p cnf 2 1\n1 \xff 0\n", []),
     ("bad.hyp", b"0 1\n\xfe 2\n", ["--format", "hypergraph", "--q", "3"]),
